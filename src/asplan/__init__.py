@@ -64,7 +64,7 @@ from .oracle import (
     load_golden_rows,
     mc_triprob,
     run_regression_grid,
-    sample_mixture_rate,
+    sample_mixture_rates,
     verify_tables,
 )
 from .plans import Family, PlanProblem, crisp_baseline

@@ -47,37 +47,25 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill in defaults from the config file for options not given on the
-    command line."""
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's entries as
+    ``--key=value`` tokens ahead of the given flags, so that the flags win
+    and config values are checked exactly like flags."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
-        return
-    config = _read_config(args.config)
-    given = {
-        token.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for token in sys.argv[1:]
-        if token.startswith("--")
-    }
-    float_keys = {
-        "lambda0", "lambda1", "alpha", "beta", "a", "b1", "b2", "cost", "tau",
-        "t1", "t2", "tolerance",
-    }
-    int_keys = {"n", "n_max", "restarts", "seed", "table", "rows", "draws"}
-    bool_keys = {"allow_t2_above_lambda0"}
-    valid = set(vars(args))
-    for key, raw in config.items():
-        if key not in valid:
+        return args
+    tokens = []
+    for key, raw in _read_config(args.config).items():
+        if key == "command" or not hasattr(args, key):
             raise DomainError(f"unknown config key {key!r}")
-        if key in given:
-            continue
-        if key in bool_keys:
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif key in int_keys:
-            setattr(args, key, int(raw))
-        elif key in float_keys:
-            setattr(args, key, float(raw))
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):  # a store_true switch takes no value
+            if raw.lower() in ("1", "true", "yes", "on"):
+                tokens.append(flag)
         else:
-            setattr(args, key, raw)
+            tokens.append(f"{flag}={raw}")
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
@@ -365,9 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        args = _parse_args(parser, argv)
         if args.command == "design":
             return _cmd_design(args, crisp=False)
         if args.command == "crisp-baseline":

@@ -113,20 +113,7 @@ def censored_mle(values: Sequence[float], n: int, tau: float) -> float:
 
 def dispose_type1(data: FailureData, t1: float, t2: float, n: int, tau: float) -> Disposition:
     """Decide per consecutive block of n on the censored mean-life estimate."""
-    if n < 1:
-        raise DomainError(f"group size must be >= 1, got {n}")
-    if len(data.values) < n:
-        raise DomainError(f"need at least {n} values for one group, have {len(data.values)}")
-    examined = []
-    group = 0
-    for start in range(0, len(data.values) - n + 1, n):
-        group += 1
-        value = censored_mle(data.values[start : start + n], n, tau)
-        examined.append(value)
-        decision = _classify(value, t1, t2)
-        if decision is not None:
-            return Disposition(decision, group, tuple(examined))
-    return Disposition(Decision.CONTINUE_EXHAUSTED, None, tuple(examined))
+    return _dispose_grouped(data, t1, t2, n, lambda block: censored_mle(block, n, tau))
 
 
 def load_failure_data(

@@ -10,7 +10,7 @@ constraints, and finally minimize cost at that satisfaction level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,26 +25,26 @@ _BIG = 1e30
 # enough to force the constraint, shallow enough for the penalty to guide.
 _CRISP_RAMP = 1e6
 _PHI_TOL = 1e-9
+# Exterior penalty: the weight starts at _PENALTY_WEIGHT0 and grows by
+# _PENALTY_GROWTH over _PENALTY_STAGES Nelder-Mead runs per start.
+_PENALTY_WEIGHT0 = 100.0
+_PENALTY_GROWTH = 30.0
+_PENALTY_STAGES = 5
+_XATOL = 1e-9
+_FATOL = 1e-12
+_MAX_ITER = 600
+# Largest constraint violation a point may have and still count as feasible.
+_FEASIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     restarts: int = 32
     seed: int = 42
-    penalty_weight0: float = 100.0
-    penalty_growth: float = 30.0
-    penalty_stages: int = 5
-    xatol: float = 1e-9
-    fatol: float = 1e-12
-    max_iter: int = 600
-    feasibility_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
-        for name in ("penalty_weight0", "penalty_growth", "xatol", "fatol", "feasibility_tol"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
 
 
 DEFAULT_SOLVER = SolverSettings()
@@ -130,7 +130,7 @@ def solve_crisp(
     """Best feasible point across seeded multi-start penalized Nelder-Mead.
 
     Deterministic for a fixed seed.  Raises InfeasibleError when no start
-    reaches constraint violation <= feasibility_tol.
+    reaches constraint violation <= _FEASIBILITY_TOL.
     """
     rng = np.random.default_rng(settings.seed)
     lo = np.array([b[0] for b in nlp.box], dtype=float)
@@ -164,25 +164,21 @@ def solve_crisp(
     least_bad = math.inf
     for start in starts:
         x = start
-        weight = settings.penalty_weight0
-        for _ in range(settings.penalty_stages):
+        weight = _PENALTY_WEIGHT0
+        for _ in range(_PENALTY_STAGES):
             result = minimize(
                 penalized,
                 x,
                 args=(weight,),
                 method="Nelder-Mead",
                 bounds=bounds,
-                options={
-                    "xatol": settings.xatol,
-                    "fatol": settings.fatol,
-                    "maxiter": settings.max_iter,
-                },
+                options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER},
             )
             x = np.clip(result.x, lo, hi)
-            weight *= settings.penalty_growth
+            weight *= _PENALTY_GROWTH
         viol = _violation(nlp, x)
         value = _safe_eval(nlp.objective, x)
-        if viol <= settings.feasibility_tol:
+        if viol <= _FEASIBILITY_TOL:
             if value < best_f:
                 best_f, best_x = value, x
         elif viol < least_bad:
@@ -226,7 +222,7 @@ def zimmermann_bounds(
     tight_x, tight_value = solve_crisp(tight, settings)
     relaxed = CrispNlp(objective, ((g, alpha.relaxed), (h, beta.relaxed)), box, ordering)
     relaxed_x, relaxed_value = solve_crisp(relaxed, settings, extra_starts=(tight_x,))
-    if relaxed_value > tight_value + settings.feasibility_tol * (1.0 + abs(tight_value)):
+    if relaxed_value > tight_value + _FEASIBILITY_TOL * (1.0 + abs(tight_value)):
         raise ConsistencyError(
             f"relaxed optimum {relaxed_value} exceeds tight optimum {tight_value}"
         )
@@ -363,19 +359,7 @@ def solve_plan(
             ),
             settings,
         )
-        design = PlanDesign(
-            t1=design.t1,
-            t2=design.t2,
-            n=n,
-            phi=design.phi,
-            objective_value=design.objective_value,
-            g_value=design.g_value,
-            h_value=design.h_value,
-            g_margin=design.g_margin,
-            h_margin=design.h_margin,
-            z_lower=design.z_lower,
-            z_upper=design.z_upper,
-        )
+        design = replace(design, n=n)
         trace.append((n, design.phi, design.objective_value))
         if best is None or _better(design, best):
             best = design
@@ -389,20 +373,7 @@ def solve_plan(
         raise InfeasibleError(
             "every candidate group size was infeasible", per_n=tuple(per_n)
         )
-    return PlanDesign(
-        t1=best.t1,
-        t2=best.t2,
-        n=best.n,
-        phi=best.phi,
-        objective_value=best.objective_value,
-        g_value=best.g_value,
-        h_value=best.h_value,
-        g_margin=best.g_margin,
-        h_margin=best.h_margin,
-        z_lower=best.z_lower,
-        z_upper=best.z_upper,
-        trace=tuple(trace),
-    )
+    return replace(best, trace=tuple(trace))
 
 
 def _better(candidate: PlanDesign, incumbent: PlanDesign) -> bool:

@@ -3,6 +3,8 @@
 Everything here is built from the weighted survival function S(t): the
 exponential survival e^{-lambda t} averaged over the raised-cosine
 membership of the failure rate and renormalized by the membership mass.
+Every function that takes a life accepts a FuzzyLife or a plain positive
+mean life; a plain number is the crisp exponential, the a -> inf limit.
 """
 
 from __future__ import annotations
@@ -12,12 +14,10 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError
 from .membership import FuzzyLife
-from .quadrature import (
-    DEFAULT_SETTINGS,
-    QuadratureSettings,
-    oscillatory_pair,
-    std_normal_cdf,
-)
+from .quadrature import oscillatory_pair, std_normal_cdf
+
+# A fuzzy mean life, or a plain mean life for the crisp exponential model.
+Life = FuzzyLife | float
 
 # Below this time the survival closed form is a removable 0/0; return the limit.
 _T_FLOOR = 1e-12
@@ -62,19 +62,26 @@ class LongRun:
 
 
 def _clamp_prob(x: float, what: str) -> float:
+    if 0.0 <= x <= 1.0:
+        return x
     if x < -_CLAMP_TOL or x > 1.0 + _CLAMP_TOL:
         raise ConsistencyError(f"{what} = {x} is outside [0,1] beyond tolerance")
     return min(1.0, max(0.0, x))
 
 
-def weighted_survival(f: FuzzyLife, t: float) -> float:
+def weighted_survival(f: Life, t: float) -> float:
     """Survival probability P(Y >= t) under the membership-weighted model.
 
     Closed form pi^2 a^3 (e^{2t/a} - 1) e^{-t/lambda_j - t/a} / (2t^3 + 2 pi^2 a^2 t),
-    equal to the mixture a * int e^{-lambda t} H_j(lambda) dlambda.
+    equal to the mixture a * int e^{-lambda t} H_j(lambda) dlambda; e^{-t/lambda}
+    for a crisp life.
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
+    if not isinstance(f, FuzzyLife):
+        if not f > 0:
+            raise DomainError(f"mean life must be positive, got {f}")
+        return math.exp(-t / f)
     if t < _T_FLOOR:
         return 1.0
     a = f.a
@@ -89,7 +96,7 @@ def weighted_survival(f: FuzzyLife, t: float) -> float:
     return _clamp_prob(value, "weighted survival")
 
 
-def ssp_triprob(f: FuzzyLife, th: Thresholds) -> TriProb:
+def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
     """Accept/reject/continue probabilities for one inter-failure time."""
     s1 = weighted_survival(f, th.t1)
     s2 = weighted_survival(f, th.t2)
@@ -99,7 +106,7 @@ def ssp_triprob(f: FuzzyLife, th: Thresholds) -> TriProb:
     return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
 
 
-def rgsp_min_triprob(f: FuzzyLife, th: Thresholds, n: int) -> TriProb:
+def rgsp_min_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
     """Group-minimum probabilities: the minimum of n shared-rate exponentials
     is exponential with n times the rate, so this is the SSP form at n*t."""
     if n < 1:
@@ -107,7 +114,7 @@ def rgsp_min_triprob(f: FuzzyLife, th: Thresholds, n: int) -> TriProb:
     return ssp_triprob(f, Thresholds(t1=n * th.t1, t2=n * th.t2))
 
 
-def rgsp_max_triprob(f: FuzzyLife, th: Thresholds, n: int) -> TriProb:
+def rgsp_max_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
     """Group-maximum probabilities raising the weighted CDF to the n-th power
     (an independent fuzzy rate per item)."""
     if n < 1:
@@ -161,24 +168,34 @@ def long_run(p: TriProb) -> LongRun:
     return LongRun(P_A=p.p_a / denom, P_R=p.p_r / denom, N=1.0 / denom)
 
 
-def expected_y(f: FuzzyLife, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def expected_y(f: Life) -> float:
     """Mean inter-failure time under the weighted model.
 
     (a/2) ln((a+l)/(a-l)) + (a/2)[cos(c) Ic + sin(c) Is], c = a*pi/l, where
     (Ic, Is) integrate cos(u)/u and sin(u)/u over [c-pi, c+pi].  Tends to the
-    nominal mean life as a grows (the oscillatory terms cancel the excess).
+    nominal mean life as a grows (the oscillatory terms cancel the excess),
+    which is the value for a crisp life.
     """
+    if not isinstance(f, FuzzyLife):
+        if not f > 0:
+            raise DomainError(f"mean life must be positive, got {f}")
+        return f
     a = f.a
     lam = f.lambda_j
     c = a * math.pi / lam
-    ic, is_ = oscillatory_pair(c, settings)
+    ic, is_ = oscillatory_pair(c)
     # log1p keeps the log term accurate when a >> lambda_j.
     log_term = math.log1p(lam / a) - math.log1p(-lam / a)
     return (a / 2.0) * log_term + (a / 2.0) * (math.cos(c) * ic + math.sin(c) * is_)
 
 
-def expected_y_upper_bound(f: FuzzyLife) -> float:
-    """Analytic upper bound for expected_y: the log term times 1 + |cos c| + |sin c|."""
+def expected_y_upper_bound(f: Life) -> float:
+    """Analytic upper bound for expected_y: the log term times 1 + |cos c| + |sin c|.
+
+    Exact (the mean life itself) for a crisp life.
+    """
+    if not isinstance(f, FuzzyLife):
+        return expected_y(f)
     a = f.a
     lam = f.lambda_j
     c = a * math.pi / lam
@@ -186,16 +203,14 @@ def expected_y_upper_bound(f: FuzzyLife) -> float:
     return (a / 2.0) * log_term * (1.0 + abs(math.cos(c)) + abs(math.sin(c)))
 
 
-def expected_ymin(
-    f: FuzzyLife, n: int, settings: QuadratureSettings = DEFAULT_SETTINGS
-) -> float:
+def expected_ymin(f: Life, n: int) -> float:
     """Mean group minimum: the single-observation mean scaled by 1/n."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return expected_y(f, settings) / n
+    return expected_y(f) / n
 
 
-def expected_ymin_upper_bound(f: FuzzyLife, n: int) -> float:
+def expected_ymin_upper_bound(f: Life, n: int) -> float:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return expected_y_upper_bound(f) / n
@@ -205,16 +220,14 @@ def harmonic_number(n: int) -> float:
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
-def expected_ymax(
-    f: FuzzyLife, n: int, settings: QuadratureSettings = DEFAULT_SETTINGS
-) -> float:
+def expected_ymax(f: Life, n: int) -> float:
     """Mean group maximum: harmonic-number scaling of the single-observation mean."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return harmonic_number(n) * expected_y(f, settings)
+    return harmonic_number(n) * expected_y(f)
 
 
-def expected_ymax_upper_bound(f: FuzzyLife, n: int) -> float:
+def expected_ymax_upper_bound(f: Life, n: int) -> float:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return harmonic_number(n) * expected_y_upper_bound(f)

@@ -23,7 +23,10 @@ from .lifemodel import (
     Thresholds,
     expected_y,
     expected_y_upper_bound,
-    harmonic_number,
+    expected_ymax,
+    expected_ymax_upper_bound,
+    expected_ymin,
+    expected_ymin_upper_bound,
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
@@ -76,18 +79,9 @@ class GoldenRow:
     etc: float
 
 
-def sample_mixture_rate(f: FuzzyLife, rng: np.random.Generator) -> float:
-    """One failure rate drawn from the normalized raised-cosine density by
-    rejection against the uniform envelope (acceptance probability 1/2)."""
-    lo, hi = f.support
-    center = 1.0 / f.lambda_j
-    while True:
-        rate = lo + (hi - lo) * rng.random()
-        if rng.random() < 0.5 * (1.0 + math.cos(f.a * math.pi * (rate - center))):
-            return rate
-
-
-def _sample_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_mixture_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` failure rates drawn from the normalized raised-cosine density
+    by rejection against the uniform envelope (acceptance probability 1/2)."""
     lo, hi = f.support
     center = 1.0 / f.lambda_j
     out = np.empty(size)
@@ -137,14 +131,14 @@ def mc_triprob(
     family = Family(family)
     rng = np.random.default_rng(seed)
     if family is Family.SSP or family is Family.RGSP_MIN:
-        rates = _sample_rates(life, draws, rng)
+        rates = sample_mixture_rates(life, draws, rng)
         scale = 1.0 / rates if family is Family.SSP else 1.0 / (n * rates)
         y = rng.exponential(scale)
         return _estimate(int(np.sum(y >= th.t2)), int(np.sum(y < th.t1)), draws)
     if family is Family.RGSP_MAX:
         y_max = np.zeros(draws)
         for _ in range(n):
-            rates = _sample_rates(life, draws, rng)
+            rates = sample_mixture_rates(life, draws, rng)
             y_max = np.maximum(y_max, rng.exponential(1.0 / rates))
         return _estimate(int(np.sum(y_max >= th.t2)), int(np.sum(y_max < th.t1)), draws)
     if family is Family.TYPE_I:
@@ -267,10 +261,8 @@ def load_golden_rows() -> list[GoldenRow]:
     return rows
 
 
-def _row_survival(lam: float, a: Optional[float], t: float, crisp: bool) -> float:
-    if crisp:
-        return math.exp(-t / lam)
-    return weighted_survival(FuzzyLife(lambda_j=lam, a=a), t)
+def _row_life(row: GoldenRow, lam: float):
+    return lam if row.variant == "crisp" else FuzzyLife(lambda_j=lam, a=row.a)
 
 
 def _row_rates(row: GoldenRow, lam: float) -> tuple[float, float, float]:
@@ -280,23 +272,18 @@ def _row_rates(row: GoldenRow, lam: float) -> tuple[float, float, float]:
     thresholds are inverted (t1 > t2) still get the algebraic extension the
     reference solver would have used.
     """
-    crisp = row.variant == "crisp"
     n = row.n or 1
     if row.family == "type1":
         tp = typeI_triprob(lam, Thresholds(min(row.t1, row.t2), max(row.t1, row.t2)), n, row.tau)
         return tp.p_a, tp.p_r, tp.p_a + tp.p_r
-    if row.family == "rgsp_min":
-        s1 = _row_survival(lam, row.a, n * row.t1, crisp)
-        s2 = _row_survival(lam, row.a, n * row.t2, crisp)
-        p_a, p_r = s2, 1.0 - s1
-    elif row.family == "rgsp_max":
-        s1 = _row_survival(lam, row.a, row.t1, crisp)
-        s2 = _row_survival(lam, row.a, row.t2, crisp)
+    life = _row_life(row, lam)
+    scale = n if row.family == "rgsp_min" else 1
+    s1 = weighted_survival(life, scale * row.t1)
+    s2 = weighted_survival(life, scale * row.t2)
+    if row.family == "rgsp_max":
         p_a = 1.0 - (1.0 - s2) ** n
         p_r = (1.0 - s1) ** n
     else:
-        s1 = _row_survival(lam, row.a, row.t1, crisp)
-        s2 = _row_survival(lam, row.a, row.t2, crisp)
         p_a, p_r = s2, 1.0 - s1
     return p_a, p_r, p_a + p_r
 
@@ -304,16 +291,15 @@ def _row_rates(row: GoldenRow, lam: float) -> tuple[float, float, float]:
 def _row_expected_cost(row: GoldenRow, terminate0: float) -> float:
     if row.family == "type1":
         return row.tau / terminate0
-    if row.variant == "crisp":
-        base = row.lambda0
-    else:
-        f0 = FuzzyLife(lambda_j=row.lambda0, a=row.a)
-        base = expected_y_upper_bound(f0) if row.variant == "etc_upper_bound" else expected_y(f0)
+    life = _row_life(row, row.lambda0)
+    upper = row.variant == "etc_upper_bound"
     n = row.n or 1
     if row.family == "rgsp_min":
-        base /= n
+        base = (expected_ymin_upper_bound if upper else expected_ymin)(life, n)
     elif row.family == "rgsp_max":
-        base *= harmonic_number(n)
+        base = (expected_ymax_upper_bound if upper else expected_ymax)(life, n)
+    else:
+        base = (expected_y_upper_bound if upper else expected_y)(life)
     return base / terminate0
 
 

@@ -7,7 +7,6 @@ life) and consumer risk h (acceptance probability at the rejectable life).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -16,16 +15,18 @@ from .errors import DomainError
 from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
     Thresholds,
-    TriProb,
     expected_y,
     expected_y_upper_bound,
+    expected_ymax,
+    expected_ymax_upper_bound,
+    expected_ymin,
+    expected_ymin_upper_bound,
     long_run,
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
     typeI_triprob,
-    weighted_survival,
-    harmonic_number,
+    weighted_survival,  # unused here; perfbench/tracing.py rebinds plans.weighted_survival
 )
 from .membership import FuzzyLevel, FuzzyLife
 
@@ -66,102 +67,64 @@ class PlanProblem:
             raise DomainError("Type-I plans require a censoring time tau")
         if self.objective_variant not in ("etc_star", "etc_upper_bound"):
             raise DomainError(f"unknown objective_variant {self.objective_variant!r}")
+        if self.sd_form not in ("n", "sqrt_n"):
+            raise DomainError(f"unknown sd_form {self.sd_form!r}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 
 
-def _survival(f: FuzzyLife, t: float, crisp: bool) -> float:
+def _lives(p: PlanProblem, crisp: bool) -> tuple:
+    """(acceptable, rejectable) life as the life model takes them: the
+    nominal mean lives in the crisp limit."""
     if crisp:
-        return math.exp(-t / f.lambda_j)
-    return weighted_survival(f, t)
-
-
-def _triprob(f: FuzzyLife, th: Thresholds, crisp: bool) -> TriProb:
-    if not crisp:
-        return ssp_triprob(f, th)
-    s1 = _survival(f, th.t1, True)
-    s2 = _survival(f, th.t2, True)
-    return TriProb(p_a=s2, p_r=1.0 - s1, p_c=s1 - s2)
-
-
-def _max_triprob(f: FuzzyLife, th: Thresholds, n: int, crisp: bool) -> TriProb:
-    if not crisp:
-        return rgsp_max_triprob(f, th, n)
-    s1 = _survival(f, th.t1, True)
-    s2 = _survival(f, th.t2, True)
-    return TriProb(
-        p_a=1.0 - (1.0 - s2) ** n,
-        p_r=(1.0 - s1) ** n,
-        p_c=(1.0 - s2) ** n - (1.0 - s1) ** n,
-    )
-
-
-def _base_expectation(p: PlanProblem, crisp: bool) -> float:
-    """Cost-side expected single-observation duration under the null life."""
-    if crisp:
-        return p.lambda0.lambda_j
-    if p.objective_variant == "etc_upper_bound":
-        return expected_y_upper_bound(p.lambda0)
-    return expected_y(p.lambda0)
+        return p.lambda0.lambda_j, p.lambda1.lambda_j
+    return p.lambda0, p.lambda1
 
 
 def _thresholds(x) -> Thresholds:
     return Thresholds(t1=float(x[0]), t2=float(x[1]))
 
 
-def ssp_objective_and_constraints(p: PlanProblem, crisp: bool = False):
-    """(objective, g, h) over (t1, t2) for the sequential plan."""
-    e0 = _base_expectation(p, crisp)
+def _assemble(p: PlanProblem, lives: tuple, e0: float, stage):
+    """(objective, g, h) over x = (t1, t2) from the (acceptable, rejectable)
+    lives, the expected stage duration e0 under the acceptable life, and
+    ``stage(life, thresholds) -> TriProb``."""
+    life0, life1 = lives
 
     def objective(x) -> float:
-        tp = _triprob(p.lambda0, _thresholds(x), crisp)
-        return p.cost * e0 * long_run(tp).N
+        return p.cost * e0 * long_run(stage(life0, _thresholds(x))).N
 
     def g(x) -> float:
-        return long_run(_triprob(p.lambda0, _thresholds(x), crisp)).P_R
+        return long_run(stage(life0, _thresholds(x))).P_R
 
     def h(x) -> float:
-        return long_run(_triprob(p.lambda1, _thresholds(x), crisp)).P_A
+        return long_run(stage(life1, _thresholds(x))).P_A
 
     return objective, g, h
+
+
+def ssp_objective_and_constraints(p: PlanProblem, crisp: bool = False):
+    """(objective, g, h) over (t1, t2) for the sequential plan."""
+    lives = _lives(p, crisp)
+    upper = p.objective_variant == "etc_upper_bound"
+    e0 = (expected_y_upper_bound if upper else expected_y)(lives[0])
+    return _assemble(p, lives, e0, ssp_triprob)
 
 
 def rgsp_min_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False):
     """(objective, g, h) over (t1, t2) for the group-minimum plan of size n."""
-    e0 = _base_expectation(p, crisp) / n
-
-    def min_tp(f: FuzzyLife, x) -> TriProb:
-        th = _thresholds(x)
-        if crisp:
-            return _triprob(f, Thresholds(t1=n * th.t1, t2=n * th.t2), True)
-        return rgsp_min_triprob(f, th, n)
-
-    def objective(x) -> float:
-        return p.cost * e0 * long_run(min_tp(p.lambda0, x)).N
-
-    def g(x) -> float:
-        return long_run(min_tp(p.lambda0, x)).P_R
-
-    def h(x) -> float:
-        return long_run(min_tp(p.lambda1, x)).P_A
-
-    return objective, g, h
+    lives = _lives(p, crisp)
+    upper = p.objective_variant == "etc_upper_bound"
+    e0 = (expected_ymin_upper_bound if upper else expected_ymin)(lives[0], n)
+    return _assemble(p, lives, e0, lambda f, th: rgsp_min_triprob(f, th, n))
 
 
 def rgsp_max_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False):
     """(objective, g, h) over (t1, t2) for the group-maximum plan of size n."""
-    e0 = harmonic_number(n) * _base_expectation(p, crisp)
-
-    def objective(x) -> float:
-        return p.cost * e0 * long_run(_max_triprob(p.lambda0, _thresholds(x), n, crisp)).N
-
-    def g(x) -> float:
-        return long_run(_max_triprob(p.lambda0, _thresholds(x), n, crisp)).P_R
-
-    def h(x) -> float:
-        return long_run(_max_triprob(p.lambda1, _thresholds(x), n, crisp)).P_A
-
-    return objective, g, h
+    lives = _lives(p, crisp)
+    upper = p.objective_variant == "etc_upper_bound"
+    e0 = (expected_ymax_upper_bound if upper else expected_ymax)(lives[0], n)
+    return _assemble(p, lives, e0, lambda f, th: rgsp_max_triprob(f, th, n))
 
 
 def typeI_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False):
@@ -171,20 +134,12 @@ def typeI_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False)
     crisp flag changes nothing here; the objective floor is cost * tau.
     """
     del crisp
-
-    def tp(lambda_j: float, x) -> TriProb:
-        return typeI_triprob(lambda_j, _thresholds(x), n, p.tau, sd_form=p.sd_form)
-
-    def objective(x) -> float:
-        return p.cost * p.tau * long_run(tp(p.lambda0.lambda_j, x)).N
-
-    def g(x) -> float:
-        return long_run(tp(p.lambda0.lambda_j, x)).P_R
-
-    def h(x) -> float:
-        return long_run(tp(p.lambda1.lambda_j, x)).P_A
-
-    return objective, g, h
+    return _assemble(
+        p,
+        _lives(p, crisp=True),
+        p.tau,
+        lambda lam, th: typeI_triprob(lam, th, n, p.tau, sd_form=p.sd_form),
+    )
 
 
 def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):

@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from asplan.cli import main
+
 CLI = [sys.executable, "-m", "asplan.cli"]
 
 DESIGN_FLAGS = [
@@ -167,3 +171,29 @@ def test_oracle_single_case_and_determinism():
     reports = json.loads(first.stdout)
     assert len(reports) == 3
     assert all(r["passed"] for r in reports)
+
+
+def test_config_flags_win_in_process(tmp_path, capsys):
+    config = tmp_path / "rows.cfg"
+    config.write_text("rows = 2\n")
+    status = main(["verify-tables", "--config", str(config), "--rows", "5"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert "feasibility: 5/5" in out
+
+
+def test_bad_config_values_are_reported_like_flags(tmp_path, capsys):
+    for line, flag in (("lambda0 = abc", "--lambda0"), ("family = bogus", "--family")):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["design", "--config", str(config)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    config = tmp_path / "unknown.cfg"
+    config.write_text("mystery = 1\n")
+    assert main(["design", "--config", str(config)] + DESIGN_FLAGS[1:]) == 1
+    assert "mystery" in capsys.readouterr().err

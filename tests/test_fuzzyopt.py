@@ -12,7 +12,7 @@ from asplan.fuzzyopt import (
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, plan_functions
 
-FAST = SolverSettings(restarts=6, max_iter=300)
+FAST = SolverSettings(restarts=6)
 
 
 def test_solve_crisp_active_constraint():

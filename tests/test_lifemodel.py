@@ -192,6 +192,33 @@ def test_expected_y_tends_to_nominal():
     assert abs(expected_y(f) - 300.0) / 300.0 <= 1e-4
 
 
+@pytest.mark.parametrize("lam", [50.0, 300.0])
+def test_crisp_limit_of_fuzzy_life(lam):
+    # A plain mean life is the a -> inf limit of the fuzzy model.
+    fuzzy = FuzzyLife(lam, 1e6 * lam)
+    th = Thresholds(0.1 * lam, 0.8 * lam)
+    n = 5
+    for t in (0.01 * lam, lam, 5.0 * lam):
+        assert weighted_survival(fuzzy, t) == pytest.approx(weighted_survival(lam, t), rel=1e-4)
+    for fuzzy_tp, crisp_tp in (
+        (ssp_triprob(fuzzy, th), ssp_triprob(lam, th)),
+        (rgsp_min_triprob(fuzzy, th, n), rgsp_min_triprob(lam, th, n)),
+        (rgsp_max_triprob(fuzzy, th, n), rgsp_max_triprob(lam, th, n)),
+    ):
+        assert fuzzy_tp.p_a == pytest.approx(crisp_tp.p_a, rel=1e-4)
+        assert fuzzy_tp.p_r == pytest.approx(crisp_tp.p_r, rel=1e-4)
+        assert fuzzy_tp.p_c == pytest.approx(crisp_tp.p_c, rel=1e-4)
+    assert expected_y(fuzzy) == pytest.approx(expected_y(lam), rel=1e-4)
+    assert expected_y(lam) == expected_y_upper_bound(lam) == lam
+
+
+def test_crisp_life_must_be_positive():
+    with pytest.raises(DomainError):
+        weighted_survival(0.0, 1.0)
+    with pytest.raises(DomainError):
+        expected_y(-300.0)
+
+
 def test_expected_y_bound_dominates():
     rng = random.Random(13)
     for _ in range(100):

@@ -10,7 +10,7 @@ from asplan.oracle import (
     REGRESSION_GRID,
     load_golden_rows,
     mc_triprob,
-    sample_mixture_rate,
+    sample_mixture_rates,
     verify_tables,
     write_reports_csv,
     write_reports_json,
@@ -22,15 +22,16 @@ def test_sample_mixture_rate_stays_in_support():
     f = FuzzyLife(300.0, 1500.0)
     lo, hi = f.support
     rng = np.random.default_rng(1)
-    draws = [sample_mixture_rate(f, rng) for _ in range(500)]
-    assert all(lo <= r <= hi for r in draws)
+    draws = sample_mixture_rates(f, 500, rng)
+    assert draws.shape == (500,)
+    assert np.all((lo <= draws) & (draws <= hi))
 
 
 def test_mixture_mean_life_matches_expectation():
     f = FuzzyLife(300.0, 1500.0)
     rng = np.random.default_rng(42)
     draws = 200_000
-    lives = 1.0 / np.array([sample_mixture_rate(f, rng) for _ in range(draws)])
+    lives = 1.0 / sample_mixture_rates(f, draws, rng)
     se = lives.std(ddof=1) / math.sqrt(draws)
     assert abs(lives.mean() - expected_y(f)) <= 3.0 * se
 

@@ -40,6 +40,11 @@ def test_problem_validation():
         make_problem(objective_variant="nope")
 
 
+def test_problem_rejects_unknown_sd_form():
+    with pytest.raises(DomainError, match="sd_form"):
+        make_problem(family=Family.TYPE_I, tau=50.0, sd_form="bogus")
+
+
 def test_group_families_reduce_to_ssp_at_n1():
     p = make_problem()
     base = ssp_objective_and_constraints(p)

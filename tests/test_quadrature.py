@@ -65,12 +65,22 @@ def test_oscillatory_pair_small_c():
     assert math.isfinite(ic) and math.isfinite(is_)
 
 
-def test_oscillatory_pair_invariant_under_panel_doubling():
-    c = 2100.0 * math.pi / 300.0
-    base = oscillatory_pair(c)
-    doubled = oscillatory_pair(c, QuadratureSettings(initial_panels=128))
-    assert base[0] == pytest.approx(doubled[0], abs=1e-10)
-    assert base[1] == pytest.approx(doubled[1], abs=1e-10)
+# Ci(c + pi) - Ci(c - pi) and Si(c + pi) - Si(c - pi), computed once with
+# mpmath at 50 significant digits (c taken as the exact double shown).
+MPMATH_PAIRS = {
+    3.25: (1.6420927631918405059, 1.3107386673781033014),
+    9.42: (0.016824456180669430184, 0.074008740428939083992),
+    15.71: (0.0032932618588160804009, 0.025872680874407663458),
+    157.1: (1.9442442489169643091e-6, -0.00025463502585819413921),
+}
+
+
+@pytest.mark.parametrize("c", sorted(MPMATH_PAIRS))
+def test_oscillatory_pair_matches_mpmath(c):
+    ic, is_ = oscillatory_pair(c)
+    want_ic, want_is = MPMATH_PAIRS[c]
+    assert ic == pytest.approx(want_ic, rel=0, abs=1e-14)
+    assert is_ == pytest.approx(want_is, rel=0, abs=1e-14)
 
 
 def test_oscillatory_pair_rejects_small_c():
