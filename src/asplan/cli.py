@@ -95,7 +95,12 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         choices=["cost_ascending", "standard"],
         default="cost_ascending",
     )
-    sub.add_argument("--restarts", type=int, default=32)
+    sub.add_argument(
+        "--restarts",
+        type=int,
+        default=32,
+        help="most grid basins each solve polishes with SLSQP",
+    )
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", help="write the design JSON here as well as stdout")
 
@@ -327,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dispose = subs.add_parser("dispose", help="apply a design to observed data")
     dispose.add_argument("--config", help="flat key = value config file")
-    dispose.add_argument("--data", required=True, help="CSV/JSON data file, or 'case-study'")
-    dispose.add_argument("--family", required=True, choices=[f.value for f in Family])
+    # Required, but checked after the config merge so that a config can supply them.
+    dispose.add_argument("--data", help="CSV/JSON data file, or 'case-study'")
+    dispose.add_argument("--family", choices=[f.value for f in Family])
     dispose.add_argument("--t1", type=float)
     dispose.add_argument("--t2", type=float)
     dispose.add_argument("--n", type=int, default=1)
@@ -355,6 +361,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
+        if args.command == "dispose":
+            missing = [f"--{key}" for key in ("data", "family") if getattr(args, key) is None]
+            if missing:
+                parser.error("the following arguments are required: " + ", ".join(missing))
         if args.command == "design":
             return _cmd_design(args, crisp=False)
         if args.command == "crisp-baseline":

@@ -1,14 +1,18 @@
-"""Constrained derivative-free optimization and the fuzzy-to-crisp pipeline.
+"""Constrained optimization over the threshold box and the fuzzy-to-crisp
+pipeline.
 
-The solver is multi-start Nelder-Mead with an exterior quadratic penalty and
-escalating weights.  On top of it sits the max-min satisfaction method:
-bracket the objective between the tight and the relaxed crisp optima, then
-maximize the minimum membership across the objective and both risk
-constraints, and finally minimize cost at that satisfaction level.
+`solve_crisp` scans a dense grid of the box, masking the ordering and the
+constraints, then polishes the best grid basins with SLSQP.  It draws no
+random numbers.  On top of it sits the max-min satisfaction method: bracket
+the objective between the tight and the relaxed crisp optima, then maximize
+the minimum membership across the objective and both risk constraints, and
+finally minimize cost at that satisfaction level.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -19,26 +23,38 @@ from scipy.optimize import minimize
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
 from .membership import FuzzyLevel
 
-# Objective value substituted when evaluation fails (degenerate plan, bad point).
-_BIG = 1e30
-# Slope of the pseudo-membership used for zero-slack (crisp) levels; steep
-# enough to force the constraint, shallow enough for the penalty to guide.
-_CRISP_RAMP = 1e6
+# Slope of the pseudo-membership used for zero-slack (crisp) levels.  Steep
+# enough that stage 2's floor, _PHI_TOL/2 under phi*, holds a crisp risk
+# within 5e-14 of its level; shallow enough that an ulp of a risk (about
+# 7e-18) stays far below _SLSQP_FTOL once scaled by it.  At 1e6 SLSQP could
+# not tell the constraint met, and crisp stage-2 polishes ran to their cap.
+_CRISP_RAMP = 1e4
 _PHI_TOL = 1e-9
-# Exterior penalty: the weight starts at _PENALTY_WEIGHT0 and grows by
-# _PENALTY_GROWTH over _PENALTY_STAGES Nelder-Mead runs per start.
-_PENALTY_WEIGHT0 = 100.0
-_PENALTY_GROWTH = 30.0
-_PENALTY_STAGES = 5
-_XATOL = 1e-9
-_FATOL = 1e-12
-_MAX_ITER = 600
+# Grid points per axis of the scan: a 2-D grid array is about 0.5 MB.
+_GRID = 257
+_CELLS = _GRID - 1
+# Cells per closure call in the scan.
+_BLOCK = 4096
+# SLSQP stopping tolerance on the objective, which the polish scales to O(1).
+_SLSQP_FTOL = 1e-12
+_SLSQP_MAX_ITER = 30
+# A polish stops once its objective has stayed within _SLSQP_FTOL over this
+# many iterations.  Runs that SLSQP cannot certify as converged otherwise go
+# on to _SLSQP_MAX_ITER; on the benchmark's `ssp` problems every such run had
+# reached its final objective by iteration 13.
+_STALL_ITERS = 5
 # Largest constraint violation a point may have and still count as feasible.
 _FEASIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """`restarts` caps the grid basins that each solve polishes.
+
+    The solver draws no random numbers, so `seed` does not change a design;
+    the field stays for the callers that set it.
+    """
+
     restarts: int = 32
     seed: int = 42
 
@@ -53,7 +69,11 @@ DEFAULT_SOLVER = SolverSettings()
 @dataclass(frozen=True)
 class CrispNlp:
     """Minimize objective(x) subject to constraint(x) <= bound, box bounds,
-    and pairwise ordering x[i] <= x[j]."""
+    and pairwise ordering x[i] <= x[j].
+
+    The objective and constraints take x stacked as (dim, ...) arrays and
+    broadcast; for a point of shape (dim,) they return a float.
+    """
 
     objective: Callable[[np.ndarray], float]
     constraints: tuple  # of (callable, upper bound)
@@ -100,95 +120,230 @@ class PlanDesign:
     trace: tuple = field(default=(), compare=False)
 
 
-def _safe_eval(fn: Callable[[np.ndarray], float], x: np.ndarray) -> float:
-    try:
-        value = float(fn(x))
-    except (DomainError, DegeneratePlanError, OverflowError, ZeroDivisionError):
-        return _BIG
-    if not math.isfinite(value):
-        return _BIG
-    return value
+class _Coords:
+    """The box as the cube [0, _CELLS]^dim that the polish works in.
+
+    Axes are geometric when every lower edge is positive (thresholds span
+    many decades), linear otherwise, and measured in grid cells, so that a
+    unit step is one cell.  For an ordering pair (i, j), cube coordinate j
+    is the share of the room between x[i] and the top of axis j, so the
+    polish keeps x[i] <= x[j] by construction; each j may follow one i,
+    listed before any pair that orders after x[j].
+    """
+
+    def __init__(self, nlp: CrispNlp) -> None:
+        self.lo = np.array([b[0] for b in nlp.box], dtype=float)
+        self.hi = np.array([b[1] for b in nlp.box], dtype=float)
+        self.log = bool(np.all(self.lo > 0.0))
+        self.ordering = nlp.ordering
+        self._lo_u = self._u(self.lo)
+        self._hi_u = self._u(self.hi)
+
+    def _u(self, x: np.ndarray) -> np.ndarray:
+        return np.log(x) if self.log else x
+
+    def axes(self) -> list:
+        space = np.geomspace if self.log else np.linspace
+        return [space(lo, hi, _GRID) for lo, hi in zip(self.lo, self.hi)]
+
+    def to_x(self, z: np.ndarray) -> np.ndarray:
+        z = z / _CELLS
+        u = self._lo_u + z * (self._hi_u - self._lo_u)
+        for i, j in self.ordering:
+            u[j] = u[i] + z[j] * (self._hi_u[j] - u[i])
+        return np.clip(np.exp(u) if self.log else u, self.lo, self.hi)
+
+    def to_z(self, x: np.ndarray) -> np.ndarray:
+        u = self._u(np.clip(x, self.lo, self.hi))
+        z = _fraction(u - self._lo_u, self._hi_u - self._lo_u)
+        for i, j in self.ordering:
+            z[j] = _fraction(u[j] - u[i], self._hi_u[j] - u[i])
+        return np.clip(z, 0.0, 1.0) * _CELLS
 
 
-def _violation(nlp: CrispNlp, x: np.ndarray) -> float:
-    worst = 0.0
-    for fn, bound in nlp.constraints:
-        value = _safe_eval(fn, x)
-        worst = max(worst, value - bound)
+def _fraction(part, whole):
+    return np.divide(part, whole, out=np.zeros_like(part), where=whole > 0.0)
+
+
+def _points(axes: list, cells) -> np.ndarray:
+    """Grid points of flat cell indices, stacked as (dim, ...)."""
+    index = np.unravel_index(cells, tuple(len(axis) for axis in axes))
+    return np.array([axis[k] for axis, k in zip(axes, index)])
+
+
+def _scan(nlp: CrispNlp, axes: list) -> tuple:
+    """(cells, excess, rank): the flat index and worst constraint excess of
+    each grid cell that keeps the ordering, and the rank of every cell on
+    the grid.
+
+    Cells where a function is not finite get an infinite excess.  Ranks
+    order feasible cells by value, ties to the lower cell index;
+    infeasible cells are ranked, by excess, only when no cell is feasible.
+    Unranked cells, and those that break the ordering, rank at infinity.
+    """
+    shape = tuple(len(axis) for axis in axes)
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    ordered = np.ones(shape, dtype=bool)
     for i, j in nlp.ordering:
-        worst = max(worst, x[i] - x[j])
-    for k, (lo, hi) in enumerate(nlp.box):
-        worst = max(worst, lo - x[k], x[k] - hi)
-    return max(0.0, worst)
+        ordered &= mesh[i] <= mesh[j]
+    cells = np.flatnonzero(ordered)
+    value = np.empty(cells.size)
+    excess = np.zeros(cells.size)
+    # Blocks keep the closures' temporaries small.
+    for start in range(0, cells.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        x = _points(axes, cells[block])
+        with np.errstate(all="ignore"):
+            value[block] = nlp.objective(x)
+            for fn, bound in nlp.constraints:
+                excess[block] = np.maximum(excess[block], fn(x) - bound)
+    valid = np.isfinite(value) & np.isfinite(excess)
+    value[~valid] = np.inf
+    excess[~valid] = np.inf
+    feasible = excess <= _FEASIBILITY_TOL
+    order = np.lexsort((value, np.where(feasible, 0.0, excess)))
+    # float32 holds every rank of a 2-D grid exactly, in half the memory.
+    ranked = np.empty(cells.size, dtype=np.float32)
+    ranked[order] = np.arange(cells.size)
+    ranked[~(feasible if feasible.any() else valid)] = np.inf
+    rank = np.full(shape, np.inf, dtype=np.float32)
+    rank.flat[cells] = ranked
+    return cells, excess, rank
+
+
+def _basins(rank: np.ndarray) -> np.ndarray:
+    """Flat indices of the cells ranked no worse than any of their (up to
+    3^dim - 1) neighbours, best first."""
+    padded = np.pad(rank, 1, constant_values=np.inf)
+    lowest = np.isfinite(rank)
+    for offset in itertools.product((0, 1, 2), repeat=rank.ndim):
+        if any(o != 1 for o in offset):
+            window = tuple(slice(o, o + n) for o, n in zip(offset, rank.shape))
+            lowest &= rank <= padded[window]
+    cells = np.flatnonzero(lowest)
+    return cells[np.argsort(rank.flat[cells])]
+
+
+def _value(nlp: CrispNlp, x: np.ndarray) -> float:
+    """Objective at x if x is feasible within _FEASIBILITY_TOL, else inf."""
+    excess = [float(fn(x)) - bound for fn, bound in nlp.constraints]
+    excess += [x[i] - x[j] for i, j in nlp.ordering]
+    value = float(nlp.objective(x))
+    if math.isfinite(value) and all(e <= _FEASIBILITY_TOL for e in excess):
+        return value
+    return math.inf
+
+
+def _slsqp(fun, z0: np.ndarray, bounds: list, ineq=None) -> np.ndarray:
+    """SLSQP from z0, stopped early on a stalled objective; ``ineq(z)``
+    returns the array of constraints >= 0."""
+    recent = collections.deque(maxlen=_STALL_ITERS + 1)
+
+    def stop_on_stall(intermediate_result):
+        recent.append(intermediate_result.fun)
+        if len(recent) == recent.maxlen and (
+            max(recent) - min(recent) <= _SLSQP_FTOL * (1.0 + abs(recent[-1]))
+        ):
+            raise StopIteration
+
+    result = minimize(
+        fun,
+        z0,
+        method="SLSQP",
+        bounds=bounds,
+        constraints={"type": "ineq", "fun": ineq} if ineq is not None else (),
+        options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAX_ITER},
+        callback=stop_on_stall,
+    )
+    return result.x
+
+
+def _polish(nlp: CrispNlp, coords: _Coords, x0: np.ndarray) -> np.ndarray:
+    """SLSQP from x0 on the cube, the constraints passed as they are."""
+    scale = 1.0 + abs(float(nlp.objective(x0)))
+
+    def ineq(z: np.ndarray) -> np.ndarray:
+        x = coords.to_x(z)
+        return np.array([bound - fn(x) for fn, bound in nlp.constraints])
+
+    z = _slsqp(
+        lambda z: nlp.objective(coords.to_x(z)) / scale,
+        coords.to_z(x0),
+        [(0.0, _CELLS)] * len(x0),
+        ineq if nlp.constraints else None,
+    )
+    return coords.to_x(z)
+
+
+def _epigraph_polish(memberships: tuple):
+    """Polish for max min(1, m_k(x)): SLSQP on (z, s), maximizing s subject
+    to m_k(x(z)) >= s and s <= 1."""
+
+    def polish(nlp: CrispNlp, coords: _Coords, x0: np.ndarray) -> np.ndarray:
+        dim = len(x0)
+
+        def ineq(w: np.ndarray) -> np.ndarray:
+            x = coords.to_x(w[:dim])
+            return np.array([m(x) for m in memberships]) - w[dim]
+
+        s0 = min(1.0, *(float(m(x0)) for m in memberships))
+        w = _slsqp(
+            lambda w: -w[dim],
+            np.append(coords.to_z(x0), s0),
+            [(0.0, _CELLS)] * dim + [(None, 1.0)],
+            ineq,
+        )
+        return coords.to_x(w[:dim])
+
+    return polish
 
 
 def solve_crisp(
     nlp: CrispNlp,
     settings: SolverSettings = DEFAULT_SOLVER,
     extra_starts: Sequence[Sequence[float]] = (),
+    polish=_polish,
 ) -> tuple[np.ndarray, float]:
-    """Best feasible point across seeded multi-start penalized Nelder-Mead.
+    """Best feasible point of a grid scan, polished by a local solver.
 
-    Deterministic for a fixed seed.  Raises InfeasibleError when no start
-    reaches constraint violation <= _FEASIBILITY_TOL.
+    The scan puts _GRID points on each axis of the box.  Then
+    ``polish(nlp, coords, x0)`` (SLSQP by default) starts from each of at
+    most ``settings.restarts`` grid basins, best first, and from each extra
+    start not already listed; a grid with no feasible cell offers only its
+    least violation.
+    A polished point replaces its start only if it is feasible within
+    _FEASIBILITY_TOL and no worse.  A polish that steps out of the plan's
+    domain is dropped.  Raises InfeasibleError, with the grid's least
+    violation, when no point is feasible.
     """
-    rng = np.random.default_rng(settings.seed)
-    lo = np.array([b[0] for b in nlp.box], dtype=float)
-    hi = np.array([b[1] for b in nlp.box], dtype=float)
-    dim = len(nlp.box)
-    starts = [np.clip(np.asarray(s, dtype=float), lo, hi) for s in extra_starts]
-    starts += [lo + rng.random(dim) * (hi - lo) for _ in range(settings.restarts)]
-
-    # Normalize the objective so penalty weights mean the same thing whether
-    # costs are ~50 or ~10^6.
-    samples = [v for v in (_safe_eval(nlp.objective, s) for s in starts) if v < _BIG]
-    fscale = 1.0 + (float(np.median(np.abs(samples))) if samples else 0.0)
-
-    def penalized(x: np.ndarray, weight: float) -> float:
-        xc = np.clip(x, lo, hi)
-        total = _safe_eval(nlp.objective, xc) / fscale
-        for fn, bound in nlp.constraints:
-            excess = _safe_eval(fn, xc) - bound
-            if excess > 0.0:
-                total += weight * excess * excess
-        for i, j in nlp.ordering:
-            gap = x[i] - x[j]
-            if gap > 0.0:
-                total += weight * gap * gap
-        return total
-
-    bounds = list(zip(lo, hi))
+    coords = _Coords(nlp)
+    axes = coords.axes()
+    cells, excess, rank = _scan(nlp, axes)
+    limit = settings.restarts if np.any(excess <= _FEASIBILITY_TOL) else 1
+    starts = [_points(axes, cell) for cell in _basins(rank)[:limit]]
+    starts += [np.clip(np.asarray(s, dtype=float), coords.lo, coords.hi) for s in extra_starts]
     best_x = None
     best_f = math.inf
-    least_bad_x = None
-    least_bad = math.inf
-    for start in starts:
-        x = start
-        weight = _PENALTY_WEIGHT0
-        for _ in range(_PENALTY_STAGES):
-            result = minimize(
-                penalized,
-                x,
-                args=(weight,),
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAX_ITER},
-            )
-            x = np.clip(result.x, lo, hi)
-            weight *= _PENALTY_GROWTH
-        viol = _violation(nlp, x)
-        value = _safe_eval(nlp.objective, x)
-        if viol <= _FEASIBILITY_TOL:
-            if value < best_f:
-                best_f, best_x = value, x
-        elif viol < least_bad:
-            least_bad, least_bad_x = viol, x
+    for start in dict.fromkeys(tuple(x.tolist()) for x in starts):
+        x0 = np.array(start)
+        f0 = _value(nlp, x0)
+        try:
+            x1 = polish(nlp, coords, x0)
+            f1 = _value(nlp, x1)
+        except (DomainError, DegeneratePlanError):
+            x1, f1 = x0, math.inf
+        if f1 <= f0:
+            x0, f0 = x1, f1
+        if f0 < best_f:
+            best_x, best_f = x0, f0
     if best_x is None:
+        least = int(np.argmin(excess))
+        violation = float(excess[least])
         raise InfeasibleError(
-            f"no feasible point found across {len(starts)} starts "
-            f"(best violation {least_bad:.3e})",
-            best_point=least_bad_x,
-            best_violation=least_bad,
+            f"no feasible point found on the grid or from {len(starts)} polished starts "
+            f"(best violation {violation:.3e})",
+            best_point=_points(axes, cells[least]) if math.isfinite(violation) else None,
+            best_violation=violation,
         )
     return best_x, best_f
 
@@ -216,12 +371,16 @@ def zimmermann_bounds(
     """Objective values of the tight and the slack-relaxed crisp problems.
 
     The relaxed solve reuses the tight argmin as a start, so the larger
-    feasible set can never report a worse value.
+    feasible set can never report a worse value.  Without slack the two
+    problems are one, solved once.
     """
     tight = CrispNlp(objective, ((g, alpha.level), (h, beta.level)), box, ordering)
     tight_x, tight_value = solve_crisp(tight, settings)
-    relaxed = CrispNlp(objective, ((g, alpha.relaxed), (h, beta.relaxed)), box, ordering)
-    relaxed_x, relaxed_value = solve_crisp(relaxed, settings, extra_starts=(tight_x,))
+    if alpha.slack == 0.0 and beta.slack == 0.0:
+        relaxed_x, relaxed_value = tight_x, tight_value
+    else:
+        relaxed = CrispNlp(objective, ((g, alpha.relaxed), (h, beta.relaxed)), box, ordering)
+        relaxed_x, relaxed_value = solve_crisp(relaxed, settings, extra_starts=(tight_x,))
     if relaxed_value > tight_value + _FEASIBILITY_TOL * (1.0 + abs(tight_value)):
         raise ConsistencyError(
             f"relaxed optimum {relaxed_value} exceeds tight optimum {tight_value}"
@@ -236,8 +395,8 @@ def zimmermann_bounds(
     )
 
 
-def _level_ramp(level: FuzzyLevel, value: float) -> float:
-    """Membership of a risk value, extended below 0 so the penalty sees a slope."""
+def _level_ramp(level: FuzzyLevel, value):
+    """Membership of a risk value, extended below 0 so the polish sees a slope."""
     if level.slack > 0.0:
         return (level.relaxed - value) / level.slack
     return 1.0 - (value - level.level) * _CRISP_RAMP
@@ -247,39 +406,45 @@ def _memberships(p: MaxPhiProblem) -> tuple:
     """Extended (unclipped) membership functions: risk constraints always,
     objective only when the bracket is non-degenerate."""
     fns = [
-        lambda x: _level_ramp(p.alpha, _safe_eval(p.g_fn, x)),
-        lambda x: _level_ramp(p.beta, _safe_eval(p.h_fn, x)),
+        lambda x: _level_ramp(p.alpha, p.g_fn(x)),
+        lambda x: _level_ramp(p.beta, p.h_fn(x)),
     ]
     span = p.z_upper - p.z_lower
     if span >= 1e-9:
         if p.membership_form == "cost_ascending":
-            fns.append(lambda x: (_safe_eval(p.objective_fn, x) - p.z_lower) / span)
+            fns.append(lambda x: (p.objective_fn(x) - p.z_lower) / span)
         else:
-            fns.append(lambda x: (p.z_upper - _safe_eval(p.objective_fn, x)) / span)
+            fns.append(lambda x: (p.z_upper - p.objective_fn(x)) / span)
     return tuple(fns)
 
 
 def solve_max_phi(p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER) -> PlanDesign:
     """Two-stage max-min solve.
 
-    Stage 1 maximizes phi = min over clipped memberships; stage 2 minimizes
-    cost subject to every membership staying at the achieved phi.  The split
-    makes the design well defined on phi plateaus.
+    Stage 1 maximizes phi = min over memberships, capped at 1, polished in
+    epigraph form; stage 2 minimizes cost subject to every membership
+    staying at the achieved phi.  The split makes the design well defined on
+    phi plateaus.  phi has no floor: a flat floor would make the grid offer
+    a corner of the worst region as a basin.
     """
     memberships = _memberships(p)
 
-    def phi(x: np.ndarray) -> float:
-        return min(1.0, *(max(-1.0, m(x)) for m in memberships))
+    def phi(x):
+        return np.minimum(np.minimum.reduce([m(x) for m in memberships]), 1.0)
 
     stage1 = CrispNlp(lambda x: -phi(x), (), p.box, p.ordering)
-    x1, neg_phi = solve_crisp(stage1, settings, extra_starts=p.extra_starts)
+    x1, neg_phi = solve_crisp(
+        stage1, settings, extra_starts=p.extra_starts, polish=_epigraph_polish(memberships)
+    )
     phi_star = min(1.0, max(0.0, -neg_phi))
     if phi_star <= 0.0:
         raise InfeasibleError(
             "no point with positive satisfaction found", best_point=tuple(x1)
         )
 
-    floor = phi_star - _PHI_TOL
+    # Half the tolerance, so that a polish ending a few ulps past the floor
+    # still leaves a fully satisfied design at phi >= 1 - _PHI_TOL.
+    floor = phi_star - 0.5 * _PHI_TOL
     stage2 = CrispNlp(
         p.objective_fn,
         tuple((lambda x, m=m: floor - m(x), 0.0) for m in memberships),
@@ -287,9 +452,9 @@ def solve_max_phi(p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER) -
         p.ordering,
     )
     x2, obj = solve_crisp(stage2, settings, extra_starts=(x1, *p.extra_starts))
-    phi_final = min(1.0, max(0.0, phi(x2)))
-    g_value = _safe_eval(p.g_fn, x2)
-    h_value = _safe_eval(p.h_fn, x2)
+    phi_final = min(1.0, max(0.0, float(phi(x2))))
+    g_value = float(p.g_fn(x2))
+    h_value = float(p.h_fn(x2))
     return PlanDesign(
         t1=float(x2[0]),
         t2=float(x2[1]) if len(x2) > 1 else float(x2[0]),

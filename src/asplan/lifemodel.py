@@ -5,12 +5,16 @@ exponential survival e^{-lambda t} averaged over the raised-cosine
 membership of the failure rate and renormalized by the membership mass.
 Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
+Times may also be numpy arrays: survival, the per-family probabilities and
+the long-run rates then broadcast, while a plain float keeps the math path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError
 from .membership import FuzzyLife
@@ -25,6 +29,11 @@ _T_FLOOR = 1e-12
 _CLAMP_TOL = 1e-12
 
 
+def _holds(condition) -> bool:
+    """A scalar comparison, or every element of an array comparison."""
+    return condition if isinstance(condition, bool) else bool(np.all(condition))
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Decision thresholds (t1, t2): reject below t1, accept at or above t2.
@@ -36,9 +45,9 @@ class Thresholds:
     t2: float
 
     def __post_init__(self) -> None:
-        if not self.t1 > 0:
+        if not _holds(self.t1 > 0):
             raise DomainError(f"t1 must be positive, got {self.t1}")
-        if not self.t2 >= self.t1:
+        if not _holds(self.t2 >= self.t1):
             raise DomainError(f"need t2 >= t1, got t1={self.t1}, t2={self.t2}")
 
 
@@ -50,7 +59,7 @@ class TriProb:
 
     def __post_init__(self) -> None:
         total = self.p_a + self.p_r + self.p_c
-        if abs(total - 1.0) > 1e-10:
+        if not _holds(abs(total - 1.0) <= 1e-10):
             raise ConsistencyError(f"probabilities sum to {total}, not 1")
 
 
@@ -61,7 +70,11 @@ class LongRun:
     N: float
 
 
-def _clamp_prob(x: float, what: str) -> float:
+def _clamp_prob(x, what: str):
+    if isinstance(x, np.ndarray):
+        if np.any((x < -_CLAMP_TOL) | (x > 1.0 + _CLAMP_TOL)):
+            raise ConsistencyError(f"{what} is outside [0,1] beyond tolerance")
+        return np.clip(x, 0.0, 1.0)
     if 0.0 <= x <= 1.0:
         return x
     if x < -_CLAMP_TOL or x > 1.0 + _CLAMP_TOL:
@@ -76,6 +89,8 @@ def weighted_survival(f: Life, t: float) -> float:
     equal to the mixture a * int e^{-lambda t} H_j(lambda) dlambda; e^{-t/lambda}
     for a crisp life.
     """
+    if isinstance(t, np.ndarray):
+        return _weighted_survival_array(f, t)
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
     if not isinstance(f, FuzzyLife):
@@ -94,6 +109,25 @@ def weighted_survival(f: Life, t: float) -> float:
         bracket = math.exp(t / a - t / lam) - math.exp(-t / a - t / lam)
     value = (math.pi ** 2) * (a ** 3) * bracket / (2.0 * t ** 3 + 2.0 * (math.pi ** 2) * (a ** 2) * t)
     return _clamp_prob(value, "weighted survival")
+
+
+def _weighted_survival_array(f: Life, t: np.ndarray) -> np.ndarray:
+    """weighted_survival elementwise, with the same branches."""
+    if not np.all(t > 0):
+        raise DomainError("t must be positive")
+    if not isinstance(f, FuzzyLife):
+        if not f > 0:
+            raise DomainError(f"mean life must be positive, got {f}")
+        return np.exp(-t / f)
+    a = f.a
+    lam = f.lambda_j
+    bracket = np.where(
+        2.0 * t / a < 1.0,
+        np.expm1(2.0 * t / a) * np.exp(-t / lam - t / a),
+        np.exp(t / a - t / lam) - np.exp(-t / a - t / lam),
+    )
+    value = (math.pi ** 2) * (a ** 3) * bracket / (2.0 * t ** 3 + 2.0 * (math.pi ** 2) * (a ** 2) * t)
+    return _clamp_prob(np.where(t < _T_FLOOR, 1.0, value), "weighted survival")
 
 
 def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
@@ -161,7 +195,15 @@ def typeI_triprob(
 
 
 def long_run(p: TriProb) -> LongRun:
-    """Long-run acceptance/rejection probabilities and expected stage count."""
+    """Long-run acceptance/rejection probabilities and expected stage count.
+
+    Over arrays, a plan that never terminates (p_c = 1) gets N = inf and NaN
+    rates instead of an error.
+    """
+    if isinstance(p.p_c, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = 1.0 - p.p_c
+            return LongRun(P_A=p.p_a / denom, P_R=p.p_r / denom, N=1.0 / denom)
     if p.p_c >= 1.0:
         raise DegeneratePlanError("continuation probability is 1; plan never terminates")
     denom = 1.0 - p.p_c

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
@@ -82,13 +84,19 @@ def _lives(p: PlanProblem, crisp: bool) -> tuple:
 
 
 def _thresholds(x) -> Thresholds:
+    if isinstance(x[0], np.ndarray):
+        return Thresholds(t1=x[0], t2=x[1])
     return Thresholds(t1=float(x[0]), t2=float(x[1]))
 
 
 def _assemble(p: PlanProblem, lives: tuple, e0: float, stage):
     """(objective, g, h) over x = (t1, t2) from the (acceptable, rejectable)
     lives, the expected stage duration e0 under the acceptable life, and
-    ``stage(life, thresholds) -> TriProb``."""
+    ``stage(life, thresholds) -> TriProb``.
+
+    Each closure returns a float for a pair such as (t1, t2) and broadcasts
+    over x stacked as (2, ...) arrays.
+    """
     life0, life1 = lives
 
     def objective(x) -> float:

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import sici
+import numpy as np
+from scipy.special import erfc, sici
 
 from .errors import ConvergenceError, DomainError
 
@@ -87,6 +88,9 @@ def oscillatory_pair(c: float) -> tuple[float, float]:
     return float(ci_hi - ci_lo), float(si_hi - si_lo)
 
 
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function (~1e-15 accurate)."""
+def std_normal_cdf(z):
+    """Standard normal CDF via the complementary error function (~1e-15
+    accurate), elementwise over a numpy array."""
+    if isinstance(z, np.ndarray):
+        return 0.5 * erfc(-z / math.sqrt(2.0))
     return 0.5 * math.erfc(-z / math.sqrt(2.0))

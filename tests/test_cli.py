@@ -8,6 +8,8 @@ import pytest
 from asplan.cli import main
 
 CLI = [sys.executable, "-m", "asplan.cli"]
+# The child interpreter imports asplan from this checkout, installed or not.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 DESIGN_FLAGS = [
     "design",
@@ -24,6 +26,7 @@ DESIGN_FLAGS = [
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("ASP_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + args, capture_output=True, text=True, env=env)
@@ -197,3 +200,24 @@ def test_bad_config_values_are_reported_like_flags(tmp_path, capsys):
     config.write_text("mystery = 1\n")
     assert main(["design", "--config", str(config)] + DESIGN_FLAGS[1:]) == 1
     assert "mystery" in capsys.readouterr().err
+
+
+def test_dispose_config_supplies_data_and_family(tmp_path, capsys):
+    config = tmp_path / "dispose.cfg"
+    config.write_text("data = case-study\nfamily = ssp\nt1 = 41\nt2 = 3159\n")
+    assert main(["dispose", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["decided_at"] == 4
+
+
+def test_dispose_without_data_or_family_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "partial.cfg"
+    config.write_text("family = ssp\n")
+    for argv, flags in (
+        (["dispose", "--t1", "41", "--t2", "3159"], ("--data", "--family")),
+        (["dispose", "--config", str(config), "--t1", "41", "--t2", "3159"], ("--data",)),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert message.endswith("required: " + ", ".join(flags))

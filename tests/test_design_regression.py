@@ -1,0 +1,49 @@
+"""No design gets worse than the multi-start Nelder-Mead solver's.
+
+The literals are the costs that solver reached (32 restarts, seed 42) on
+the README `ssp` design, fuzzy and crisp, and on one small group-size
+problem per grouped family.  The grid-and-polish solver draws no random
+numbers, so its design must also be the same for every seed.
+"""
+
+import pytest
+
+from asplan.fuzzyopt import SolverSettings, solve_plan
+from asplan.membership import FuzzyLevel, FuzzyLife
+from asplan.plans import Family, PlanProblem, crisp_baseline
+
+README = dict(
+    lambda0=FuzzyLife(300.0, 1500.0),
+    lambda1=FuzzyLife(50.0, 1500.0),
+    alpha=FuzzyLevel(0.05, 0.05),
+    beta=FuzzyLevel(0.05, 0.05),
+)
+CENSORED = dict(
+    lambda0=FuzzyLife(500.0, 15000.0),
+    lambda1=FuzzyLife(150.0, 15000.0),
+    alpha=FuzzyLevel(0.05, 0.05),
+    beta=FuzzyLevel(0.05, 0.05),
+    tau=100.0,
+)
+
+CASES = [
+    ("ssp", PlanProblem(family=Family.SSP, **README), False, 656.4470463428371),
+    ("ssp-crisp", PlanProblem(family=Family.SSP, **README), True, 654.1616582612708),
+    ("rgsp_min", PlanProblem(family=Family.RGSP_MIN, n_max=3, **README), False, 218.81568201748),
+    ("rgsp_max", PlanProblem(family=Family.RGSP_MAX, n_max=3, **README), False, 603.8212616028774),
+    ("type1", PlanProblem(family=Family.TYPE_I, n_max=6, **CENSORED), False, 102.2630202586844),
+]
+
+
+def _design(problem, crisp, seed):
+    settings = SolverSettings(restarts=32, seed=seed)
+    return crisp_baseline(problem, settings) if crisp else solve_plan(problem, settings)
+
+
+@pytest.mark.parametrize("problem,crisp,cost", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_design_is_no_worse_and_seed_free(problem, crisp, cost):
+    design = _design(problem, crisp, seed=1)
+    assert design.objective_value <= cost * (1.0 + 1e-9)
+    assert design.g_margin >= -1e-6
+    assert design.h_margin >= -1e-6
+    assert _design(problem, crisp, seed=42) == design

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from asplan.errors import InfeasibleError
@@ -59,6 +60,25 @@ def test_solve_crisp_infeasible_reports_best_violation():
         solve_crisp(nlp, FAST)
     assert excinfo.value.best_violation is not None
     assert excinfo.value.best_violation > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+def test_solve_crisp_finds_the_narrow_global_minimum(seed):
+    # A broad well at (-2, -2) with value 0.2 and a narrow one at (3, 3)
+    # with value 0, where random starts mostly land in the broad well.
+    def objective(x):
+        broad = 0.2 + 0.1 * ((x[0] + 2.0) ** 2 + (x[1] + 2.0) ** 2)
+        narrow = 20.0 * ((x[0] - 3.0) ** 2 + (x[1] - 3.0) ** 2)
+        return np.minimum(broad, narrow)
+
+    nlp = CrispNlp(
+        objective=objective,
+        constraints=((lambda x: x[0] - x[1], 0.5),),
+        box=((-5.0, 5.0), (-5.0, 5.0)),
+    )
+    x, value = solve_crisp(nlp, SolverSettings(restarts=6, seed=seed))
+    assert x.tolist() == pytest.approx([3.0, 3.0], abs=1e-5)
+    assert value == pytest.approx(0.0, abs=1e-9)
 
 
 def _ssp_problem(a: float) -> PlanProblem:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from asplan.errors import ConsistencyError, DegeneratePlanError, DomainError
@@ -250,3 +251,37 @@ def test_thresholds_validation():
         Thresholds(0.0, 1.0)
     with pytest.raises(DomainError):
         Thresholds(2.0, 1.0)
+
+
+@pytest.mark.parametrize("life", [FuzzyLife(300.0, 1500.0), 300.0])
+def test_array_times_follow_the_scalar_path(life):
+    rng = np.random.default_rng(8)
+    t1, t2 = np.sort(np.exp(rng.uniform(math.log(1e-6), math.log(1500.0), size=(2, 40))), axis=0)
+    th = Thresholds(t1, t2)
+    survival = weighted_survival(life, t2)
+    assert survival == pytest.approx([weighted_survival(life, t) for t in t2], rel=1e-12)
+    lam = life if isinstance(life, float) else life.lambda_j
+    for stage in (
+        lambda th: ssp_triprob(life, th),
+        lambda th: rgsp_min_triprob(life, th, 4),
+        lambda th: rgsp_max_triprob(life, th, 4),
+        lambda th: typeI_triprob(lam, th, 4, 100.0),
+    ):
+        arrays = stage(th)
+        runs = long_run(arrays)
+        for k, (a, b) in enumerate(zip(t1, t2)):
+            point = stage(Thresholds(float(a), float(b)))
+            scalar_run = long_run(point)
+            assert (arrays.p_a[k], arrays.p_r[k], arrays.p_c[k]) == pytest.approx(
+                (point.p_a, point.p_r, point.p_c), rel=1e-12
+            )
+            assert (runs.P_A[k], runs.P_R[k], runs.N[k]) == pytest.approx(
+                (scalar_run.P_A, scalar_run.P_R, scalar_run.N), rel=1e-12
+            )
+
+
+def test_array_long_run_marks_endless_plans():
+    lr = long_run(TriProb(p_a=np.array([0.0, 0.25]), p_r=np.array([0.0, 0.25]),
+                          p_c=np.array([1.0, 0.5])))
+    assert lr.N[0] == math.inf and math.isnan(lr.P_A[0]) and math.isnan(lr.P_R[0])
+    assert (lr.P_A[1], lr.P_R[1], lr.N[1]) == (0.5, 0.5, 2.0)

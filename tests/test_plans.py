@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from asplan.errors import DomainError
@@ -115,3 +117,20 @@ def test_box_respects_nominal_life_by_default():
     assert box[1][1] == 300.0
     widened = make_problem(allow_t2_above_lambda0=True)
     assert plan_functions(widened, None)[3][1][1] > 300.0
+
+
+@pytest.mark.parametrize("crisp", [False, True])
+@pytest.mark.parametrize(
+    "family,n",
+    [(Family.SSP, None), (Family.RGSP_MIN, 3), (Family.RGSP_MAX, 3), (Family.TYPE_I, 5)],
+)
+def test_closures_broadcast_like_the_scalar_path(family, n, crisp):
+    p = make_problem(family=family, tau=100.0 if family is Family.TYPE_I else None)
+    rng = np.random.default_rng(5)
+    t = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(300.0), size=(2, 60))), axis=0)
+    for fn in plan_functions(p, n, crisp=crisp)[:3]:
+        values = fn(t.reshape(2, 6, 10))
+        assert values.shape == (6, 10)
+        scalar = [fn((t1, t2)) for t1, t2 in t.T]
+        assert all(isinstance(v, float) for v in scalar)
+        assert values.ravel() == pytest.approx(scalar, rel=1e-12)
