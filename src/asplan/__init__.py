@@ -5,7 +5,6 @@ from .disposition import (
     Decision,
     Disposition,
     FailureData,
-    Interpretation,
     case_study_data,
     censored_mle,
     dispose_rgsp_max,
@@ -61,13 +60,14 @@ from .oracle import (
     GoldenRow,
     McEstimate,
     OracleReport,
+    compare_triprob,
     load_golden_rows,
     mc_triprob,
     run_regression_grid,
     sample_mixture_rates,
     verify_tables,
 )
-from .plans import Family, PlanProblem, crisp_baseline
+from .plans import Family, PlanProblem, crisp_baseline, crisp_limit
 from .quadrature import QuadratureSettings, oscillatory_pair, simpson, std_normal_cdf
 
 __version__ = "0.1.0"

@@ -228,6 +228,7 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
         t2 = design["t2"] if t2 is None else t2
         n = design.get("n") if n is None else n
         tau = design.get("inputs", {}).get("tau") if tau is None else tau
+    n = 1 if n is None else n
     if t1 is None or t2 is None:
         print("need --t1 and --t2 (or --design-json)", file=sys.stderr)
         return 1
@@ -266,39 +267,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.family:
         family = Family(args.family)
         life = FuzzyLife(lambda_j=args.lambda0, a=args.a)
-        closed = oracle._closed_triprob(
-            family, life, Thresholds(args.t1, args.t2), args.n
-        ) if family is not Family.TYPE_I else None
-        mc = oracle.mc_triprob(
-            family,
-            life,
-            Thresholds(args.t1, args.t2),
-            n=args.n,
-            tau=args.tau,
-            draws=args.draws,
-            seed=seed,
-        )
-        reports = []
-        if closed is not None:
-            for component, cf, est, se in (
-                ("p_a", closed.p_a, mc.p_a, mc.se_a),
-                ("p_r", closed.p_r, mc.p_r, mc.se_r),
-                ("p_c", closed.p_c, mc.p_c, mc.se_c),
-            ):
-                tol = 3.0 * se + 3.0 / args.draws
-                reports.append(
-                    oracle.OracleReport(
-                        name=f"{family.value} {component}",
-                        closed_form=cf,
-                        oracle=est,
-                        tolerance=tol,
-                        passed=abs(cf - est) <= tol,
-                        detail=f"draws={args.draws} seed={seed}",
-                    )
-                )
-        else:
+        th = Thresholds(args.t1, args.t2)
+        if family is Family.TYPE_I:
+            mc = oracle.mc_triprob(
+                family, life, th, n=args.n, tau=args.tau, draws=args.draws, seed=seed
+            )
             print(json.dumps(asdict(mc), indent=2, sort_keys=True))
             return 0
+        reports = oracle.compare_triprob(family, life, th, args.n, args.draws, seed)
     else:
         reports = oracle.run_regression_grid(draws=args.draws, seed=seed)
     payload = [asdict(r) for r in reports]
@@ -337,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     dispose.add_argument("--family", choices=[f.value for f in Family])
     dispose.add_argument("--t1", type=float)
     dispose.add_argument("--t2", type=float)
-    dispose.add_argument("--n", type=int, default=1)
+    dispose.add_argument("--n", type=int, help="group size (default: the design's, else 1)")
     dispose.add_argument("--tau", type=float)
     dispose.add_argument("--design-json", help="take thresholds from a design output file")
     dispose.add_argument("--out", help="write the decision JSON here as well as stdout")

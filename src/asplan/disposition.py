@@ -23,24 +23,15 @@ class Decision(str, Enum):
     CONTINUE_EXHAUSTED = "continue_exhausted"
 
 
-class Interpretation(str, Enum):
-    INTER_FAILURE_TIMES = "inter_failure_times"
-    ITEM_LIFETIMES = "item_lifetimes"
-
-
 @dataclass(frozen=True)
 class FailureData:
     values: tuple
-    interpretation: Interpretation = Interpretation.ITEM_LIFETIMES
-    censor_time: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.values:
             raise DomainError("failure data must contain at least one value")
         if any(not v > 0 for v in self.values):
             raise DomainError("all observed values must be positive")
-        if self.censor_time is not None and not self.censor_time > 0:
-            raise DomainError(f"censor time must be positive, got {self.censor_time}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +107,7 @@ def dispose_type1(data: FailureData, t1: float, t2: float, n: int, tau: float) -
     return _dispose_grouped(data, t1, t2, n, lambda block: censored_mle(block, n, tau))
 
 
-def load_failure_data(
-    path,
-    interpretation: Interpretation = Interpretation.ITEM_LIFETIMES,
-    censor_time: Optional[float] = None,
-) -> FailureData:
+def load_failure_data(path) -> FailureData:
     """Read one value per line from CSV (optional header) or a JSON array."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -139,7 +126,7 @@ def load_failure_data(
                 if values:
                     raise DomainError(f"non-numeric value {cell!r} in data file")
                 # a single leading non-numeric row is a header
-    return FailureData(tuple(values), interpretation, censor_time)
+    return FailureData(tuple(values))
 
 
 def case_study_data() -> FailureData:
@@ -149,4 +136,4 @@ def case_study_data() -> FailureData:
         reader = csv.reader(handle)
         next(reader)  # header
         values = tuple(float(record[0]) for record in reader if record)
-    return FailureData(values, Interpretation.ITEM_LIFETIMES)
+    return FailureData(values)

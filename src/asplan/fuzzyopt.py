@@ -1,5 +1,6 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
-pipeline.
+pipeline.  Nothing here knows the plan families: a plan problem hands
+`solve_plan` its group sizes, its functions and its cost floor.
 
 `solve_crisp` scans a dense grid of the box, masking the ordering and the
 constraints, then polishes the best grid basins with SLSQP.  It draws no
@@ -474,35 +475,22 @@ def solve_plan(
     problem,
     settings: SolverSettings = DEFAULT_SOLVER,
     membership_form: str = "cost_ascending",
-    crisp: bool = False,
 ) -> PlanDesign:
-    """Full pipeline for one PlanProblem: per candidate group size, bracket the
-    objective, run the max-min solve, and keep the best design.
+    """Full pipeline for one plan problem: per candidate group size, bracket
+    the objective, run the max-min solve, and keep the best design.
 
-    Ties on phi break toward smaller cost, then smaller group size.  Plans
-    with an intrinsic cost floor stop as soon as a fully satisfied design
-    reaches it.
+    The problem supplies ``alpha`` and ``beta``, ``group_sizes``,
+    ``functions(n)`` returning (objective, g, h, box, ordering), and
+    ``cost_floor``, the least cost any design can reach, or None.  Ties on
+    phi break toward smaller cost, then smaller group size.  The search
+    stops as soon as a fully satisfied design reaches the cost floor.
     """
-    from . import plans  # deferred: plans builds on this module's solver
-
-    if problem.family is plans.Family.SSP:
-        group_sizes: Sequence[Optional[int]] = (None,)
-    else:
-        group_sizes = range(1, problem.n_max + 1)
-
-    cost_floor = None
-    if problem.family is plans.Family.TYPE_I:
-        cost_floor = problem.cost * problem.tau
-
+    alpha, beta, cost_floor = problem.alpha, problem.beta, problem.cost_floor
     best: Optional[PlanDesign] = None
     per_n = []
     trace = []
-    for n in group_sizes:
-        objective, g, h, box, ordering = plans.plan_functions(problem, n, crisp=crisp)
-        alpha, beta = problem.alpha, problem.beta
-        if crisp:
-            alpha = FuzzyLevel(alpha.level, 0.0)
-            beta = FuzzyLevel(beta.level, 0.0)
+    for n in problem.group_sizes:
+        objective, g, h, box, ordering = problem.functions(n)
         try:
             zb = zimmermann_bounds(objective, g, h, alpha, beta, box, ordering, settings)
         except InfeasibleError as exc:

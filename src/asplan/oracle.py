@@ -21,12 +21,6 @@ import numpy as np
 from .errors import DomainError
 from .lifemodel import (
     Thresholds,
-    expected_y,
-    expected_y_upper_bound,
-    expected_ymax,
-    expected_ymax_upper_bound,
-    expected_ymin,
-    expected_ymin_upper_bound,
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
@@ -34,7 +28,7 @@ from .lifemodel import (
     weighted_survival,
 )
 from .membership import FuzzyLife
-from .plans import Family
+from .plans import Family, expected_stage_duration
 
 _TYPE_I_CHUNK = 100_000
 
@@ -196,34 +190,58 @@ def _closed_triprob(family: Family, f: FuzzyLife, th: Thresholds, n: int):
     return rgsp_max_triprob(f, th, n)
 
 
+def compare_triprob(
+    family: Family,
+    f: FuzzyLife,
+    th: Thresholds,
+    n: int = 1,
+    draws: int = 10**6,
+    seed: int = 42,
+    name: Optional[str] = None,
+) -> list[OracleReport]:
+    """The closed-form p_a, p_r and p_c of one mixture-family case against
+    their simulation.  Each passes within 3 standard errors of the mean of
+    the two values, plus three counts, so that a closed form near 0 or 1
+    is not held to the simulation's own, vanishing, error."""
+    family = Family(family)
+    closed = _closed_triprob(family, f, th, n)
+    mc = mc_triprob(family, f, th, n=n, draws=draws, seed=seed)
+    reports = []
+    for component, cf, est in (
+        ("p_a", closed.p_a, mc.p_a),
+        ("p_r", closed.p_r, mc.p_r),
+        ("p_c", closed.p_c, mc.p_c),
+    ):
+        pooled = 0.5 * (cf + est)
+        se = math.sqrt(max(pooled * (1.0 - pooled), 0.0) / draws)
+        tol = 3.0 * se + 3.0 / draws
+        reports.append(
+            OracleReport(
+                name=f"{name or family.value} {component}",
+                closed_form=cf,
+                oracle=est,
+                tolerance=tol,
+                passed=abs(cf - est) <= tol,
+                detail=f"draws={draws} seed={seed}",
+            )
+        )
+    return reports
+
+
 def run_regression_grid(draws: int = 10**6, seed: int = 42) -> list[OracleReport]:
     """Compare every closed-form plan probability to its simulation on the
-    fixed grid; pass at 3 standard errors (plus a two-count slack)."""
+    fixed grid (`compare_triprob`)."""
     reports = []
-    for family_name, lam, a, t1, t2, n in REGRESSION_GRID:
-        family = Family(family_name)
-        f = FuzzyLife(lambda_j=lam, a=a)
-        th = Thresholds(t1=t1, t2=t2)
-        closed = _closed_triprob(family, f, th, n)
-        mc = mc_triprob(family, f, th, n=n, draws=draws, seed=seed)
-        for component, cf, est in (
-            ("p_a", closed.p_a, mc.p_a),
-            ("p_r", closed.p_r, mc.p_r),
-            ("p_c", closed.p_c, mc.p_c),
-        ):
-            pooled = 0.5 * (cf + est)
-            se = math.sqrt(max(pooled * (1.0 - pooled), 0.0) / draws)
-            tol = 3.0 * se + 3.0 / draws
-            reports.append(
-                OracleReport(
-                    name=f"{family.value} lam={lam:g} a={a:g} n={n} {component}",
-                    closed_form=cf,
-                    oracle=est,
-                    tolerance=tol,
-                    passed=abs(cf - est) <= tol,
-                    detail=f"draws={draws} seed={seed}",
-                )
-            )
+    for family, lam, a, t1, t2, n in REGRESSION_GRID:
+        reports += compare_triprob(
+            family,
+            FuzzyLife(lambda_j=lam, a=a),
+            Thresholds(t1=t1, t2=t2),
+            n,
+            draws,
+            seed,
+            name=f"{family} lam={lam:g} a={a:g} n={n}",
+        )
     return reports
 
 
@@ -262,7 +280,11 @@ def load_golden_rows() -> list[GoldenRow]:
 
 
 def _row_life(row: GoldenRow, lam: float):
-    return lam if row.variant == "crisp" else FuzzyLife(lambda_j=lam, a=row.a)
+    """The row's life at mean lam: a plain mean for crisp rows and for the
+    Type-I normal approximation, which uses the nominal life alone."""
+    if row.variant == "crisp" or row.family == "type1":
+        return lam
+    return FuzzyLife(lambda_j=lam, a=row.a)
 
 
 def _row_rates(row: GoldenRow, lam: float) -> tuple[float, float, float]:
@@ -289,18 +311,10 @@ def _row_rates(row: GoldenRow, lam: float) -> tuple[float, float, float]:
 
 
 def _row_expected_cost(row: GoldenRow, terminate0: float) -> float:
-    if row.family == "type1":
-        return row.tau / terminate0
     life = _row_life(row, row.lambda0)
     upper = row.variant == "etc_upper_bound"
-    n = row.n or 1
-    if row.family == "rgsp_min":
-        base = (expected_ymin_upper_bound if upper else expected_ymin)(life, n)
-    elif row.family == "rgsp_max":
-        base = (expected_ymax_upper_bound if upper else expected_ymax)(life, n)
-    else:
-        base = (expected_y_upper_bound if upper else expected_y)(life)
-    return base / terminate0
+    duration = expected_stage_duration(Family(row.family), life, row.n or 1, upper, row.tau)
+    return duration / terminate0
 
 
 def verify_tables(

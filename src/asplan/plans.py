@@ -3,11 +3,15 @@
 Each family exposes the expected testing cost over the long run together
 with the long-run producer risk g (rejection probability at the acceptable
 life) and consumer risk h (acceptance probability at the rejectable life).
+This is the only module that tells the families apart: a PlanProblem hands
+the solver its group sizes, its plan functions per group size and its cost
+floor.  The crisp baseline is the same problem with plain mean lives and
+zero-slack risk levels (`crisp_limit`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
+    Life,
     Thresholds,
     expected_y,
     expected_y_upper_bound,
@@ -44,11 +49,19 @@ class Family(str, Enum):
     TYPE_I = "type1"
 
 
+def _mean(life: Life) -> float:
+    """The nominal mean life of a fuzzy or a plain life."""
+    return life.lambda_j if isinstance(life, FuzzyLife) else life
+
+
 @dataclass(frozen=True)
 class PlanProblem:
+    """One design problem.  The lives are both FuzzyLife with the same
+    fuzziness scale, or both plain positive mean lives (the crisp limit)."""
+
     family: Family
-    lambda0: FuzzyLife
-    lambda1: FuzzyLife
+    lambda0: Life
+    lambda1: Life
     alpha: FuzzyLevel
     beta: FuzzyLevel
     cost: float = 1.0
@@ -59,10 +72,15 @@ class PlanProblem:
     sd_form: str = "n"
 
     def __post_init__(self) -> None:
-        if not self.lambda0.lambda_j > self.lambda1.lambda_j:
-            raise DomainError("acceptable life must exceed rejectable life")
-        if self.lambda0.a != self.lambda1.a:
+        fuzzy = isinstance(self.lambda0, FuzzyLife)
+        if fuzzy != isinstance(self.lambda1, FuzzyLife):
+            raise DomainError("both lives must be fuzzy or both plain mean lives")
+        if fuzzy and self.lambda0.a != self.lambda1.a:
             raise DomainError("both fuzzy lives must share the fuzziness scale a")
+        if not _mean(self.lambda1) > 0:
+            raise DomainError(f"mean life must be positive, got {self.lambda1}")
+        if not _mean(self.lambda0) > _mean(self.lambda1):
+            raise DomainError("acceptable life must exceed rejectable life")
         if not self.cost > 0:
             raise DomainError(f"cost rate must be positive, got {self.cost}")
         if self.family is Family.TYPE_I and self.tau is None:
@@ -74,13 +92,32 @@ class PlanProblem:
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 
+    @property
+    def group_sizes(self):
+        """The group sizes to search; None for the sequential plan."""
+        return (None,) if self.family is Family.SSP else range(1, self.n_max + 1)
 
-def _lives(p: PlanProblem, crisp: bool) -> tuple:
-    """(acceptable, rejectable) life as the life model takes them: the
-    nominal mean lives in the crisp limit."""
-    if crisp:
-        return p.lambda0.lambda_j, p.lambda1.lambda_j
-    return p.lambda0, p.lambda1
+    @property
+    def cost_floor(self) -> Optional[float]:
+        """The least cost any design can reach (cost * tau for Type-I
+        plans), or None where there is none."""
+        return self.cost * self.tau if self.family is Family.TYPE_I else None
+
+    def functions(self, n: Optional[int]):
+        """(objective, g, h, box, ordering) for group size n."""
+        return plan_functions(self, n)
+
+
+def crisp_limit(p: PlanProblem) -> PlanProblem:
+    """The problem in the infinite-sharpness limit: plain mean lives (the
+    pure exponential model) and zero-slack risk levels."""
+    return replace(
+        p,
+        lambda0=_mean(p.lambda0),
+        lambda1=_mean(p.lambda1),
+        alpha=FuzzyLevel(p.alpha.level, 0.0),
+        beta=FuzzyLevel(p.beta.level, 0.0),
+    )
 
 
 def _thresholds(x) -> Thresholds:
@@ -89,15 +126,54 @@ def _thresholds(x) -> Thresholds:
     return Thresholds(t1=float(x[0]), t2=float(x[1]))
 
 
-def _assemble(p: PlanProblem, lives: tuple, e0: float, stage):
-    """(objective, g, h) over x = (t1, t2) from the (acceptable, rejectable)
-    lives, the expected stage duration e0 under the acceptable life, and
-    ``stage(life, thresholds) -> TriProb``.
+def expected_stage_duration(
+    family: Family, life: Life, n: Optional[int], upper: bool, tau: Optional[float] = None
+) -> float:
+    """Expected duration of one stage under ``life``, or its analytic upper
+    bound when ``upper``: the censoring time tau for Type-I plans."""
+    if family is Family.TYPE_I:
+        return tau
+    if family is Family.RGSP_MIN:
+        return (expected_ymin_upper_bound if upper else expected_ymin)(life, n)
+    if family is Family.RGSP_MAX:
+        return (expected_ymax_upper_bound if upper else expected_ymax)(life, n)
+    return (expected_y_upper_bound if upper else expected_y)(life)
+
+
+def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
+    """(objective, g, h, box, ordering) over x = (t1, t2) for group size n
+    (None for the sequential plan); ``crisp`` builds them for crisp_limit(p).
 
     Each closure returns a float for a pair such as (t1, t2) and broadcasts
-    over x stacked as (2, ...) arrays.
+    over x stacked as (2, ...) arrays.  The Type-I normal approximation
+    works with the nominal lives alone; its objective floor is cost * tau.
     """
-    life0, life1 = lives
+    if crisp:
+        p = crisp_limit(p)
+    lam0 = _mean(p.lambda0)
+    if p.allow_t2_above_lambda0:
+        hi = 5.0 * lam0
+    elif p.family is Family.TYPE_I:
+        hi = 2.0 * lam0
+    else:
+        hi = lam0
+    box = ((_T_LO, hi), (_T_LO, hi))
+    ordering = ((0, 1),)
+    life0, life1 = p.lambda0, p.lambda1
+    if p.family is Family.SSP:
+        stage = ssp_triprob
+    elif p.family is Family.RGSP_MIN:
+        stage = lambda f, th: rgsp_min_triprob(f, th, n)
+    elif p.family is Family.RGSP_MAX:
+        stage = lambda f, th: rgsp_max_triprob(f, th, n)
+    elif p.family is Family.TYPE_I:
+        life0, life1 = lam0, _mean(p.lambda1)
+        stage = lambda lam, th: typeI_triprob(lam, th, n, p.tau, sd_form=p.sd_form)
+    else:
+        raise DomainError(f"unknown family {p.family!r}")
+    e0 = expected_stage_duration(
+        p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
+    )
 
     def objective(x) -> float:
         return p.cost * e0 * long_run(stage(life0, _thresholds(x))).N
@@ -108,73 +184,7 @@ def _assemble(p: PlanProblem, lives: tuple, e0: float, stage):
     def h(x) -> float:
         return long_run(stage(life1, _thresholds(x))).P_A
 
-    return objective, g, h
-
-
-def ssp_objective_and_constraints(p: PlanProblem, crisp: bool = False):
-    """(objective, g, h) over (t1, t2) for the sequential plan."""
-    lives = _lives(p, crisp)
-    upper = p.objective_variant == "etc_upper_bound"
-    e0 = (expected_y_upper_bound if upper else expected_y)(lives[0])
-    return _assemble(p, lives, e0, ssp_triprob)
-
-
-def rgsp_min_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False):
-    """(objective, g, h) over (t1, t2) for the group-minimum plan of size n."""
-    lives = _lives(p, crisp)
-    upper = p.objective_variant == "etc_upper_bound"
-    e0 = (expected_ymin_upper_bound if upper else expected_ymin)(lives[0], n)
-    return _assemble(p, lives, e0, lambda f, th: rgsp_min_triprob(f, th, n))
-
-
-def rgsp_max_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False):
-    """(objective, g, h) over (t1, t2) for the group-maximum plan of size n."""
-    lives = _lives(p, crisp)
-    upper = p.objective_variant == "etc_upper_bound"
-    e0 = (expected_ymax_upper_bound if upper else expected_ymax)(lives[0], n)
-    return _assemble(p, lives, e0, lambda f, th: rgsp_max_triprob(f, th, n))
-
-
-def typeI_objective_and_constraints(p: PlanProblem, n: int, crisp: bool = False):
-    """(objective, g, h) over (t1, t2) for the censored-MLE plan of size n.
-
-    The normal approximation already works with the nominal lives, so the
-    crisp flag changes nothing here; the objective floor is cost * tau.
-    """
-    del crisp
-    return _assemble(
-        p,
-        _lives(p, crisp=True),
-        p.tau,
-        lambda lam, th: typeI_triprob(lam, th, n, p.tau, sd_form=p.sd_form),
-    )
-
-
-def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
-    """Dispatch to the family's builders and attach the decision box.
-
-    Returns (objective, g, h, box, ordering) over x = (t1, t2).
-    """
-    lam0 = p.lambda0.lambda_j
-    if p.allow_t2_above_lambda0:
-        hi = 5.0 * lam0
-    elif p.family is Family.TYPE_I:
-        hi = 2.0 * lam0
-    else:
-        hi = lam0
-    box = ((_T_LO, hi), (_T_LO, hi))
-    ordering = ((0, 1),)
-    if p.family is Family.SSP:
-        fns = ssp_objective_and_constraints(p, crisp)
-    elif p.family is Family.RGSP_MIN:
-        fns = rgsp_min_objective_and_constraints(p, n, crisp)
-    elif p.family is Family.RGSP_MAX:
-        fns = rgsp_max_objective_and_constraints(p, n, crisp)
-    elif p.family is Family.TYPE_I:
-        fns = typeI_objective_and_constraints(p, n, crisp)
-    else:
-        raise DomainError(f"unknown family {p.family!r}")
-    return (*fns, box, ordering)
+    return objective, g, h, box, ordering
 
 
 def crisp_baseline(
@@ -182,6 +192,5 @@ def crisp_baseline(
     settings: SolverSettings = DEFAULT_SOLVER,
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
-    """Same pipeline in the infinite-sharpness limit: pure exponential model,
-    zero-slack risk levels.  Used for fuzzy-to-crisp convergence reporting."""
-    return solve_plan(p, settings, membership_form=membership_form, crisp=True)
+    """The design of crisp_limit(p), for fuzzy-to-crisp convergence reporting."""
+    return solve_plan(crisp_limit(p), settings, membership_form=membership_form)

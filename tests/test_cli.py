@@ -221,3 +221,17 @@ def test_dispose_without_data_or_family_is_a_usage_error(tmp_path, capsys):
         assert excinfo.value.code == 2
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert message.endswith("required: " + ", ".join(flags))
+
+
+def test_dispose_group_size_flag_then_design_json_then_one(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"t1": 10, "t2": 3000, "n": 4}))
+    base = ["dispose", "--data", "case-study", "--family", "rgsp_min"]
+    for extra, n, group in (
+        (["--design-json", str(design)], 4, 8),
+        (["--design-json", str(design), "--n", "1"], 1, 3),
+        (["--t1", "10", "--t2", "3000"], 1, 3),
+    ):
+        assert main(base + extra) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n"], payload["decided_at"]) == (n, group)

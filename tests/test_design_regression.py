@@ -47,3 +47,14 @@ def test_design_is_no_worse_and_seed_free(problem, crisp, cost):
     assert design.g_margin >= -1e-6
     assert design.h_margin >= -1e-6
     assert _design(problem, crisp, seed=42) == design
+
+
+@pytest.mark.parametrize("problem", [CASES[0][1], CASES[2][1]], ids=["ssp", "rgsp_min"])
+def test_max_min_design_is_the_tight_optimum(problem):
+    """Under the default cost_ascending membership the objective's
+    membership reaches 1 at z_upper, the tight optimum, where both risk
+    memberships are 1 as well; so that point is fully satisfied and the
+    max-min design is the tight optimum itself."""
+    design = solve_plan(problem, SolverSettings(restarts=32))
+    assert design.phi >= 1.0 - 1e-9
+    assert design.objective_value == pytest.approx(design.z_upper, rel=1e-9)

@@ -100,8 +100,6 @@ def test_failure_data_validation():
         FailureData(())
     with pytest.raises(DomainError):
         FailureData((1.0, -2.0))
-    with pytest.raises(DomainError):
-        FailureData((1.0,), censor_time=0.0)
 
 
 def test_load_failure_data_csv(tmp_path):

@@ -8,6 +8,7 @@ from asplan.lifemodel import Thresholds, expected_y, ssp_triprob
 from asplan.membership import FuzzyLife
 from asplan.oracle import (
     REGRESSION_GRID,
+    compare_triprob,
     load_golden_rows,
     mc_triprob,
     sample_mixture_rates,
@@ -85,6 +86,18 @@ def test_mc_type1_zero_failure_groups_accept():
 def test_mc_triprob_rejects_tiny_draws():
     with pytest.raises(DomainError):
         mc_triprob(Family.SSP, FuzzyLife(300.0, 1500.0), Thresholds(1.0, 2.0), draws=10)
+
+
+def test_single_case_tolerance_uses_the_pooled_standard_error():
+    draws = 10**4
+    f, th = FuzzyLife(300.0, 15000.0), Thresholds(176.3513, 196.9506)
+    reports = compare_triprob(Family.RGSP_MAX, f, th, n=5, draws=draws, seed=3)
+    assert [r.name for r in reports] == ["rgsp_max p_a", "rgsp_max p_r", "rgsp_max p_c"]
+    for report in reports:
+        pooled = 0.5 * (report.closed_form + report.oracle)
+        se = math.sqrt(pooled * (1.0 - pooled) / draws)
+        assert report.tolerance == pytest.approx(3.0 * se + 3.0 / draws, rel=1e-12)
+        assert report.passed == (abs(report.closed_form - report.oracle) <= report.tolerance)
 
 
 def test_regression_grid_shape():

@@ -6,15 +6,7 @@ import pytest
 
 from asplan.errors import DomainError
 from asplan.membership import FuzzyLevel, FuzzyLife
-from asplan.plans import (
-    Family,
-    PlanProblem,
-    plan_functions,
-    rgsp_max_objective_and_constraints,
-    rgsp_min_objective_and_constraints,
-    ssp_objective_and_constraints,
-    typeI_objective_and_constraints,
-)
+from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
 
 
 def make_problem(family=Family.SSP, **overrides) -> PlanProblem:
@@ -47,12 +39,35 @@ def test_problem_rejects_unknown_sd_form():
         make_problem(family=Family.TYPE_I, tau=50.0, sd_form="bogus")
 
 
+def test_problem_takes_plain_mean_lives():
+    p = make_problem(lambda0=300.0, lambda1=50.0)
+    assert plan_functions(p, None)[3][1][1] == 300.0
+    for lives in ((300.0, FuzzyLife(50.0, 1500.0)), (300.0, 0.0), (50.0, 300.0)):
+        with pytest.raises(DomainError):
+            make_problem(lambda0=lives[0], lambda1=lives[1])
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(Family.SSP, None), (Family.RGSP_MIN, 3), (Family.RGSP_MAX, 3), (Family.TYPE_I, 5)],
+)
+def test_crisp_flag_builds_the_crisp_limit(family, n):
+    p = make_problem(family=family, tau=100.0 if family is Family.TYPE_I else None)
+    crisp = crisp_limit(p)
+    assert (crisp.lambda0, crisp.lambda1) == (300.0, 50.0)
+    assert (crisp.alpha, crisp.beta) == (FuzzyLevel(0.05, 0.0), FuzzyLevel(0.05, 0.0))
+    assert crisp_limit(crisp) == crisp
+    x = (20.0, 250.0)
+    flagged = plan_functions(p, n, crisp=True)
+    assert [fn(x) for fn in flagged[:3]] == [fn(x) for fn in crisp.functions(n)[:3]]
+    assert flagged[3:] == plan_functions(p, n)[3:]
+
+
 def test_group_families_reduce_to_ssp_at_n1():
-    p = make_problem()
-    base = ssp_objective_and_constraints(p)
+    base = plan_functions(make_problem(), None)[:3]
     rng = random.Random(21)
-    for builder in (rgsp_min_objective_and_constraints, rgsp_max_objective_and_constraints):
-        fns = builder(p, 1)
+    for family in (Family.RGSP_MIN, Family.RGSP_MAX):
+        fns = plan_functions(make_problem(family=family), 1)[:3]
         for _ in range(20):
             t1 = rng.uniform(1.0, 100.0)
             x = (t1, rng.uniform(t1, 300.0))
@@ -77,7 +92,7 @@ def test_ssp_objective_tends_to_single_stage_cost():
     from asplan.lifemodel import expected_y
 
     p = make_problem()
-    objective = ssp_objective_and_constraints(p)[0]
+    objective = plan_functions(p, None)[0]
     # An empty continuation band means exactly one observation on average.
     assert objective((150.0, 150.0)) == pytest.approx(expected_y(p.lambda0), rel=1e-12)
 
@@ -89,13 +104,13 @@ def test_typeI_objective_floor_at_empty_band():
         tau=50.0,
         cost=2.0,
     )
-    objective, g, h = typeI_objective_and_constraints(p, 33)
+    objective, g, h = plan_functions(p, 33)[:3]
     assert objective((236.8898, 236.8898)) == pytest.approx(2.0 * 50.0, rel=1e-12)
 
 
 def test_min_consumer_risk_decreases_in_t2():
     p = make_problem(family=Family.RGSP_MIN, lambda1=FuzzyLife(200.0, 1500.0))
-    h = rgsp_min_objective_and_constraints(p, 10)[2]
+    h = plan_functions(p, 10)[2]
     values = [h((0.001, t2)) for t2 in (50.0, 100.0, 150.0, 200.0, 250.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
