@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import disposition, oracle
 from .errors import DomainError, InfeasibleError
-from .fuzzyopt import SolverSettings, solve_plan
+from .fuzzyopt import MEMBERSHIP_FORMS, SolverSettings, solve_plan
 from .lifemodel import Thresholds
 from .membership import FuzzyLevel, FuzzyLife
 from .plans import Family, PlanProblem, crisp_baseline
@@ -92,8 +92,11 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sd-form", choices=["n", "sqrt_n"], default="n")
     sub.add_argument(
         "--membership-form",
-        choices=["cost_ascending", "standard"],
+        choices=MEMBERSHIP_FORMS,
         default="cost_ascending",
+        help="cost_ascending (default): the design is the tight crisp optimum, "
+        "fully satisfied; standard: the two-stage max-min solve, which trades "
+        "risk slack for a lower cost",
     )
     sub.add_argument(
         "--restarts",
@@ -272,15 +275,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             mc = oracle.mc_triprob(
                 family, life, th, n=args.n, tau=args.tau, draws=args.draws, seed=seed
             )
-            print(json.dumps(asdict(mc), indent=2, sort_keys=True))
+            _emit(asdict(mc), args.json)
             return 0
         reports = oracle.compare_triprob(family, life, th, args.n, args.draws, seed)
     else:
         reports = oracle.run_regression_grid(draws=args.draws, seed=seed)
-    payload = [asdict(r) for r in reports]
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.json:
-        oracle.write_reports_json(args.json, reports)
+    _emit([asdict(r) for r in reports], args.json)
     return 0 if all(r.passed for r in reports) else 2
 
 

@@ -7,7 +7,10 @@ constraints, then polishes the best grid basins with SLSQP.  It draws no
 random numbers.  On top of it sits the max-min satisfaction method: bracket
 the objective between the tight and the relaxed crisp optima, then maximize
 the minimum membership across the objective and both risk constraints, and
-finally minimize cost at that satisfaction level.
+finally minimize cost at that satisfaction level.  Under the default
+`cost_ascending` membership that max-min design is the tight crisp optimum,
+so `solve_plan` returns it from the bracket and runs the two max-min stages
+only for the `standard` membership.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
 from .membership import FuzzyLevel
@@ -46,6 +48,20 @@ _SLSQP_MAX_ITER = 30
 _STALL_ITERS = 5
 # Largest constraint violation a point may have and still count as feasible.
 _FEASIBILITY_TOL = 1e-6
+MEMBERSHIP_FORMS = ("cost_ascending", "standard")
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call: it is slow to
+    import, and the commands that solve nothing should not pay for it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def _check_membership_form(form: str) -> None:
+    if form not in MEMBERSHIP_FORMS:
+        raise DomainError(f"unknown membership_form {form!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +113,7 @@ class MaxPhiProblem:
     extra_starts: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.membership_form not in ("cost_ascending", "standard"):
-            raise DomainError(f"unknown membership_form {self.membership_form!r}")
+        _check_membership_form(self.membership_form)
         if not self.z_upper >= self.z_lower:
             raise ConsistencyError(
                 f"z_upper={self.z_upper} below z_lower={self.z_lower}"
@@ -419,6 +434,33 @@ def _memberships(p: MaxPhiProblem) -> tuple:
     return tuple(fns)
 
 
+def _phi(memberships: tuple, x):
+    """The minimum membership at x, capped at 1; broadcasts like x."""
+    return np.minimum(np.minimum.reduce([m(x) for m in memberships]), 1.0)
+
+
+def _design_at(p: MaxPhiProblem, x, objective: float) -> PlanDesign:
+    """The design at the point x of cost ``objective``: its risks, its
+    satisfaction phi in [0, 1] and its margins to the risk levels relaxed
+    by (1 - phi) of their slack."""
+    phi = min(1.0, max(0.0, float(_phi(_memberships(p), x))))
+    g_value = float(p.g_fn(x))
+    h_value = float(p.h_fn(x))
+    return PlanDesign(
+        t1=float(x[0]),
+        t2=float(x[1]) if len(x) > 1 else float(x[0]),
+        n=None,
+        phi=phi,
+        objective_value=objective,
+        g_value=g_value,
+        h_value=h_value,
+        g_margin=p.alpha.level + p.alpha.slack * (1.0 - phi) - g_value,
+        h_margin=p.beta.level + p.beta.slack * (1.0 - phi) - h_value,
+        z_lower=p.z_lower,
+        z_upper=p.z_upper,
+    )
+
+
 def solve_max_phi(p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER) -> PlanDesign:
     """Two-stage max-min solve.
 
@@ -429,11 +471,7 @@ def solve_max_phi(p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER) -
     a corner of the worst region as a basin.
     """
     memberships = _memberships(p)
-
-    def phi(x):
-        return np.minimum(np.minimum.reduce([m(x) for m in memberships]), 1.0)
-
-    stage1 = CrispNlp(lambda x: -phi(x), (), p.box, p.ordering)
+    stage1 = CrispNlp(lambda x: -_phi(memberships, x), (), p.box, p.ordering)
     x1, neg_phi = solve_crisp(
         stage1, settings, extra_starts=p.extra_starts, polish=_epigraph_polish(memberships)
     )
@@ -453,22 +491,7 @@ def solve_max_phi(p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER) -
         p.ordering,
     )
     x2, obj = solve_crisp(stage2, settings, extra_starts=(x1, *p.extra_starts))
-    phi_final = min(1.0, max(0.0, float(phi(x2))))
-    g_value = float(p.g_fn(x2))
-    h_value = float(p.h_fn(x2))
-    return PlanDesign(
-        t1=float(x2[0]),
-        t2=float(x2[1]) if len(x2) > 1 else float(x2[0]),
-        n=None,
-        phi=phi_final,
-        objective_value=obj,
-        g_value=g_value,
-        h_value=h_value,
-        g_margin=p.alpha.level + p.alpha.slack * (1.0 - phi_final) - g_value,
-        h_margin=p.beta.level + p.beta.slack * (1.0 - phi_final) - h_value,
-        z_lower=p.z_lower,
-        z_upper=p.z_upper,
-    )
+    return _design_at(p, x2, obj)
 
 
 def solve_plan(
@@ -477,14 +500,25 @@ def solve_plan(
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
     """Full pipeline for one plan problem: per candidate group size, bracket
-    the objective, run the max-min solve, and keep the best design.
+    the objective, take the max-min design, and keep the best design.
 
     The problem supplies ``alpha`` and ``beta``, ``group_sizes``,
     ``functions(n)`` returning (objective, g, h, box, ordering), and
     ``cost_floor``, the least cost any design can reach, or None.  Ties on
     phi break toward smaller cost, then smaller group size.  The search
     stops as soon as a fully satisfied design reaches the cost floor.
+
+    Under ``cost_ascending`` the design is the bracket's tight optimum x_t,
+    and no max-min stage runs.  x_t has g <= alpha, h <= beta and cost
+    z_upper, so all three memberships are 1 there and phi = 1; any point
+    with phi = 1 meets the tight levels, so it costs at least z_upper.
+    Hence x_t is the lexicographic (phi, cost) optimum.  A group size
+    without x_t is infeasible and skipped before any design is made.  The
+    tight solve meets the levels to its feasibility tolerance only, so phi
+    and the margins are computed at x_t, not set.  Under ``standard`` the
+    two-stage `solve_max_phi` runs.
     """
+    _check_membership_form(membership_form)
     alpha, beta, cost_floor = problem.alpha, problem.beta, problem.cost_floor
     best: Optional[PlanDesign] = None
     per_n = []
@@ -496,22 +530,23 @@ def solve_plan(
         except InfeasibleError as exc:
             per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
             continue
-        design = solve_max_phi(
-            MaxPhiProblem(
-                objective_fn=objective,
-                g_fn=g,
-                h_fn=h,
-                z_lower=zb.z_lower,
-                z_upper=zb.z_upper,
-                alpha=alpha,
-                beta=beta,
-                box=box,
-                ordering=ordering,
-                membership_form=membership_form,
-                extra_starts=(zb.tight_x, zb.relaxed_x),
-            ),
-            settings,
+        max_phi = MaxPhiProblem(
+            objective_fn=objective,
+            g_fn=g,
+            h_fn=h,
+            z_lower=zb.z_lower,
+            z_upper=zb.z_upper,
+            alpha=alpha,
+            beta=beta,
+            box=box,
+            ordering=ordering,
+            membership_form=membership_form,
+            extra_starts=(zb.tight_x, zb.relaxed_x),
         )
+        if membership_form == "cost_ascending":
+            design = _design_at(max_phi, zb.tight_x, zb.tight_value)
+        else:
+            design = solve_max_phi(max_phi, settings)
         design = replace(design, n=n)
         trace.append((n, design.phi, design.objective_value))
         if best is None or _better(design, best):

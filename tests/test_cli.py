@@ -235,3 +235,29 @@ def test_dispose_group_size_flag_then_design_json_then_one(tmp_path, capsys):
         assert main(base + extra) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["n"], payload["decided_at"]) == (n, group)
+
+
+def test_oracle_type1_writes_the_json_it_prints(tmp_path, capsys):
+    path = tmp_path / "o.json"
+    argv = ["oracle", "--family", "type1", "--tau", "100", "--n", "3",
+            "--draws", "10000", "--json", str(path)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["draws"] == 10000
+    assert path.read_text(encoding="utf-8") == printed
+
+
+def test_commands_that_solve_nothing_do_not_import_scipy_optimize():
+    code = (
+        "import sys\n"
+        "import asplan\n"
+        "from asplan.cli import main\n"
+        "status = main(['dispose', '--data', 'case-study', '--family', 'ssp',"
+        " '--t1', '41', '--t2', '3159'])\n"
+        "print(status, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"

@@ -49,7 +49,11 @@ def test_design_is_no_worse_and_seed_free(problem, crisp, cost):
     assert _design(problem, crisp, seed=42) == design
 
 
-@pytest.mark.parametrize("problem", [CASES[0][1], CASES[2][1]], ids=["ssp", "rgsp_min"])
+@pytest.mark.parametrize(
+    "problem",
+    [CASES[0][1], CASES[2][1], CASES[3][1], CASES[4][1]],
+    ids=["ssp", "rgsp_min", "rgsp_max", "type1"],
+)
 def test_max_min_design_is_the_tight_optimum(problem):
     """Under the default cost_ascending membership the objective's
     membership reaches 1 at z_upper, the tight optimum, where both risk

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from asplan.errors import InfeasibleError
+from asplan import fuzzyopt
+from asplan.errors import DomainError, InfeasibleError
 from asplan.fuzzyopt import (
     CrispNlp,
     MaxPhiProblem,
     SolverSettings,
     solve_crisp,
     solve_max_phi,
+    solve_plan,
     zimmermann_bounds,
 )
 from asplan.membership import FuzzyLevel, FuzzyLife
-from asplan.plans import Family, PlanProblem, plan_functions
+from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
 
 FAST = SolverSettings(restarts=6)
 
@@ -184,3 +186,61 @@ def test_crisp_limit_of_max_phi():
     )
     assert design.g_value <= 0.05 + 1e-6
     assert design.h_value <= 0.05 + 1e-6
+
+
+def _family_problem(family: Family, crisp: bool) -> PlanProblem:
+    """A small problem per family: the README lives, or for Type-I plans
+    censored lives that first turn feasible at n = 5."""
+    if family is Family.TYPE_I:
+        lives = dict(
+            lambda0=FuzzyLife(500.0, 15000.0), lambda1=FuzzyLife(150.0, 15000.0), tau=100.0
+        )
+    else:
+        lives = dict(lambda0=FuzzyLife(300.0, 1500.0), lambda1=FuzzyLife(50.0, 1500.0))
+    problem = PlanProblem(
+        family=family,
+        alpha=FuzzyLevel(0.05, 0.05),
+        beta=FuzzyLevel(0.05, 0.05),
+        n_max=6 if family is Family.TYPE_I else 3,
+        **lives,
+    )
+    return crisp_limit(problem) if crisp else problem
+
+
+def _no_max_min_stages(*args, **kwargs):
+    raise AssertionError("the cost_ascending design ran the max-min stages")
+
+
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_cost_ascending_design_is_the_tight_bracket_point(family, crisp, monkeypatch):
+    monkeypatch.setattr(fuzzyopt, "solve_max_phi", _no_max_min_stages)
+    problem = _family_problem(family, crisp)
+    design = solve_plan(problem, FAST)
+    objective, g, h, box, ordering = problem.functions(design.n)
+    zb = zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box, ordering, FAST)
+    assert (design.t1, design.t2) == zb.tight_x
+    assert design.objective_value == zb.tight_value
+    assert design.phi >= 1.0 - 1e-9
+
+
+def test_standard_form_runs_the_max_min_stages(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_max_phi(*args, **kwargs)
+
+    monkeypatch.setattr(fuzzyopt, "solve_max_phi", counted)
+    design = solve_plan(_ssp_problem(1500.0), FAST, membership_form="standard")
+    assert calls == [1]
+    assert design.phi == pytest.approx(0.557, abs=1e-3)
+
+
+def test_unknown_membership_form_fails_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the membership form")
+
+    monkeypatch.setattr(fuzzyopt, "solve_crisp", no_solve)
+    with pytest.raises(DomainError, match="membership_form"):
+        solve_plan(_ssp_problem(1500.0), FAST, membership_form="linear")

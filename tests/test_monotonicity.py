@@ -1,0 +1,119 @@
+"""The monotone structure of the plan functions, for every family, fuzzy and
+crisp, on t1 <= t2:
+
+- g, the long-run producer risk, does not fall in t1 or in t2;
+- h, the long-run consumer risk, does not rise in t1 or in t2;
+- N = 1/(p_a + p_r), the expected number of stages, does not rise in t1
+  and does not fall in t2.
+
+The objective ("cost") is c * e0 * N, where the stage duration e0 > 0 does
+not depend on the thresholds, so N's directions are checked on it.
+Each point is evaluated as a scalar pair (the polish's path) and stacked as
+an array (the grid scan's path).  Where a plan never ends (p_c rounds to 1)
+the risks are undefined, and such points are skipped.
+
+The tolerance is rounding level, carried through the closed forms: p_r =
+1 - S(t1) and 1 - p_c are differences from 1, so they carry an absolute
+error of a few ulps of 1 (n times that through rgsp_max's n-th powers), and
+the long-run ratios divide by 1 - p_c = 1/N.  So g and h may wiggle by a
+few ulps times N (1 + value), and the cost by a few ulps times N times
+its value, with N taken at the life each one uses.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from asplan.lifemodel import (
+    Thresholds,
+    TriProb,
+    long_run,
+    rgsp_max_triprob,
+    rgsp_min_triprob,
+    ssp_triprob,
+    typeI_triprob,
+)
+from asplan.membership import FuzzyLevel, FuzzyLife
+from asplan.plans import Family, PlanProblem, crisp_limit
+
+LEVELS = dict(alpha=FuzzyLevel(0.05, 0.05), beta=FuzzyLevel(0.05, 0.05))
+LIVES = {
+    Family.SSP: dict(lambda0=FuzzyLife(300.0, 1500.0), lambda1=FuzzyLife(50.0, 1500.0)),
+    Family.TYPE_I: dict(
+        lambda0=FuzzyLife(500.0, 15000.0), lambda1=FuzzyLife(150.0, 15000.0), tau=100.0
+    ),
+}
+ULPS = 16 * np.finfo(float).eps  # "a few ulps"
+UNIT = st.floats(0.0, 1.0)
+
+
+def _problem(family: Family, crisp: bool) -> PlanProblem:
+    lives = LIVES.get(family, LIVES[Family.SSP])
+    problem = PlanProblem(family=family, **lives, **LEVELS)
+    return crisp_limit(problem) if crisp else problem
+
+
+def _stage(problem: PlanProblem, n, life, x) -> TriProb:
+    """One stage's probabilities at thresholds x, for the tolerance only."""
+    th = Thresholds(*x)
+    if problem.family is Family.SSP:
+        return ssp_triprob(life, th)
+    if problem.family is Family.RGSP_MIN:
+        return rgsp_min_triprob(life, th, n)
+    if problem.family is Family.RGSP_MAX:
+        return rgsp_max_triprob(life, th, n)
+    mean = life.lambda_j if isinstance(life, FuzzyLife) else life
+    return typeI_triprob(mean, th, n, problem.tau)
+
+
+def _stages(problem: PlanProblem, n, life, points) -> float:
+    """The largest expected stage count N = 1/(p_a + p_r) over the points."""
+    return max(long_run(_stage(problem, n, life, x)).N for x in points)
+
+
+def _assert_directions(values: dict, tol: dict) -> None:
+    """values[name] holds the function at (t1, t2), (t1', t2) and (t1, t2')
+    with t1' >= t1 and t2' >= t2; +1 must not fall, -1 must not rise."""
+    for name, up1, up2 in (("g", 1, 1), ("h", -1, -1), ("cost", -1, 1)):
+        base, step1, step2 = values[name]
+        assert up1 * (step1 - base) >= -tol[name], (name, "t1", base, step1)
+        assert up2 * (step2 - base) >= -tol[name], (name, "t2", base, step2)
+
+
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 30), u1=UNIT, u2=UNIT, s1=UNIT, s2=UNIT)
+def test_plan_functions_are_monotone(family, crisp, n, u1, u2, s1, s2):
+    problem = _problem(family, crisp)
+    objective, g, h, box, _ = problem.functions(None if family is Family.SSP else n)
+    (lo, hi), _ = box
+    # Log-spaced draws: the thresholds span many decades of the box.
+    t1, t2 = sorted(lo * (hi / lo) ** u for u in (u1, u2))
+    # Steps from 1e-12 of the room up to all of it, tiny ones as often as large.
+    t1_step = min(t2, t1 + 1e-12 ** s1 * (t2 - t1))
+    t2_step = min(hi, t2 + 1e-12 ** s2 * (hi - t2))
+    points = ((t1, t2), (t1_step, t2), (t1, t2_step))
+    with np.errstate(all="ignore"):
+        stacked = np.array(points).T
+        arrays = {"g": g(stacked), "h": h(stacked), "cost": objective(stacked)}
+    assume(np.isfinite(arrays["g"]).all() and np.isfinite(arrays["h"]).all())
+    scalars = {
+        "g": [g(x) for x in points],
+        "h": [h(x) for x in points],
+        "cost": [objective(x) for x in points],
+    }
+    assert all(math.isfinite(v) for vs in scalars.values() for v in vs)
+    ulps = ULPS * (n if family is Family.RGSP_MAX else 1)
+    n0 = _stages(problem, n, problem.lambda0, points)
+    n1 = _stages(problem, n, problem.lambda1, points)
+    tol = {
+        "g": ulps * n0 * (1.0 + scalars["g"][0]),
+        "h": ulps * n1 * (1.0 + scalars["h"][0]),
+        "cost": ulps * n0 * scalars["cost"][0],
+    }
+    _assert_directions(scalars, tol)
+    _assert_directions({name: list(v) for name, v in arrays.items()}, tol)
