@@ -48,14 +48,7 @@ from .lifemodel import (
     typeI_triprob,
     weighted_survival,
 )
-from .membership import (
-    FuzzyLevel,
-    FuzzyLife,
-    defuzzify_center_of_gravity,
-    level_membership,
-    life_membership,
-    life_membership_mass,
-)
+from .membership import FuzzyLevel, FuzzyLife
 from .oracle import (
     GoldenRow,
     McEstimate,
@@ -68,6 +61,6 @@ from .oracle import (
     verify_tables,
 )
 from .plans import Family, PlanProblem, crisp_baseline, crisp_limit
-from .quadrature import QuadratureSettings, oscillatory_pair, simpson, std_normal_cdf
+from .quadrature import oscillatory_pair, std_normal_cdf
 
 __version__ = "0.1.0"

@@ -95,8 +95,9 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         choices=MEMBERSHIP_FORMS,
         default="cost_ascending",
         help="cost_ascending (default): the design is the tight crisp optimum, "
-        "fully satisfied; standard: the two-stage max-min solve, which trades "
-        "risk slack for a lower cost",
+        "fully satisfied; standard: the crisp optimum at the risk levels cut at "
+        "the largest satisfaction phi its cost allows, which trades risk slack "
+        "for a lower cost",
     )
     sub.add_argument(
         "--restarts",

@@ -2,15 +2,15 @@
 pipeline.  Nothing here knows the plan families: a plan problem hands
 `solve_plan` its group sizes, its functions and its cost floor.
 
-`solve_crisp` scans a dense grid of the box, masking the ordering and the
-constraints, then polishes the best grid basins with SLSQP.  It draws no
-random numbers.  On top of it sits the max-min satisfaction method: bracket
-the objective between the tight and the relaxed crisp optima, then maximize
-the minimum membership across the objective and both risk constraints, and
-finally minimize cost at that satisfaction level.  Under the default
-`cost_ascending` membership that max-min design is the tight crisp optimum,
-so `solve_plan` returns it from the bracket and runs the two max-min stages
-only for the `standard` membership.
+There is one solver, a crisp solve: `_Grid` scans a dense grid of the box
+once, storing the objective and each constraint at every cell, then ranks
+those values at any constraint bounds and polishes the best grid basins with
+SLSQP.  It draws no random numbers.  The max-min satisfaction method is made
+of crisp solves at the s-cuts of the fuzzy risk levels: the tight (s = 1)
+and relaxed (s = 0) optima, solved on one scan, bracket the objective.
+Under the default `cost_ascending` membership the max-min design is the
+tight optimum; under `standard` it is the crisp optimum at phi*, the root in
+s of a 1-D equation whose steps rank the bracket's scan (`solve_max_phi`).
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ import numpy as np
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
 from .membership import FuzzyLevel
 
-# Slope of the pseudo-membership used for zero-slack (crisp) levels.  Steep
-# enough that stage 2's floor, _PHI_TOL/2 under phi*, holds a crisp risk
-# within 5e-14 of its level; shallow enough that an ulp of a risk (about
-# 7e-18) stays far below _SLSQP_FTOL once scaled by it.  At 1e6 SLSQP could
-# not tell the constraint met, and crisp stage-2 polishes ran to their cap.
-_CRISP_RAMP = 1e4
 _PHI_TOL = 1e-9
+# A narrower bracket z_upper - z_lower gives the objective no membership.
+_MIN_SPAN = 1e-9
 # Grid points per axis of the scan: a 2-D grid array is about 0.5 MB.
 _GRID = 257
 _CELLS = _GRID - 1
@@ -110,7 +106,6 @@ class MaxPhiProblem:
     box: tuple
     ordering: tuple = ()
     membership_form: str = "cost_ascending"
-    extra_starts: tuple = ()
 
     def __post_init__(self) -> None:
         _check_membership_form(self.membership_form)
@@ -187,46 +182,6 @@ def _points(axes: list, cells) -> np.ndarray:
     return np.array([axis[k] for axis, k in zip(axes, index)])
 
 
-def _scan(nlp: CrispNlp, axes: list) -> tuple:
-    """(cells, excess, rank): the flat index and worst constraint excess of
-    each grid cell that keeps the ordering, and the rank of every cell on
-    the grid.
-
-    Cells where a function is not finite get an infinite excess.  Ranks
-    order feasible cells by value, ties to the lower cell index;
-    infeasible cells are ranked, by excess, only when no cell is feasible.
-    Unranked cells, and those that break the ordering, rank at infinity.
-    """
-    shape = tuple(len(axis) for axis in axes)
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    ordered = np.ones(shape, dtype=bool)
-    for i, j in nlp.ordering:
-        ordered &= mesh[i] <= mesh[j]
-    cells = np.flatnonzero(ordered)
-    value = np.empty(cells.size)
-    excess = np.zeros(cells.size)
-    # Blocks keep the closures' temporaries small.
-    for start in range(0, cells.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        x = _points(axes, cells[block])
-        with np.errstate(all="ignore"):
-            value[block] = nlp.objective(x)
-            for fn, bound in nlp.constraints:
-                excess[block] = np.maximum(excess[block], fn(x) - bound)
-    valid = np.isfinite(value) & np.isfinite(excess)
-    value[~valid] = np.inf
-    excess[~valid] = np.inf
-    feasible = excess <= _FEASIBILITY_TOL
-    order = np.lexsort((value, np.where(feasible, 0.0, excess)))
-    # float32 holds every rank of a 2-D grid exactly, in half the memory.
-    ranked = np.empty(cells.size, dtype=np.float32)
-    ranked[order] = np.arange(cells.size)
-    ranked[~(feasible if feasible.any() else valid)] = np.inf
-    rank = np.full(shape, np.inf, dtype=np.float32)
-    rank.flat[cells] = ranked
-    return cells, excess, rank
-
-
 def _basins(rank: np.ndarray) -> np.ndarray:
     """Flat indices of the cells ranked no worse than any of their (up to
     3^dim - 1) neighbours, best first."""
@@ -250,10 +205,15 @@ def _value(nlp: CrispNlp, x: np.ndarray) -> float:
     return math.inf
 
 
-def _slsqp(fun, z0: np.ndarray, bounds: list, ineq=None) -> np.ndarray:
-    """SLSQP from z0, stopped early on a stalled objective; ``ineq(z)``
-    returns the array of constraints >= 0."""
+def _polish(nlp: CrispNlp, coords: _Coords, x0: np.ndarray) -> np.ndarray:
+    """SLSQP from x0 on the cube, the constraints passed as they are,
+    stopped early on a stalled objective."""
+    scale = 1.0 + abs(float(nlp.objective(x0)))
     recent = collections.deque(maxlen=_STALL_ITERS + 1)
+
+    def ineq(z: np.ndarray) -> np.ndarray:
+        x = coords.to_x(z)
+        return np.array([bound - fn(x) for fn, bound in nlp.constraints])
 
     def stop_on_stall(intermediate_result):
         recent.append(intermediate_result.fun)
@@ -263,105 +223,129 @@ def _slsqp(fun, z0: np.ndarray, bounds: list, ineq=None) -> np.ndarray:
             raise StopIteration
 
     result = minimize(
-        fun,
-        z0,
+        lambda z: nlp.objective(coords.to_x(z)) / scale,
+        coords.to_z(x0),
         method="SLSQP",
-        bounds=bounds,
-        constraints={"type": "ineq", "fun": ineq} if ineq is not None else (),
+        bounds=[(0.0, _CELLS)] * len(x0),
+        constraints={"type": "ineq", "fun": ineq} if nlp.constraints else (),
         options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAX_ITER},
         callback=stop_on_stall,
     )
-    return result.x
+    return coords.to_x(result.x)
 
 
-def _polish(nlp: CrispNlp, coords: _Coords, x0: np.ndarray) -> np.ndarray:
-    """SLSQP from x0 on the cube, the constraints passed as they are."""
-    scale = 1.0 + abs(float(nlp.objective(x0)))
+class _Grid:
+    """One scan of the box for crisp solves of ``nlp`` at any bounds.
 
-    def ineq(z: np.ndarray) -> np.ndarray:
-        x = coords.to_x(z)
-        return np.array([bound - fn(x) for fn, bound in nlp.constraints])
+    The scan puts _GRID points on each axis of the box and stores the
+    objective and each constraint function at every cell that keeps the
+    ordering, so that solves at other bounds evaluate no cell again.
+    """
 
-    z = _slsqp(
-        lambda z: nlp.objective(coords.to_x(z)) / scale,
-        coords.to_z(x0),
-        [(0.0, _CELLS)] * len(x0),
-        ineq if nlp.constraints else None,
-    )
-    return coords.to_x(z)
+    def __init__(self, nlp: CrispNlp) -> None:
+        self.nlp = nlp
+        self.coords = _Coords(nlp)
+        self.axes = self.coords.axes()
+        self.shape = tuple(len(axis) for axis in self.axes)
+        mesh = np.meshgrid(*self.axes, indexing="ij", sparse=True)
+        ordered = np.ones(self.shape, dtype=bool)
+        for i, j in nlp.ordering:
+            ordered &= mesh[i] <= mesh[j]
+        self.cells = np.flatnonzero(ordered)
+        self.value = np.empty(self.cells.size)
+        self.constraint_values = np.empty((len(nlp.constraints), self.cells.size))
+        # Blocks keep the closures' temporaries small.
+        for start in range(0, self.cells.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            x = _points(self.axes, self.cells[block])
+            with np.errstate(all="ignore"):
+                self.value[block] = nlp.objective(x)
+                for k, (fn, _) in enumerate(nlp.constraints):
+                    self.constraint_values[k, block] = fn(x)
 
+    def solve(
+        self,
+        bounds: Sequence[float],
+        settings: SolverSettings,
+        extra_starts: Sequence[Sequence[float]] = (),
+    ) -> tuple[np.ndarray, float]:
+        """`solve_crisp` of the scanned problem at the constraint bounds
+        ``bounds``.
 
-def _epigraph_polish(memberships: tuple):
-    """Polish for max min(1, m_k(x)): SLSQP on (z, s), maximizing s subject
-    to m_k(x(z)) >= s and s <= 1."""
+        Cells where a function is not finite get an infinite excess.  Ranks
+        order feasible cells by value, ties to the lower cell index;
+        infeasible cells are ranked, by excess, only when no cell is
+        feasible.  Unranked cells, and those that break the ordering, rank
+        at infinity.
+        """
+        excess = np.zeros(self.cells.size)
+        with np.errstate(all="ignore"):
+            for row, bound in zip(self.constraint_values, bounds):
+                excess = np.maximum(excess, row - bound)
+        valid = np.isfinite(self.value) & np.isfinite(excess)
+        value = np.where(valid, self.value, np.inf)
+        excess[~valid] = np.inf
+        feasible = excess <= _FEASIBILITY_TOL
+        order = np.lexsort((value, np.where(feasible, 0.0, excess)))
+        # float32 holds every rank of a 2-D grid exactly, in half the memory.
+        ranked = np.empty(self.cells.size, dtype=np.float32)
+        ranked[order] = np.arange(self.cells.size)
+        ranked[~(feasible if feasible.any() else valid)] = np.inf
+        rank = np.full(self.shape, np.inf, dtype=np.float32)
+        rank.flat[self.cells] = ranked
 
-    def polish(nlp: CrispNlp, coords: _Coords, x0: np.ndarray) -> np.ndarray:
-        dim = len(x0)
-
-        def ineq(w: np.ndarray) -> np.ndarray:
-            x = coords.to_x(w[:dim])
-            return np.array([m(x) for m in memberships]) - w[dim]
-
-        s0 = min(1.0, *(float(m(x0)) for m in memberships))
-        w = _slsqp(
-            lambda w: -w[dim],
-            np.append(coords.to_z(x0), s0),
-            [(0.0, _CELLS)] * dim + [(None, 1.0)],
-            ineq,
+        nlp = replace(
+            self.nlp,
+            constraints=tuple((fn, b) for (fn, _), b in zip(self.nlp.constraints, bounds)),
         )
-        return coords.to_x(w[:dim])
-
-    return polish
+        limit = settings.restarts if feasible.any() else 1
+        starts = [_points(self.axes, cell) for cell in _basins(rank)[:limit]]
+        lo, hi = self.coords.lo, self.coords.hi
+        starts += [np.clip(np.asarray(s, dtype=float), lo, hi) for s in extra_starts]
+        best_x = None
+        best_f = math.inf
+        for start in dict.fromkeys(tuple(x.tolist()) for x in starts):
+            x0 = np.array(start)
+            f0 = _value(nlp, x0)
+            try:
+                x1 = _polish(nlp, self.coords, x0)
+                f1 = _value(nlp, x1)
+            except (DomainError, DegeneratePlanError):
+                x1, f1 = x0, math.inf
+            if f1 <= f0:
+                x0, f0 = x1, f1
+            if f0 < best_f:
+                best_x, best_f = x0, f0
+        if best_x is None:
+            least = int(np.argmin(excess))
+            violation = float(excess[least])
+            point = _points(self.axes, self.cells[least]) if math.isfinite(violation) else None
+            raise InfeasibleError(
+                f"no feasible point found on the grid or from {len(starts)} polished starts "
+                f"(best violation {violation:.3e})",
+                best_point=point,
+                best_violation=violation,
+            )
+        return best_x, best_f
 
 
 def solve_crisp(
     nlp: CrispNlp,
     settings: SolverSettings = DEFAULT_SOLVER,
     extra_starts: Sequence[Sequence[float]] = (),
-    polish=_polish,
 ) -> tuple[np.ndarray, float]:
     """Best feasible point of a grid scan, polished by a local solver.
 
-    The scan puts _GRID points on each axis of the box.  Then
-    ``polish(nlp, coords, x0)`` (SLSQP by default) starts from each of at
-    most ``settings.restarts`` grid basins, best first, and from each extra
-    start not already listed; a grid with no feasible cell offers only its
-    least violation.
+    The scan puts _GRID points on each axis of the box.  Then SLSQP starts
+    from each of at most ``settings.restarts`` grid basins, best first, and
+    from each extra start not already listed; a grid with no feasible cell
+    offers only its least violation.
     A polished point replaces its start only if it is feasible within
     _FEASIBILITY_TOL and no worse.  A polish that steps out of the plan's
     domain is dropped.  Raises InfeasibleError, with the grid's least
     violation, when no point is feasible.
     """
-    coords = _Coords(nlp)
-    axes = coords.axes()
-    cells, excess, rank = _scan(nlp, axes)
-    limit = settings.restarts if np.any(excess <= _FEASIBILITY_TOL) else 1
-    starts = [_points(axes, cell) for cell in _basins(rank)[:limit]]
-    starts += [np.clip(np.asarray(s, dtype=float), coords.lo, coords.hi) for s in extra_starts]
-    best_x = None
-    best_f = math.inf
-    for start in dict.fromkeys(tuple(x.tolist()) for x in starts):
-        x0 = np.array(start)
-        f0 = _value(nlp, x0)
-        try:
-            x1 = polish(nlp, coords, x0)
-            f1 = _value(nlp, x1)
-        except (DomainError, DegeneratePlanError):
-            x1, f1 = x0, math.inf
-        if f1 <= f0:
-            x0, f0 = x1, f1
-        if f0 < best_f:
-            best_x, best_f = x0, f0
-    if best_x is None:
-        least = int(np.argmin(excess))
-        violation = float(excess[least])
-        raise InfeasibleError(
-            f"no feasible point found on the grid or from {len(starts)} polished starts "
-            f"(best violation {violation:.3e})",
-            best_point=_points(axes, cells[least]) if math.isfinite(violation) else None,
-            best_violation=violation,
-        )
-    return best_x, best_f
+    return _Grid(nlp).solve([bound for _, bound in nlp.constraints], settings, extra_starts)
 
 
 @dataclass(frozen=True)
@@ -369,9 +353,10 @@ class ZBounds:
     z_lower: float
     z_upper: float
     tight_x: tuple
-    relaxed_x: tuple
     tight_value: float
     relaxed_value: float
+    # The scan both solves ranked, for the max-min solve to rank again.
+    grid: _Grid = field(compare=False, repr=False)
 
 
 def zimmermann_bounds(
@@ -384,19 +369,19 @@ def zimmermann_bounds(
     ordering: tuple = (),
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> ZBounds:
-    """Objective values of the tight and the slack-relaxed crisp problems.
+    """Objective values of the tight and the slack-relaxed crisp problems,
+    solved on one grid scan.
 
     The relaxed solve reuses the tight argmin as a start, so the larger
     feasible set can never report a worse value.  Without slack the two
     problems are one, solved once.
     """
-    tight = CrispNlp(objective, ((g, alpha.level), (h, beta.level)), box, ordering)
-    tight_x, tight_value = solve_crisp(tight, settings)
+    grid = _Grid(CrispNlp(objective, ((g, alpha.level), (h, beta.level)), box, ordering))
+    tight_x, tight_value = grid.solve((alpha.level, beta.level), settings)
     if alpha.slack == 0.0 and beta.slack == 0.0:
-        relaxed_x, relaxed_value = tight_x, tight_value
+        relaxed_value = tight_value
     else:
-        relaxed = CrispNlp(objective, ((g, alpha.relaxed), (h, beta.relaxed)), box, ordering)
-        relaxed_x, relaxed_value = solve_crisp(relaxed, settings, extra_starts=(tight_x,))
+        relaxed_value = grid.solve((alpha.relaxed, beta.relaxed), settings, (tight_x,))[1]
     if relaxed_value > tight_value + _FEASIBILITY_TOL * (1.0 + abs(tight_value)):
         raise ConsistencyError(
             f"relaxed optimum {relaxed_value} exceeds tight optimum {tight_value}"
@@ -405,47 +390,40 @@ def zimmermann_bounds(
         z_lower=min(tight_value, relaxed_value),
         z_upper=max(tight_value, relaxed_value),
         tight_x=tuple(tight_x),
-        relaxed_x=tuple(relaxed_x),
         tight_value=tight_value,
         relaxed_value=relaxed_value,
+        grid=grid,
     )
 
 
-def _level_ramp(level: FuzzyLevel, value):
-    """Membership of a risk value, extended below 0 so the polish sees a slope."""
+def _level_membership(level: FuzzyLevel, value: float) -> float:
+    """Membership of a risk value, unclipped; a zero-slack level counts as
+    met within _FEASIBILITY_TOL, as the crisp solves do."""
     if level.slack > 0.0:
         return (level.relaxed - value) / level.slack
-    return 1.0 - (value - level.level) * _CRISP_RAMP
+    return 1.0 if value <= level.level + _FEASIBILITY_TOL else 0.0
 
 
-def _memberships(p: MaxPhiProblem) -> tuple:
-    """Extended (unclipped) membership functions: risk constraints always,
-    objective only when the bracket is non-degenerate."""
-    fns = [
-        lambda x: _level_ramp(p.alpha, p.g_fn(x)),
-        lambda x: _level_ramp(p.beta, p.h_fn(x)),
-    ]
-    span = p.z_upper - p.z_lower
-    if span >= 1e-9:
-        if p.membership_form == "cost_ascending":
-            fns.append(lambda x: (p.objective_fn(x) - p.z_lower) / span)
-        else:
-            fns.append(lambda x: (p.z_upper - p.objective_fn(x)) / span)
-    return tuple(fns)
-
-
-def _phi(memberships: tuple, x):
-    """The minimum membership at x, capped at 1; broadcasts like x."""
-    return np.minimum(np.minimum.reduce([m(x) for m in memberships]), 1.0)
+def _tight_is_max_min(p: MaxPhiProblem) -> bool:
+    """Whether the max-min design is the tight optimum (`solve_max_phi`)."""
+    return p.membership_form == "cost_ascending" or p.z_upper - p.z_lower < _MIN_SPAN
 
 
 def _design_at(p: MaxPhiProblem, x, objective: float) -> PlanDesign:
     """The design at the point x of cost ``objective``: its risks, its
-    satisfaction phi in [0, 1] and its margins to the risk levels relaxed
-    by (1 - phi) of their slack."""
-    phi = min(1.0, max(0.0, float(_phi(_memberships(p), x))))
+    satisfaction phi in [0, 1], the least membership of the risks and, when
+    the bracket is not degenerate, of the objective, and its margins to the
+    risk levels cut at phi."""
     g_value = float(p.g_fn(x))
     h_value = float(p.h_fn(x))
+    memberships = [_level_membership(p.alpha, g_value), _level_membership(p.beta, h_value)]
+    span = p.z_upper - p.z_lower
+    if span >= _MIN_SPAN:
+        if p.membership_form == "cost_ascending":
+            memberships.append((objective - p.z_lower) / span)
+        else:
+            memberships.append((p.z_upper - objective) / span)
+    phi = min(1.0, max(0.0, min(memberships)))
     return PlanDesign(
         t1=float(x[0]),
         t2=float(x[1]) if len(x) > 1 else float(x[0]),
@@ -454,44 +432,67 @@ def _design_at(p: MaxPhiProblem, x, objective: float) -> PlanDesign:
         objective_value=objective,
         g_value=g_value,
         h_value=h_value,
-        g_margin=p.alpha.level + p.alpha.slack * (1.0 - phi) - g_value,
-        h_margin=p.beta.level + p.beta.slack * (1.0 - phi) - h_value,
+        g_margin=p.alpha.cut(phi) - g_value,
+        h_margin=p.beta.cut(phi) - h_value,
         z_lower=p.z_lower,
         z_upper=p.z_upper,
     )
 
 
-def solve_max_phi(p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER) -> PlanDesign:
-    """Two-stage max-min solve.
+def solve_max_phi(
+    p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER, grid: Optional[_Grid] = None
+) -> PlanDesign:
+    """The max-min design (Zimmermann 1978): the largest phi, then the least
+    cost at it, as a crisp solve at the risk levels cut at phi.
 
-    Stage 1 maximizes phi = min over memberships, capped at 1, polished in
-    epigraph form; stage 2 minimizes cost subject to every membership
-    staying at the achieved phi.  The split makes the design well defined on
-    phi plateaus.  phi has no floor: a flat floor would make the grid offer
-    a corner of the worst region as a basin.
+    phi(x) >= s holds exactly where g(x) <= alpha.cut(s), h(x) <= beta.cut(s)
+    and the objective's membership is at least s.  Let C(s) be the crisp
+    optimum under those two cuts.  They shrink as s grows, so C does not
+    fall, from C(0) = z_lower to C(1) = z_upper.
+
+    - Under ``cost_ascending`` the argmin of C(1) meets the levels and costs
+      z_upper, so every membership is 1 there; any point with phi = 1 meets
+      the levels, so it costs at least C(1).  The design is that tight
+      optimum, as it is when the bracket is narrower than _MIN_SPAN and the
+      objective has no membership.
+    - Under ``standard`` the objective's membership (z_upper - cost)/span is
+      at least s where cost <= z_upper - s*span.  So phi* is the largest s
+      with F(s) = C(s) + s*span - z_upper <= 0: the root of F, which rises
+      strictly from the bracket's -span at s = 0 to +span at s = 1, found by
+      Brent's method.  The argmin of C(phi*) has phi >= phi*, as
+      F(phi*) <= 0, and every point with phi >= phi* meets the cuts at phi*,
+      so it costs at least C(phi*): that argmin is the design.  It is taken
+      from the root iterate of largest s with F(s) <= 0.
+
+    All crisp solves rank one grid scan: ``grid``, the bracket's scan of
+    the same functions and box when given, else a new one.
     """
-    memberships = _memberships(p)
-    stage1 = CrispNlp(lambda x: -_phi(memberships, x), (), p.box, p.ordering)
-    x1, neg_phi = solve_crisp(
-        stage1, settings, extra_starts=p.extra_starts, polish=_epigraph_polish(memberships)
-    )
-    phi_star = min(1.0, max(0.0, -neg_phi))
-    if phi_star <= 0.0:
-        raise InfeasibleError(
-            "no point with positive satisfaction found", best_point=tuple(x1)
-        )
+    if grid is None:
+        levels = ((p.g_fn, p.alpha.level), (p.h_fn, p.beta.level))
+        grid = _Grid(CrispNlp(p.objective_fn, levels, p.box, p.ordering))
+    if _tight_is_max_min(p):
+        x, cost = grid.solve((p.alpha.level, p.beta.level), settings)
+        return _design_at(p, x, cost)
+    from scipy.optimize import brentq  # slow to import, as for `minimize`
 
-    # Half the tolerance, so that a polish ending a few ulps past the floor
-    # still leaves a fully satisfied design at phi >= 1 - _PHI_TOL.
-    floor = phi_star - 0.5 * _PHI_TOL
-    stage2 = CrispNlp(
-        p.objective_fn,
-        tuple((lambda x, m=m: floor - m(x), 0.0) for m in memberships),
-        p.box,
-        p.ordering,
-    )
-    x2, obj = solve_crisp(stage2, settings, extra_starts=(x1, *p.extra_starts))
-    return _design_at(p, x2, obj)
+    span = p.z_upper - p.z_lower
+    bracket = {0.0: -span, 1.0: span}
+    met = {}  # s -> (x, C(s)) where F(s) <= 0
+
+    def shortfall(s: float) -> float:
+        if s in bracket:
+            return bracket[s]
+        x, cost = grid.solve((p.alpha.cut(s), p.beta.cut(s)), settings)
+        excess = cost + s * span - p.z_upper
+        if excess <= 0.0:
+            met[s] = (x, cost)
+        return excess
+
+    brentq(shortfall, 0.0, 1.0)
+    if not met:
+        raise InfeasibleError("no point with positive satisfaction found")
+    x, cost = met[max(met)]
+    return _design_at(p, x, cost)
 
 
 def solve_plan(
@@ -508,15 +509,12 @@ def solve_plan(
     phi break toward smaller cost, then smaller group size.  The search
     stops as soon as a fully satisfied design reaches the cost floor.
 
-    Under ``cost_ascending`` the design is the bracket's tight optimum x_t,
-    and no max-min stage runs.  x_t has g <= alpha, h <= beta and cost
-    z_upper, so all three memberships are 1 there and phi = 1; any point
-    with phi = 1 meets the tight levels, so it costs at least z_upper.
-    Hence x_t is the lexicographic (phi, cost) optimum.  A group size
-    without x_t is infeasible and skipped before any design is made.  The
-    tight solve meets the levels to its feasibility tolerance only, so phi
-    and the margins are computed at x_t, not set.  Under ``standard`` the
-    two-stage `solve_max_phi` runs.
+    Where the max-min design is the tight optimum (`solve_max_phi`: under
+    ``cost_ascending``, or with a degenerate bracket) it is taken from the
+    bracket and no other solve runs.  A group size without it is
+    infeasible and skipped before any design is made.  The tight solve
+    meets the levels to its feasibility tolerance only, so phi and the
+    margins are computed at that point, not set.
     """
     _check_membership_form(membership_form)
     alpha, beta, cost_floor = problem.alpha, problem.beta, problem.cost_floor
@@ -541,13 +539,13 @@ def solve_plan(
             box=box,
             ordering=ordering,
             membership_form=membership_form,
-            extra_starts=(zb.tight_x, zb.relaxed_x),
         )
-        if membership_form == "cost_ascending":
+        if _tight_is_max_min(max_phi):
             design = _design_at(max_phi, zb.tight_x, zb.tight_value)
         else:
-            design = solve_max_phi(max_phi, settings)
+            design = solve_max_phi(max_phi, settings, zb.grid)
         design = replace(design, n=n)
+        del zb  # frees this group size's grid before the next one scans
         trace.append((n, design.phi, design.objective_value))
         if best is None or _better(design, best):
             best = design

@@ -7,7 +7,6 @@ membership over a risk level ("roughly alpha").
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -41,25 +40,6 @@ class FuzzyLife:
         return (center - half_width, center + half_width)
 
 
-def life_membership(life: FuzzyLife, rate: float) -> float:
-    """Raised-cosine membership of a failure rate, in [0, 1].
-
-    Exactly 0 at and beyond the support endpoints (cos(+-pi) = -1 in the
-    closed form); 1 at rate = 1/lambda_j.
-    """
-    if not rate > 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    lo, hi = life.support
-    if rate <= lo or rate >= hi:
-        return 0.0
-    return 0.5 * (1.0 + math.cos(life.a * math.pi * (rate - 1.0 / life.lambda_j)))
-
-
-def life_membership_mass(life: FuzzyLife) -> float:
-    """Integral of the membership over its support: the raised-cosine area 1/a."""
-    return 1.0 / life.a
-
-
 @dataclass(frozen=True)
 class FuzzyLevel:
     """Fuzzy risk level (level, slack) with a left-shoulder linear membership.
@@ -84,30 +64,8 @@ class FuzzyLevel:
     def relaxed(self) -> float:
         return self.level + self.slack
 
-
-def level_membership(level: FuzzyLevel, x: float) -> float:
-    """Left-shoulder membership: 1 below the level, linear taper over the slack."""
-    if x < level.level:
-        return 1.0
-    if level.slack == 0.0:
-        return 0.0
-    if x >= level.level + level.slack:
-        return 0.0
-    return min(1.0, (level.level + level.slack - x) / level.slack)
-
-
-def defuzzify_center_of_gravity(center: float, a: float) -> float:
-    """Centroid of a raised-cosine membership centered at ``center``.
-
-    By symmetry the centroid equals the center exactly, which is the whole
-    point: center-of-gravity de-fuzzification collapses a fuzzy mean life
-    back to its crisp value.  The center is taken explicitly so the centroid
-    can be computed in either rate space or time space.
-    """
-    if not a > 0:
-        raise DomainError(f"fuzziness scale must be positive, got {a}")
-    if not center - 1.0 / a > 0:
-        raise DomainError(
-            f"support [{center - 1.0 / a}, {center + 1.0 / a}] must lie inside (0, inf)"
-        )
-    return float(center)
+    def cut(self, s: float) -> float:
+        """The largest risk of membership at least s in [0, 1]:
+        level + (1 - s)·slack, so cut(1) is the level and cut(0) the
+        relaxed level, both exactly."""
+        return self.level + (1.0 - s) * self.slack

@@ -36,15 +36,11 @@ from asplan.lifemodel import (
     typeI_triprob,
     weighted_survival,
 )
-from asplan.membership import (
-    FuzzyLevel,
-    FuzzyLife,
-    defuzzify_center_of_gravity,
-    life_membership,
-)
+from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.oracle import load_golden_rows, run_regression_grid, verify_tables
 from asplan.plans import Family, PlanProblem, crisp_baseline
-from asplan.quadrature import simpson
+
+from reference import defuzzify_center_of_gravity, life_membership, simpson
 
 import numpy as np
 

@@ -3,7 +3,9 @@
 The literals are the costs that solver reached (32 restarts, seed 42) on
 the README `ssp` design, fuzzy and crisp, and on one small group-size
 problem per grouped family.  The grid-and-polish solver draws no random
-numbers, so its design must also be the same for every seed.
+numbers, so its design must also be the same for every seed.  Under the
+`standard` membership no design may reach a lower phi or a higher cost
+than the two-stage max-phi solver did.
 """
 
 import pytest
@@ -62,3 +64,23 @@ def test_max_min_design_is_the_tight_optimum(problem):
     design = solve_plan(problem, SolverSettings(restarts=32))
     assert design.phi >= 1.0 - 1e-9
     assert design.objective_value == pytest.approx(design.z_upper, rel=1e-9)
+
+
+# (phi, cost) that the two-stage max-phi solver (maximize phi, then minimize
+# cost at phi* - 5e-10) reached on `standard` designs at 32 restarts.
+STANDARD_CASES = [
+    ("ssp", CASES[0][1], 0.5569589450004481, 553.2554970001488),
+    ("rgsp_max", CASES[3][1], 0.6018272292265983, 573.1826889306643),
+    ("type1", CASES[4][1], 0.7688798005853399, 100.52302968924462),
+]
+
+
+@pytest.mark.parametrize(
+    "problem,phi,cost", [c[1:] for c in STANDARD_CASES], ids=[c[0] for c in STANDARD_CASES]
+)
+def test_standard_design_is_no_worse(problem, phi, cost):
+    design = solve_plan(problem, SolverSettings(restarts=32), membership_form="standard")
+    assert design.phi >= phi - 1e-9
+    assert design.objective_value <= cost * (1.0 + 1e-9)
+    assert design.g_margin >= -1e-6
+    assert design.h_margin >= -1e-6

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,6 @@ def _max_phi_setup(membership_form: str):
         box=box,
         ordering=ordering,
         membership_form=membership_form,
-        extra_starts=(zb.tight_x, zb.relaxed_x),
     )
     return objective, g, h, problem
 
@@ -180,7 +181,6 @@ def test_crisp_limit_of_max_phi():
             beta=beta,
             box=box,
             ordering=ordering,
-            extra_starts=(zb.tight_x,),
         ),
         FAST,
     )
@@ -241,6 +241,76 @@ def test_unknown_membership_form_fails_before_any_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking the membership form")
 
-    monkeypatch.setattr(fuzzyopt, "solve_crisp", no_solve)
+    monkeypatch.setattr(fuzzyopt, "zimmermann_bounds", no_solve)
     with pytest.raises(DomainError, match="membership_form"):
         solve_plan(_ssp_problem(1500.0), FAST, membership_form="linear")
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+def test_one_grid_scan_per_group_size(form, monkeypatch):
+    """The tight and the relaxed bracket solves, and the standard form's
+    root steps, rank one scan: each closure sees every ordered grid cell
+    once per group size, and only the polish evaluates it again, point by
+    point."""
+    points = collections.Counter()
+
+    def counted_functions(problem, n):
+        objective, g, h, box, ordering = plan_functions(problem, n)
+
+        def counted(name, fn):
+            def wrapper(x):
+                if np.ndim(x[0]) > 0:
+                    points[(n, name)] += np.size(x[0])
+                return fn(x)
+
+            return wrapper
+
+        return counted("objective", objective), counted("g", g), counted("h", h), box, ordering
+
+    monkeypatch.setattr(PlanProblem, "functions", counted_functions)
+    design = solve_plan(_family_problem(Family.RGSP_MAX, crisp=False), FAST, form)
+    ordered_cells = fuzzyopt._GRID * (fuzzyopt._GRID + 1) // 2
+    assert [n for n, *_ in design.trace] == [1, 2, 3]
+    assert points == {
+        (n, name): ordered_cells for n in (1, 2, 3) for name in ("objective", "g", "h")
+    }
+
+
+def test_standard_design_is_the_crisp_optimum_at_its_phi():
+    """The standard design costs C(phi), the crisp optimum at the levels
+    cut at its phi, and no higher phi is affordable: just above it, C
+    exceeds the cost whose membership is that phi."""
+    problem = _ssp_problem(1500.0)
+    design = solve_plan(problem, FAST, membership_form="standard")
+    objective, g, h, box, ordering = plan_functions(problem, None)
+
+    def crisp_cost(s):
+        levels = ((g, problem.alpha.cut(s)), (h, problem.beta.cut(s)))
+        return solve_crisp(CrispNlp(objective, levels, box, ordering), FAST)[1]
+
+    assert crisp_cost(design.phi) == pytest.approx(design.objective_value, rel=1e-9)
+    s = design.phi + 1e-6
+    assert crisp_cost(s) > design.z_upper - s * (design.z_upper - design.z_lower)
+
+
+def test_crisp_design_keeps_the_cheaper_group_size():
+    """A crisp level counts as met within the solver's feasibility
+    tolerance.  On this crisp `rgsp_min` problem SLSQP leaves the n = 2
+    optimum up to 6e-13 above its levels; that must not cost it phi and
+    hand the design to n = 1 at twice the cost."""
+    problem = PlanProblem(
+        family=Family.RGSP_MIN,
+        lambda0=301.5593684165424,
+        lambda1=50.5538411366788,
+        alpha=FuzzyLevel(0.050844159624896315, 0.0),
+        beta=FuzzyLevel(0.04999695480669521, 0.0),
+        n_max=2,
+    )
+    design = solve_plan(problem, SolverSettings(restarts=8))
+    assert design.n == 2
+    assert design.phi == 1.0
+    assert design.objective_value == pytest.approx(329.659, rel=1e-6)
+
+
+def test_crisp_type1_design_is_fully_satisfied():
+    assert solve_plan(_family_problem(Family.TYPE_I, crisp=True), FAST).phi == 1.0

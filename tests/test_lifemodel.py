@@ -22,8 +22,9 @@ from asplan.lifemodel import (
     typeI_triprob,
     weighted_survival,
 )
-from asplan.membership import FuzzyLife, life_membership
-from asplan.quadrature import simpson
+from asplan.membership import FuzzyLife
+
+from reference import life_membership, simpson
 
 
 def mixture_survival(f: FuzzyLife, t: float) -> float:

