@@ -22,7 +22,6 @@ from .errors import (
 )
 from .fuzzyopt import (
     CrispNlp,
-    MaxPhiProblem,
     PlanDesign,
     SolverSettings,
     solve_crisp,

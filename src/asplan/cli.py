@@ -87,7 +87,13 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         choices=["etc_star", "etc_upper_bound"],
         default="etc_star",
     )
-    sub.add_argument("--n-max", type=int, default=200)
+    sub.add_argument(
+        "--n-max",
+        type=int,
+        default=200,
+        help="largest group size to search; the search stops sooner once the "
+        "best design is fully satisfied and no larger group size can cost less",
+    )
     sub.add_argument("--allow-t2-above-lambda0", action="store_true")
     sub.add_argument("--sd-form", choices=["n", "sqrt_n"], default="n")
     sub.add_argument(
@@ -270,14 +276,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.family:
         family = Family(args.family)
-        life = FuzzyLife(lambda_j=args.lambda0, a=args.a)
         th = Thresholds(args.t1, args.t2)
-        if family is Family.TYPE_I:
+        if family is Family.TYPE_I:  # the censored MLE sees the plain mean life alone
             mc = oracle.mc_triprob(
-                family, life, th, n=args.n, tau=args.tau, draws=args.draws, seed=seed
+                family, args.lambda0, th, n=args.n, tau=args.tau, draws=args.draws, seed=seed
             )
             _emit(asdict(mc), args.json)
             return 0
+        life = FuzzyLife(lambda_j=args.lambda0, a=args.a)
         reports = oracle.compare_triprob(family, life, th, args.n, args.draws, seed)
     else:
         reports = oracle.run_regression_grid(draws=args.draws, seed=seed)

@@ -1,6 +1,7 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
 pipeline.  Nothing here knows the plan families: a plan problem hands
-`solve_plan` its group sizes, its functions and its cost floor.
+`solve_plan` its group sizes, and per group size its functions and its cost
+floor.
 
 There is one solver, a crisp solve: `_Grid` scans a dense grid of the box
 once, storing the objective and each constraint at every cell, then ranks
@@ -92,27 +93,6 @@ class CrispNlp:
     constraints: tuple  # of (callable, upper bound)
     box: tuple  # of (lo, hi)
     ordering: tuple = ()  # of (i, j) meaning x[i] <= x[j]
-
-
-@dataclass(frozen=True)
-class MaxPhiProblem:
-    objective_fn: Callable[[np.ndarray], float]
-    g_fn: Callable[[np.ndarray], float]
-    h_fn: Callable[[np.ndarray], float]
-    z_lower: float
-    z_upper: float
-    alpha: FuzzyLevel
-    beta: FuzzyLevel
-    box: tuple
-    ordering: tuple = ()
-    membership_form: str = "cost_ascending"
-
-    def __post_init__(self) -> None:
-        _check_membership_form(self.membership_form)
-        if not self.z_upper >= self.z_lower:
-            raise ConsistencyError(
-                f"z_upper={self.z_upper} below z_lower={self.z_lower}"
-            )
 
 
 @dataclass(frozen=True)
@@ -270,7 +250,7 @@ class _Grid:
         extra_starts: Sequence[Sequence[float]] = (),
     ) -> tuple[np.ndarray, float]:
         """`solve_crisp` of the scanned problem at the constraint bounds
-        ``bounds``.
+        ``bounds``, also polishing each extra start not already listed.
 
         Cells where a function is not finite get an infinite excess.  Ranks
         order feasible cells by value, ties to the lower cell index;
@@ -332,20 +312,18 @@ class _Grid:
 def solve_crisp(
     nlp: CrispNlp,
     settings: SolverSettings = DEFAULT_SOLVER,
-    extra_starts: Sequence[Sequence[float]] = (),
 ) -> tuple[np.ndarray, float]:
     """Best feasible point of a grid scan, polished by a local solver.
 
     The scan puts _GRID points on each axis of the box.  Then SLSQP starts
-    from each of at most ``settings.restarts`` grid basins, best first, and
-    from each extra start not already listed; a grid with no feasible cell
-    offers only its least violation.
+    from each of at most ``settings.restarts`` grid basins, best first; a
+    grid with no feasible cell offers only its least violation.
     A polished point replaces its start only if it is feasible within
     _FEASIBILITY_TOL and no worse.  A polish that steps out of the plan's
     domain is dropped.  Raises InfeasibleError, with the grid's least
     violation, when no point is feasible.
     """
-    return _Grid(nlp).solve([bound for _, bound in nlp.constraints], settings, extra_starts)
+    return _Grid(nlp).solve([bound for _, bound in nlp.constraints], settings)
 
 
 @dataclass(frozen=True)
@@ -404,25 +382,23 @@ def _level_membership(level: FuzzyLevel, value: float) -> float:
     return 1.0 if value <= level.level + _FEASIBILITY_TOL else 0.0
 
 
-def _tight_is_max_min(p: MaxPhiProblem) -> bool:
-    """Whether the max-min design is the tight optimum (`solve_max_phi`)."""
-    return p.membership_form == "cost_ascending" or p.z_upper - p.z_lower < _MIN_SPAN
-
-
-def _design_at(p: MaxPhiProblem, x, objective: float) -> PlanDesign:
+def _design_at(
+    zb: ZBounds, alpha: FuzzyLevel, beta: FuzzyLevel, membership_form: str, x, objective: float
+) -> PlanDesign:
     """The design at the point x of cost ``objective``: its risks, its
     satisfaction phi in [0, 1], the least membership of the risks and, when
     the bracket is not degenerate, of the objective, and its margins to the
     risk levels cut at phi."""
-    g_value = float(p.g_fn(x))
-    h_value = float(p.h_fn(x))
-    memberships = [_level_membership(p.alpha, g_value), _level_membership(p.beta, h_value)]
-    span = p.z_upper - p.z_lower
+    (g, _), (h, _) = zb.grid.nlp.constraints
+    g_value = float(g(x))
+    h_value = float(h(x))
+    memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
+    span = zb.z_upper - zb.z_lower
     if span >= _MIN_SPAN:
-        if p.membership_form == "cost_ascending":
-            memberships.append((objective - p.z_lower) / span)
+        if membership_form == "cost_ascending":
+            memberships.append((objective - zb.z_lower) / span)
         else:
-            memberships.append((p.z_upper - objective) / span)
+            memberships.append((zb.z_upper - objective) / span)
     phi = min(1.0, max(0.0, min(memberships)))
     return PlanDesign(
         t1=float(x[0]),
@@ -432,18 +408,24 @@ def _design_at(p: MaxPhiProblem, x, objective: float) -> PlanDesign:
         objective_value=objective,
         g_value=g_value,
         h_value=h_value,
-        g_margin=p.alpha.cut(phi) - g_value,
-        h_margin=p.beta.cut(phi) - h_value,
-        z_lower=p.z_lower,
-        z_upper=p.z_upper,
+        g_margin=alpha.cut(phi) - g_value,
+        h_margin=beta.cut(phi) - h_value,
+        z_lower=zb.z_lower,
+        z_upper=zb.z_upper,
     )
 
 
 def solve_max_phi(
-    p: MaxPhiProblem, settings: SolverSettings = DEFAULT_SOLVER, grid: Optional[_Grid] = None
+    zb: ZBounds,
+    alpha: FuzzyLevel,
+    beta: FuzzyLevel,
+    membership_form: str = "cost_ascending",
+    settings: SolverSettings = DEFAULT_SOLVER,
 ) -> PlanDesign:
-    """The max-min design (Zimmermann 1978): the largest phi, then the least
-    cost at it, as a crisp solve at the risk levels cut at phi.
+    """The max-min design (Zimmermann 1978) of the problem that ``zb``
+    brackets at the fuzzy risk levels ``alpha`` and ``beta``: the largest
+    phi, then the least cost at it, as a crisp solve at the risk levels cut
+    at phi.
 
     phi(x) >= s holds exactly where g(x) <= alpha.cut(s), h(x) <= beta.cut(s)
     and the objective's membership is at least s.  Let C(s) be the crisp
@@ -453,8 +435,10 @@ def solve_max_phi(
     - Under ``cost_ascending`` the argmin of C(1) meets the levels and costs
       z_upper, so every membership is 1 there; any point with phi = 1 meets
       the levels, so it costs at least C(1).  The design is that tight
-      optimum, as it is when the bracket is narrower than _MIN_SPAN and the
-      objective has no membership.
+      optimum, the bracket's own, as it is when the bracket is narrower than
+      _MIN_SPAN and the objective has no membership; nothing is solved.  The
+      tight solve meets the levels to its feasibility tolerance only, so phi
+      and the margins are computed at that point, not set.
     - Under ``standard`` the objective's membership (z_upper - cost)/span is
       at least s where cost <= z_upper - s*span.  So phi* is the largest s
       with F(s) = C(s) + s*span - z_upper <= 0: the root of F, which rises
@@ -464,26 +448,23 @@ def solve_max_phi(
       so it costs at least C(phi*): that argmin is the design.  It is taken
       from the root iterate of largest s with F(s) <= 0.
 
-    All crisp solves rank one grid scan: ``grid``, the bracket's scan of
-    the same functions and box when given, else a new one.
+    Every crisp solve ranks the bracket's scan ``zb.grid``, whose two
+    constraints are g and h.
     """
-    if grid is None:
-        levels = ((p.g_fn, p.alpha.level), (p.h_fn, p.beta.level))
-        grid = _Grid(CrispNlp(p.objective_fn, levels, p.box, p.ordering))
-    if _tight_is_max_min(p):
-        x, cost = grid.solve((p.alpha.level, p.beta.level), settings)
-        return _design_at(p, x, cost)
+    _check_membership_form(membership_form)
+    span = zb.z_upper - zb.z_lower
+    if membership_form == "cost_ascending" or span < _MIN_SPAN:
+        return _design_at(zb, alpha, beta, membership_form, zb.tight_x, zb.tight_value)
     from scipy.optimize import brentq  # slow to import, as for `minimize`
 
-    span = p.z_upper - p.z_lower
     bracket = {0.0: -span, 1.0: span}
     met = {}  # s -> (x, C(s)) where F(s) <= 0
 
     def shortfall(s: float) -> float:
         if s in bracket:
             return bracket[s]
-        x, cost = grid.solve((p.alpha.cut(s), p.beta.cut(s)), settings)
-        excess = cost + s * span - p.z_upper
+        x, cost = zb.grid.solve((alpha.cut(s), beta.cut(s)), settings)
+        excess = cost + s * span - zb.z_upper
         if excess <= 0.0:
             met[s] = (x, cost)
         return excess
@@ -492,7 +473,7 @@ def solve_max_phi(
     if not met:
         raise InfeasibleError("no point with positive satisfaction found")
     x, cost = met[max(met)]
-    return _design_at(p, x, cost)
+    return _design_at(zb, alpha, beta, membership_form, x, cost)
 
 
 def solve_plan(
@@ -501,59 +482,48 @@ def solve_plan(
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
     """Full pipeline for one plan problem: per candidate group size, bracket
-    the objective, take the max-min design, and keep the best design.
+    the objective, take the max-min design (`solve_max_phi`), and keep the
+    best design.
 
-    The problem supplies ``alpha`` and ``beta``, ``group_sizes``,
-    ``functions(n)`` returning (objective, g, h, box, ordering), and
-    ``cost_floor``, the least cost any design can reach, or None.  Ties on
-    phi break toward smaller cost, then smaller group size.  The search
-    stops as soon as a fully satisfied design reaches the cost floor.
+    The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
+    ascending order, ``functions(n)`` returning (objective, g, h, box,
+    ordering), and ``cost_floor(n)``, a cost that no design of group size n
+    goes below.  Ties on phi break toward smaller cost, then smaller group
+    size.  A group size whose tight problem is infeasible is skipped.
 
-    Where the max-min design is the tight optimum (`solve_max_phi`: under
-    ``cost_ascending``, or with a degenerate bracket) it is taken from the
-    bracket and no other solve runs.  A group size without it is
-    infeasible and skipped before any design is made.  The tight solve
-    meets the levels to its feasibility tolerance only, so phi and the
-    margins are computed at that point, not set.
+    The search stops once the best design so far has phi >= 1 - _PHI_TOL
+    and costs at most (1 + 1e-9) times the least cost floor of the group
+    sizes still to try.  No later size can then win under `_better`: its
+    phi is at most 1, so not above the incumbent's by more than _PHI_TOL;
+    its cost is at least that floor, so not below the incumbent's by the
+    factor 1 - 1e-9; and a tie goes to the smaller, earlier size.  So the
+    stop changes no design, only how long the trace is.
     """
     _check_membership_form(membership_form)
-    alpha, beta, cost_floor = problem.alpha, problem.beta, problem.cost_floor
+    alpha, beta = problem.alpha, problem.beta
+    sizes = list(problem.group_sizes)
+    # later_floors[k]: the least cost floor of the sizes after sizes[k].
+    later_floors = list(
+        itertools.accumulate(
+            [problem.cost_floor(n) for n in reversed(sizes[1:])], min, initial=math.inf
+        )
+    )[::-1]
     best: Optional[PlanDesign] = None
     per_n = []
     trace = []
-    for n in problem.group_sizes:
+    for n, later_floor in zip(sizes, later_floors):
         objective, g, h, box, ordering = problem.functions(n)
         try:
             zb = zimmermann_bounds(objective, g, h, alpha, beta, box, ordering, settings)
         except InfeasibleError as exc:
             per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
             continue
-        max_phi = MaxPhiProblem(
-            objective_fn=objective,
-            g_fn=g,
-            h_fn=h,
-            z_lower=zb.z_lower,
-            z_upper=zb.z_upper,
-            alpha=alpha,
-            beta=beta,
-            box=box,
-            ordering=ordering,
-            membership_form=membership_form,
-        )
-        if _tight_is_max_min(max_phi):
-            design = _design_at(max_phi, zb.tight_x, zb.tight_value)
-        else:
-            design = solve_max_phi(max_phi, settings, zb.grid)
-        design = replace(design, n=n)
+        design = replace(solve_max_phi(zb, alpha, beta, membership_form, settings), n=n)
         del zb  # frees this group size's grid before the next one scans
         trace.append((n, design.phi, design.objective_value))
         if best is None or _better(design, best):
             best = design
-        if (
-            cost_floor is not None
-            and best.phi >= 1.0 - _PHI_TOL
-            and best.objective_value <= cost_floor * (1.0 + 1e-9)
-        ):
+        if best.phi >= 1.0 - _PHI_TOL and best.objective_value <= later_floor * (1.0 + 1e-9):
             break
     if best is None:
         raise InfeasibleError(

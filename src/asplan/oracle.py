@@ -114,25 +114,31 @@ def mc_triprob(
 ) -> McEstimate:
     """Simulated accept/reject/continue frequencies for one stage of a plan.
 
-    ``life`` is a FuzzyLife for the mixture families; the censored-MLE family
-    uses only its nominal mean (pass a FuzzyLife or a plain number).  Groups
-    of the minimum family share one rate; the maximum family draws an
-    independent rate per item; the censored family simulates the exact MLE,
-    counting zero-failure groups as acceptances.
+    ``life`` is a FuzzyLife or a plain positive mean life, the crisp
+    exponential with the constant rate 1/life; the censored-MLE family uses
+    only the nominal mean.  Groups of the minimum family share one rate; the
+    maximum family draws an independent rate per item; the censored family
+    simulates the exact MLE, counting zero-failure groups as acceptances.
     """
     if draws < 10**4:
         raise DomainError(f"draws must be >= 10^4, got {draws}")
     family = Family(family)
     rng = np.random.default_rng(seed)
+    if isinstance(life, FuzzyLife):
+        rates_of = lambda: sample_mixture_rates(life, draws, rng)
+    elif life > 0:
+        rates_of = lambda: np.full(draws, 1.0 / life)
+    else:
+        raise DomainError(f"mean life must be positive, got {life}")
     if family is Family.SSP or family is Family.RGSP_MIN:
-        rates = sample_mixture_rates(life, draws, rng)
+        rates = rates_of()
         scale = 1.0 / rates if family is Family.SSP else 1.0 / (n * rates)
         y = rng.exponential(scale)
         return _estimate(int(np.sum(y >= th.t2)), int(np.sum(y < th.t1)), draws)
     if family is Family.RGSP_MAX:
         y_max = np.zeros(draws)
         for _ in range(n):
-            rates = sample_mixture_rates(life, draws, rng)
+            rates = rates_of()
             y_max = np.maximum(y_max, rng.exponential(1.0 / rates))
         return _estimate(int(np.sum(y_max >= th.t2)), int(np.sum(y_max < th.t1)), draws)
     if family is Family.TYPE_I:

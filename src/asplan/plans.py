@@ -4,8 +4,8 @@ Each family exposes the expected testing cost over the long run together
 with the long-run producer risk g (rejection probability at the acceptable
 life) and consumer risk h (acceptance probability at the rejectable life).
 This is the only module that tells the families apart: a PlanProblem hands
-the solver its group sizes, its plan functions per group size and its cost
-floor.  The crisp baseline is the same problem with plain mean lives and
+the solver its group sizes, and per group size its plan functions and its
+cost floor.  The crisp baseline is the same problem with plain mean lives and
 zero-slack risk levels (`crisp_limit`).
 """
 
@@ -97,11 +97,13 @@ class PlanProblem:
         """The group sizes to search; None for the sequential plan."""
         return (None,) if self.family is Family.SSP else range(1, self.n_max + 1)
 
-    @property
-    def cost_floor(self) -> Optional[float]:
-        """The least cost any design can reach (cost * tau for Type-I
-        plans), or None where there is none."""
-        return self.cost * self.tau if self.family is Family.TYPE_I else None
+    def cost_floor(self, n: Optional[int]) -> float:
+        """A cost no design of group size n goes below: the objective at
+        N = 1, as no plan runs fewer than one stage.  It is cost * tau for
+        Type-I plans, and rises with n for rgsp_max and falls for rgsp_min.
+        It calls no `plan_functions`, so that only solved sizes build them."""
+        upper = self.objective_variant == "etc_upper_bound"
+        return self.cost * expected_stage_duration(self.family, self.lambda0, n, upper, self.tau)
 
     def functions(self, n: Optional[int]):
         """(objective, g, h, box, ordering) for group size n."""

@@ -247,6 +247,17 @@ def test_oracle_type1_writes_the_json_it_prints(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == printed
 
 
+def test_oracle_type1_takes_a_mean_life_above_the_fuzziness_scale(capsys):
+    """The censored family simulates a plain mean life, so --a (default
+    1500) does not bound --lambda0."""
+    argv = ["oracle", "--family", "type1", "--lambda0", "2000", "--tau", "1000",
+            "--t1", "1500", "--t2", "2500", "--n", "5", "--draws", "10000"]
+    assert main(argv) == 0
+    estimate = json.loads(capsys.readouterr().out)
+    assert estimate["draws"] == 10000
+    assert estimate["p_a"] + estimate["p_r"] + estimate["p_c"] == pytest.approx(1.0)
+
+
 def test_commands_that_solve_nothing_do_not_import_scipy_optimize():
     code = (
         "import sys\n"

@@ -1,4 +1,5 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from asplan import fuzzyopt
 from asplan.errors import DomainError, InfeasibleError
 from asplan.fuzzyopt import (
     CrispNlp,
-    MaxPhiProblem,
     SolverSettings,
     solve_crisp,
     solve_max_phi,
@@ -123,28 +123,16 @@ def test_zimmermann_brackets_reference_cost():
     assert zb.z_lower <= 665.7614 * 1.001
 
 
-def _max_phi_setup(membership_form: str):
+def _max_phi_setup():
     p = _ssp_problem(15000.0)
     objective, g, h, box, ordering = plan_functions(p, None)
     zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box, ordering, FAST)
-    problem = MaxPhiProblem(
-        objective_fn=objective,
-        g_fn=g,
-        h_fn=h,
-        z_lower=zb.z_lower,
-        z_upper=zb.z_upper,
-        alpha=p.alpha,
-        beta=p.beta,
-        box=box,
-        ordering=ordering,
-        membership_form=membership_form,
-    )
-    return objective, g, h, problem
+    return objective, g, h, p, zb
 
 
 def test_max_phi_design_feasible_and_consistent():
-    objective, g, h, problem = _max_phi_setup("cost_ascending")
-    design = solve_max_phi(problem, FAST)
+    objective, g, h, p, zb = _max_phi_setup()
+    design = solve_max_phi(zb, p.alpha, p.beta, "cost_ascending", FAST)
     assert 0.0 <= design.phi <= 1.0
     assert design.g_margin >= -1e-6
     assert design.h_margin >= -1e-6
@@ -157,11 +145,11 @@ def test_max_phi_design_feasible_and_consistent():
 
 
 def test_max_phi_standard_form_not_costlier_than_relaxed_bound():
-    _, g, h, problem = _max_phi_setup("standard")
-    design = solve_max_phi(problem, FAST)
-    assert design.objective_value <= problem.z_upper * (1.0 + 1e-6)
-    assert design.g_value <= problem.alpha.relaxed + 1e-6
-    assert design.h_value <= problem.beta.relaxed + 1e-6
+    _, g, h, p, zb = _max_phi_setup()
+    design = solve_max_phi(zb, p.alpha, p.beta, "standard", FAST)
+    assert design.objective_value <= zb.z_upper * (1.0 + 1e-6)
+    assert design.g_value <= p.alpha.relaxed + 1e-6
+    assert design.h_value <= p.beta.relaxed + 1e-6
 
 
 def test_crisp_limit_of_max_phi():
@@ -170,20 +158,7 @@ def test_crisp_limit_of_max_phi():
     alpha = FuzzyLevel(0.05, 0.0)
     beta = FuzzyLevel(0.05, 0.0)
     zb = zimmermann_bounds(objective, g, h, alpha, beta, box, ordering, FAST)
-    design = solve_max_phi(
-        MaxPhiProblem(
-            objective_fn=objective,
-            g_fn=g,
-            h_fn=h,
-            z_lower=zb.z_lower,
-            z_upper=zb.z_upper,
-            alpha=alpha,
-            beta=beta,
-            box=box,
-            ordering=ordering,
-        ),
-        FAST,
-    )
+    design = solve_max_phi(zb, alpha, beta, settings=FAST)
     assert design.g_value <= 0.05 + 1e-6
     assert design.h_value <= 0.05 + 1e-6
 
@@ -207,16 +182,22 @@ def _family_problem(family: Family, crisp: bool) -> PlanProblem:
     return crisp_limit(problem) if crisp else problem
 
 
-def _no_max_min_stages(*args, **kwargs):
-    raise AssertionError("the cost_ascending design ran the max-min stages")
-
-
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
 @pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
 def test_cost_ascending_design_is_the_tight_bracket_point(family, crisp, monkeypatch):
-    monkeypatch.setattr(fuzzyopt, "solve_max_phi", _no_max_min_stages)
+    """Each group size's scan is ranked twice at most, by the tight and the
+    relaxed bracket solves: the design is taken from the bracket."""
+    solves = collections.Counter()  # keyed by the grid itself: freed grids reuse ids
+    grid_solve = fuzzyopt._Grid.solve
+
+    def counted(grid, *args, **kwargs):
+        solves[grid] += 1
+        return grid_solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(fuzzyopt._Grid, "solve", counted)
     problem = _family_problem(family, crisp)
     design = solve_plan(problem, FAST)
+    assert solves and max(solves.values()) <= 2
     objective, g, h, box, ordering = problem.functions(design.n)
     zb = zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box, ordering, FAST)
     assert (design.t1, design.t2) == zb.tight_x
@@ -314,3 +295,49 @@ def test_crisp_design_keeps_the_cheaper_group_size():
 
 def test_crisp_type1_design_is_fully_satisfied():
     assert solve_plan(_family_problem(Family.TYPE_I, crisp=True), FAST).phi == 1.0
+
+
+def _stop_problem(family: Family, crisp: bool) -> PlanProblem:
+    """`_family_problem` with room past the size where the loop stops."""
+    n_max = 8 if family is Family.TYPE_I else 5
+    return replace(_family_problem(family, crisp), n_max=n_max)
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", [Family.RGSP_MAX, Family.TYPE_I], ids=["rgsp_max", "type1"])
+def test_cost_floor_stop_changes_no_design(family, crisp, form, monkeypatch):
+    """The loop stops only where no later group size can win: the design is
+    the full loop's, and its trace a prefix of the full loop's.  Only the
+    fuzzy standard rgsp_max design has phi < 1 before its last size."""
+    problem = _stop_problem(family, crisp)
+    design = solve_plan(problem, FAST, form)
+    if family is Family.TYPE_I:
+        tried = [5, 6, 7]  # n < 5 is infeasible, n = 7 reaches cost * tau
+    elif form == "standard" and not crisp:
+        tried = [1, 2, 3, 4, 5]
+    else:
+        tried = [1, 2, 3]
+    assert [n for n, *_ in design.trace] == tried
+    monkeypatch.setattr(PlanProblem, "cost_floor", lambda self, n: 0.0)
+    full = solve_plan(problem, FAST, form)
+    assert design == full
+    assert design.trace == full.trace[: len(design.trace)]
+    assert full.trace[-1][0] == problem.n_max
+
+
+def test_readme_rgsp_max_stops_once_the_floor_passes_its_cost():
+    """README lives at the default n_max 200: the cost floor of n = 4,
+    628.3, passes the n = 2 design's 578.46, so n = 4..200 are not tried."""
+    problem = PlanProblem(
+        family=Family.RGSP_MAX,
+        lambda0=FuzzyLife(300.0, 1500.0),
+        lambda1=FuzzyLife(50.0, 1500.0),
+        alpha=FuzzyLevel(0.05, 0.05),
+        beta=FuzzyLevel(0.05, 0.05),
+    )
+    design = solve_plan(problem)
+    assert [n for n, *_ in design.trace] == [1, 2, 3]
+    assert design.n == 2
+    assert design.objective_value == pytest.approx(578.4606888, rel=1e-9)
+    assert problem.cost_floor(4) > design.objective_value

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from asplan.errors import DomainError
-from asplan.lifemodel import Thresholds, expected_y, ssp_triprob
+from asplan.lifemodel import (
+    Thresholds,
+    expected_y,
+    rgsp_max_triprob,
+    rgsp_min_triprob,
+    ssp_triprob,
+)
 from asplan.membership import FuzzyLife
 from asplan.oracle import (
     REGRESSION_GRID,
@@ -64,6 +70,25 @@ def test_mc_triprob_matches_closed_form():
     assert abs(mc.p_a - closed.p_a) <= 3.0 * mc.se_a + 1e-5
     assert abs(mc.p_r - closed.p_r) <= 3.0 * mc.se_r + 1e-5
     assert abs(mc.p_c - closed.p_c) <= 3.0 * mc.se_c + 1e-5
+
+
+@pytest.mark.parametrize(
+    "family, closed_form, n",
+    [
+        (Family.SSP, lambda th: ssp_triprob(300.0, th), 1),
+        (Family.RGSP_MIN, lambda th: rgsp_min_triprob(300.0, th, 4), 4),
+        (Family.RGSP_MAX, lambda th: rgsp_max_triprob(300.0, th, 3), 3),
+    ],
+    ids=["ssp", "rgsp_min", "rgsp_max"],
+)
+def test_mc_triprob_of_a_plain_mean_life_is_the_crisp_exponential(family, closed_form, n):
+    th = Thresholds(60.0, 250.0)
+    draws = 100_000
+    closed = closed_form(th)
+    mc = mc_triprob(family, 300.0, th, n=n, draws=draws, seed=11)
+    for est, se, cf in ((mc.p_a, mc.se_a, closed.p_a), (mc.p_r, mc.se_r, closed.p_r),
+                        (mc.p_c, mc.se_c, closed.p_c)):
+        assert abs(est - cf) <= 5.0 * se + 3.0 / draws
 
 
 def test_mc_rgsp_max_n1_identical_to_ssp():
