@@ -109,7 +109,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         "--restarts",
         type=int,
         default=32,
-        help="most grid basins each solve polishes with SLSQP",
+        help="accepted for existing callers; a design does not depend on it",
     )
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", help="write the design JSON here as well as stdout")

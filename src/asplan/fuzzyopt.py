@@ -3,20 +3,25 @@ pipeline.  Nothing here knows the plan families: a plan problem hands
 `solve_plan` its group sizes, and per group size its functions and its cost
 floor.
 
-There is one solver, a crisp solve: `_Grid` scans a dense grid of the box
-once, storing the objective and each constraint at every cell, then ranks
-those values at any constraint bounds and polishes the best grid basins with
-SLSQP.  It draws no random numbers.  The max-min satisfaction method is made
-of crisp solves at the s-cuts of the fuzzy risk levels: the tight (s = 1)
-and relaxed (s = 0) optima, solved on one scan, bracket the objective.
-Under the default `cost_ascending` membership the max-min design is the
-tight optimum; under `standard` it is the crisp optimum at phi*, the root in
-s of a 1-D equation whose steps rank the bracket's scan (`solve_max_phi`).
+Every design is made of crisp solves of a plan problem: least cost subject
+to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
+nested 1-D roots (Brent's method), from the plans' monotone structure; it
+scans nothing and draws no random numbers.  The max-min satisfaction method
+is made of crisp solves at the s-cuts of the fuzzy risk levels: the tight
+(s = 1) and relaxed (s = 0) optima bracket the objective.  Under the default
+`cost_ascending` membership the max-min design is the tight optimum; under
+`standard` it is the crisp optimum at phi*, the root in s of a 1-D equation
+over crisp solves (`solve_max_phi`).
+
+`solve_crisp` is the general solver for any box: a grid scan ranked at the
+constraint bounds and polished by SLSQP.  No design path calls it; the tests
+check `solve_monotone` against it.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -63,10 +68,11 @@ def _check_membership_form(form: str) -> None:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """`restarts` caps the grid basins that each solve polishes.
+    """`restarts` caps the grid basins that each `solve_crisp` polishes.
 
-    The solver draws no random numbers, so `seed` does not change a design;
-    the field stays for the callers that set it.
+    Designs come from `solve_monotone`, which has no restarts and draws no
+    random numbers, so neither field changes a design; they stay for the
+    callers that set them.
     """
 
     restarts: int = 32
@@ -326,6 +332,135 @@ def solve_crisp(
     return _Grid(nlp).solve([bound for _, bound in nlp.constraints], settings)
 
 
+# Brent's method stops within 4 ulps relative, or this absolute width, of a
+# root; thresholds from 1e-3 up keep 1e-12 relative.
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
+    """The point nearest ``unmet`` where f <= 0, for f monotone from
+    f(met) <= 0: ``unmet`` itself if f(unmet) <= 0.
+
+    Otherwise Brent's method (`scipy.optimize.brentq`, imported on first use as for
+    `minimize`) brackets the crossing; every probe is recorded, so the point
+    returned meets f <= 0 as evaluated and lies in the final bracket.  The
+    probes end at the root tolerance or after brentq's iteration cap, which
+    only an f whose rounding noise spans the tolerance reaches (up to 77 of
+    the 100 iterations on generated plan problems); a capped root is no
+    less feasible.
+    """
+    if f(unmet) <= 0.0:
+        return unmet
+    from scipy.optimize import brentq
+
+    best = met
+
+    def probe(x: float) -> float:
+        nonlocal best
+        value = f(x)
+        if value <= 0.0 and abs(x - unmet) < abs(best - unmet):
+            best = x
+        return value
+
+    lower, upper = min(met, unmet), max(met, unmet)
+    brentq(probe, lower, upper, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, disp=False)
+    return best
+
+
+def _excess(fn: Callable, bound: float) -> Callable[[float, float], float]:
+    """fn(t1, t2) - bound, evaluated once per point.  A probe where the plan
+    never ends, or fn is not finite, reads 1, above any probability's
+    excess: it counts as infeasible, as it does on the grid."""
+
+    @functools.cache
+    def excess(t1: float, t2: float) -> float:
+        try:
+            value = float(fn((t1, t2)))
+        except DegeneratePlanError:
+            return 1.0
+        return value - bound if math.isfinite(value) else 1.0
+
+    return excess
+
+
+def solve_monotone(
+    objective: Callable, g: Callable, h: Callable, box: tuple, alpha: float, beta: float
+) -> tuple[tuple, float, str]:
+    """The least-cost thresholds t1 <= t2 in ``box`` with g <= alpha and
+    h <= beta, by nested 1-D roots; returns (x, objective(x), case).
+
+    It needs the plans' monotone structure (`tests/test_monotonicity.py`):
+    g rises and h falls in t1 and in t2, and the cost falls in t1 and rises
+    in t2, with its floor, one stage, on the diagonal t1 = t2.  Both axes of
+    ``box`` span the same [lo, hi].  g and h are probed one point at a time;
+    the objective is evaluated at the answer only.
+
+    - ``"floor"``: let t_h be the least t with h(t, t) <= beta.  If
+      g(t_h, t_h) <= alpha, the diagonal points from t_h to t_g, the largest
+      t with g(t, t) <= alpha, all cost the floor.  The design is the one of
+      them where g/alpha = h/beta, which shares the slack between the risks.
+    - Otherwise the cheapest t2 for a given t1 is T(t1), the least t2 in
+      [t1, hi] with h(t1, t2) <= beta.  T does not rise in t1, so the cost
+      falls along (t1, T(t1)), and g does not fall along it.  The design is
+      the largest t1 with g(t1, T(t1)) <= alpha, searched from the least t1
+      with h(t1, hi) <= beta up to t_h: ``"active"`` with both risks at
+      their bounds, or ``"edge"`` when t1 = lo or t2 = hi.
+
+    Each root is the last probe that meets its bound, within 4 ulps relative
+    (or `_ROOT_XTOL`) of the crossing, so the answer meets both bounds as
+    evaluated.  That is the exact optimum up to that tolerance, and no point
+    of the box is both feasible and cheaper.  Raises InfeasibleError, with a
+    positive best violation, when g(lo, lo) > alpha, when h(hi, hi) > beta,
+    or when g(t1, T(t1)) > alpha already at the least t1 on the curve: then
+    no point is feasible.
+    """
+    (lo, hi), _ = box
+    g_excess = _excess(g, alpha)
+    h_excess = _excess(h, beta)
+    for violation, point in ((g_excess(lo, lo), (lo, lo)), (h_excess(hi, hi), (hi, hi))):
+        if violation > 0.0:
+            raise InfeasibleError(
+                f"no feasible thresholds: a risk exceeds its level by {violation:.3e} "
+                f"where it is least, at {point}",
+                best_point=point,
+                best_violation=violation,
+            )
+    t_h = _last_met(lambda t: h_excess(t, t), hi, lo)
+    if g_excess(t_h, t_h) <= 0.0:
+        t_g = _last_met(lambda t: g_excess(t, t), t_h, hi)
+
+        def balance(t: float) -> float:
+            return (g_excess(t, t) + alpha) * beta - (h_excess(t, t) + beta) * alpha
+
+        t = t_h if balance(t_h) > 0.0 else _last_met(balance, t_h, t_g)
+        return (t, t), float(objective((t, t))), "floor"
+
+    @functools.cache
+    def t2_of(t1: float) -> float:
+        if h_excess(t1, hi) > 0.0:  # only by rounding, as t1 >= t1_min
+            return hi
+        return _last_met(lambda t2: h_excess(t1, t2), hi, t1)
+
+    def g_on_curve(t1: float) -> float:
+        return g_excess(t1, t2_of(t1))
+
+    t1_min = _last_met(lambda t: h_excess(t, hi), t_h, lo)
+    violation = g_on_curve(t1_min)
+    if violation > 0.0:
+        point = (t1_min, t2_of(t1_min))
+        raise InfeasibleError(
+            f"no feasible thresholds: g exceeds its level by {violation:.3e} where h "
+            f"first meets its level, at {point}",
+            best_point=point,
+            best_violation=violation,
+        )
+    t1 = _last_met(g_on_curve, t1_min, t_h)
+    x = (t1, t2_of(t1))
+    case = "edge" if t1 == lo or x[1] == hi else "active"
+    return x, float(objective(x)), case
+
+
 @dataclass(frozen=True)
 class ZBounds:
     z_lower: float
@@ -333,8 +468,9 @@ class ZBounds:
     tight_x: tuple
     tight_value: float
     relaxed_value: float
-    # The scan both solves ranked, for the max-min solve to rank again.
-    grid: _Grid = field(compare=False, repr=False)
+    tight_case: str
+    # (objective, g, h, box) of the group size, for the max-min solve.
+    functions: tuple = field(compare=False, repr=False)
 
 
 def zimmermann_bounds(
@@ -344,22 +480,19 @@ def zimmermann_bounds(
     alpha: FuzzyLevel,
     beta: FuzzyLevel,
     box: tuple,
-    ordering: tuple = (),
-    settings: SolverSettings = DEFAULT_SOLVER,
 ) -> ZBounds:
-    """Objective values of the tight and the slack-relaxed crisp problems,
-    solved on one grid scan.
+    """Objective values of the tight and the slack-relaxed crisp problems
+    (`solve_monotone` at the levels and at the relaxed levels).
 
-    The relaxed solve reuses the tight argmin as a start, so the larger
-    feasible set can never report a worse value.  Without slack the two
-    problems are one, solved once.
+    The relaxed problem's feasible set holds the tight one's, so its optimum
+    is no higher.  Without slack the two problems are one, solved once.
     """
-    grid = _Grid(CrispNlp(objective, ((g, alpha.level), (h, beta.level)), box, ordering))
-    tight_x, tight_value = grid.solve((alpha.level, beta.level), settings)
+    functions = (objective, g, h, box)
+    tight_x, tight_value, tight_case = solve_monotone(*functions, alpha.level, beta.level)
     if alpha.slack == 0.0 and beta.slack == 0.0:
         relaxed_value = tight_value
     else:
-        relaxed_value = grid.solve((alpha.relaxed, beta.relaxed), settings, (tight_x,))[1]
+        relaxed_value = solve_monotone(*functions, alpha.relaxed, beta.relaxed)[1]
     if relaxed_value > tight_value + _FEASIBILITY_TOL * (1.0 + abs(tight_value)):
         raise ConsistencyError(
             f"relaxed optimum {relaxed_value} exceeds tight optimum {tight_value}"
@@ -367,10 +500,11 @@ def zimmermann_bounds(
     return ZBounds(
         z_lower=min(tight_value, relaxed_value),
         z_upper=max(tight_value, relaxed_value),
-        tight_x=tuple(tight_x),
+        tight_x=tight_x,
         tight_value=tight_value,
         relaxed_value=relaxed_value,
-        grid=grid,
+        tight_case=tight_case,
+        functions=functions,
     )
 
 
@@ -383,13 +517,20 @@ def _level_membership(level: FuzzyLevel, value: float) -> float:
 
 
 def _design_at(
-    zb: ZBounds, alpha: FuzzyLevel, beta: FuzzyLevel, membership_form: str, x, objective: float
+    zb: ZBounds,
+    alpha: FuzzyLevel,
+    beta: FuzzyLevel,
+    membership_form: str,
+    x,
+    objective: float,
+    case: str,
 ) -> PlanDesign:
     """The design at the point x of cost ``objective``: its risks, its
     satisfaction phi in [0, 1], the least membership of the risks and, when
     the bracket is not degenerate, of the objective, and its margins to the
-    risk levels cut at phi."""
-    (g, _), (h, _) = zb.grid.nlp.constraints
+    risk levels cut at phi.  Its trace is the one entry (None, phi,
+    objective, case), ``case`` being the `solve_monotone` case of x."""
+    _, g, h, _ = zb.functions
     g_value = float(g(x))
     h_value = float(h(x))
     memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
@@ -412,6 +553,7 @@ def _design_at(
         h_margin=beta.cut(phi) - h_value,
         z_lower=zb.z_lower,
         z_upper=zb.z_upper,
+        trace=((None, phi, objective, case),),
     )
 
 
@@ -420,7 +562,6 @@ def solve_max_phi(
     alpha: FuzzyLevel,
     beta: FuzzyLevel,
     membership_form: str = "cost_ascending",
-    settings: SolverSettings = DEFAULT_SOLVER,
 ) -> PlanDesign:
     """The max-min design (Zimmermann 1978) of the problem that ``zb``
     brackets at the fuzzy risk levels ``alpha`` and ``beta``: the largest
@@ -448,32 +589,31 @@ def solve_max_phi(
       so it costs at least C(phi*): that argmin is the design.  It is taken
       from the root iterate of largest s with F(s) <= 0.
 
-    Every crisp solve ranks the bracket's scan ``zb.grid``, whose two
-    constraints are g and h.
+    Every crisp solve is `solve_monotone` of the bracket's functions
+    ``zb.functions``.
     """
     _check_membership_form(membership_form)
     span = zb.z_upper - zb.z_lower
     if membership_form == "cost_ascending" or span < _MIN_SPAN:
-        return _design_at(zb, alpha, beta, membership_form, zb.tight_x, zb.tight_value)
-    from scipy.optimize import brentq  # slow to import, as for `minimize`
-
+        return _design_at(
+            zb, alpha, beta, membership_form, zb.tight_x, zb.tight_value, zb.tight_case
+        )
     bracket = {0.0: -span, 1.0: span}
-    met = {}  # s -> (x, C(s)) where F(s) <= 0
+    met = {}  # s -> (x, C(s), case) where F(s) <= 0
 
     def shortfall(s: float) -> float:
         if s in bracket:
             return bracket[s]
-        x, cost = zb.grid.solve((alpha.cut(s), beta.cut(s)), settings)
+        x, cost, case = solve_monotone(*zb.functions, alpha.cut(s), beta.cut(s))
         excess = cost + s * span - zb.z_upper
         if excess <= 0.0:
-            met[s] = (x, cost)
+            met[s] = (x, cost, case)
         return excess
 
-    brentq(shortfall, 0.0, 1.0)
-    if not met:
+    s = _last_met(shortfall, 0.0, 1.0)
+    if s not in met:
         raise InfeasibleError("no point with positive satisfaction found")
-    x, cost = met[max(met)]
-    return _design_at(zb, alpha, beta, membership_form, x, cost)
+    return _design_at(zb, alpha, beta, membership_form, *met[s])
 
 
 def solve_plan(
@@ -489,7 +629,10 @@ def solve_plan(
     ascending order, ``functions(n)`` returning (objective, g, h, box,
     ordering), and ``cost_floor(n)``, a cost that no design of group size n
     goes below.  Ties on phi break toward smaller cost, then smaller group
-    size.  A group size whose tight problem is infeasible is skipped.
+    size.  A group size whose tight problem is infeasible is skipped.  The
+    design's trace has one entry (n, phi, cost, case) per size solved, case
+    being the `solve_monotone` case of that size's design.  ``settings``
+    does not change the design.
 
     The search stops once the best design so far has phi >= 1 - _PHI_TOL
     and costs at most (1 + 1e-9) times the least cost floor of the group
@@ -512,15 +655,14 @@ def solve_plan(
     per_n = []
     trace = []
     for n, later_floor in zip(sizes, later_floors):
-        objective, g, h, box, ordering = problem.functions(n)
+        objective, g, h, box, _ = problem.functions(n)
         try:
-            zb = zimmermann_bounds(objective, g, h, alpha, beta, box, ordering, settings)
+            zb = zimmermann_bounds(objective, g, h, alpha, beta, box)
         except InfeasibleError as exc:
             per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
             continue
-        design = replace(solve_max_phi(zb, alpha, beta, membership_form, settings), n=n)
-        del zb  # frees this group size's grid before the next one scans
-        trace.append((n, design.phi, design.objective_value))
+        design = replace(solve_max_phi(zb, alpha, beta, membership_form), n=n)
+        trace.append((n, *design.trace[0][1:]))
         if best is None or _better(design, best):
             best = design
         if best.phi >= 1.0 - _PHI_TOL and best.objective_value <= later_floor * (1.0 + 1e-9):

@@ -189,7 +189,8 @@ def typeI_triprob(
     z1 = (th.t1 - lambda_j) / lambda_j * m
     z2 = (th.t2 - lambda_j) / lambda_j * m
     p_r = _clamp_prob(std_normal_cdf(z1), "p_r")
-    p_a = _clamp_prob(1.0 - std_normal_cdf(z2), "p_a")
+    # Phi(-z2), not 1 - Phi(z2): the upper tail keeps its digits past z2 = 8.3.
+    p_a = _clamp_prob(std_normal_cdf(-z2), "p_a")
     p_c = _clamp_prob(std_normal_cdf(z2) - std_normal_cdf(z1), "p_c")
     return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
 
@@ -197,17 +198,18 @@ def typeI_triprob(
 def long_run(p: TriProb) -> LongRun:
     """Long-run acceptance/rejection probabilities and expected stage count.
 
-    Over arrays, a plan that never terminates (p_c = 1) gets N = inf and NaN
-    rates instead of an error.
+    The stage ends with probability p_a + p_r, summed rather than taken as
+    1 - p_c, which rounds to 0 once p_c is within an ulp of 1.  A plan that
+    never ends (p_a + p_r = 0) raises DegeneratePlanError; over arrays it
+    gets N = inf and NaN rates instead.
     """
-    if isinstance(p.p_c, np.ndarray):
+    ends = p.p_a + p.p_r
+    if isinstance(ends, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
-            denom = 1.0 - p.p_c
-            return LongRun(P_A=p.p_a / denom, P_R=p.p_r / denom, N=1.0 / denom)
-    if p.p_c >= 1.0:
-        raise DegeneratePlanError("continuation probability is 1; plan never terminates")
-    denom = 1.0 - p.p_c
-    return LongRun(P_A=p.p_a / denom, P_R=p.p_r / denom, N=1.0 / denom)
+            return LongRun(P_A=p.p_a / ends, P_R=p.p_r / ends, N=1.0 / ends)
+    if ends == 0.0:
+        raise DegeneratePlanError("the plan never terminates: p_a + p_r = 0")
+    return LongRun(P_A=p.p_a / ends, P_R=p.p_r / ends, N=1.0 / ends)
 
 
 def expected_y(f: Life) -> float:

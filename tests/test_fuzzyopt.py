@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asplan import fuzzyopt
 from asplan.errors import DomainError, InfeasibleError
@@ -106,17 +108,15 @@ def test_solve_crisp_ssp_feasible():
 
 def test_zimmermann_zero_slack_collapses():
     p = _ssp_problem(1500.0)
-    objective, g, h, box, ordering = plan_functions(p, None)
-    zb = zimmermann_bounds(
-        objective, g, h, FuzzyLevel(0.05, 0.0), FuzzyLevel(0.05, 0.0), box, ordering, FAST
-    )
+    objective, g, h, box, _ = plan_functions(p, None)
+    zb = zimmermann_bounds(objective, g, h, FuzzyLevel(0.05, 0.0), FuzzyLevel(0.05, 0.0), box)
     assert zb.z_upper == pytest.approx(zb.z_lower, rel=1e-4)
 
 
 def test_zimmermann_brackets_reference_cost():
     p = _ssp_problem(1500.0)
-    objective, g, h, box, ordering = plan_functions(p, None)
-    zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box, ordering, FAST)
+    objective, g, h, box, _ = plan_functions(p, None)
+    zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box)
     assert zb.z_lower <= zb.z_upper
     assert zb.relaxed_value <= zb.tight_value + 1e-6 * (1.0 + zb.tight_value)
     # The reference tight-design cost 665.7614 must sit at or above the bracket.
@@ -125,14 +125,14 @@ def test_zimmermann_brackets_reference_cost():
 
 def _max_phi_setup():
     p = _ssp_problem(15000.0)
-    objective, g, h, box, ordering = plan_functions(p, None)
-    zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box, ordering, FAST)
+    objective, g, h, box, _ = plan_functions(p, None)
+    zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box)
     return objective, g, h, p, zb
 
 
 def test_max_phi_design_feasible_and_consistent():
     objective, g, h, p, zb = _max_phi_setup()
-    design = solve_max_phi(zb, p.alpha, p.beta, "cost_ascending", FAST)
+    design = solve_max_phi(zb, p.alpha, p.beta, "cost_ascending")
     assert 0.0 <= design.phi <= 1.0
     assert design.g_margin >= -1e-6
     assert design.h_margin >= -1e-6
@@ -146,7 +146,7 @@ def test_max_phi_design_feasible_and_consistent():
 
 def test_max_phi_standard_form_not_costlier_than_relaxed_bound():
     _, g, h, p, zb = _max_phi_setup()
-    design = solve_max_phi(zb, p.alpha, p.beta, "standard", FAST)
+    design = solve_max_phi(zb, p.alpha, p.beta, "standard")
     assert design.objective_value <= zb.z_upper * (1.0 + 1e-6)
     assert design.g_value <= p.alpha.relaxed + 1e-6
     assert design.h_value <= p.beta.relaxed + 1e-6
@@ -154,11 +154,11 @@ def test_max_phi_standard_form_not_costlier_than_relaxed_bound():
 
 def test_crisp_limit_of_max_phi():
     p = _ssp_problem(15000.0)
-    objective, g, h, box, ordering = plan_functions(p, None)
+    objective, g, h, box, _ = plan_functions(p, None)
     alpha = FuzzyLevel(0.05, 0.0)
     beta = FuzzyLevel(0.05, 0.0)
-    zb = zimmermann_bounds(objective, g, h, alpha, beta, box, ordering, FAST)
-    design = solve_max_phi(zb, alpha, beta, settings=FAST)
+    zb = zimmermann_bounds(objective, g, h, alpha, beta, box)
+    design = solve_max_phi(zb, alpha, beta)
     assert design.g_value <= 0.05 + 1e-6
     assert design.h_value <= 0.05 + 1e-6
 
@@ -182,24 +182,31 @@ def _family_problem(family: Family, crisp: bool) -> PlanProblem:
     return crisp_limit(problem) if crisp else problem
 
 
+def _count_crisp_solves(monkeypatch) -> collections.Counter:
+    """Count `solve_monotone` calls per group size, keyed by the size's g
+    closure itself (freed closures reuse ids)."""
+    solves = collections.Counter()
+    monotone = fuzzyopt.solve_monotone
+
+    def counted(objective, g, *args):
+        solves[g] += 1
+        return monotone(objective, g, *args)
+
+    monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
+    return solves
+
+
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
 @pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
 def test_cost_ascending_design_is_the_tight_bracket_point(family, crisp, monkeypatch):
-    """Each group size's scan is ranked twice at most, by the tight and the
+    """Each group size runs two crisp solves at most, the tight and the
     relaxed bracket solves: the design is taken from the bracket."""
-    solves = collections.Counter()  # keyed by the grid itself: freed grids reuse ids
-    grid_solve = fuzzyopt._Grid.solve
-
-    def counted(grid, *args, **kwargs):
-        solves[grid] += 1
-        return grid_solve(grid, *args, **kwargs)
-
-    monkeypatch.setattr(fuzzyopt._Grid, "solve", counted)
+    solves = _count_crisp_solves(monkeypatch)
     problem = _family_problem(family, crisp)
     design = solve_plan(problem, FAST)
     assert solves and max(solves.values()) <= 2
-    objective, g, h, box, ordering = problem.functions(design.n)
-    zb = zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box, ordering, FAST)
+    objective, g, h, box, _ = problem.functions(design.n)
+    zb = zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box)
     assert (design.t1, design.t2) == zb.tight_x
     assert design.objective_value == zb.tight_value
     assert design.phi >= 1.0 - 1e-9
@@ -228,33 +235,39 @@ def test_unknown_membership_form_fails_before_any_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
-def test_one_grid_scan_per_group_size(form, monkeypatch):
-    """The tight and the relaxed bracket solves, and the standard form's
-    root steps, rank one scan: each closure sees every ordered grid cell
-    once per group size, and only the polish evaluates it again, point by
-    point."""
-    points = collections.Counter()
+def test_no_grid_scan_per_group_size(form, monkeypatch):
+    """No closure sees an array of grid points: the crisp solves probe g
+    and h one point at a time, and evaluate the objective once each, at
+    their answer.  Under cost_ascending a group size runs the tight and the
+    relaxed solve only."""
+    calls = collections.Counter()
+    size_of = {}  # each size's g closure -> n
 
     def counted_functions(problem, n):
         objective, g, h, box, ordering = plan_functions(problem, n)
 
         def counted(name, fn):
             def wrapper(x):
-                if np.ndim(x[0]) > 0:
-                    points[(n, name)] += np.size(x[0])
+                assert np.ndim(x[0]) == 0, f"{name} scanned an array"
+                calls[(n, name)] += 1
                 return fn(x)
 
             return wrapper
 
-        return counted("objective", objective), counted("g", g), counted("h", h), box, ordering
+        g = counted("g", g)
+        size_of[g] = n
+        return counted("objective", objective), g, counted("h", h), box, ordering
 
     monkeypatch.setattr(PlanProblem, "functions", counted_functions)
+    solves = _count_crisp_solves(monkeypatch)
     design = solve_plan(_family_problem(Family.RGSP_MAX, crisp=False), FAST, form)
-    ordered_cells = fuzzyopt._GRID * (fuzzyopt._GRID + 1) // 2
     assert [n for n, *_ in design.trace] == [1, 2, 3]
-    assert points == {
-        (n, name): ordered_cells for n in (1, 2, 3) for name in ("objective", "g", "h")
-    }
+    per_size = {size_of[g]: count for g, count in solves.items()}
+    assert per_size == {n: calls[(n, "objective")] for n in (1, 2, 3)}
+    if form == "cost_ascending":
+        assert per_size == {1: 2, 2: 2, 3: 2}
+    else:
+        assert min(per_size.values()) > 2
 
 
 def test_standard_design_is_the_crisp_optimum_at_its_phi():
@@ -341,3 +354,165 @@ def test_readme_rgsp_max_stops_once_the_floor_passes_its_cost():
     assert design.n == 2
     assert design.objective_value == pytest.approx(578.4606888, rel=1e-9)
     assert problem.cost_floor(4) > design.objective_value
+
+
+# A linear stand-in for a plan on the box [1, 10]^2 with the plans' monotone
+# structure: g rises and h falls in both thresholds, and the cost, 1 on the
+# diagonal, falls in t1 and rises in t2.
+LINEAR_BOX = ((1.0, 10.0), (1.0, 10.0))
+
+
+def _linear_cost(x):
+    return 1.0 + x[1] - x[0]
+
+
+def _linear_g(x):
+    return (x[0] + x[1]) / 40.0
+
+
+def _linear_h(x):
+    return 1.0 - (x[0] + 3.0 * x[1]) / 40.0
+
+
+def _linear_nlp(h, alpha: float, beta: float) -> CrispNlp:
+    return CrispNlp(_linear_cost, ((_linear_g, alpha), (h, beta)), LINEAR_BOX, ((0, 1),))
+
+
+def test_solve_monotone_floor_balances_the_risks():
+    """h(t, t) = 1 - t/10 meets 0.5 from t = 5 and g(t, t) = t/20 meets 0.4
+    up to t = 8, so every diagonal point between costs the floor 1; the
+    design is the one with g/0.4 = h/0.5, t = 2/(1/8 + 1/5)."""
+    x, cost, case = fuzzyopt.solve_monotone(
+        _linear_cost, _linear_g, _linear_h, LINEAR_BOX, 0.4, 0.5
+    )
+    assert case == "floor"
+    assert x[0] == x[1] == pytest.approx(2.0 / (1.0 / 8.0 + 1.0 / 5.0), rel=1e-12)
+    assert cost == 1.0
+    assert _linear_g(x) / 0.4 == pytest.approx(_linear_h(x) / 0.5, rel=1e-12)
+
+
+def test_solve_monotone_active_set():
+    """With g <= 0.2 the diagonal band is empty (t_g = 4 < t_h = 5); on the
+    curve h = 0.5, t2 = (20 - t1)/3, g reaches 0.2 at t1 = 2."""
+    x, cost, case = fuzzyopt.solve_monotone(
+        _linear_cost, _linear_g, _linear_h, LINEAR_BOX, 0.2, 0.5
+    )
+    assert case == "active"
+    assert x == pytest.approx((2.0, 6.0), rel=1e-12)
+    assert cost == pytest.approx(5.0, rel=1e-12)
+    assert _linear_g(x) <= 0.2 and _linear_h(x) <= 0.5
+    assert cost <= solve_crisp(_linear_nlp(_linear_h, 0.2, 0.5), FAST)[1] * (1.0 + 1e-9)
+
+
+def test_solve_monotone_box_edge():
+    """An h that depends on t2 alone and meets 0 only at t2 = hi = 10 puts
+    the design on the box edge, where g = (t1 + 10)/40 reaches 0.3 at 2."""
+
+    def h(x):
+        return 1.0 - x[1] / 10.0
+
+    x, cost, case = fuzzyopt.solve_monotone(_linear_cost, _linear_g, h, LINEAR_BOX, 0.3, 0.0)
+    assert case == "edge"
+    assert x == pytest.approx((2.0, 10.0), rel=1e-12)
+    assert cost <= solve_crisp(_linear_nlp(h, 0.3, 0.0), FAST)[1] * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "h,alpha,beta",
+    [
+        (_linear_h, 0.01, 0.5),  # g(lo, lo) = 0.05 > alpha
+        (lambda x: 0.5 - (x[0] + 3.0 * x[1]) / 100.0, 0.4, 0.05),  # h(hi, hi) = 0.1 > beta
+        (_linear_h, 0.1, 0.5),  # g = 0.183 where the curve h = beta starts, at t1 = lo
+    ],
+    ids=["g-corner", "h-corner", "curve"],
+)
+def test_solve_monotone_infeasible(h, alpha, beta):
+    with pytest.raises(InfeasibleError) as excinfo:
+        fuzzyopt.solve_monotone(_linear_cost, _linear_g, h, LINEAR_BOX, alpha, beta)
+    assert excinfo.value.best_violation > 0.0
+    with pytest.raises(InfeasibleError):
+        solve_crisp(_linear_nlp(h, alpha, beta), FAST)
+
+
+def test_readme_type1_design_is_the_balanced_floor():
+    """The README Type-I problem reaches its floor c*tau = 50 at n = 28, on
+    the diagonal band [235.33, 236.39]; the design is the band's point where
+    g/alpha = h/beta."""
+    problem = PlanProblem(
+        family=Family.TYPE_I,
+        lambda0=FuzzyLife(300.0, 15000.0),
+        lambda1=FuzzyLife(200.0, 15000.0),
+        alpha=FuzzyLevel(0.01, 0.01),
+        beta=FuzzyLevel(0.01, 0.01),
+        tau=50.0,
+        objective_variant="etc_upper_bound",
+    )
+    design = solve_plan(problem)
+    n, phi, cost, case = design.trace[-1]
+    assert (n, phi, case) == (28, 1.0, "floor")
+    assert design.n == 28
+    assert cost == design.objective_value == pytest.approx(50.0, rel=1e-12)
+    assert design.t1 == design.t2
+    assert 235.33 <= design.t1 <= 236.39
+    assert design.g_value / 0.01 == pytest.approx(design.h_value / 0.01, rel=1e-9)
+
+
+def test_readme_ssp_design_is_an_active_set_point():
+    design = solve_plan(_ssp_problem(1500.0))
+    assert [case for *_, case in design.trace] == ["active"]
+    assert design.g_margin == pytest.approx(0.0, abs=1e-15)
+    assert design.h_margin == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_design_paths_run_no_grid(family, form, monkeypatch):
+    class NoGrid:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a design path built a grid")
+
+    monkeypatch.setattr(fuzzyopt, "_Grid", NoGrid)
+    for crisp in (False, True):
+        design = solve_plan(_family_problem(family, crisp), FAST, form)
+        assert design.g_margin >= 0.0 and design.h_margin >= 0.0
+
+
+_LEVELS = st.floats(0.01, 0.2)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    family=st.sampled_from(list(Family)),
+    crisp=st.booleans(),
+    n=st.integers(1, 12),
+    lambda0=st.floats(200.0, 600.0),
+    ratio=st.floats(0.15, 0.8),
+    alpha=_LEVELS,
+    beta=_LEVELS,
+)
+def test_solve_monotone_is_no_worse_than_the_grid(family, crisp, n, lambda0, ratio, alpha, beta):
+    """On generated plan problems the monotone solve agrees with the grid
+    scan and its SLSQP polish on feasibility, and costs no more.  The grid
+    accepts a point up to 1e-6 over a level, so the costs are compared at
+    the levels its point meets."""
+    problem = PlanProblem(
+        family=family,
+        lambda0=FuzzyLife(lambda0, 15.0 * lambda0),
+        lambda1=FuzzyLife(ratio * lambda0, 15.0 * lambda0),
+        alpha=FuzzyLevel(alpha, 0.0),
+        beta=FuzzyLevel(beta, 0.0),
+        tau=0.3 * lambda0,
+    )
+    objective, g, h, box, ordering = plan_functions(problem, n, crisp=crisp)
+    nlp = CrispNlp(objective, ((g, alpha), (h, beta)), box, ordering)
+    try:
+        grid_x, grid_cost = solve_crisp(nlp, FAST)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError) as excinfo:
+            fuzzyopt.solve_monotone(objective, g, h, box, alpha, beta)
+        assert excinfo.value.best_violation > 0.0
+        return
+    met_alpha, met_beta = max(alpha, g(grid_x)), max(beta, h(grid_x))
+    x, cost, _ = fuzzyopt.solve_monotone(objective, g, h, box, met_alpha, met_beta)
+    assert cost <= grid_cost * (1.0 + 1e-9)
+    assert g(x) <= met_alpha and h(x) <= met_beta

@@ -4,20 +4,22 @@ crisp, on t1 <= t2:
 - g, the long-run producer risk, does not fall in t1 or in t2;
 - h, the long-run consumer risk, does not rise in t1 or in t2;
 - N = 1/(p_a + p_r), the expected number of stages, does not rise in t1
-  and does not fall in t2.
+  and does not fall in t2;
+- g does not fall along the curve where h meets its level.
 
 The objective ("cost") is c * e0 * N, where the stage duration e0 > 0 does
 not depend on the thresholds, so N's directions are checked on it.
-Each point is evaluated as a scalar pair (the polish's path) and stacked as
-an array (the grid scan's path).  Where a plan never ends (p_c rounds to 1)
-the risks are undefined, and such points are skipped.
+Each point is evaluated as a scalar pair (the crisp solve's path) and
+stacked as an array (the path of the grid scan the tests compare it with).
+Where a plan never ends (p_a + p_r underflows to 0) the risks are undefined,
+and such points are skipped.
 
 The tolerance is rounding level, carried through the closed forms: p_r =
-1 - S(t1) and 1 - p_c are differences from 1, so they carry an absolute
-error of a few ulps of 1 (n times that through rgsp_max's n-th powers), and
-the long-run ratios divide by 1 - p_c = 1/N.  So g and h may wiggle by a
-few ulps times N (1 + value), and the cost by a few ulps times N times
-its value, with N taken at the life each one uses.
+1 - S(t1) is a difference from 1, so it carries an absolute error of a few
+ulps of 1 (n times that through rgsp_max's n-th powers), and the long-run
+ratios divide by p_a + p_r = 1/N.  So g and h may wiggle by a few ulps
+times N (1 + value), and the cost by a few ulps times N times its value,
+with N taken at the life each one uses.
 """
 
 import math
@@ -117,3 +119,51 @@ def test_plan_functions_are_monotone(family, crisp, n, u1, u2, s1, s2):
     }
     _assert_directions(scalars, tol)
     _assert_directions({name: list(v) for name, v in arrays.items()}, tol)
+
+
+def _least_met(fn, met: float, unmet: float) -> float:
+    """The met end of the crossing of fn <= 0, for fn monotone between
+    fn(met) <= 0 and fn(unmet) > 0, by bisection to adjacent floats."""
+    while True:
+        mid = 0.5 * (met + unmet)
+        if mid in (met, unmet):
+            return met
+        if fn(mid) <= 0.0:
+            met = mid
+        else:
+            unmet = mid
+
+
+@pytest.mark.parametrize("level", ["tight", "relaxed"])
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 30), u1=UNIT, u2=UNIT)
+def test_g_does_not_fall_along_the_h_curve(family, crisp, level, n, u1, u2):
+    """Let T(t1) be the least t2 in [t1, hi] with h(t1, t2) <= beta.  Then
+    g(t1, T(t1)) does not fall in t1: the premise on which the crisp solve
+    takes the largest t1 that meets g on that curve.  The curve runs from
+    the least t1 with h(t1, hi) <= beta to t_h, the least t with
+    h(t, t) <= beta; problems where h(hi, hi) > beta have none."""
+    problem = _problem(family, crisp)
+    objective, g, h, box, _ = problem.functions(None if family is Family.SSP else n)
+    (lo, hi), _ = box
+    beta = problem.beta.level if level == "tight" else problem.beta.relaxed
+
+    def least(fn):
+        return lo if fn(lo) <= 0.0 else _least_met(fn, hi, lo)
+
+    def on_curve(t1):
+        if h((t1, t1)) <= beta:
+            return (t1, t1)
+        return (t1, _least_met(lambda t2: h((t1, t2)) - beta, hi, t1))
+
+    assume(h((hi, hi)) <= beta)
+    t_h = least(lambda t: h((t, t)) - beta)
+    t1_min = least(lambda t: h((t, hi)) - beta)
+    t1, t1_step = sorted(t1_min * (t_h / t1_min) ** u for u in (u1, u2))
+    low, high = on_curve(t1), on_curve(t1_step)
+    assert h(low) <= beta and h(high) <= beta
+    # g's rounding, as in the monotonicity test, at the larger N.
+    n0 = _stages(problem, n, problem.lambda0, (low, high))
+    assert g(high) >= g(low) - ULPS * n0 * (1.0 + g(low)), (low, high)

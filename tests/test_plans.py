@@ -149,3 +149,32 @@ def test_closures_broadcast_like_the_scalar_path(family, n, crisp):
         scalar = [fn((t1, t2)) for t1, t2 in t.T]
         assert all(isinstance(v, float) for v in scalar)
         assert values.ravel() == pytest.approx(scalar, rel=1e-12)
+
+
+def test_type1_risks_stay_finite_where_both_tails_are_tiny():
+    """README Type-I problem at n = 28 and the box corner (lo, hi): at the
+    acceptable life z1 = -10.97 and z2 = +10.97, so 1 - Phi(z2) would round
+    to 0 and 1 - p_c to 0.  The upper tail Phi(-z2) and the sum p_a + p_r
+    keep both risks finite: g = Phi(z1)/(Phi(z1) + Phi(-z2)) is about 1/2,
+    as the two tails are nearly equal, and h is about 1e-113."""
+    mpmath = pytest.importorskip("mpmath")
+    p = make_problem(
+        family=Family.TYPE_I, tau=50.0, lambda0=FuzzyLife(300.0, 15000.0),
+        lambda1=FuzzyLife(200.0, 15000.0), objective_variant="etc_upper_bound",
+    )
+    objective, g, h, box, _ = plan_functions(p, 28)
+    x = (box[0][0], box[1][1])
+    stacked = np.array([[x[0]], [x[1]]])
+
+    def exact(life, risk):
+        m = 28 * mpmath.sqrt(-mpmath.expm1(-mpmath.mpf(50) / life))
+        z1, z2 = [(mpmath.mpf(t) - life) / life * m for t in x]
+        assert z1 < -8.2 and z2 > 8.3
+        p_r, p_a = mpmath.ncdf(z1), mpmath.ncdf(-z2)
+        return float((p_r if risk == "g" else p_a) / (p_a + p_r))
+
+    for fn, life, risk in ((g, 300, "g"), (h, 200, "h")):
+        assert math.isfinite(fn(x)) and 0.0 <= fn(x) <= 1.0
+        assert fn(x) == pytest.approx(exact(life, risk), rel=1e-9)
+        assert fn(stacked)[0] == pytest.approx(fn(x), rel=1e-12)
+    assert math.isfinite(objective(x))

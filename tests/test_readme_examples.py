@@ -15,6 +15,11 @@ SSP = ["--family", "ssp", "--lambda0", "300", "--lambda1", "50", "--alpha", "0.0
 EXAMPLES = {
     "design_ssp.json": ["design", *SSP, "--a", "1500", "--b1", "0.05", "--b2", "0.05"],
     "crisp_baseline_ssp.json": ["crisp-baseline", *SSP, "--a", "1500"],
+    "design_type1.json": [
+        "design", "--family", "type1", "--tau", "50", "--lambda0", "300", "--lambda1", "200",
+        "--alpha", "0.01", "--beta", "0.01", "--a", "15000", "--b1", "0.01", "--b2", "0.01",
+        "--objective-variant", "etc_upper_bound",
+    ],
     "dispose_case_study.json": [
         "dispose", "--data", "case-study", "--family", "ssp", "--t1", "41", "--t2", "3159"
     ],
