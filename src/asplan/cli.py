@@ -4,7 +4,7 @@ Subcommands: design, crisp-baseline, verify-tables, dispose, oracle.
 Option precedence: command-line flags override config-file values override
 defaults.  The config file is flat ``key = value`` text using the long
 option names with dashes or underscores.  ASP_SEED in the environment
-replaces the default seed (an explicit --seed still wins).
+replaces the default seed of ``oracle`` (an explicit --seed still wins).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import disposition, oracle
 from .errors import DomainError, InfeasibleError
-from .fuzzyopt import MEMBERSHIP_FORMS, SolverSettings, solve_plan
+from .fuzzyopt import MEMBERSHIP_FORMS, solve_plan
 from .lifemodel import Thresholds
 from .membership import FuzzyLevel, FuzzyLife
 from .plans import Family, PlanProblem, crisp_baseline
@@ -105,13 +105,6 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         "the largest satisfaction phi its cost allows, which trades risk slack "
         "for a lower cost",
     )
-    sub.add_argument(
-        "--restarts",
-        type=int,
-        default=32,
-        help="accepted for existing callers; a design does not depend on it",
-    )
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", help="write the design JSON here as well as stdout")
 
 
@@ -151,13 +144,9 @@ def _fmt(x):
 
 def _cmd_design(args: argparse.Namespace, crisp: bool) -> int:
     problem = _build_problem(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    settings = SolverSettings(restarts=args.restarts, seed=seed)
+    solve = crisp_baseline if crisp else solve_plan
     try:
-        if crisp:
-            design = crisp_baseline(problem, settings, args.membership_form)
-        else:
-            design = solve_plan(problem, settings, args.membership_form)
+        design = solve(problem, membership_form=args.membership_form)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -185,7 +174,6 @@ def _cmd_design(args: argparse.Namespace, crisp: bool) -> int:
         "margins": {"g": _fmt(design.g_margin), "h": _fmt(design.h_margin)},
         "z_lower": _fmt(design.z_lower),
         "z_upper": _fmt(design.z_upper),
-        "seed": seed,
     }
     _emit(payload, args.out)
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
@@ -382,8 +382,7 @@ def write_reports_csv(path, reports: Sequence[dict]) -> None:
         writer.writerows(reports)
 
 
-def write_reports_json(path, reports: Sequence) -> None:
-    payload = [r if isinstance(r, dict) else asdict(r) for r in reports]
+def write_reports_json(path, reports: Sequence[dict]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(reports, handle, indent=2, sort_keys=True)
         handle.write("\n")

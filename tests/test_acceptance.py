@@ -355,7 +355,6 @@ def test_deterministic_outputs(capsys):
     design_args = [
         "design", "--family", "ssp", "--lambda0", "300", "--lambda1", "50",
         "--alpha", "0.05", "--beta", "0.05", "--a", "1500",
-        "--restarts", "6", "--seed", "42",
     ]
     oracle_args = ["oracle", "--family", "ssp", "--draws", "20000", "--seed", "42"]
     outputs = []

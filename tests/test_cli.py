@@ -19,7 +19,6 @@ DESIGN_FLAGS = [
     "--alpha", "0.05",
     "--beta", "0.05",
     "--a", "1500",
-    "--restarts", "6",
 ]
 
 
@@ -40,7 +39,6 @@ def test_design_runs_and_reports_plan():
     assert 0.0 < payload["t1"] <= payload["t2"] <= 300.0
     assert payload["n"] is None
     assert 0.0 <= payload["phi"] <= 1.0
-    assert payload["seed"] == 42
 
 
 def test_design_output_is_deterministic():
@@ -51,12 +49,17 @@ def test_design_output_is_deterministic():
 
 
 def test_seed_env_var_and_flag_precedence():
-    from_env = run_cli(DESIGN_FLAGS, env_extra={"ASP_SEED": "7"})
-    assert json.loads(from_env.stdout)["seed"] == 7
-    explicit = run_cli(DESIGN_FLAGS + ["--seed", "11"], env_extra={"ASP_SEED": "7"})
-    assert json.loads(explicit.stdout)["seed"] == 11
-    bad = run_cli(DESIGN_FLAGS, env_extra={"ASP_SEED": "not-a-number"})
+    oracle = ["oracle", "--family", "ssp", "--draws", "20000"]
+    from_env = run_cli(oracle, env_extra={"ASP_SEED": "7"})
+    assert from_env.returncode == 0, from_env.stderr
+    assert from_env.stdout == run_cli(oracle + ["--seed", "7"]).stdout
+    explicit = run_cli(oracle + ["--seed", "11"], env_extra={"ASP_SEED": "7"})
+    assert explicit.stdout == run_cli(oracle + ["--seed", "11"]).stdout
+    assert explicit.stdout != from_env.stdout
+    bad = run_cli(oracle, env_extra={"ASP_SEED": "not-a-number"})
     assert bad.returncode == 1
+    # A design draws no random numbers, so design takes no seed.
+    assert run_cli(DESIGN_FLAGS + ["--seed", "11"]).returncode == 2
 
 
 def test_design_validation_errors_exit_1():
@@ -83,7 +86,6 @@ def test_config_file_fills_gaps_but_flags_win(tmp_path):
         "# shared study settings\n"
         "lambda1 = 50\n"
         "alpha = 0.10\n"
-        "restarts = 6\n"
     )
     result = run_cli(
         [

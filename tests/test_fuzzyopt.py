@@ -467,11 +467,10 @@ def test_readme_ssp_design_is_an_active_set_point():
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
 @pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
 def test_design_paths_run_no_grid(family, form, monkeypatch):
-    class NoGrid:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a design path built a grid")
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a design path ran the grid solver")
 
-    monkeypatch.setattr(fuzzyopt, "_Grid", NoGrid)
+    monkeypatch.setattr(fuzzyopt, "solve_crisp", no_grid)
     for crisp in (False, True):
         design = solve_plan(_family_problem(family, crisp), FAST, form)
         assert design.g_margin >= 0.0 and design.h_margin >= 0.0
