@@ -15,7 +15,6 @@ from .disposition import (
 )
 from .errors import (
     ConsistencyError,
-    ConvergenceError,
     DegeneratePlanError,
     DomainError,
     InfeasibleError,

@@ -9,15 +9,6 @@ class ConsistencyError(RuntimeError):
     """A computed quantity violates an internal identity beyond tolerance."""
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative refinement failed to converge; carries the last two estimates."""
-
-    def __init__(self, message, previous=None, latest=None):
-        super().__init__(message)
-        self.previous = previous
-        self.latest = latest
-
-
 class DegeneratePlanError(RuntimeError):
     """The continuation probability is 1, so the plan never terminates."""
 

@@ -7,11 +7,12 @@ Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
 nested 1-D roots (Brent's method), from the plans' monotone structure; it
 scans nothing and draws no random numbers.  The max-min satisfaction method
-is made of crisp solves at the s-cuts of the fuzzy risk levels: the tight
-(s = 1) and relaxed (s = 0) optima bracket the objective.  Under the default
-`cost_ascending` membership the max-min design is the tight optimum; under
-`standard` it is the crisp optimum at phi*, the root in s of a 1-D equation
-over crisp solves (`solve_max_phi`).
+is made of crisp solves at the s-cuts of the fuzzy risk levels: the least
+tight (s = 1) and relaxed (s = 0) optima over all group sizes bracket the
+objective.  Under the default `cost_ascending` membership the max-min design
+is the cheapest tight optimum; under `standard` it is the cheapest crisp
+optimum at phi*, the root in s of a 1-D equation over crisp solves
+(`solve_max_phi`).
 
 `solve_crisp` is the general solver for any box: one grid scan ranked at the
 problem's bounds, its best basins polished by SLSQP.  No design path calls
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
 from .membership import FuzzyLevel
 
-_PHI_TOL = 1e-9
 # A narrower bracket z_upper - z_lower gives the objective no membership.
 _MIN_SPAN = 1e-9
 # Grid points per axis of the scan: a 2-D grid array is about 0.5 MB.
@@ -488,104 +488,104 @@ def _level_membership(level: FuzzyLevel, value: float) -> float:
     return 1.0 if value <= level.level else 0.0
 
 
-def _design_at(
-    zb: ZBounds,
-    alpha: FuzzyLevel,
-    beta: FuzzyLevel,
-    membership_form: str,
-    x,
-    objective: float,
-    case: str,
-) -> PlanDesign:
-    """The design at the point x of cost ``objective``: its risks, its
-    satisfaction phi in [0, 1], the least membership of the risks and, when
-    the bracket is not degenerate, of the objective, and its margins to the
-    risk levels cut at phi.  Its trace is the one entry (None, phi,
-    objective, case), ``case`` being the `solve_monotone` case of x."""
-    _, g, h, _ = zb.functions
-    g_value = float(g(x))
-    h_value = float(h(x))
-    memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
-    span = zb.z_upper - zb.z_lower
-    if span >= _MIN_SPAN:
-        if membership_form == "cost_ascending":
-            memberships.append((objective - zb.z_lower) / span)
-        else:
-            memberships.append((zb.z_upper - objective) / span)
-    phi = min(1.0, max(0.0, min(memberships)))
-    return PlanDesign(
-        t1=float(x[0]),
-        t2=float(x[1]),
-        n=None,
-        phi=phi,
-        objective_value=objective,
-        g_value=g_value,
-        h_value=h_value,
-        g_margin=alpha.cut(phi) - g_value,
-        h_margin=beta.cut(phi) - h_value,
-        z_lower=zb.z_lower,
-        z_upper=zb.z_upper,
-        trace=((None, phi, objective, case),),
-    )
-
-
 def solve_max_phi(
-    zb: ZBounds,
+    brackets: dict,
     alpha: FuzzyLevel,
     beta: FuzzyLevel,
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
-    """The max-min design (Zimmermann 1978) of the problem that ``zb``
-    brackets at the fuzzy risk levels ``alpha`` and ``beta``: the largest
-    phi, then the least cost at it, as a crisp solve at the risk levels cut
-    at phi.
+    """The max-min design (Zimmermann 1978) over the group sizes n that
+    ``brackets`` maps to their `zimmermann_bounds`, at the fuzzy risk levels
+    ``alpha`` and ``beta``: the largest phi, then the least cost at it, as
+    crisp solves at the risk levels cut at phi.
 
-    phi(x) >= s holds exactly where g(x) <= alpha.cut(s), h(x) <= beta.cut(s)
-    and the objective's membership is at least s.  Let C(s) be the crisp
-    optimum under those two cuts.  They shrink as s grows, so C does not
-    fall, from C(0) = z_lower to C(1) = z_upper.
+    The group size is a decision variable, so the bracket is the whole
+    problem's: z_upper is the least tight optimum over n, z_lower the least
+    relaxed one (the least of the sizes' own bracket ends).  phi(x, n) >= s
+    holds exactly where g(x) <= alpha.cut(s), h(x) <= beta.cut(s) and the
+    objective's membership is at least s.  Let C_n(s) be size n's crisp
+    optimum under those two cuts, and C(s) the least of them.  The cuts
+    shrink as s grows, so no C_n falls, and neither does C, from
+    C(0) = z_lower to C(1) = z_upper.  Every size is feasible at every cut
+    s <= 1, as the cut is no tighter than the level its bracket met.
 
     - Under ``cost_ascending`` the argmin of C(1) meets the levels and costs
       z_upper, so every membership is 1 there; any point with phi = 1 meets
-      the levels, so it costs at least C(1).  The design is that tight
-      optimum, the bracket's own, as it is when the bracket is narrower than
-      _MIN_SPAN and the objective has no membership; nothing is solved.  The
-      tight solve meets the levels to its feasibility tolerance only, so phi
-      and the margins are computed at that point, not set.
+      the levels, so it costs at least C(1).  The design is that cheapest
+      tight optimum, as it is when the bracket is narrower than _MIN_SPAN
+      and the objective has no membership; nothing is solved.
     - Under ``standard`` the objective's membership (z_upper - cost)/span is
       at least s where cost <= z_upper - s*span.  So phi* is the largest s
       with F(s) = C(s) + s*span - z_upper <= 0: the root of F, which rises
-      strictly from the bracket's -span at s = 0 to +span at s = 1, found by
-      Brent's method.  The argmin of C(phi*) has phi >= phi*, as
-      F(phi*) <= 0, and every point with phi >= phi* meets the cuts at phi*,
-      so it costs at least C(phi*): that argmin is the design.  It is taken
-      from the root iterate of largest s with F(s) <= 0.
+      strictly from -span at s = 0 to +span at s = 1, found by Brent's
+      method.  The argmin of C(phi*) has phi >= phi*, as F(phi*) <= 0, and
+      every point with phi >= phi* meets the cuts at phi*, so it costs at
+      least C(phi*): that argmin is the design.  It is taken from the root
+      iterate of largest s with F(s) <= 0.
 
-    Every crisp solve is `solve_monotone` of the bracket's functions
-    ``zb.functions``.
+    Ties on cost go to the smaller n, the earlier key of ``brackets``.  phi
+    and the margins are computed at the design point, not set.  The trace
+    has one entry (n, phi, cost, case) per size: its crisp optimum at the
+    cuts of phi*, phi taken against the shared bracket, and ``case`` the
+    `solve_monotone` case.  Every crisp solve is `solve_monotone` of the
+    size's ``functions``.
     """
     _check_membership_form(membership_form)
-    span = zb.z_upper - zb.z_lower
-    if membership_form == "cost_ascending" or span < _MIN_SPAN:
-        return _design_at(
-            zb, alpha, beta, membership_form, zb.tight_x, zb.tight_value, zb.tight_case
+    z_lower = min(zb.z_lower for zb in brackets.values())
+    z_upper = min(zb.z_upper for zb in brackets.values())
+    span = z_upper - z_lower
+
+    def design_at(n, x, objective: float, case: str) -> PlanDesign:
+        _, g, h, _ = brackets[n].functions
+        g_value = float(g(x))
+        h_value = float(h(x))
+        memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
+        if span >= _MIN_SPAN:
+            if membership_form == "cost_ascending":
+                memberships.append((objective - z_lower) / span)
+            else:
+                memberships.append((z_upper - objective) / span)
+        phi = min(1.0, max(0.0, min(memberships)))
+        return PlanDesign(
+            t1=float(x[0]),
+            t2=float(x[1]),
+            n=n,
+            phi=phi,
+            objective_value=objective,
+            g_value=g_value,
+            h_value=h_value,
+            g_margin=alpha.cut(phi) - g_value,
+            h_margin=beta.cut(phi) - h_value,
+            z_lower=z_lower,
+            z_upper=z_upper,
+            trace=((n, phi, objective, case),),
         )
-    bracket = {0.0: -span, 1.0: span}
-    met = {}  # s -> (x, C(s), case) where F(s) <= 0
 
-    def shortfall(s: float) -> float:
-        if s in bracket:
-            return bracket[s]
-        x, cost, case = solve_monotone(*zb.functions, alpha.cut(s), beta.cut(s))
-        excess = cost + s * span - zb.z_upper
-        if excess <= 0.0:
-            met[s] = (x, cost, case)
-        return excess
+    if membership_form == "cost_ascending" or span < _MIN_SPAN:
+        optima = {
+            n: (zb.tight_x, zb.tight_value, zb.tight_case) for n, zb in brackets.items()
+        }
+    else:
+        bracket = {0.0: -span, 1.0: span}
+        met = {}  # s -> {n: (x, C_n(s), case)} where F(s) <= 0
 
-    s = _last_met(shortfall, 0.0, 1.0)
-    if s not in met:
-        raise InfeasibleError("no point with positive satisfaction found")
-    return _design_at(zb, alpha, beta, membership_form, *met[s])
+        def shortfall(s: float) -> float:
+            if s in bracket:
+                return bracket[s]
+            cuts = (alpha.cut(s), beta.cut(s))
+            at_s = {n: solve_monotone(*zb.functions, *cuts) for n, zb in brackets.items()}
+            excess = min(cost for _, cost, _ in at_s.values()) + s * span - z_upper
+            if excess <= 0.0:
+                met[s] = at_s
+            return excess
+
+        s = _last_met(shortfall, 0.0, 1.0)
+        if s not in met:
+            raise InfeasibleError("no point with positive satisfaction found")
+        optima = met[s]
+    designs = [design_at(n, *optimum) for n, optimum in optima.items()]
+    best = min(designs, key=lambda design: design.objective_value)
+    return replace(best, trace=tuple(design.trace[0] for design in designs))
 
 
 def solve_plan(
@@ -593,26 +593,28 @@ def solve_plan(
     settings: SolverSettings = DEFAULT_SOLVER,
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
-    """Full pipeline for one plan problem: per candidate group size, bracket
-    the objective, take the max-min design (`solve_max_phi`), and keep the
-    best design.
+    """Full pipeline for one plan problem: bracket the objective per
+    candidate group size (`zimmermann_bounds`), then take the max-min design
+    over all of them at once (`solve_max_phi`).
 
     The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
     ascending order, ``functions(n)`` returning (objective, g, h, box,
     ordering), and ``cost_floor(n)``, a cost that no design of group size n
-    goes below.  Ties on phi break toward smaller cost, then smaller group
-    size.  A group size whose tight problem is infeasible is skipped.  The
-    design's trace has one entry (n, phi, cost, case) per size solved, case
-    being the `solve_monotone` case of that size's design.  ``settings``
-    does not change the design.
+    goes below.  ``settings`` does not change the design.
 
-    The search stops once the best design so far has phi >= 1 - _PHI_TOL
-    and costs at most (1 + 1e-9) times the least cost floor of the group
-    sizes still to try.  No later size can then win under `_better`: its
-    phi is at most 1, so not above the incumbent's by more than _PHI_TOL;
-    its cost is at least that floor, so not below the incumbent's by the
-    factor 1 - 1e-9; and a tie goes to the smaller, earlier size.  So the
-    stop changes no design, only how long the trace is.
+    A group size whose tight problem is infeasible is skipped, as it has no
+    bracket.  It could still be feasible at the relaxed levels, where it
+    might lower z_lower or win under ``standard``; the search does not look
+    there.
+
+    The search stops once the least tight optimum so far is at most
+    (1 + 1e-9) times the least cost floor of the sizes still to try.  Every
+    cost of a later size, at any cut, is at least its floor, so at least
+    that least tight optimum, which is at least the running z_lower and at
+    least the least cost so far at any cut.  So, up to that factor 1 + 1e-9,
+    a later size moves neither end of the bracket and loses every cost tie
+    to a smaller size: the stop changes no design, only how many sizes the
+    trace lists.
     """
     _check_membership_form(membership_form)
     alpha, beta = problem.alpha, problem.beta
@@ -623,9 +625,9 @@ def solve_plan(
             [problem.cost_floor(n) for n in reversed(sizes[1:])], min, initial=math.inf
         )
     )[::-1]
-    best: Optional[PlanDesign] = None
+    brackets = {}
     per_n = []
-    trace = []
+    least_tight = math.inf
     for n, later_floor in zip(sizes, later_floors):
         objective, g, h, box, _ = problem.functions(n)
         try:
@@ -633,26 +635,12 @@ def solve_plan(
         except InfeasibleError as exc:
             per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
             continue
-        design = replace(solve_max_phi(zb, alpha, beta, membership_form), n=n)
-        trace.append((n, *design.trace[0][1:]))
-        if best is None or _better(design, best):
-            best = design
-        if best.phi >= 1.0 - _PHI_TOL and best.objective_value <= later_floor * (1.0 + 1e-9):
+        brackets[n] = zb
+        least_tight = min(least_tight, zb.tight_value)
+        if least_tight <= later_floor * (1.0 + 1e-9):
             break
-    if best is None:
+    if not brackets:
         raise InfeasibleError(
             "every candidate group size was infeasible", per_n=tuple(per_n)
         )
-    return replace(best, trace=tuple(trace))
-
-
-def _better(candidate: PlanDesign, incumbent: PlanDesign) -> bool:
-    if candidate.phi > incumbent.phi + _PHI_TOL:
-        return True
-    if candidate.phi < incumbent.phi - _PHI_TOL:
-        return False
-    if candidate.objective_value < incumbent.objective_value * (1.0 - 1e-9):
-        return True
-    if candidate.objective_value > incumbent.objective_value * (1.0 + 1e-9):
-        return False
-    return (candidate.n or 0) < (incumbent.n or 0)
+    return solve_max_phi(brackets, alpha, beta, membership_form)

@@ -9,12 +9,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from asplan.errors import ConvergenceError, DomainError
+from asplan.errors import DomainError
 from asplan.membership import FuzzyLevel, FuzzyLife
 
 # Absolute floor below which successive Simpson estimates are considered
 # converged even when the relative test is meaningless (integral near 0).
 _ABS_FLOOR = 1e-15
+
+
+class ConvergenceError(RuntimeError):
+    """Iterative refinement failed to converge; carries the last two estimates."""
+
+    def __init__(self, message, previous=None, latest=None):
+        super().__init__(message)
+        self.previous = previous
+        self.latest = latest
 
 
 @dataclass(frozen=True)

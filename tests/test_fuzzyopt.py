@@ -132,7 +132,7 @@ def _max_phi_setup():
 
 def test_max_phi_design_feasible_and_consistent():
     objective, g, h, p, zb = _max_phi_setup()
-    design = solve_max_phi(zb, p.alpha, p.beta, "cost_ascending")
+    design = solve_max_phi({None: zb}, p.alpha, p.beta, "cost_ascending")
     assert 0.0 <= design.phi <= 1.0
     assert design.g_margin >= -1e-6
     assert design.h_margin >= -1e-6
@@ -146,7 +146,7 @@ def test_max_phi_design_feasible_and_consistent():
 
 def test_max_phi_standard_form_not_costlier_than_relaxed_bound():
     _, g, h, p, zb = _max_phi_setup()
-    design = solve_max_phi(zb, p.alpha, p.beta, "standard")
+    design = solve_max_phi({None: zb}, p.alpha, p.beta, "standard")
     assert design.objective_value <= zb.z_upper * (1.0 + 1e-6)
     assert design.g_value <= p.alpha.relaxed + 1e-6
     assert design.h_value <= p.beta.relaxed + 1e-6
@@ -158,7 +158,7 @@ def test_crisp_limit_of_max_phi():
     alpha = FuzzyLevel(0.05, 0.0)
     beta = FuzzyLevel(0.05, 0.0)
     zb = zimmermann_bounds(objective, g, h, alpha, beta, box)
-    design = solve_max_phi(zb, alpha, beta)
+    design = solve_max_phi({None: zb}, alpha, beta)
     assert design.g_value <= 0.05 + 1e-6
     assert design.h_value <= 0.05 + 1e-6
 
@@ -223,6 +223,10 @@ def test_standard_form_runs_the_max_min_stages(monkeypatch):
     design = solve_plan(_ssp_problem(1500.0), FAST, membership_form="standard")
     assert calls == [1]
     assert design.phi == pytest.approx(0.557, abs=1e-3)
+    calls.clear()
+    design = solve_plan(_family_problem(Family.RGSP_MAX, crisp=False), FAST, "standard")
+    assert calls == [1]
+    assert [n for n, *_ in design.trace] == [1, 2, 3]
 
 
 def test_unknown_membership_form_fails_before_any_solve(monkeypatch):
@@ -321,14 +325,12 @@ def _stop_problem(family: Family, crisp: bool) -> PlanProblem:
 @pytest.mark.parametrize("family", [Family.RGSP_MAX, Family.TYPE_I], ids=["rgsp_max", "type1"])
 def test_cost_floor_stop_changes_no_design(family, crisp, form, monkeypatch):
     """The loop stops only where no later group size can win: the design is
-    the full loop's, and its trace a prefix of the full loop's.  Only the
-    fuzzy standard rgsp_max design has phi < 1 before its last size."""
+    the full loop's, and its trace a prefix of the full loop's.  Both forms
+    stop at the same size, as the stop does not look at phi."""
     problem = _stop_problem(family, crisp)
     design = solve_plan(problem, FAST, form)
     if family is Family.TYPE_I:
         tried = [5, 6, 7]  # n < 5 is infeasible, n = 7 reaches cost * tau
-    elif form == "standard" and not crisp:
-        tried = [1, 2, 3, 4, 5]
     else:
         tried = [1, 2, 3]
     assert [n for n, *_ in design.trace] == tried
@@ -354,6 +356,58 @@ def test_readme_rgsp_max_stops_once_the_floor_passes_its_cost():
     assert design.n == 2
     assert design.objective_value == pytest.approx(578.4606888, rel=1e-9)
     assert problem.cost_floor(4) > design.objective_value
+
+
+def _readme_problem(family: Family, **kwargs) -> PlanProblem:
+    return PlanProblem(
+        family=family,
+        lambda0=FuzzyLife(300.0, 1500.0),
+        lambda1=FuzzyLife(50.0, 1500.0),
+        alpha=FuzzyLevel(0.05, 0.05),
+        beta=FuzzyLevel(0.05, 0.05),
+        **kwargs,
+    )
+
+
+def test_readme_rgsp_max_standard_design_shares_one_bracket():
+    """At the default n_max 200 the n = 5 design sits on its cost floor,
+    688.63, where its own bracket is degenerate.  Against the bracket of
+    the whole problem it has no edge: the design is n = 2 at 524.02, below
+    the cost_ascending design's 578.46."""
+    design = solve_plan(_readme_problem(Family.RGSP_MAX), membership_form="standard")
+    assert design.n == 2
+    assert design.objective_value == pytest.approx(524.0221669, rel=1e-9)
+    assert design.phi == pytest.approx(0.5073942, abs=1e-7)
+    assert [n for n, *_ in design.trace] == [1, 2, 3]
+    assert (design.z_lower, design.z_upper) == pytest.approx((471.170292, 578.460689))
+
+
+def test_grouped_z_lower_is_the_least_relaxed_optimum():
+    """The bracket is the whole problem's: z_lower is the least relaxed
+    optimum over the group sizes, here n = 1's, not the design size's."""
+    problem = _readme_problem(Family.RGSP_MAX, n_max=3)
+    relaxed = []
+    for n in problem.group_sizes:
+        objective, g, h, box, _ = problem.functions(n)
+        relaxed.append(
+            zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box).relaxed_value
+        )
+    design = solve_plan(problem)
+    assert design.n == 2
+    assert design.z_lower == min(relaxed) == relaxed[0]
+    assert design.z_lower == pytest.approx(471.170292, rel=1e-8)
+
+
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_standard_design_costs_no_more_than_cost_ascending(family, crisp):
+    """The cost_ascending design is the cheapest tight optimum, z_upper,
+    and the standard design costs C(phi*) <= C(1) = z_upper."""
+    problem = _stop_problem(family, crisp)
+    tight = solve_plan(problem, FAST)
+    design = solve_plan(problem, FAST, "standard")
+    assert design.objective_value <= tight.objective_value
+    assert (design.z_lower, design.z_upper) == (tight.z_lower, tight.z_upper)
 
 
 # A linear stand-in for a plan on the box [1, 10]^2 with the plans' monotone

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from asplan.errors import ConvergenceError, DomainError
+from asplan.errors import DomainError
 from asplan.quadrature import oscillatory_pair, std_normal_cdf
 
-from reference import QuadratureSettings, _composite_simpson, simpson
+from reference import ConvergenceError, QuadratureSettings, _composite_simpson, simpson
 
 
 def test_simpson_constant():
