@@ -91,8 +91,8 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         "--n-max",
         type=int,
         default=200,
-        help="largest group size to search; the search stops sooner once the "
-        "best design is fully satisfied and no larger group size can cost less",
+        help="largest group size to search; the search stops sooner once no "
+        "larger group size can cost less than the cheapest design meeting the risk levels",
     )
     sub.add_argument("--allow-t2-above-lambda0", action="store_true")
     sub.add_argument("--sd-form", choices=["n", "sqrt_n"], default="n")
@@ -221,9 +221,14 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
     t1, t2, n, tau = args.t1, args.t2, args.n, args.tau
     if args.design_json:
         with open(args.design_json, "r", encoding="utf-8") as handle:
-            design = json.load(handle)
-        t1 = design["t1"] if t1 is None else t1
-        t2 = design["t2"] if t2 is None else t2
+            try:
+                design = json.load(handle)
+            except ValueError as exc:
+                raise DomainError(f"{args.design_json} is not JSON: {exc}") from None
+        if not isinstance(design, dict) or not isinstance(design.get("inputs", {}), dict):
+            raise DomainError(f"{args.design_json} holds no design object")
+        t1 = design.get("t1") if t1 is None else t1
+        t2 = design.get("t2") if t2 is None else t2
         n = design.get("n") if n is None else n
         tau = design.get("inputs", {}).get("tau") if tau is None else tau
     n = 1 if n is None else n

@@ -1,18 +1,20 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
 pipeline.  Nothing here knows the plan families: a plan problem hands
-`solve_plan` its group sizes, and per group size its functions and its cost
-floor.
+`zimmermann_bounds` its group sizes, and per group size its functions and
+its cost floor.
 
 Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
 nested 1-D roots (Brent's method), from the plans' monotone structure; it
 scans nothing and draws no random numbers.  The max-min satisfaction method
-is made of crisp solves at the s-cuts of the fuzzy risk levels: the least
-tight (s = 1) and relaxed (s = 0) optima over all group sizes bracket the
-objective.  Under the default `cost_ascending` membership the max-min design
-is the cheapest tight optimum; under `standard` it is the cheapest crisp
-optimum at phi*, the root in s of a 1-D equation over crisp solves
-(`solve_max_phi`).
+is made of crisp solves at the s-cuts of the fuzzy risk levels.
+`zimmermann_bounds` brackets the objective of the whole plan problem, group
+size included: the least tight (s = 1) and relaxed (s = 0) optima over the
+group sizes, one `ZBounds` per problem.  Under the default `cost_ascending`
+membership the max-min design is the cheapest tight optimum; under
+`standard` it is the cheapest crisp optimum at phi*, the root in s of a 1-D
+equation over crisp solves (`solve_max_phi`).  `solve_plan` is the two
+stages in turn.
 
 `solve_crisp` is the general solver for any box: one grid scan ranked at the
 problem's bounds, its best basins polished by SLSQP.  No design path calls
@@ -434,48 +436,79 @@ def solve_monotone(
 
 @dataclass(frozen=True)
 class ZBounds:
+    """The objective's bracket over a whole plan problem: z_lower is the
+    least relaxed optimum over the group sizes, z_upper the least tight one.
+
+    ``sizes`` maps each group size bracketed, in ascending order, to its
+    ((objective, g, h, box), tight optimum (x, cost, case), relaxed cost),
+    for the max-min solve.
+    """
+
     z_lower: float
     z_upper: float
-    tight_x: tuple
-    tight_value: float
-    relaxed_value: float
-    tight_case: str
-    # (objective, g, h, box) of the group size, for the max-min solve.
-    functions: tuple = field(compare=False, repr=False)
+    sizes: dict = field(compare=False, repr=False)
 
 
-def zimmermann_bounds(
-    objective: Callable[[np.ndarray], float],
-    g: Callable[[np.ndarray], float],
-    h: Callable[[np.ndarray], float],
-    alpha: FuzzyLevel,
-    beta: FuzzyLevel,
-    box: tuple,
-) -> ZBounds:
-    """Objective values of the tight and the slack-relaxed crisp problems
-    (`solve_monotone` at the levels and at the relaxed levels).
+def zimmermann_bounds(problem) -> ZBounds:
+    """Bracket the objective (Zimmermann 1978) over the group sizes of
+    ``problem``: per size, `solve_monotone` at the levels (tight) and at the
+    relaxed levels.  The relaxed problem's feasible set holds the tight
+    one's, so its optimum is no higher; without slack the two problems are
+    one, solved once.
 
-    The relaxed problem's feasible set holds the tight one's, so its optimum
-    is no higher.  Without slack the two problems are one, solved once.
+    The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
+    ascending order, ``functions(n)`` returning (objective, g, h, box,
+    ordering), and ``cost_floor(n)``, a cost that no design of group size n
+    goes below.
+
+    A group size whose tight problem is infeasible is skipped, as it has no
+    bracket.  It could still be feasible at the relaxed levels, where it
+    might lower z_lower or win under ``standard``; the search does not look
+    there.
+
+    The search stops once the least tight optimum so far is at most
+    (1 + 1e-9) times the least cost floor of the sizes still to try.  Every
+    cost of a later size, at any cut, is at least its floor, so at least
+    that least tight optimum, which is at least the running z_lower and at
+    least the least cost so far at any cut.  So, up to that factor 1 + 1e-9,
+    a later size moves neither end of the bracket and loses every cost tie
+    to a smaller size: the stop changes no design, only how many sizes the
+    trace lists.
     """
-    functions = (objective, g, h, box)
-    tight_x, tight_value, tight_case = solve_monotone(*functions, alpha.level, beta.level)
-    if alpha.slack == 0.0 and beta.slack == 0.0:
-        relaxed_value = tight_value
-    else:
-        relaxed_value = solve_monotone(*functions, alpha.relaxed, beta.relaxed)[1]
-    if relaxed_value > tight_value + _FEASIBILITY_TOL * (1.0 + abs(tight_value)):
-        raise ConsistencyError(
-            f"relaxed optimum {relaxed_value} exceeds tight optimum {tight_value}"
+    alpha, beta = problem.alpha, problem.beta
+    group_sizes = list(problem.group_sizes)
+    # later_floors[k]: the least cost floor of the sizes after group_sizes[k].
+    later_floors = list(
+        itertools.accumulate(
+            [problem.cost_floor(n) for n in reversed(group_sizes[1:])], min, initial=math.inf
         )
+    )[::-1]
+    sizes = {}
+    per_n = []
+    least_tight = math.inf
+    for n, later_floor in zip(group_sizes, later_floors):
+        functions = problem.functions(n)[:4]
+        try:
+            tight = solve_monotone(*functions, alpha.level, beta.level)
+            if alpha.slack == 0.0 and beta.slack == 0.0:
+                relaxed = tight[1]
+            else:
+                relaxed = solve_monotone(*functions, alpha.relaxed, beta.relaxed)[1]
+        except InfeasibleError as exc:
+            per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
+            continue
+        if relaxed > tight[1] + _FEASIBILITY_TOL * (1.0 + abs(tight[1])):
+            raise ConsistencyError(f"relaxed optimum {relaxed} exceeds tight optimum {tight[1]}")
+        sizes[n] = (functions, tight, relaxed)
+        least_tight = min(least_tight, tight[1])
+        if least_tight <= later_floor * (1.0 + 1e-9):
+            break
+    if not sizes:
+        raise InfeasibleError("every candidate group size was infeasible", per_n=tuple(per_n))
     return ZBounds(
-        z_lower=min(tight_value, relaxed_value),
-        z_upper=max(tight_value, relaxed_value),
-        tight_x=tight_x,
-        tight_value=tight_value,
-        relaxed_value=relaxed_value,
-        tight_case=tight_case,
-        functions=functions,
+        z_lower=min(min(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
+        z_upper=min(max(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
+        sizes=sizes,
     )
 
 
@@ -489,25 +522,24 @@ def _level_membership(level: FuzzyLevel, value: float) -> float:
 
 
 def solve_max_phi(
-    brackets: dict,
+    bracket: ZBounds,
     alpha: FuzzyLevel,
     beta: FuzzyLevel,
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
-    """The max-min design (Zimmermann 1978) over the group sizes n that
-    ``brackets`` maps to their `zimmermann_bounds`, at the fuzzy risk levels
-    ``alpha`` and ``beta``: the largest phi, then the least cost at it, as
-    crisp solves at the risk levels cut at phi.
+    """The max-min design (Zimmermann 1978) over the group sizes of
+    ``bracket``, a plan problem's `zimmermann_bounds`, at the fuzzy risk
+    levels ``alpha`` and ``beta``: the largest phi, then the least cost at
+    it, as crisp solves at the risk levels cut at phi.
 
     The group size is a decision variable, so the bracket is the whole
-    problem's: z_upper is the least tight optimum over n, z_lower the least
-    relaxed one (the least of the sizes' own bracket ends).  phi(x, n) >= s
-    holds exactly where g(x) <= alpha.cut(s), h(x) <= beta.cut(s) and the
-    objective's membership is at least s.  Let C_n(s) be size n's crisp
-    optimum under those two cuts, and C(s) the least of them.  The cuts
-    shrink as s grows, so no C_n falls, and neither does C, from
-    C(0) = z_lower to C(1) = z_upper.  Every size is feasible at every cut
-    s <= 1, as the cut is no tighter than the level its bracket met.
+    problem's.  phi(x, n) >= s holds exactly where g(x) <= alpha.cut(s),
+    h(x) <= beta.cut(s) and the objective's membership is at least s.  Let
+    C_n(s) be size n's crisp optimum under those two cuts, and C(s) the
+    least of them.  The cuts shrink as s grows, so no C_n falls, and neither
+    does C, from C(0) = z_lower to C(1) = z_upper.  Every size is feasible
+    at every cut s <= 1, as the cut is no tighter than the level its tight
+    solve met.
 
     - Under ``cost_ascending`` the argmin of C(1) meets the levels and costs
       z_upper, so every membership is 1 there; any point with phi = 1 meets
@@ -523,20 +555,19 @@ def solve_max_phi(
       least C(phi*): that argmin is the design.  It is taken from the root
       iterate of largest s with F(s) <= 0.
 
-    Ties on cost go to the smaller n, the earlier key of ``brackets``.  phi
-    and the margins are computed at the design point, not set.  The trace
-    has one entry (n, phi, cost, case) per size: its crisp optimum at the
-    cuts of phi*, phi taken against the shared bracket, and ``case`` the
+    Ties on cost go to the smaller n, the earlier key of ``bracket.sizes``.
+    phi and the margins are computed at the design point, not set.  The
+    trace has one entry (n, phi, cost, case) per size: its crisp optimum at
+    the cuts of phi*, phi taken against the shared bracket, and ``case`` the
     `solve_monotone` case.  Every crisp solve is `solve_monotone` of the
-    size's ``functions``.
+    size's functions.
     """
     _check_membership_form(membership_form)
-    z_lower = min(zb.z_lower for zb in brackets.values())
-    z_upper = min(zb.z_upper for zb in brackets.values())
+    z_lower, z_upper = bracket.z_lower, bracket.z_upper
     span = z_upper - z_lower
 
     def design_at(n, x, objective: float, case: str) -> PlanDesign:
-        _, g, h, _ = brackets[n].functions
+        (_, g, h, _), _, _ = bracket.sizes[n]
         g_value = float(g(x))
         h_value = float(h(x))
         memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
@@ -562,18 +593,19 @@ def solve_max_phi(
         )
 
     if membership_form == "cost_ascending" or span < _MIN_SPAN:
-        optima = {
-            n: (zb.tight_x, zb.tight_value, zb.tight_case) for n, zb in brackets.items()
-        }
+        optima = {n: tight for n, (_, tight, _) in bracket.sizes.items()}
     else:
-        bracket = {0.0: -span, 1.0: span}
+        ends = {0.0: -span, 1.0: span}
         met = {}  # s -> {n: (x, C_n(s), case)} where F(s) <= 0
 
         def shortfall(s: float) -> float:
-            if s in bracket:
-                return bracket[s]
+            if s in ends:
+                return ends[s]
             cuts = (alpha.cut(s), beta.cut(s))
-            at_s = {n: solve_monotone(*zb.functions, *cuts) for n, zb in brackets.items()}
+            at_s = {
+                n: solve_monotone(*functions, *cuts)
+                for n, (functions, _, _) in bracket.sizes.items()
+            }
             excess = min(cost for _, cost, _ in at_s.values()) + s * span - z_upper
             if excess <= 0.0:
                 met[s] = at_s
@@ -593,54 +625,9 @@ def solve_plan(
     settings: SolverSettings = DEFAULT_SOLVER,
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
-    """Full pipeline for one plan problem: bracket the objective per
-    candidate group size (`zimmermann_bounds`), then take the max-min design
-    over all of them at once (`solve_max_phi`).
-
-    The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
-    ascending order, ``functions(n)`` returning (objective, g, h, box,
-    ordering), and ``cost_floor(n)``, a cost that no design of group size n
-    goes below.  ``settings`` does not change the design.
-
-    A group size whose tight problem is infeasible is skipped, as it has no
-    bracket.  It could still be feasible at the relaxed levels, where it
-    might lower z_lower or win under ``standard``; the search does not look
-    there.
-
-    The search stops once the least tight optimum so far is at most
-    (1 + 1e-9) times the least cost floor of the sizes still to try.  Every
-    cost of a later size, at any cut, is at least its floor, so at least
-    that least tight optimum, which is at least the running z_lower and at
-    least the least cost so far at any cut.  So, up to that factor 1 + 1e-9,
-    a later size moves neither end of the bracket and loses every cost tie
-    to a smaller size: the stop changes no design, only how many sizes the
-    trace lists.
-    """
+    """Full pipeline for one plan problem: bracket the objective over its
+    group sizes (`zimmermann_bounds`), then take the max-min design over all
+    of them at once (`solve_max_phi`).  ``settings`` does not change the
+    design."""
     _check_membership_form(membership_form)
-    alpha, beta = problem.alpha, problem.beta
-    sizes = list(problem.group_sizes)
-    # later_floors[k]: the least cost floor of the sizes after sizes[k].
-    later_floors = list(
-        itertools.accumulate(
-            [problem.cost_floor(n) for n in reversed(sizes[1:])], min, initial=math.inf
-        )
-    )[::-1]
-    brackets = {}
-    per_n = []
-    least_tight = math.inf
-    for n, later_floor in zip(sizes, later_floors):
-        objective, g, h, box, _ = problem.functions(n)
-        try:
-            zb = zimmermann_bounds(objective, g, h, alpha, beta, box)
-        except InfeasibleError as exc:
-            per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
-            continue
-        brackets[n] = zb
-        least_tight = min(least_tight, zb.tight_value)
-        if least_tight <= later_floor * (1.0 + 1e-9):
-            break
-    if not brackets:
-        raise InfeasibleError(
-            "every candidate group size was infeasible", per_n=tuple(per_n)
-        )
-    return solve_max_phi(brackets, alpha, beta, membership_form)
+    return solve_max_phi(zimmermann_bounds(problem), problem.alpha, problem.beta, membership_form)

@@ -122,6 +122,8 @@ def mc_triprob(
     """
     if draws < 10**4:
         raise DomainError(f"draws must be >= 10^4, got {draws}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     family = Family(family)
     rng = np.random.default_rng(seed)
     if isinstance(life, FuzzyLife):
@@ -144,6 +146,8 @@ def mc_triprob(
     if family is Family.TYPE_I:
         if tau is None:
             raise DomainError("censored-MLE simulation requires tau")
+        if not tau > 0:
+            raise DomainError(f"tau must be positive, got {tau}")
         lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
         n_a = n_r = 0
         done = 0

@@ -167,6 +167,24 @@ def test_dispose_reads_design_json(tmp_path):
     assert json.loads(result.stdout)["decided_at"] == 4
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"t1": 41.0, "t2": ', "is not JSON"),
+        ('{"t2": 3159.0}', "need --t1 and --t2"),
+        ("[41.0, 3159.0]", "holds no design object"),
+        ('{"t1": 41.0, "t2": 3159.0, "inputs": []}', "holds no design object"),
+    ],
+    ids=["malformed", "no-t1", "list", "inputs-list"],
+)
+def test_dispose_rejects_a_bad_design_json(tmp_path, capsys, text, message):
+    design = tmp_path / "design.json"
+    design.write_text(text)
+    argv = ["dispose", "--data", "case-study", "--family", "ssp", "--design-json", str(design)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_oracle_single_case_and_determinism():
     args = ["oracle", "--family", "ssp", "--draws", "20000"]
     first = run_cli(args)
@@ -247,6 +265,22 @@ def test_oracle_type1_writes_the_json_it_prints(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert json.loads(printed)["draws"] == 10000
     assert path.read_text(encoding="utf-8") == printed
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "0", "--tau", "50"], "n must be >= 1"),
+        (["--n", "-3", "--tau", "50"], "n must be >= 1"),
+        (["--tau", "-5"], "tau must be positive"),
+    ],
+    ids=["n-zero", "n-negative", "tau-negative"],
+)
+def test_oracle_type1_rejects_a_bad_group_size_or_tau(capsys, flags, message):
+    assert main(["oracle", "--family", "type1", "--draws", "10000", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
 
 
 def test_oracle_type1_takes_a_mean_life_above_the_fuzziness_scale(capsys):

@@ -107,32 +107,33 @@ def test_solve_crisp_ssp_feasible():
 
 
 def test_zimmermann_zero_slack_collapses():
-    p = _ssp_problem(1500.0)
-    objective, g, h, box, _ = plan_functions(p, None)
-    zb = zimmermann_bounds(objective, g, h, FuzzyLevel(0.05, 0.0), FuzzyLevel(0.05, 0.0), box)
+    p = replace(_ssp_problem(1500.0), alpha=FuzzyLevel(0.05, 0.0), beta=FuzzyLevel(0.05, 0.0))
+    zb = zimmermann_bounds(p)
     assert zb.z_upper == pytest.approx(zb.z_lower, rel=1e-4)
 
 
 def test_zimmermann_brackets_reference_cost():
     p = _ssp_problem(1500.0)
     objective, g, h, box, _ = plan_functions(p, None)
-    zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box)
+    zb = zimmermann_bounds(p)
+    levels = (p.alpha.level, p.beta.level)
+    tight_value = fuzzyopt.solve_monotone(objective, g, h, box, *levels)[1]
+    relaxed_value = fuzzyopt.solve_monotone(objective, g, h, box, p.alpha.relaxed, p.beta.relaxed)[1]
     assert zb.z_lower <= zb.z_upper
-    assert zb.relaxed_value <= zb.tight_value + 1e-6 * (1.0 + zb.tight_value)
+    assert relaxed_value <= tight_value + 1e-6 * (1.0 + tight_value)
     # The reference tight-design cost 665.7614 must sit at or above the bracket.
     assert zb.z_lower <= 665.7614 * 1.001
 
 
 def _max_phi_setup():
     p = _ssp_problem(15000.0)
-    objective, g, h, box, _ = plan_functions(p, None)
-    zb = zimmermann_bounds(objective, g, h, p.alpha, p.beta, box)
-    return objective, g, h, p, zb
+    objective, g, h, _, _ = plan_functions(p, None)
+    return objective, g, h, p, zimmermann_bounds(p)
 
 
 def test_max_phi_design_feasible_and_consistent():
     objective, g, h, p, zb = _max_phi_setup()
-    design = solve_max_phi({None: zb}, p.alpha, p.beta, "cost_ascending")
+    design = solve_max_phi(zb, p.alpha, p.beta, "cost_ascending")
     assert 0.0 <= design.phi <= 1.0
     assert design.g_margin >= -1e-6
     assert design.h_margin >= -1e-6
@@ -146,19 +147,17 @@ def test_max_phi_design_feasible_and_consistent():
 
 def test_max_phi_standard_form_not_costlier_than_relaxed_bound():
     _, g, h, p, zb = _max_phi_setup()
-    design = solve_max_phi({None: zb}, p.alpha, p.beta, "standard")
+    design = solve_max_phi(zb, p.alpha, p.beta, "standard")
     assert design.objective_value <= zb.z_upper * (1.0 + 1e-6)
     assert design.g_value <= p.alpha.relaxed + 1e-6
     assert design.h_value <= p.beta.relaxed + 1e-6
 
 
 def test_crisp_limit_of_max_phi():
-    p = _ssp_problem(15000.0)
-    objective, g, h, box, _ = plan_functions(p, None)
     alpha = FuzzyLevel(0.05, 0.0)
     beta = FuzzyLevel(0.05, 0.0)
-    zb = zimmermann_bounds(objective, g, h, alpha, beta, box)
-    design = solve_max_phi({None: zb}, alpha, beta)
+    zb = zimmermann_bounds(replace(_ssp_problem(15000.0), alpha=alpha, beta=beta))
+    design = solve_max_phi(zb, alpha, beta)
     assert design.g_value <= 0.05 + 1e-6
     assert design.h_value <= 0.05 + 1e-6
 
@@ -206,9 +205,11 @@ def test_cost_ascending_design_is_the_tight_bracket_point(family, crisp, monkeyp
     design = solve_plan(problem, FAST)
     assert solves and max(solves.values()) <= 2
     objective, g, h, box, _ = problem.functions(design.n)
-    zb = zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box)
-    assert (design.t1, design.t2) == zb.tight_x
-    assert design.objective_value == zb.tight_value
+    tight_x, tight_value, _ = fuzzyopt.solve_monotone(
+        objective, g, h, box, problem.alpha.level, problem.beta.level
+    )
+    assert (design.t1, design.t2) == tight_x
+    assert design.objective_value == tight_value
     assert design.phi >= 1.0 - 1e-9
 
 
@@ -390,12 +391,42 @@ def test_grouped_z_lower_is_the_least_relaxed_optimum():
     for n in problem.group_sizes:
         objective, g, h, box, _ = problem.functions(n)
         relaxed.append(
-            zimmermann_bounds(objective, g, h, problem.alpha, problem.beta, box).relaxed_value
+            fuzzyopt.solve_monotone(
+                objective, g, h, box, problem.alpha.relaxed, problem.beta.relaxed
+            )[1]
         )
     design = solve_plan(problem)
     assert design.n == 2
     assert design.z_lower == min(relaxed) == relaxed[0]
     assert design.z_lower == pytest.approx(471.170292, rel=1e-8)
+
+
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_bracket_is_the_least_optimum_over_the_sizes(family, crisp):
+    """z_lower and z_upper are the least relaxed and the least tight crisp
+    optimum over the sizes bracketed, each size solved here on its own."""
+    problem = _stop_problem(family, crisp)
+    alpha, beta = problem.alpha, problem.beta
+    zb = zimmermann_bounds(problem)
+    tight, relaxed = [], []
+    for n in zb.sizes:
+        objective, g, h, box, _ = problem.functions(n)
+        tight.append(fuzzyopt.solve_monotone(objective, g, h, box, alpha.level, beta.level)[1])
+        relaxed.append(
+            fuzzyopt.solve_monotone(objective, g, h, box, alpha.relaxed, beta.relaxed)[1]
+        )
+    assert zb.z_lower == min(map(min, tight, relaxed))
+    assert zb.z_upper == min(map(max, tight, relaxed))
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_bracket_sizes_are_the_trace_sizes(family, crisp, form):
+    problem = _stop_problem(family, crisp)
+    design = solve_plan(problem, FAST, form)
+    assert list(zimmermann_bounds(problem).sizes) == [n for n, *_ in design.trace]
 
 
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])

@@ -113,6 +113,23 @@ def test_mc_triprob_rejects_tiny_draws():
         mc_triprob(Family.SSP, FuzzyLife(300.0, 1500.0), Thresholds(1.0, 2.0), draws=10)
 
 
+@pytest.mark.parametrize(
+    "family,n,tau,message",
+    [
+        (Family.TYPE_I, 0, 50.0, "n must be >= 1"),
+        (Family.TYPE_I, -3, 50.0, "n must be >= 1"),
+        (Family.TYPE_I, 1, -5.0, "tau must be positive"),
+        (Family.TYPE_I, 1, 0.0, "tau must be positive"),
+        (Family.TYPE_I, 1, math.nan, "tau must be positive"),
+        (Family.RGSP_MIN, 0, None, "n must be >= 1"),
+        (Family.RGSP_MAX, -1, None, "n must be >= 1"),
+    ],
+)
+def test_mc_triprob_rejects_what_the_closed_forms_reject(family, n, tau, message):
+    with pytest.raises(DomainError, match=message):
+        mc_triprob(family, 300.0, Thresholds(100.0, 200.0), n=n, tau=tau, draws=10_000)
+
+
 def test_single_case_tolerance_uses_the_pooled_standard_error():
     draws = 10**4
     f, th = FuzzyLife(300.0, 15000.0), Thresholds(176.3513, 196.9506)
