@@ -34,15 +34,13 @@ from .lifemodel import (
     TriProb,
     expected_y,
     expected_y_upper_bound,
-    expected_ymax,
-    expected_ymax_upper_bound,
-    expected_ymin,
-    expected_ymin_upper_bound,
     harmonic_number,
     long_run,
+    oscillatory_pair,
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
+    std_normal_cdf,
     typeI_triprob,
     weighted_survival,
 )
@@ -58,7 +56,6 @@ from .oracle import (
     sample_mixture_rates,
     verify_tables,
 )
-from .plans import Family, PlanProblem, crisp_baseline, crisp_limit
-from .quadrature import oscillatory_pair, std_normal_cdf
+from .plans import Family, PlanProblem, crisp_baseline, crisp_limit, expected_stage_duration
 
 __version__ = "0.1.0"

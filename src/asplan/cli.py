@@ -231,6 +231,13 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
         t2 = design.get("t2") if t2 is None else t2
         n = design.get("n") if n is None else n
         tau = design.get("inputs", {}).get("tau") if tau is None else tau
+        # Checked, not converted, so integer-valued JSON prints unchanged; true is not 1.
+        for key, value, kind in (("t1", t1, float), ("t2", t2, float), ("n", n, int),
+                                 ("tau", tau, float)):
+            if value is not None and type(value) not in (int, kind):
+                noun = "an integer" if kind is int else "a number"
+                got = json.dumps(value)
+                raise DomainError(f"{args.design_json}: {key} must be {noun}, got {got}")
     n = 1 if n is None else n
     if t1 is None or t2 is None:
         print("need --t1 and --t2 (or --design-json)", file=sys.stderr)

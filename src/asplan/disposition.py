@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -51,13 +52,7 @@ def _classify(value: float, t1: float, t2: float) -> Optional[Decision]:
 
 def dispose_ssp(data: FailureData, t1: float, t2: float) -> Disposition:
     """Scan observations in recorded order; first value outside [t1, t2) decides."""
-    examined = []
-    for index, value in enumerate(data.values, start=1):
-        examined.append(value)
-        decision = _classify(value, t1, t2)
-        if decision is not None:
-            return Disposition(decision, index, tuple(examined))
-    return Disposition(Decision.CONTINUE_EXHAUSTED, None, tuple(examined))
+    return _dispose_grouped(data, t1, t2, 1, operator.itemgetter(0))
 
 
 def _dispose_grouped(data: FailureData, t1: float, t2: float, n: int, statistic) -> Disposition:
@@ -131,9 +126,5 @@ def load_failure_data(path) -> FailureData:
 
 def case_study_data() -> FailureData:
     """The embedded 36-lifetime appliance endurance dataset."""
-    source = resources.files("asplan").joinpath("data/case_study.csv")
-    with source.open("r", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # header
-        values = tuple(float(record[0]) for record in reader if record)
-    return FailureData(values)
+    with resources.as_file(resources.files("asplan") / "data/case_study.csv") as path:
+        return load_failure_data(path)

@@ -24,10 +24,7 @@ from .lifemodel import (
     Thresholds,
     expected_y,
     expected_y_upper_bound,
-    expected_ymax,
-    expected_ymax_upper_bound,
-    expected_ymin,
-    expected_ymin_upper_bound,
+    harmonic_number,
     long_run,
     rgsp_max_triprob,
     rgsp_min_triprob,
@@ -132,14 +129,17 @@ def expected_stage_duration(
     family: Family, life: Life, n: Optional[int], upper: bool, tau: Optional[float] = None
 ) -> float:
     """Expected duration of one stage under ``life``, or its analytic upper
-    bound when ``upper``: the censoring time tau for Type-I plans."""
+    bound when ``upper``: the censoring time tau for Type-I plans, else the
+    mean inter-failure time E[Y] for the sequential plan, E[Y]/n for the group
+    minimum and H_n E[Y] (H_n the n-th harmonic number) for the group maximum."""
     if family is Family.TYPE_I:
         return tau
-    if family is Family.RGSP_MIN:
-        return (expected_ymin_upper_bound if upper else expected_ymin)(life, n)
-    if family is Family.RGSP_MAX:
-        return (expected_ymax_upper_bound if upper else expected_ymax)(life, n)
-    return (expected_y_upper_bound if upper else expected_y)(life)
+    mean = (expected_y_upper_bound if upper else expected_y)(life)
+    if family is Family.SSP:
+        return mean
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return mean / n if family is Family.RGSP_MIN else harmonic_number(n) * mean
 
 
 def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):

@@ -25,10 +25,6 @@ from asplan.lifemodel import (
     Thresholds,
     expected_y,
     expected_y_upper_bound,
-    expected_ymax,
-    expected_ymax_upper_bound,
-    expected_ymin,
-    expected_ymin_upper_bound,
     harmonic_number,
     rgsp_max_triprob,
     rgsp_min_triprob,
@@ -38,7 +34,7 @@ from asplan.lifemodel import (
 )
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.oracle import load_golden_rows, run_regression_grid, verify_tables
-from asplan.plans import Family, PlanProblem, crisp_baseline
+from asplan.plans import Family, PlanProblem, crisp_baseline, expected_stage_duration
 
 from reference import defuzzify_center_of_gravity, life_membership, simpson
 
@@ -138,12 +134,14 @@ def test_expectation_formulas():
         ey = expected_y(f)
         quad = _mixture(f, lambda r: 1.0 / r)
         worst_rel = max(worst_rel, abs(ey - quad) / quad)
-        worst_rel = max(worst_rel, abs(expected_ymin(f, n) - quad / n) / (quad / n))
+        ymin = expected_stage_duration(Family.RGSP_MIN, f, n, False)
+        ymax = expected_stage_duration(Family.RGSP_MAX, f, n, False)
+        worst_rel = max(worst_rel, abs(ymin - quad / n) / (quad / n))
         target = harmonic_number(n) * quad
-        worst_rel = max(worst_rel, abs(expected_ymax(f, n) - target) / target)
+        worst_rel = max(worst_rel, abs(ymax - target) / target)
         bounds_ok &= expected_y_upper_bound(f) >= ey
-        bounds_ok &= expected_ymin_upper_bound(f, n) >= expected_ymin(f, n)
-        bounds_ok &= expected_ymax_upper_bound(f, n) >= expected_ymax(f, n)
+        bounds_ok &= expected_stage_duration(Family.RGSP_MIN, f, n, True) >= ymin
+        bounds_ok &= expected_stage_duration(Family.RGSP_MAX, f, n, True) >= ymax
     _verdict(
         "mean-duration formulas vs quadrature (1e-6 rel) with dominating bounds",
         worst_rel <= 1e-6 and bounds_ok,

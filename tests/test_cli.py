@@ -174,8 +174,15 @@ def test_dispose_reads_design_json(tmp_path):
         ('{"t2": 3159.0}', "need --t1 and --t2"),
         ("[41.0, 3159.0]", "holds no design object"),
         ('{"t1": 41.0, "t2": 3159.0, "inputs": []}', "holds no design object"),
+        # Wrong JSON types are rejected before any family's disposition runs.
+        ('{"t1": "abc", "t2": 3159}', 't1 must be a number, got "abc"'),
+        ('{"t1": 10, "t2": 3000, "n": 2.5}', "n must be an integer, got 2.5"),
+        ('{"t1": 1219, "t2": 1990, "n": 13, "inputs": {"tau": "x"}}',
+         'tau must be a number, got "x"'),
+        ('{"t1": true, "t2": 3159}', "t1 must be a number, got true"),
     ],
-    ids=["malformed", "no-t1", "list", "inputs-list"],
+    ids=["malformed", "no-t1", "list", "inputs-list", "t1-string", "n-float", "tau-string",
+         "t1-bool"],
 )
 def test_dispose_rejects_a_bad_design_json(tmp_path, capsys, text, message):
     design = tmp_path / "design.json"

@@ -39,6 +39,15 @@ def test_ssp_reject_and_band():
     assert result.decided_at is None
 
 
+def test_ssp_boundaries_continue_at_t1_and_accept_at_t2():
+    at_t1 = dispose_ssp(FailureData((41.0, 100.0)), 41.0, 3159.0)
+    assert at_t1.decision is Decision.CONTINUE_EXHAUSTED
+    assert (at_t1.decided_at, at_t1.evidence) == (None, (41.0, 100.0))
+    at_t2 = dispose_ssp(FailureData((41.0, 3159.0, 1.0)), 41.0, 3159.0)
+    assert at_t2.decision is Decision.ACCEPT
+    assert (at_t2.decided_at, at_t2.evidence) == (2, (41.0, 3159.0))
+
+
 def test_ssp_threshold_sentinels():
     data = case_study_data()
     never_reject = dispose_ssp(data, t1=0.0, t2=1e18)

@@ -10,10 +10,6 @@ from asplan.lifemodel import (
     TriProb,
     expected_y,
     expected_y_upper_bound,
-    expected_ymax,
-    expected_ymax_upper_bound,
-    expected_ymin,
-    expected_ymin_upper_bound,
     harmonic_number,
     long_run,
     rgsp_max_triprob,
@@ -23,6 +19,7 @@ from asplan.lifemodel import (
     weighted_survival,
 )
 from asplan.membership import FuzzyLife
+from asplan.plans import Family, expected_stage_duration
 
 from reference import life_membership, simpson
 
@@ -228,13 +225,21 @@ def test_expected_y_bound_dominates():
         assert expected_y(f) <= expected_y_upper_bound(f)
 
 
+def _ymin(f, n, upper=False):
+    return expected_stage_duration(Family.RGSP_MIN, f, n, upper)
+
+
+def _ymax(f, n, upper=False):
+    return expected_stage_duration(Family.RGSP_MAX, f, n, upper)
+
+
 def test_expected_extrema_scalings():
     f = FuzzyLife(300.0, 1500.0)
     e = expected_y(f)
-    assert expected_ymin(f, 1) == pytest.approx(e)
-    assert expected_ymax(f, 1) == pytest.approx(e)
-    assert expected_ymin(f, 50) == pytest.approx(e / 50.0, rel=1e-12)
-    assert expected_ymax(f, 2) == pytest.approx(1.5 * e, rel=1e-12)
+    assert _ymin(f, 1) == pytest.approx(e)
+    assert _ymax(f, 1) == pytest.approx(e)
+    assert _ymin(f, 50) == pytest.approx(e / 50.0, rel=1e-12)
+    assert _ymax(f, 2) == pytest.approx(1.5 * e, rel=1e-12)
     assert harmonic_number(4) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0 + 0.25)
 
 
@@ -243,8 +248,8 @@ def test_extrema_bounds_dominate():
     for _ in range(100):
         f = random_life(rng)
         n = rng.randint(1, 60)
-        assert expected_ymin(f, n) <= expected_ymin_upper_bound(f, n)
-        assert expected_ymax(f, n) <= expected_ymax_upper_bound(f, n)
+        assert _ymin(f, n) <= _ymin(f, n, upper=True)
+        assert _ymax(f, n) <= _ymax(f, n, upper=True)
 
 
 def test_thresholds_validation():

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from asplan.errors import DomainError
+from asplan.lifemodel import expected_y, expected_y_upper_bound, harmonic_number
 from asplan.membership import FuzzyLevel, FuzzyLife
-from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
+from asplan.plans import (
+    Family,
+    PlanProblem,
+    crisp_limit,
+    expected_stage_duration,
+    plan_functions,
+)
 
 
 def make_problem(family=Family.SSP, **overrides) -> PlanProblem:
@@ -45,6 +52,22 @@ def test_problem_takes_plain_mean_lives():
     for lives in ((300.0, FuzzyLife(50.0, 1500.0)), (300.0, 0.0), (50.0, 300.0)):
         with pytest.raises(DomainError):
             make_problem(lambda0=lives[0], lambda1=lives[1])
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("life", [FuzzyLife(300.0, 1500.0), 300.0])
+def test_stage_duration_is_the_mean_scaled_per_family(life, upper):
+    mean = (expected_y_upper_bound if upper else expected_y)(life)
+    assert expected_stage_duration(Family.SSP, life, None, upper) == mean
+    assert expected_stage_duration(Family.TYPE_I, life, 7, upper, tau=50.0) == 50.0
+    for n in (1, 2, 7, 200):
+        assert expected_stage_duration(Family.RGSP_MIN, life, n, upper) == mean / n
+        assert expected_stage_duration(Family.RGSP_MAX, life, n, upper) == (
+            harmonic_number(n) * mean
+        )
+    for family in (Family.RGSP_MIN, Family.RGSP_MAX):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            expected_stage_duration(family, life, 0, upper)
 
 
 @pytest.mark.parametrize(

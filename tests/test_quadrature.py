@@ -4,7 +4,7 @@ import random
 import pytest
 
 from asplan.errors import DomainError
-from asplan.quadrature import oscillatory_pair, std_normal_cdf
+from asplan.lifemodel import oscillatory_pair, std_normal_cdf
 
 from reference import ConvergenceError, QuadratureSettings, _composite_simpson, simpson
 
