@@ -180,6 +180,8 @@ def _cmd_design(args: argparse.Namespace, crisp: bool) -> int:
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
+    if args.rows is not None and args.rows < 0:
+        raise DomainError(f"--rows must be >= 0, got {args.rows}")
     rows = oracle.load_golden_rows()
     if args.table is not None:
         rows = [r for r in rows if r.table == args.table]

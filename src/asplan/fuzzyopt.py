@@ -308,25 +308,73 @@ def solve_crisp(
 # Brent's method stops within 4 ulps relative, or this absolute width, of a
 # root; thresholds from 1e-3 up keep 1e-12 relative.
 _ROOT_XTOL = 1e-15
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_RTOL = 4.0 * math.ulp(1.0)
+_ROOT_ITER = 100
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b] by Brent's method (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), line for line as scipy's
+    `brentq.c`: the same probes, and the last one when `_ROOT_ITER`
+    iterations end, as `scipy.optimize.brentq(disp=False)` returns it.
+    Raises ValueError when f(a) and f(b) share a sign or f returns NaN."""
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    return xcur
 
 
 def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
     """The point nearest ``unmet`` where f <= 0, for f monotone from
     f(met) <= 0: ``unmet`` itself if f(unmet) <= 0.
 
-    Otherwise Brent's method (`scipy.optimize.brentq`, imported on first use as for
-    `minimize`) brackets the crossing; every probe is recorded, so the point
-    returned meets f <= 0 as evaluated and lies in the final bracket.  The
-    probes end at the root tolerance or after brentq's iteration cap, which
-    only an f whose rounding noise spans the tolerance reaches (up to 77 of
-    the 100 iterations on generated plan problems); a capped root is no
-    less feasible.
+    Otherwise Brent's method (`_brentq`) brackets the crossing; every probe
+    is recorded, so the point returned meets f <= 0 as evaluated and lies in
+    the final bracket.  The probes end at the root tolerance or after
+    `_ROOT_ITER` iterations, which only an f whose rounding noise spans the
+    tolerance reaches (up to 77 of the 100 on generated plan problems); a
+    capped root is no less feasible.
     """
     if f(unmet) <= 0.0:
         return unmet
-    from scipy.optimize import brentq
-
     best = met
 
     def probe(x: float) -> float:
@@ -337,7 +385,7 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
         return value
 
     lower, upper = min(met, unmet), max(met, unmet)
-    brentq(probe, lower, upper, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, disp=False)
+    _brentq(probe, lower, upper, _ROOT_XTOL, _ROOT_RTOL)
     return best
 
 

@@ -12,7 +12,8 @@ Two special functions live here too: the oscillatory integrals of cos(u)/u
 and sin(u)/u in the expected inter-failure time, in closed form through the
 cosine and sine integrals (the tests check them against composite Simpson
 quadrature and mpmath), and the standard normal CDF of the Type-I
-approximation, through the complementary error function.
+approximation, through the complementary error function.  `scipy.special`
+is slow to import: it loads at the first Ci/Si or normal CDF over an array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, sici
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError
 from .membership import FuzzyLife
@@ -171,6 +171,8 @@ def std_normal_cdf(z):
     """Standard normal CDF via the complementary error function (~1e-15
     accurate), elementwise over a numpy array."""
     if isinstance(z, np.ndarray):
+        from scipy.special import erfc
+
         return 0.5 * erfc(-z / math.sqrt(2.0))
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
@@ -235,6 +237,8 @@ def oscillatory_pair(c: float) -> tuple[float, float]:
     """
     if not c > math.pi:
         raise DomainError(f"need c > pi so the interval avoids the origin, got c={c}")
+    from scipy.special import sici
+
     si_hi, ci_hi = sici(c + math.pi)
     si_lo, ci_lo = sici(c - math.pi)
     return float(ci_hi - ci_lo), float(si_hi - si_lo)

@@ -337,6 +337,8 @@ def verify_tables(
     printed-precision tolerance.  Comparison-only rows carry no design and
     are reported without a feasibility verdict.
     """
+    if not 0.0 <= feasibility_tol < math.inf:
+        raise DomainError(f"the tolerance must be finite and >= 0, got {feasibility_tol}")
     reports = []
     for row in rows if rows is not None else load_golden_rows():
         report = {

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from asplan.cli import main
+from test_readme_examples import EXAMPLES
 
 CLI = [sys.executable, "-m", "asplan.cli"]
 # The child interpreter imports asplan from this checkout, installed or not.
@@ -125,6 +126,25 @@ def test_verify_tables_subset_and_exit_codes(tmp_path):
     empty = run_cli(["verify-tables", "--rows", "0"])
     assert empty.returncode == 0
     assert "no design rows selected" in empty.stdout
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--rows", "-79"], "--rows must be >= 0, got -79"),
+        (["--tolerance", "-1"], "the tolerance must be finite and >= 0, got -1.0"),
+        (["--tolerance", "nan"], "the tolerance must be finite and >= 0, got nan"),
+        (["--tolerance", "inf"], "the tolerance must be finite and >= 0, got inf"),
+    ],
+    ids=["rows-negative", "tolerance-negative", "tolerance-nan", "tolerance-inf"],
+)
+def test_verify_tables_rejects_a_nonsense_selector(capsys, flags, message):
+    """A negative --rows would slice from the end, and a negative or NaN
+    --tolerance would fail every row; both are input errors."""
+    assert main(["verify-tables", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_dispose_exit_codes(tmp_path):
@@ -301,17 +321,31 @@ def test_oracle_type1_takes_a_mean_life_above_the_fuzziness_scale(capsys):
     assert estimate["p_a"] + estimate["p_r"] + estimate["p_c"] == pytest.approx(1.0)
 
 
-def test_commands_that_solve_nothing_do_not_import_scipy_optimize():
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ([], "False False"),
+        (EXAMPLES["dispose_case_study.json"], "False False"),
+        (EXAMPLES["design_type1.json"], "False False"),
+        (EXAMPLES["design_ssp.json"], "True False"),
+    ],
+    ids=["import", "dispose", "design-type1", "design-ssp"],
+)
+def test_scipy_loads_only_where_a_command_needs_it(argv, loaded):
+    """In a fresh interpreter, `import asplan` loads neither scipy.special
+    nor scipy.optimize, and of the README examples only the `ssp` design,
+    whose cost needs Ci/Si, loads scipy.special; none loads scipy.optimize."""
     code = (
         "import sys\n"
         "import asplan\n"
         "from asplan.cli import main\n"
-        "status = main(['dispose', '--data', 'case-study', '--family', 'ssp',"
-        " '--t1', '41', '--t2', '3159'])\n"
-        "print(status, 'scipy.optimize' in sys.modules)\n"
+        "status = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(status, 'scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)\n"
     )
     env = dict(os.environ)
+    env.pop("ASP_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == f"0 {loaded}"

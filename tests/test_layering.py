@@ -47,3 +47,46 @@ def test_package_imports_have_no_cycle():
         TopologicalSorter(_graph()).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+
+def _module_level_scipy_imports(source: str) -> list:
+    """The lines of ``source`` that import scipy outside any function;
+    a class body or an ``if`` at module level runs at import too."""
+    found = []
+
+    def visit(node) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_scipy_import_check_tells_module_level_from_function_level():
+    source = (
+        "import scipy.special\n"
+        "from scipy import optimize\n"
+        "if True:\n"
+        "    import scipy\n"
+        "def f():\n"
+        "    from scipy.optimize import brentq\n"
+    )
+    assert _module_level_scipy_imports(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_scipy_at_import_time(path):
+    """scipy is slow to import, so `import asplan` must not load it: a
+    module imports it inside the function that needs it."""
+    assert _module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
