@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 from . import disposition, oracle
 from .errors import DomainError, InfeasibleError
@@ -57,7 +59,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         return args
     tokens = []
     for key, raw in _read_config(args.config).items():
-        if key == "command" or not hasattr(args, key):
+        if key in ("command", "run") or not hasattr(args, key):
             raise DomainError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):  # a store_true switch takes no value
@@ -71,7 +73,6 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
     # Required inputs are validated after the config file is merged in, so a
     # config can supply any of them; argparse must not reject their absence.
-    sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--family", choices=[f.value for f in Family])
     sub.add_argument("--lambda0", type=float, help="acceptable mean life")
     sub.add_argument("--lambda1", type=float, help="rejectable mean life")
@@ -112,11 +113,8 @@ def _build_problem(args: argparse.Namespace) -> PlanProblem:
     for key in ("family", "lambda0", "lambda1", "alpha", "beta", "a"):
         if getattr(args, key) is None:
             raise DomainError(f"--{key} is required (flag or config file)")
-    family = Family(args.family)
-    if family is Family.TYPE_I and args.tau is None:
-        raise DomainError("--tau is required for the censored family")
     return PlanProblem(
-        family=family,
+        family=Family(args.family),
         lambda0=FuzzyLife(lambda_j=args.lambda0, a=args.a),
         lambda1=FuzzyLife(lambda_j=args.lambda1, a=args.a),
         alpha=FuzzyLevel(args.alpha, args.b1),
@@ -142,7 +140,7 @@ def _fmt(x):
     return float(f"{x:.6g}") if isinstance(x, float) else x
 
 
-def _cmd_design(args: argparse.Namespace, crisp: bool) -> int:
+def _cmd_design(args: argparse.Namespace, crisp: bool = False) -> int:
     problem = _build_problem(args)
     solve = crisp_baseline if crisp else solve_plan
     try:
@@ -184,6 +182,9 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
         raise DomainError(f"--rows must be >= 0, got {args.rows}")
     rows = oracle.load_golden_rows()
     if args.table is not None:
+        tables = sorted({r.table for r in rows})
+        if args.table not in tables:
+            raise DomainError(f"no table {args.table}; the tables are {tables}")
         rows = [r for r in rows if r.table == args.table]
     if args.rows is not None:
         rows = rows[: args.rows]
@@ -217,9 +218,8 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
             data = disposition.case_study_data()
         else:
             data = disposition.load_failure_data(args.data)
-    except (OSError, ValueError, DomainError) as exc:
-        print(f"cannot read data: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read data: {exc}") from None
     t1, t2, n, tau = args.t1, args.t2, args.n, args.tau
     if args.design_json:
         with open(args.design_json, "r", encoding="utf-8") as handle:
@@ -242,8 +242,7 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
                 raise DomainError(f"{args.design_json}: {key} must be {noun}, got {got}")
     n = 1 if n is None else n
     if t1 is None or t2 is None:
-        print("need --t1 and --t2 (or --design-json)", file=sys.stderr)
-        return 1
+        raise DomainError("need --t1 and --t2 (or --design-json)")
     family = Family(args.family)
     if family is Family.SSP:
         result = disposition.dispose_ssp(data, t1, t2)
@@ -252,14 +251,12 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
     elif family is Family.RGSP_MAX:
         result = disposition.dispose_rgsp_max(data, t1, t2, n)
     else:
-        if tau is None:
-            print("--tau is required for the censored family", file=sys.stderr)
-            return 1
         result = disposition.dispose_type1(data, t1, t2, n, tau)
     payload = {
         "decision": result.decision.value,
         "decided_at": result.decided_at,
-        "evidence": [_fmt(v) for v in result.evidence],
+        # Strict JSON has no Infinity: a group with no failure before tau prints null.
+        "evidence": [_fmt(v) if math.isfinite(v) else None for v in result.evidence],
         "family": family.value,
         "t1": t1,
         "t2": t2,
@@ -299,24 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and verify minimum-cost acceptance sampling plans "
         "for exponential lifetimes with fuzzy quality parameters.",
     )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="flat key = value config file")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    design = subs.add_parser("design", help="solve a plan design problem")
-    _add_problem_flags(design)
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, parents=[config], help=summary)
+        sub.set_defaults(run=run)
+        return sub
 
-    crisp = subs.add_parser("crisp-baseline", help="solve the crisp limit of a problem")
-    _add_problem_flags(crisp)
+    _add_problem_flags(command("design", _cmd_design, "solve a plan design problem"))
+    _add_problem_flags(command("crisp-baseline", partial(_cmd_design, crisp=True),
+                               "solve the crisp limit of a problem"))
 
-    verify = subs.add_parser("verify-tables", help="recheck the embedded reference designs")
-    verify.add_argument("--config", help="flat key = value config file")
+    verify = command("verify-tables", _cmd_verify_tables, "recheck the embedded reference designs")
     verify.add_argument("--table", type=int, help="restrict to one table id")
     verify.add_argument("--rows", type=int, help="restrict to the first N rows")
     verify.add_argument("--tolerance", type=float, default=5e-3)
     verify.add_argument("--csv", help="write the report as CSV")
     verify.add_argument("--json", help="write the report as JSON")
 
-    dispose = subs.add_parser("dispose", help="apply a design to observed data")
-    dispose.add_argument("--config", help="flat key = value config file")
+    dispose = command("dispose", _cmd_dispose, "apply a design to observed data")
     # Required, but checked after the config merge so that a config can supply them.
     dispose.add_argument("--data", help="CSV/JSON data file, or 'case-study'")
     dispose.add_argument("--family", choices=[f.value for f in Family])
@@ -327,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     dispose.add_argument("--design-json", help="take thresholds from a design output file")
     dispose.add_argument("--out", help="write the decision JSON here as well as stdout")
 
-    mc = subs.add_parser("oracle", help="run the Monte-Carlo cross-checks")
-    mc.add_argument("--config", help="flat key = value config file")
+    mc = command("oracle", _cmd_oracle, "run the Monte-Carlo cross-checks")
     mc.add_argument("--draws", type=int, default=10**6)
     mc.add_argument("--seed", type=int, default=None)
     mc.add_argument("--family", choices=[f.value for f in Family])
@@ -343,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Every bad input it meets, as a DomainError or an
+    unreadable file, prints ``error: ...`` and returns 1."""
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
@@ -350,17 +351,7 @@ def main(argv=None) -> int:
             missing = [f"--{key}" for key in ("data", "family") if getattr(args, key) is None]
             if missing:
                 parser.error("the following arguments are required: " + ", ".join(missing))
-        if args.command == "design":
-            return _cmd_design(args, crisp=False)
-        if args.command == "crisp-baseline":
-            return _cmd_design(args, crisp=True)
-        if args.command == "verify-tables":
-            return _cmd_verify_tables(args)
-        if args.command == "dispose":
-            return _cmd_dispose(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,7 +85,8 @@ def dispose_rgsp_max(data: FailureData, t1: float, t2: float, n: int) -> Disposi
 def censored_mle(values: Sequence[float], n: int, tau: float) -> float:
     """Mean-life MLE from the first n items with the test truncated at tau:
     failed items contribute their lifetime, survivors contribute tau, divided
-    by the failure count."""
+    by the failure count.  With no failure before tau the likelihood
+    exp(-n*tau/lambda) rises in lambda, so the estimate is +inf."""
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
     if n < 1 or n > len(values):
@@ -93,12 +94,17 @@ def censored_mle(values: Sequence[float], n: int, tau: float) -> float:
     block = values[:n]
     q = sum(1 for v in block if v < tau)
     if q == 0:
-        raise DomainError("no failures before the censoring time; estimate undefined")
+        return math.inf
     return math.fsum(min(v, tau) for v in block) / q
 
 
-def dispose_type1(data: FailureData, t1: float, t2: float, n: int, tau: float) -> Disposition:
-    """Decide per consecutive block of n on the censored mean-life estimate."""
+def dispose_type1(
+    data: FailureData, t1: float, t2: float, n: int, tau: Optional[float]
+) -> Disposition:
+    """Decide per consecutive block of n on the censored mean-life estimate;
+    a block with no failure before tau accepts."""
+    if tau is None:
+        raise DomainError("tau is required for the censored family")
     return _dispose_grouped(data, t1, t2, n, lambda block: censored_mle(block, n, tau))
 
 

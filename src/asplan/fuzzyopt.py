@@ -592,8 +592,9 @@ def solve_max_phi(
     - Under ``cost_ascending`` the argmin of C(1) meets the levels and costs
       z_upper, so every membership is 1 there; any point with phi = 1 meets
       the levels, so it costs at least C(1).  The design is that cheapest
-      tight optimum, as it is when the bracket is narrower than _MIN_SPAN
-      and the objective has no membership; nothing is solved.
+      tight optimum, as it is when the bracket is narrower than _MIN_SPAN;
+      nothing is solved.  The objective takes no membership: every tight
+      cost is at least z_upper, so (cost - z_lower)/span would be at least 1.
     - Under ``standard`` the objective's membership (z_upper - cost)/span is
       at least s where cost <= z_upper - s*span.  So phi* is the largest s
       with F(s) = C(s) + s*span - z_upper <= 0: the root of F, which rises
@@ -619,11 +620,8 @@ def solve_max_phi(
         g_value = float(g(x))
         h_value = float(h(x))
         memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
-        if span >= _MIN_SPAN:
-            if membership_form == "cost_ascending":
-                memberships.append((objective - z_lower) / span)
-            else:
-                memberships.append((z_upper - objective) / span)
+        if membership_form == "standard" and span >= _MIN_SPAN:
+            memberships.append((z_upper - objective) / span)
         phi = min(1.0, max(0.0, min(memberships)))
         return PlanDesign(
             t1=float(x[0]),

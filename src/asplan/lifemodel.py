@@ -159,11 +159,11 @@ def rgsp_max_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
     (an independent fuzzy rate per item)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    s1 = weighted_survival(f, th.t1)
-    s2 = weighted_survival(f, th.t2)
-    p_r = _clamp_prob((1.0 - s1) ** n, "p_r")
-    p_a = _clamp_prob(1.0 - (1.0 - s2) ** n, "p_a")
-    p_c = _clamp_prob((1.0 - s2) ** n - (1.0 - s1) ** n, "p_c")
+    below_t1 = (1.0 - weighted_survival(f, th.t1)) ** n
+    below_t2 = (1.0 - weighted_survival(f, th.t2)) ** n
+    p_r = _clamp_prob(below_t1, "p_r")
+    p_a = _clamp_prob(1.0 - below_t2, "p_a")
+    p_c = _clamp_prob(below_t2 - below_t1, "p_c")
     return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
 
 
@@ -204,10 +204,11 @@ def typeI_triprob(
         raise DomainError(f"unknown sd_form {sd_form!r}")
     z1 = (th.t1 - lambda_j) / lambda_j * m
     z2 = (th.t2 - lambda_j) / lambda_j * m
-    p_r = _clamp_prob(std_normal_cdf(z1), "p_r")
+    phi1 = std_normal_cdf(z1)
+    p_r = _clamp_prob(phi1, "p_r")
     # Phi(-z2), not 1 - Phi(z2): the upper tail keeps its digits past z2 = 8.3.
     p_a = _clamp_prob(std_normal_cdf(-z2), "p_a")
-    p_c = _clamp_prob(std_normal_cdf(z2) - std_normal_cdf(z1), "p_c")
+    p_c = _clamp_prob(std_normal_cdf(z2) - phi1, "p_c")
     return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
 
 

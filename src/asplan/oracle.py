@@ -341,21 +341,10 @@ def verify_tables(
         raise DomainError(f"the tolerance must be finite and >= 0, got {feasibility_tol}")
     reports = []
     for row in rows if rows is not None else load_golden_rows():
-        report = {
-            "table": row.table,
-            "family": row.family,
-            "variant": row.variant,
-            "lambda0": row.lambda0,
-            "lambda1": row.lambda1,
-            "alpha": row.alpha,
-            "beta": row.beta,
-            "a": row.a,
-            "tau": row.tau,
-            "t1": row.t1,
-            "t2": row.t2,
-            "n": row.n,
-            "etc_printed": row.etc,
-        }
+        # The row echoed without its slacks, its printed cost as etc_printed.
+        report = dict(vars(row))
+        del report["b1"], report["b2"]
+        report["etc_printed"] = report.pop("etc")
         if row.variant == "comparison" or row.t1 is None:
             report.update(feasible=None, g=None, h=None, etc_recomputed=None, etc_rel_err=None)
             reports.append(report)

@@ -135,12 +135,14 @@ def test_verify_tables_subset_and_exit_codes(tmp_path):
         (["--tolerance", "-1"], "the tolerance must be finite and >= 0, got -1.0"),
         (["--tolerance", "nan"], "the tolerance must be finite and >= 0, got nan"),
         (["--tolerance", "inf"], "the tolerance must be finite and >= 0, got inf"),
+        (["--table", "99"], "no table 99; the tables are [1, 2, 3, 4, 5, 6, 7, 8, 9]"),
     ],
-    ids=["rows-negative", "tolerance-negative", "tolerance-nan", "tolerance-inf"],
+    ids=["rows-negative", "tolerance-negative", "tolerance-nan", "tolerance-inf", "table-absent"],
 )
 def test_verify_tables_rejects_a_nonsense_selector(capsys, flags, message):
-    """A negative --rows would slice from the end, and a negative or NaN
-    --tolerance would fail every row; both are input errors."""
+    """A negative --rows would slice from the end, a negative or NaN
+    --tolerance would fail every row, and an absent --table would check no
+    row; all are input errors."""
     assert main(["verify-tables", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -210,6 +212,18 @@ def test_dispose_rejects_a_bad_design_json(tmp_path, capsys, text, message):
     argv = ["dispose", "--data", "case-study", "--family", "ssp", "--design-json", str(design)]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def test_dispose_type1_group_with_no_failure_accepts(tmp_path, capsys):
+    """Every item outlived tau, so the censored MLE is +inf: the group
+    accepts, and its evidence prints as JSON null."""
+    data = tmp_path / "survivors.csv"
+    data.write_text("500\n600\n700\n")
+    argv = ["dispose", "--data", str(data), "--family", "type1", "--n", "3", "--tau", "50",
+            "--t1", "100", "--t2", "400"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["decision"], payload["decided_at"], payload["evidence"]) == ("accept", 1, [None])
 
 
 def test_oracle_single_case_and_determinism():

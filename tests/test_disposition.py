@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -92,9 +93,22 @@ def test_censored_mle_no_censoring_is_mean():
     assert censored_mle(values, 3, 100.0) == pytest.approx(20.0)
 
 
-def test_censored_mle_no_failures_errors():
-    with pytest.raises(DomainError):
-        censored_mle((500.0,), 1, 100.0)
+def test_censored_mle_no_failures_is_infinite():
+    # With no failure before tau the likelihood exp(-n*tau/lambda) rises in lambda.
+    assert censored_mle((500.0,), 1, 100.0) == math.inf
+
+
+def test_type1_group_with_no_failure_accepts():
+    """The zero-failure rule of the Monte-Carlo oracle: every item outlived
+    the test, so the group accepts."""
+    result = dispose_type1(FailureData((500.0, 600.0, 700.0)), 100.0, 400.0, n=3, tau=50.0)
+    assert result.decision is Decision.ACCEPT
+    assert (result.decided_at, result.evidence) == (1, (math.inf,))
+
+
+def test_type1_requires_tau():
+    with pytest.raises(DomainError, match="tau is required"):
+        dispose_type1(case_study_data(), 1219.0, 1990.0, n=13, tau=None)
 
 
 def test_type1_case_study_accepts():

@@ -186,6 +186,23 @@ def test_expected_y_matches_mixture():
         assert expected_y(f) == pytest.approx(mixture_mean(f), rel=1e-6)
 
 
+@pytest.mark.parametrize("lam", [50.0, 70.0, 150.0, 200.0, 300.0, 500.0])
+def test_expected_y_matches_mpmath(lam):
+    """E[Y] against Ci/Si at 50 digits, at the same double a and lambda0,
+    from a barely fuzzy to a nearly crisp life."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for ratio in (1.001, 1.01, 1.1, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3, 1e4):
+            a = ratio * lam
+            big_a, big_lam = mpmath.mpf(a), mpmath.mpf(lam)
+            c = big_a * mpmath.pi / big_lam
+            ic = mpmath.ci(c + mpmath.pi) - mpmath.ci(c - mpmath.pi)
+            is_ = mpmath.si(c + mpmath.pi) - mpmath.si(c - mpmath.pi)
+            want = big_a / 2 * (mpmath.log((big_a + big_lam) / (big_a - big_lam))
+                                + mpmath.cos(c) * ic + mpmath.sin(c) * is_)
+            assert expected_y(FuzzyLife(lam, a)) == pytest.approx(float(want), rel=1e-12), ratio
+
+
 def test_expected_y_tends_to_nominal():
     f = FuzzyLife(300.0, 1e6 * 300.0)
     assert abs(expected_y(f) - 300.0) / 300.0 <= 1e-4
