@@ -1,7 +1,8 @@
 """Applying a designed plan to observed lifetimes.
 
 Boundary convention throughout: reject strictly below t1, accept at or
-above t2, continue on the half-open band [t1, t2).
+above t2, continue on the half-open band [t1, t2), for 0 <= t1 <= t2 (so
+t1 = 0 never rejects).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def dispose_ssp(data: FailureData, t1: float, t2: float) -> Disposition:
 
 
 def _dispose_grouped(data: FailureData, t1: float, t2: float, n: int, statistic) -> Disposition:
+    if not 0.0 <= t1 <= t2:
+        raise DomainError(f"need 0 <= t1 <= t2, got t1={t1}, t2={t2}")
     if n < 1:
         raise DomainError(f"group size must be >= 1, got {n}")
     if len(data.values) < n:

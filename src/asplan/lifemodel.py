@@ -5,23 +5,20 @@ exponential survival e^{-lambda t} averaged over the raised-cosine
 membership of the failure rate and renormalized by the membership mass.
 Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
-Times may also be numpy arrays: survival, the per-family probabilities and
-the long-run rates then broadcast, while a plain float keeps the math path.
+Every formula takes and returns plain floats, one threshold pair at a time.
 
 Two special functions live here too: the oscillatory integrals of cos(u)/u
 and sin(u)/u in the expected inter-failure time, in closed form through the
 cosine and sine integrals (the tests check them against composite Simpson
 quadrature and mpmath), and the standard normal CDF of the Type-I
-approximation, through the complementary error function.  `scipy.special`
-is slow to import: it loads at the first Ci/Si or normal CDF over an array.
+approximation.  `scipy.special`, slow to import, loads at the first Ci/Si.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError
 from .membership import FuzzyLife
@@ -33,11 +30,8 @@ Life = FuzzyLife | float
 _T_FLOOR = 1e-12
 # Probabilities may stray outside [0,1] by at most this before we refuse to clamp.
 _CLAMP_TOL = 1e-12
-
-
-def _holds(condition) -> bool:
-    """A scalar comparison, or every element of an array comparison."""
-    return condition if isinstance(condition, bool) else bool(np.all(condition))
+# Up to this a and t, a^3 and 2t^3 + 2 pi^2 a^2 t (2 + 2 pi^2 < 22) stay finite.
+_CUBE_MAX = (sys.float_info.max / 22.0) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,9 @@ class Thresholds:
     t2: float
 
     def __post_init__(self) -> None:
-        if not _holds(self.t1 > 0):
+        if not self.t1 > 0:
             raise DomainError(f"t1 must be positive, got {self.t1}")
-        if not _holds(self.t2 >= self.t1):
+        if not self.t2 >= self.t1:
             raise DomainError(f"need t2 >= t1, got t1={self.t1}, t2={self.t2}")
 
 
@@ -65,7 +59,7 @@ class TriProb:
 
     def __post_init__(self) -> None:
         total = self.p_a + self.p_r + self.p_c
-        if not _holds(abs(total - 1.0) <= 1e-10):
+        if not abs(total - 1.0) <= 1e-10:
             raise ConsistencyError(f"probabilities sum to {total}, not 1")
 
 
@@ -76,11 +70,7 @@ class LongRun:
     N: float
 
 
-def _clamp_prob(x, what: str):
-    if isinstance(x, np.ndarray):
-        if np.any((x < -_CLAMP_TOL) | (x > 1.0 + _CLAMP_TOL)):
-            raise ConsistencyError(f"{what} is outside [0,1] beyond tolerance")
-        return np.clip(x, 0.0, 1.0)
+def _clamp_prob(x: float, what: str) -> float:
     if 0.0 <= x <= 1.0:
         return x
     if x < -_CLAMP_TOL or x > 1.0 + _CLAMP_TOL:
@@ -93,10 +83,9 @@ def weighted_survival(f: Life, t: float) -> float:
 
     Closed form pi^2 a^3 (e^{2t/a} - 1) e^{-t/lambda_j - t/a} / (2t^3 + 2 pi^2 a^2 t),
     equal to the mixture a * int e^{-lambda t} H_j(lambda) dlambda; e^{-t/lambda}
-    for a crisp life.
+    for a crisp life.  Where a or t exceeds _CUBE_MAX the form is divided
+    through by a^3, or is the crisp limit when t/a < 1e-8.
     """
-    if isinstance(t, np.ndarray):
-        return _weighted_survival_array(f, t)
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
     if not isinstance(f, FuzzyLife):
@@ -107,43 +96,29 @@ def weighted_survival(f: Life, t: float) -> float:
         return 1.0
     a = f.a
     lam = f.lambda_j
+    huge = max(a, t) > _CUBE_MAX
+    if huge and t < 1e-8 * a:
+        # The fuzzy survival is the crisp one times 1 + (1/6 - 1/pi^2)(t/a)^2 < 1 + 1e-17.
+        return math.exp(-t / lam)
     # (e^{2t/a} - 1) e^{-t/a} loses precision two ways: catastrophic
     # cancellation for small t/a, overflow for large.  Split accordingly.
     if 2.0 * t / a < 1.0:
         bracket = math.expm1(2.0 * t / a) * math.exp(-t / lam - t / a)
     else:
         bracket = math.exp(t / a - t / lam) - math.exp(-t / a - t / lam)
-    value = (math.pi ** 2) * (a ** 3) * bracket / (2.0 * t ** 3 + 2.0 * (math.pi ** 2) * (a ** 2) * t)
+    if huge:
+        x = t / a
+        value = (math.pi ** 2) * bracket / (2.0 * x * (x * x + math.pi ** 2))
+    else:
+        value = (math.pi ** 2) * (a ** 3) * bracket / (2.0 * t ** 3 + 2.0 * (math.pi ** 2) * (a ** 2) * t)
     return _clamp_prob(value, "weighted survival")
-
-
-def _weighted_survival_array(f: Life, t: np.ndarray) -> np.ndarray:
-    """weighted_survival elementwise, with the same branches."""
-    if not np.all(t > 0):
-        raise DomainError("t must be positive")
-    if not isinstance(f, FuzzyLife):
-        if not f > 0:
-            raise DomainError(f"mean life must be positive, got {f}")
-        return np.exp(-t / f)
-    a = f.a
-    lam = f.lambda_j
-    bracket = np.where(
-        2.0 * t / a < 1.0,
-        np.expm1(2.0 * t / a) * np.exp(-t / lam - t / a),
-        np.exp(t / a - t / lam) - np.exp(-t / a - t / lam),
-    )
-    value = (math.pi ** 2) * (a ** 3) * bracket / (2.0 * t ** 3 + 2.0 * (math.pi ** 2) * (a ** 2) * t)
-    return _clamp_prob(np.where(t < _T_FLOOR, 1.0, value), "weighted survival")
 
 
 def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
     """Accept/reject/continue probabilities for one inter-failure time."""
     s1 = weighted_survival(f, th.t1)
     s2 = weighted_survival(f, th.t2)
-    p_a = s2
-    p_r = _clamp_prob(1.0 - s1, "p_r")
-    p_c = _clamp_prob(s1 - s2, "p_c")
-    return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
+    return TriProb(p_a=s2, p_r=1.0 - s1, p_c=_clamp_prob(s1 - s2, "p_c"))
 
 
 def rgsp_min_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
@@ -161,19 +136,11 @@ def rgsp_max_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
         raise DomainError(f"n must be >= 1, got {n}")
     below_t1 = (1.0 - weighted_survival(f, th.t1)) ** n
     below_t2 = (1.0 - weighted_survival(f, th.t2)) ** n
-    p_r = _clamp_prob(below_t1, "p_r")
-    p_a = _clamp_prob(1.0 - below_t2, "p_a")
-    p_c = _clamp_prob(below_t2 - below_t1, "p_c")
-    return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
+    return TriProb(p_a=1.0 - below_t2, p_r=below_t1, p_c=_clamp_prob(below_t2 - below_t1, "p_c"))
 
 
-def std_normal_cdf(z):
-    """Standard normal CDF via the complementary error function (~1e-15
-    accurate), elementwise over a numpy array."""
-    if isinstance(z, np.ndarray):
-        from scipy.special import erfc
-
-        return 0.5 * erfc(-z / math.sqrt(2.0))
+def std_normal_cdf(z: float) -> float:
+    """Standard normal CDF via the complementary error function, ~1e-15 accurate."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
@@ -205,11 +172,9 @@ def typeI_triprob(
     z1 = (th.t1 - lambda_j) / lambda_j * m
     z2 = (th.t2 - lambda_j) / lambda_j * m
     phi1 = std_normal_cdf(z1)
-    p_r = _clamp_prob(phi1, "p_r")
     # Phi(-z2), not 1 - Phi(z2): the upper tail keeps its digits past z2 = 8.3.
-    p_a = _clamp_prob(std_normal_cdf(-z2), "p_a")
-    p_c = _clamp_prob(std_normal_cdf(z2) - phi1, "p_c")
-    return TriProb(p_a=p_a, p_r=p_r, p_c=p_c)
+    p_a = std_normal_cdf(-z2)
+    return TriProb(p_a=p_a, p_r=phi1, p_c=_clamp_prob(std_normal_cdf(z2) - phi1, "p_c"))
 
 
 def long_run(p: TriProb) -> LongRun:
@@ -217,13 +182,9 @@ def long_run(p: TriProb) -> LongRun:
 
     The stage ends with probability p_a + p_r, summed rather than taken as
     1 - p_c, which rounds to 0 once p_c is within an ulp of 1.  A plan that
-    never ends (p_a + p_r = 0) raises DegeneratePlanError; over arrays it
-    gets N = inf and NaN rates instead.
+    never ends (p_a + p_r = 0) raises DegeneratePlanError.
     """
     ends = p.p_a + p.p_r
-    if isinstance(ends, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return LongRun(P_A=p.p_a / ends, P_R=p.p_r / ends, N=1.0 / ends)
     if ends == 0.0:
         raise DegeneratePlanError("the plan never terminates: p_a + p_r = 0")
     return LongRun(P_A=p.p_a / ends, P_R=p.p_r / ends, N=1.0 / ends)

@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError
 from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
     Life,
+    LongRun,
     Thresholds,
     expected_y,
     expected_y_upper_bound,
@@ -119,12 +118,6 @@ def crisp_limit(p: PlanProblem) -> PlanProblem:
     )
 
 
-def _thresholds(x) -> Thresholds:
-    if isinstance(x[0], np.ndarray):
-        return Thresholds(t1=x[0], t2=x[1])
-    return Thresholds(t1=float(x[0]), t2=float(x[1]))
-
-
 def expected_stage_duration(
     family: Family, life: Life, n: Optional[int], upper: bool, tau: Optional[float] = None
 ) -> float:
@@ -146,9 +139,9 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     """(objective, g, h, box, ordering) over x = (t1, t2) for group size n
     (None for the sequential plan); ``crisp`` builds them for crisp_limit(p).
 
-    Each closure returns a float for a pair such as (t1, t2) and broadcasts
-    over x stacked as (2, ...) arrays.  The Type-I normal approximation
-    works with the nominal lives alone; its objective floor is cost * tau.
+    Each closure returns a float for one pair such as (t1, t2).  The Type-I
+    normal approximation works with the nominal lives alone; its objective
+    floor is cost * tau.
     """
     if crisp:
         p = crisp_limit(p)
@@ -177,14 +170,17 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
         p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
     )
 
+    def run(life, x) -> LongRun:
+        return long_run(stage(life, Thresholds(t1=float(x[0]), t2=float(x[1]))))
+
     def objective(x) -> float:
-        return p.cost * e0 * long_run(stage(life0, _thresholds(x))).N
+        return p.cost * e0 * run(life0, x).N
 
     def g(x) -> float:
-        return long_run(stage(life0, _thresholds(x))).P_R
+        return run(life0, x).P_R
 
     def h(x) -> float:
-        return long_run(stage(life1, _thresholds(x))).P_A
+        return run(life1, x).P_A
 
     return objective, g, h, box, ordering
 

@@ -1,7 +1,8 @@
 """Reference numerics that only the tests use: composite Simpson quadrature,
 the raised-cosine life membership and its mass, the left-shoulder level
-membership and center-of-gravity de-fuzzification.  The closed forms in
-`asplan` are checked against these."""
+membership, center-of-gravity de-fuzzification, and a numpy model of the
+plan functions that broadcasts over arrays of thresholds.  The closed forms
+in `asplan` are checked against these."""
 
 from __future__ import annotations
 
@@ -9,8 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+from scipy.special import erfc
+
 from asplan.errors import DomainError
 from asplan.membership import FuzzyLevel, FuzzyLife
+from asplan.plans import Family, crisp_limit, expected_stage_duration, plan_functions
 
 # Absolute floor below which successive Simpson estimates are considered
 # converged even when the relative test is meaningless (integral near 0).
@@ -123,3 +128,80 @@ def defuzzify_center_of_gravity(center: float, a: float) -> float:
             f"support [{center - 1.0 / a}, {center + 1.0 / a}] must lie inside (0, inf)"
         )
     return float(center)
+
+
+# -- the plan functions over arrays -----------------------------------------
+# A second implementation of `lifemodel`'s closed forms and `plans`' long-run
+# rates, elementwise over numpy arrays of thresholds, for the grid oracle
+# `asplan.fuzzyopt.solve_crisp` and for pinning the scalar path.  Points
+# where a plan never ends get N = inf and NaN risks, which the grid ranks as
+# infeasible.
+
+
+def survival_array(life, t: np.ndarray) -> np.ndarray:
+    """Weighted survival P(Y >= t): e^{-t/lambda} for a plain mean life, else
+    pi^2 a^3 (e^{2t/a} - 1) e^{-t/lambda - t/a} / (2t^3 + 2 pi^2 a^2 t), with
+    the bracket split as in `asplan.lifemodel.weighted_survival`."""
+    if not isinstance(life, FuzzyLife):
+        return np.exp(-t / life)
+    a, lam = life.a, life.lambda_j
+    bracket = np.where(
+        2.0 * t / a < 1.0,
+        np.expm1(2.0 * t / a) * np.exp(-t / lam - t / a),
+        np.exp(t / a - t / lam) - np.exp(-t / a - t / lam),
+    )
+    value = math.pi ** 2 * a ** 3 * bracket / (2.0 * t ** 3 + 2.0 * math.pi ** 2 * a ** 2 * t)
+    return np.clip(value, 0.0, 1.0)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    return 0.5 * erfc(-z / math.sqrt(2.0))
+
+
+def triprob_arrays(problem, n, life, t1: np.ndarray, t2: np.ndarray) -> tuple:
+    """(p_a, p_r) of one stage of the problem's family at group size n."""
+    family = problem.family
+    if family is Family.RGSP_MIN:
+        t1, t2 = n * t1, n * t2
+    if family is Family.TYPE_I:
+        lam = life.lambda_j if isinstance(life, FuzzyLife) else life
+        frac = -math.expm1(-problem.tau / lam)
+        m = n * math.sqrt(frac) if problem.sd_form == "n" else math.sqrt(n * frac)
+        z1, z2 = (t1 - lam) / lam * m, (t2 - lam) / lam * m
+        return _normal_cdf(-z2), _normal_cdf(z1)
+    s1, s2 = survival_array(life, t1), survival_array(life, t2)
+    if family is Family.RGSP_MAX:
+        return 1.0 - (1.0 - s2) ** n, (1.0 - s1) ** n
+    return s2, 1.0 - s1
+
+
+def long_run_arrays(p_a: np.ndarray, p_r: np.ndarray) -> tuple:
+    """Long-run (P_A, P_R, N) of a stage that ends with probability p_a + p_r."""
+    ends = p_a + p_r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p_a / ends, p_r / ends, 1.0 / ends
+
+
+def plan_arrays(problem, n, crisp: bool = False):
+    """(objective, g, h, box, ordering) as `asplan.plans.plan_functions`
+    returns them, with the closures taken from this model: each broadcasts
+    over x stacked as (2, ...) arrays.  The box, the ordering and the stage
+    duration come from `asplan.plans`."""
+    p = crisp_limit(problem) if crisp else problem
+    *_, box, ordering = plan_functions(p, n)
+    upper = p.objective_variant == "etc_upper_bound"
+    e0 = expected_stage_duration(p.family, p.lambda0, n, upper, p.tau)
+
+    def run(life, x):
+        return long_run_arrays(*triprob_arrays(p, n, life, np.asarray(x[0]), np.asarray(x[1])))
+
+    def objective(x):
+        return p.cost * e0 * run(p.lambda0, x)[2]
+
+    def g(x):
+        return run(p.lambda0, x)[1]
+
+    def h(x):
+        return run(p.lambda1, x)[0]
+
+    return objective, g, h, box, ordering

@@ -178,6 +178,18 @@ def test_dispose_exit_codes(tmp_path):
     assert missing.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "t1,t2,shown", [("3159", "41", "t1=3159.0, t2=41.0"), ("-5", "nan", "t1=-5.0, t2=nan")],
+    ids=["reversed", "negative-nan"],
+)
+def test_dispose_rejects_bad_thresholds(capsys, t1, t2, shown):
+    argv = ["dispose", "--data", "case-study", "--family", "ssp", "--t1", t1, "--t2", t2]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need 0 <= t1 <= t2, got {shown}\n"
+
+
 def test_dispose_reads_design_json(tmp_path):
     design = tmp_path / "design.json"
     design.write_text(json.dumps({"t1": 41.0, "t2": 3159.0, "n": None, "inputs": {}}))

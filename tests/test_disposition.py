@@ -57,6 +57,23 @@ def test_ssp_threshold_sentinels():
     assert always.decision is Decision.ACCEPT and always.decided_at == 1
 
 
+@pytest.mark.parametrize(
+    "t1,t2", [(3159.0, 41.0), (-5.0, 100.0), (-5.0, math.nan), (math.nan, 100.0), (41.0, math.nan)]
+)
+@pytest.mark.parametrize(
+    "dispose",
+    [dispose_ssp, lambda d, t1, t2: dispose_rgsp_min(d, t1, t2, 2),
+     lambda d, t1, t2: dispose_rgsp_max(d, t1, t2, 2),
+     lambda d, t1, t2: dispose_type1(d, t1, t2, 2, 2000.0)],
+    ids=["ssp", "rgsp_min", "rgsp_max", "type1"],
+)
+def test_thresholds_must_be_ordered_and_non_negative(dispose, t1, t2):
+    """Every family needs 0 <= t1 <= t2: t1 > t2 would reject what also
+    accepts, and a negative or NaN threshold would never decide."""
+    with pytest.raises(DomainError, match="need 0 <= t1 <= t2"):
+        dispose(case_study_data(), t1, t2)
+
+
 def test_rgsp_min_case_study_accepts():
     result = dispose_rgsp_min(case_study_data(), t1=4.0, t2=141.0, n=20)
     assert result.decision is Decision.ACCEPT

@@ -19,6 +19,8 @@ from asplan.fuzzyopt import (
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
 
+from reference import plan_arrays
+
 FAST = SolverSettings(restarts=6)
 
 
@@ -99,9 +101,10 @@ def _ssp_problem(a: float) -> PlanProblem:
 
 def test_solve_crisp_ssp_feasible():
     p = _ssp_problem(15000.0)
-    objective, g, h, box, ordering = plan_functions(p, None)
+    objective, g, h, box, ordering = plan_arrays(p, None)
     nlp = CrispNlp(objective, ((g, 0.05), (h, 0.05)), box, ordering)
     x, _ = solve_crisp(nlp, FAST)
+    _, g, h, _, _ = plan_functions(p, None)  # the scalar closures check the grid's answer
     assert g(x) <= 0.05 + 1e-6
     assert h(x) <= 0.05 + 1e-6
 
@@ -281,7 +284,7 @@ def test_standard_design_is_the_crisp_optimum_at_its_phi():
     exceeds the cost whose membership is that phi."""
     problem = _ssp_problem(1500.0)
     design = solve_plan(problem, FAST, membership_form="standard")
-    objective, g, h, box, ordering = plan_functions(problem, None)
+    objective, g, h, box, ordering = plan_arrays(problem, None)
 
     def crisp_cost(s):
         levels = ((g, problem.alpha.cut(s)), (h, problem.beta.cut(s)))
@@ -578,7 +581,8 @@ def test_solve_monotone_is_no_worse_than_the_grid(family, crisp, n, lambda0, rat
     """On generated plan problems the monotone solve agrees with the grid
     scan and its SLSQP polish on feasibility, and costs no more.  The grid
     accepts a point up to 1e-6 over a level, so the costs are compared at
-    the levels its point meets."""
+    the levels its point meets.  The grid scans the numpy model of the
+    tests, so the two solves evaluate independent implementations."""
     problem = PlanProblem(
         family=family,
         lambda0=FuzzyLife(lambda0, 15.0 * lambda0),
@@ -587,8 +591,9 @@ def test_solve_monotone_is_no_worse_than_the_grid(family, crisp, n, lambda0, rat
         beta=FuzzyLevel(beta, 0.0),
         tau=0.3 * lambda0,
     )
-    objective, g, h, box, ordering = plan_functions(problem, n, crisp=crisp)
-    nlp = CrispNlp(objective, ((g, alpha), (h, beta)), box, ordering)
+    grid_objective, grid_g, grid_h, box, ordering = plan_arrays(problem, n, crisp=crisp)
+    nlp = CrispNlp(grid_objective, ((grid_g, alpha), (grid_h, beta)), box, ordering)
+    objective, g, h, _, _ = plan_functions(problem, n, crisp=crisp)
     try:
         grid_x, grid_cost = solve_crisp(nlp, FAST)
     except InfeasibleError:

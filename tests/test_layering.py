@@ -50,14 +50,16 @@ def test_package_imports_have_no_cycle():
 
 
 
-def _module_level_scipy_imports(source: str) -> list:
-    """The lines of ``source`` that import scipy outside any function;
-    a class body or an ``if`` at module level runs at import too."""
+def _imports_of(source: str, top: str, skipped=lambda name: True) -> list:
+    """The lines of ``source`` that import the package ``top``, except inside
+    the functions whose name ``skipped`` accepts: by default every function,
+    which leaves what runs at import (a class body or an ``if`` at module
+    level runs then too)."""
     found = []
 
     def visit(node) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and skipped(child.name):
                 continue
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
@@ -65,7 +67,7 @@ def _module_level_scipy_imports(source: str) -> list:
                 names = [child.module or ""]
             else:
                 names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
+            if any(name.split(".")[0] == top for name in names):
                 found.append(child.lineno)
             visit(child)
 
@@ -81,12 +83,27 @@ def test_scipy_import_check_tells_module_level_from_function_level():
         "    import scipy\n"
         "def f():\n"
         "    from scipy.optimize import brentq\n"
+        "import numpy as np\n"
     )
-    assert _module_level_scipy_imports(source) == [1, 2, 4]
+    assert _imports_of(source, "scipy") == [1, 2, 4]
+    assert _imports_of(source, "scipy", skipped=lambda name: False) == [1, 2, 4, 6]
+    assert _imports_of(source, "scipy", skipped=lambda name: name == "f") == [1, 2, 4]
+    assert _imports_of(source, "numpy") == [7]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_imports_scipy_at_import_time(path):
     """scipy is slow to import, so `import asplan` must not load it: a
     module imports it inside the function that needs it."""
-    assert _module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+    assert _imports_of(path.read_text(encoding="utf-8"), "scipy") == []
+
+
+@pytest.mark.parametrize("module", ["lifemodel", "plans"])
+def test_the_plan_formulas_import_no_numpy_or_scipy(module):
+    """Survival, the triprobs, the long-run rates and the plan closures have
+    one path, over plain floats, so their modules import no numpy, at module
+    level or in a function.  The Ci/Si of a fuzzy life's E[Y], in
+    `oscillatory_pair`, are the one scipy call left there."""
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert _imports_of(source, "numpy", skipped=lambda name: False) == []
+    assert _imports_of(source, "scipy", skipped=lambda name: name == "oscillatory_pair") == []

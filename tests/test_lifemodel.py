@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from asplan.errors import ConsistencyError, DegeneratePlanError, DomainError
@@ -40,6 +39,34 @@ def test_survival_limits():
     assert weighted_survival(FuzzyLife(50.0, 1500.0), 1e6) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DomainError):
         weighted_survival(f, -1.0)
+
+
+@pytest.mark.parametrize("a", [1e103, 1e300])
+def test_survival_at_a_huge_scale_is_the_crisp_limit(a):
+    """a^3 overflows a double here; t/a is so small that the fuzzy survival
+    equals the crisp e^{-t/lambda} in double precision."""
+    for t in (1e-6, 10.0, 300.0, 3000.0):
+        assert weighted_survival(FuzzyLife(300.0, a), t) == math.exp(-t / 300.0)
+
+
+@pytest.mark.parametrize(
+    "a,lam_over_a,t_over_a",
+    [(1e102, 0.5, 1.0), (1e103, 0.5, 1.0), (1e103, 0.9, 0.3), (1e300, 0.1, 5.0),
+     (1e100, 0.5, 300.0)],
+)
+def test_survival_where_cubes_overflow_keeps_the_closed_form(a, lam_over_a, t_over_a):
+    """With t near a or beyond, far from the crisp limit, the closed form
+    holds where a^3 or t^3 overflows a double, and just below that scale."""
+    mpmath = pytest.importorskip("mpmath")
+    lam, t = lam_over_a * a, t_over_a * a
+    with mpmath.workdps(50):
+        big_a, big_lam, big_t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(t)
+        want = (mpmath.pi ** 2 * big_a ** 3 * mpmath.expm1(2 * big_t / big_a)
+                * mpmath.exp(-big_t / big_lam - big_t / big_a)
+                / (2 * big_t ** 3 + 2 * mpmath.pi ** 2 * big_a ** 2 * big_t))
+    got = weighted_survival(FuzzyLife(lam, a), t)
+    assert got == pytest.approx(float(want), rel=1e-12)
+    assert abs(got / math.exp(-t / lam) - 1.0) > 1e-3
 
 
 def test_survival_matches_mixture_quadrature():
@@ -274,37 +301,3 @@ def test_thresholds_validation():
         Thresholds(0.0, 1.0)
     with pytest.raises(DomainError):
         Thresholds(2.0, 1.0)
-
-
-@pytest.mark.parametrize("life", [FuzzyLife(300.0, 1500.0), 300.0])
-def test_array_times_follow_the_scalar_path(life):
-    rng = np.random.default_rng(8)
-    t1, t2 = np.sort(np.exp(rng.uniform(math.log(1e-6), math.log(1500.0), size=(2, 40))), axis=0)
-    th = Thresholds(t1, t2)
-    survival = weighted_survival(life, t2)
-    assert survival == pytest.approx([weighted_survival(life, t) for t in t2], rel=1e-12)
-    lam = life if isinstance(life, float) else life.lambda_j
-    for stage in (
-        lambda th: ssp_triprob(life, th),
-        lambda th: rgsp_min_triprob(life, th, 4),
-        lambda th: rgsp_max_triprob(life, th, 4),
-        lambda th: typeI_triprob(lam, th, 4, 100.0),
-    ):
-        arrays = stage(th)
-        runs = long_run(arrays)
-        for k, (a, b) in enumerate(zip(t1, t2)):
-            point = stage(Thresholds(float(a), float(b)))
-            scalar_run = long_run(point)
-            assert (arrays.p_a[k], arrays.p_r[k], arrays.p_c[k]) == pytest.approx(
-                (point.p_a, point.p_r, point.p_c), rel=1e-12
-            )
-            assert (runs.P_A[k], runs.P_R[k], runs.N[k]) == pytest.approx(
-                (scalar_run.P_A, scalar_run.P_R, scalar_run.N), rel=1e-12
-            )
-
-
-def test_array_long_run_marks_endless_plans():
-    lr = long_run(TriProb(p_a=np.array([0.0, 0.25]), p_r=np.array([0.0, 0.25]),
-                          p_c=np.array([1.0, 0.5])))
-    assert lr.N[0] == math.inf and math.isnan(lr.P_A[0]) and math.isnan(lr.P_R[0])
-    assert (lr.P_A[1], lr.P_R[1], lr.N[1]) == (0.5, 0.5, 2.0)

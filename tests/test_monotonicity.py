@@ -9,10 +9,9 @@ crisp, on t1 <= t2:
 
 The objective ("cost") is c * e0 * N, where the stage duration e0 > 0 does
 not depend on the thresholds, so N's directions are checked on it.
-Each point is evaluated as a scalar pair (the crisp solve's path) and
-stacked as an array (the path of the grid scan the tests compare it with).
-Where a plan never ends (p_a + p_r underflows to 0) the risks are undefined,
-and such points are skipped.
+Each point is evaluated as a scalar pair, the crisp solve's path.  Where a
+plan never ends (p_a + p_r underflows to 0) the risks are undefined, and
+such points are skipped.
 
 The tolerance is rounding level, carried through the closed forms: p_r =
 1 - S(t1) is a difference from 1, so it carries an absolute error of a few
@@ -24,11 +23,11 @@ with N taken at the life each one uses.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from asplan.errors import DegeneratePlanError
 from asplan.lifemodel import (
     Thresholds,
     TriProb,
@@ -48,7 +47,7 @@ LIVES = {
         lambda0=FuzzyLife(500.0, 15000.0), lambda1=FuzzyLife(150.0, 15000.0), tau=100.0
     ),
 }
-ULPS = 16 * np.finfo(float).eps  # "a few ulps"
+ULPS = 16 * math.ulp(1.0)  # "a few ulps"
 UNIT = st.floats(0.0, 1.0)
 
 
@@ -99,15 +98,14 @@ def test_plan_functions_are_monotone(family, crisp, n, u1, u2, s1, s2):
     t1_step = min(t2, t1 + 1e-12 ** s1 * (t2 - t1))
     t2_step = min(hi, t2 + 1e-12 ** s2 * (hi - t2))
     points = ((t1, t2), (t1_step, t2), (t1, t2_step))
-    with np.errstate(all="ignore"):
-        stacked = np.array(points).T
-        arrays = {"g": g(stacked), "h": h(stacked), "cost": objective(stacked)}
-    assume(np.isfinite(arrays["g"]).all() and np.isfinite(arrays["h"]).all())
-    scalars = {
-        "g": [g(x) for x in points],
-        "h": [h(x) for x in points],
-        "cost": [objective(x) for x in points],
-    }
+    try:
+        scalars = {
+            "g": [g(x) for x in points],
+            "h": [h(x) for x in points],
+            "cost": [objective(x) for x in points],
+        }
+    except DegeneratePlanError:
+        assume(False)
     assert all(math.isfinite(v) for vs in scalars.values() for v in vs)
     ulps = ULPS * (n if family is Family.RGSP_MAX else 1)
     n0 = _stages(problem, n, problem.lambda0, points)
@@ -118,7 +116,6 @@ def test_plan_functions_are_monotone(family, crisp, n, u1, u2, s1, s2):
         "cost": ulps * n0 * scalars["cost"][0],
     }
     _assert_directions(scalars, tol)
-    _assert_directions({name: list(v) for name, v in arrays.items()}, tol)
 
 
 def _least_met(fn, met: float, unmet: float) -> float:

@@ -14,6 +14,7 @@ from asplan.plans import (
     expected_stage_duration,
     plan_functions,
 )
+from reference import plan_arrays
 
 
 def make_problem(family=Family.SSP, **overrides) -> PlanProblem:
@@ -163,11 +164,16 @@ def test_box_respects_nominal_life_by_default():
     [(Family.SSP, None), (Family.RGSP_MIN, 3), (Family.RGSP_MAX, 3), (Family.TYPE_I, 5)],
 )
 def test_closures_broadcast_like_the_scalar_path(family, n, crisp):
+    """The numpy model of the tests (`reference.plan_arrays`), which the grid
+    oracle scans, gives the scalar closures' values."""
     p = make_problem(family=family, tau=100.0 if family is Family.TYPE_I else None)
     rng = np.random.default_rng(5)
     t = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(300.0), size=(2, 60))), axis=0)
-    for fn in plan_functions(p, n, crisp=crisp)[:3]:
-        values = fn(t.reshape(2, 6, 10))
+    scalar_fns = plan_functions(p, n, crisp=crisp)
+    array_fns = plan_arrays(p, n, crisp=crisp)
+    assert array_fns[3:] == scalar_fns[3:]
+    for fn, array_fn in zip(scalar_fns[:3], array_fns[:3]):
+        values = array_fn(t.reshape(2, 6, 10))
         assert values.shape == (6, 10)
         scalar = [fn((t1, t2)) for t1, t2 in t.T]
         assert all(isinstance(v, float) for v in scalar)
@@ -186,6 +192,7 @@ def test_type1_risks_stay_finite_where_both_tails_are_tiny():
         lambda1=FuzzyLife(200.0, 15000.0), objective_variant="etc_upper_bound",
     )
     objective, g, h, box, _ = plan_functions(p, 28)
+    _, g_array, h_array, _, _ = plan_arrays(p, 28)
     x = (box[0][0], box[1][1])
     stacked = np.array([[x[0]], [x[1]]])
 
@@ -196,8 +203,8 @@ def test_type1_risks_stay_finite_where_both_tails_are_tiny():
         p_r, p_a = mpmath.ncdf(z1), mpmath.ncdf(-z2)
         return float((p_r if risk == "g" else p_a) / (p_a + p_r))
 
-    for fn, life, risk in ((g, 300, "g"), (h, 200, "h")):
+    for fn, array_fn, life, risk in ((g, g_array, 300, "g"), (h, h_array, 200, "h")):
         assert math.isfinite(fn(x)) and 0.0 <= fn(x) <= 1.0
         assert fn(x) == pytest.approx(exact(life, risk), rel=1e-9)
-        assert fn(stacked)[0] == pytest.approx(fn(x), rel=1e-12)
+        assert array_fn(stacked)[0] == pytest.approx(fn(x), rel=1e-12)
     assert math.isfinite(objective(x))
