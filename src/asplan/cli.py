@@ -3,8 +3,7 @@
 Subcommands: design, crisp-baseline, verify-tables, dispose, oracle.
 Option precedence: command-line flags override config-file values override
 defaults.  The config file is flat ``key = value`` text using the long
-option names with dashes or underscores.  ASP_SEED in the environment
-replaces the default seed of ``oracle`` (an explicit --seed still wins).
+option names with dashes or underscores.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -23,16 +21,6 @@ from .fuzzyopt import MEMBERSHIP_FORMS, solve_plan
 from .lifemodel import Thresholds
 from .membership import FuzzyLevel, FuzzyLife
 from .plans import Family, PlanProblem, crisp_baseline
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("ASP_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"ASP_SEED must be an integer, got {raw!r}")
 
 
 def _read_config(path: str) -> dict:
@@ -272,20 +260,19 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.family:
         family = Family(args.family)
         th = Thresholds(args.t1, args.t2)
         if family is Family.TYPE_I:  # the censored MLE sees the plain mean life alone
             mc = oracle.mc_triprob(
-                family, args.lambda0, th, n=args.n, tau=args.tau, draws=args.draws, seed=seed
+                family, args.lambda0, th, n=args.n, tau=args.tau, draws=args.draws, seed=args.seed
             )
             _emit(asdict(mc), args.json)
             return 0
         life = FuzzyLife(lambda_j=args.lambda0, a=args.a)
-        reports = oracle.compare_triprob(family, life, th, args.n, args.draws, seed)
+        reports = oracle.compare_triprob(family, life, th, args.n, args.draws, args.seed)
     else:
-        reports = oracle.run_regression_grid(draws=args.draws, seed=seed)
+        reports = oracle.run_regression_grid(draws=args.draws, seed=args.seed)
     _emit([asdict(r) for r in reports], args.json)
     return 0 if all(r.passed for r in reports) else 2
 
@@ -329,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = command("oracle", _cmd_oracle, "run the Monte-Carlo cross-checks")
     mc.add_argument("--draws", type=int, default=10**6)
-    mc.add_argument("--seed", type=int, default=None)
+    mc.add_argument("--seed", type=int, default=42)
     mc.add_argument("--family", choices=[f.value for f in Family])
     mc.add_argument("--lambda0", type=float, default=300.0)
     mc.add_argument("--a", type=float, default=1500.0)

@@ -2,7 +2,9 @@
 
 Everything here is built from the weighted survival function S(t): the
 exponential survival e^{-lambda t} averaged over the raised-cosine
-membership of the failure rate and renormalized by the membership mass.
+membership of the failure rate and renormalized by the membership mass,
+e^{-t/lambda_j} sinh(x) / (x (1 + (x/pi)^2)) with x = t/a: one expression
+at every scale, which tends to the crisp e^{-t/lambda_j} as a grows.
 Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
 Every formula takes and returns plain floats, one threshold pair at a time.
@@ -11,13 +13,13 @@ Two special functions live here too: the oscillatory integrals of cos(u)/u
 and sin(u)/u in the expected inter-failure time, in closed form through the
 cosine and sine integrals (the tests check them against composite Simpson
 quadrature and mpmath), and the standard normal CDF of the Type-I
-approximation.  `scipy.special`, slow to import, loads at the first Ci/Si.
+approximation.  `scipy.special`, slow to import, loads at the first Ci/Si;
+from a = 1e4 * lambda_j on, E[Y] is a series and needs none.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError
@@ -26,12 +28,8 @@ from .membership import FuzzyLife
 # A fuzzy mean life, or a plain mean life for the crisp exponential model.
 Life = FuzzyLife | float
 
-# Below this time the survival closed form is a removable 0/0; return the limit.
-_T_FLOOR = 1e-12
 # Probabilities may stray outside [0,1] by at most this before we refuse to clamp.
 _CLAMP_TOL = 1e-12
-# Up to this a and t, a^3 and 2t^3 + 2 pi^2 a^2 t (2 + 2 pi^2 < 22) stay finite.
-_CUBE_MAX = (sys.float_info.max / 22.0) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,11 @@ def _clamp_prob(x: float, what: str) -> float:
 def weighted_survival(f: Life, t: float) -> float:
     """Survival probability P(Y >= t) under the membership-weighted model.
 
-    Closed form pi^2 a^3 (e^{2t/a} - 1) e^{-t/lambda_j - t/a} / (2t^3 + 2 pi^2 a^2 t),
-    equal to the mixture a * int e^{-lambda t} H_j(lambda) dlambda; e^{-t/lambda}
-    for a crisp life.  Where a or t exceeds _CUBE_MAX the form is divided
-    through by a^3, or is the crisp limit when t/a < 1e-8.
+    The mixture a * int e^{-lambda t} H_j(lambda) dlambda in closed form:
+    e^{-t/lambda_j} sinh(x) / (x (1 + (x/pi)^2)) with x = t/a, evaluated as
+    e^{-(t/lambda_j)(a - lambda_j)/a} (1 - e^{-2x}) / (2x (1 + (x/pi)^2)),
+    which neither overflows nor cancels at any a > lambda_j or t > 0.
+    e^{-t/lambda} for a crisp life, and for a fuzzy one where x underflows.
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
@@ -92,25 +91,13 @@ def weighted_survival(f: Life, t: float) -> float:
         if not f > 0:
             raise DomainError(f"mean life must be positive, got {f}")
         return math.exp(-t / f)
-    if t < _T_FLOOR:
-        return 1.0
     a = f.a
     lam = f.lambda_j
-    huge = max(a, t) > _CUBE_MAX
-    if huge and t < 1e-8 * a:
-        # The fuzzy survival is the crisp one times 1 + (1/6 - 1/pi^2)(t/a)^2 < 1 + 1e-17.
+    x = t / a
+    if x == 0.0:
         return math.exp(-t / lam)
-    # (e^{2t/a} - 1) e^{-t/a} loses precision two ways: catastrophic
-    # cancellation for small t/a, overflow for large.  Split accordingly.
-    if 2.0 * t / a < 1.0:
-        bracket = math.expm1(2.0 * t / a) * math.exp(-t / lam - t / a)
-    else:
-        bracket = math.exp(t / a - t / lam) - math.exp(-t / a - t / lam)
-    if huge:
-        x = t / a
-        value = (math.pi ** 2) * bracket / (2.0 * x * (x * x + math.pi ** 2))
-    else:
-        value = (math.pi ** 2) * (a ** 3) * bracket / (2.0 * t ** 3 + 2.0 * (math.pi ** 2) * (a ** 2) * t)
+    value = math.exp(-(t / lam) * ((a - lam) / a)) * (
+        -math.expm1(-2.0 * x) / (2.0 * x * (1.0 + x * x / math.pi ** 2)))
     return _clamp_prob(value, "weighted survival")
 
 
@@ -212,7 +199,10 @@ def expected_y(f: Life) -> float:
     (a/2) ln((a+l)/(a-l)) + (a/2)[cos(c) Ic + sin(c) Is], c = a*pi/l, where
     (Ic, Is) integrate cos(u)/u and sin(u)/u over [c-pi, c+pi].  Tends to the
     nominal mean life as a grows (the oscillatory terms cancel the excess),
-    which is the value for a crisp life.
+    which is the value for a crisp life.  From a = 1e4 * lambda_j on, where
+    the Ci/Si form loses digits to cancellation, it is the series
+    lambda_j (1 + (lambda_j/a)^2 (1/3 - 2/pi^2)) from the rate law's variance
+    (1/a)^2 (1/3 - 2/pi^2); the next term, O((lambda_j/a)^4), is below 1e-17.
     """
     if not isinstance(f, FuzzyLife):
         if not f > 0:
@@ -220,6 +210,8 @@ def expected_y(f: Life) -> float:
         return f
     a = f.a
     lam = f.lambda_j
+    if a >= 1e4 * lam:
+        return lam * (1.0 + (lam / a) ** 2 * (1.0 / 3.0 - 2.0 / math.pi ** 2))
     c = a * math.pi / lam
     ic, is_ = oscillatory_pair(c)
     # log1p keeps the log term accurate when a >> lambda_j.

@@ -7,6 +7,7 @@ membership over a risk level ("roughly alpha").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -19,7 +20,8 @@ class FuzzyLife:
     The membership is a raised cosine over the failure *rate*, peaking at
     1/lambda_j with half-width 1/a, so the support is
     [1/lambda_j - 1/a, 1/lambda_j + 1/a].  Requiring a > lambda_j keeps the
-    support inside (0, inf).
+    support inside (0, inf); a finite a keeps the mean life fuzzy (the
+    crisp limit a -> inf is a plain mean life instead).
     """
 
     lambda_j: float
@@ -28,9 +30,9 @@ class FuzzyLife:
     def __post_init__(self) -> None:
         if not self.lambda_j > 0:
             raise DomainError(f"nominal mean life must be positive, got {self.lambda_j}")
-        if not self.a > self.lambda_j:
+        if not self.lambda_j < self.a < math.inf:
             raise DomainError(
-                f"fuzziness scale a={self.a} must exceed lambda_j={self.lambda_j}"
+                f"fuzziness scale a={self.a} must be finite and exceed lambda_j={self.lambda_j}"
             )
 
     @property

@@ -11,6 +11,7 @@ zero-slack risk levels (`crisp_limit`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -33,8 +34,8 @@ from .lifemodel import (
 )
 from .membership import FuzzyLevel, FuzzyLife
 
-# Lower edge of the decision box; small enough to admit near-zero reject
-# thresholds without hitting the survival function's limit guard.
+# Lower edge of the decision box, small enough to admit near-zero reject
+# thresholds; t > 0 keeps every survival evaluation inside its domain.
 _T_LO = 1e-6
 
 
@@ -73,14 +74,17 @@ class PlanProblem:
             raise DomainError("both lives must be fuzzy or both plain mean lives")
         if fuzzy and self.lambda0.a != self.lambda1.a:
             raise DomainError("both fuzzy lives must share the fuzziness scale a")
-        if not _mean(self.lambda1) > 0:
-            raise DomainError(f"mean life must be positive, got {self.lambda1}")
-        if not _mean(self.lambda0) > _mean(self.lambda1):
-            raise DomainError("acceptable life must exceed rejectable life")
-        if not self.cost > 0:
-            raise DomainError(f"cost rate must be positive, got {self.cost}")
+        if not 0 < _mean(self.lambda1) < _mean(self.lambda0) < math.inf:
+            raise DomainError(
+                "need finite mean lives with 0 < rejectable < acceptable, got "
+                f"{_mean(self.lambda1)} and {_mean(self.lambda0)}"
+            )
+        if not 0 < self.cost < math.inf:
+            raise DomainError(f"cost rate must be positive and finite, got {self.cost}")
         if self.family is Family.TYPE_I and self.tau is None:
             raise DomainError("Type-I plans require a censoring time tau")
+        if self.family is Family.TYPE_I and not 0 < self.tau < math.inf:
+            raise DomainError(f"censoring time tau must be positive and finite, got {self.tau}")
         if self.objective_variant not in ("etc_star", "etc_upper_bound"):
             raise DomainError(f"unknown objective_variant {self.objective_variant!r}")
         if self.sd_form not in ("n", "sqrt_n"):

@@ -141,7 +141,8 @@ def defuzzify_center_of_gravity(center: float, a: float) -> float:
 def survival_array(life, t: np.ndarray) -> np.ndarray:
     """Weighted survival P(Y >= t): e^{-t/lambda} for a plain mean life, else
     pi^2 a^3 (e^{2t/a} - 1) e^{-t/lambda - t/a} / (2t^3 + 2 pi^2 a^2 t), with
-    the bracket split as in `asplan.lifemodel.weighted_survival`."""
+    the bracket split at 2t/a = 1 against cancellation and overflow: a
+    second form of `asplan.lifemodel.weighted_survival`'s sinh(x) one."""
     if not isinstance(life, FuzzyLife):
         return np.exp(-t / life)
     a, lam = life.a, life.lambda_j

@@ -23,12 +23,9 @@ DESIGN_FLAGS = [
 ]
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args):
     env = dict(os.environ)
-    env.pop("ASP_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(CLI + args, capture_output=True, text=True, env=env)
 
 
@@ -49,16 +46,17 @@ def test_design_output_is_deterministic():
     assert first.stdout == second.stdout
 
 
-def test_seed_env_var_and_flag_precedence():
+def test_seed_flag_sets_the_oracle_seed(tmp_path):
     oracle = ["oracle", "--family", "ssp", "--draws", "20000"]
-    from_env = run_cli(oracle, env_extra={"ASP_SEED": "7"})
-    assert from_env.returncode == 0, from_env.stderr
-    assert from_env.stdout == run_cli(oracle + ["--seed", "7"]).stdout
-    explicit = run_cli(oracle + ["--seed", "11"], env_extra={"ASP_SEED": "7"})
-    assert explicit.stdout == run_cli(oracle + ["--seed", "11"]).stdout
-    assert explicit.stdout != from_env.stdout
-    bad = run_cli(oracle, env_extra={"ASP_SEED": "not-a-number"})
-    assert bad.returncode == 1
+    default = run_cli(oracle)
+    assert default.returncode == 0, default.stderr
+    assert default.stdout == run_cli(oracle + ["--seed", "42"]).stdout
+    explicit = run_cli(oracle + ["--seed", "11"])
+    assert explicit.returncode == 0, explicit.stderr
+    assert explicit.stdout != default.stdout
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = 11\n")
+    assert run_cli(oracle + ["--config", str(config)]).stdout == explicit.stdout
     # A design draws no random numbers, so design takes no seed.
     assert run_cli(DESIGN_FLAGS + ["--seed", "11"]).returncode == 2
 
@@ -147,6 +145,31 @@ def test_verify_tables_rejects_a_nonsense_selector(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+SSP_FLAGS = DESIGN_FLAGS[1:-2]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["design", *SSP_FLAGS, "--a", "inf"], "must be finite and exceed"),
+        (["oracle", "--family", "ssp", "--lambda0", "300", "--a", "inf", "--t1", "1",
+          "--t2", "2", "--draws", "10000"], "must be finite and exceed"),
+        (["design", *DESIGN_FLAGS[1:], "--cost", "inf"], "cost rate must be positive and finite"),
+        (["design", "--family", "type1", "--lambda0", "300", "--lambda1", "200",
+          "--alpha", "0.01", "--beta", "0.01", "--a", "15000", "--tau", "inf"],
+         "tau must be positive and finite"),
+    ],
+    ids=["design-a-inf", "oracle-a-inf", "cost-inf", "tau-inf"],
+)
+def test_non_finite_inputs_are_errors(capsys, argv, message):
+    """An infinite fuzziness scale once hung `oracle` and crashed `design`,
+    and an infinite cost or tau printed Infinity, which is not JSON."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_dispose_exit_codes(tmp_path):
@@ -369,7 +392,6 @@ def test_scipy_loads_only_where_a_command_needs_it(argv, loaded):
         "print(status, 'scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)\n"
     )
     env = dict(os.environ)
-    env.pop("ASP_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env=env)

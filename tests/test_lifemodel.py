@@ -69,6 +69,32 @@ def test_survival_where_cubes_overflow_keeps_the_closed_form(a, lam_over_a, t_ov
     assert abs(got / math.exp(-t / lam) - 1.0) > 1e-3
 
 
+@pytest.mark.parametrize("ratio", [1.0 + 1e-12, 1.001, 5.0, 1e3, 1e8, 1e103, 1e300])
+def test_survival_matches_mpmath_at_every_scale(ratio):
+    """The closed form against its a^3 form at 50 digits, at the same double
+    a and lambda, from a barely fuzzy life to a = 1e300 * lambda and from
+    t = 1e-13 * lambda to a tail of e^{-60}."""
+    mpmath = pytest.importorskip("mpmath")
+    lam = 300.0
+    a = ratio * lam
+    for t_over_lam in (1e-13, 1e-6, 1.0, 10.0, 60.0):
+        t = t_over_lam * lam
+        with mpmath.workdps(50):
+            big_a, big_lam, big_t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(t)
+            want = (mpmath.pi ** 2 * big_a ** 3 * mpmath.expm1(2 * big_t / big_a)
+                    * mpmath.exp(-big_t / big_lam - big_t / big_a)
+                    / (2 * big_t ** 3 + 2 * mpmath.pi ** 2 * big_a ** 2 * big_t))
+        if want > 1e-280:
+            got = weighted_survival(FuzzyLife(lam, a), t)
+            assert got == pytest.approx(float(want), rel=1e-13), t_over_lam
+
+
+def test_survival_where_t_dwarfs_a_is_zero():
+    """x = t/a = 5e299: (x/pi)^2 overflows a double, and S is 0, not an
+    OverflowError."""
+    assert weighted_survival(FuzzyLife(1e-300, 2e-300), 1.0) == 0.0
+
+
 def test_survival_matches_mixture_quadrature():
     rng = random.Random(3)
     for _ in range(30):
@@ -216,10 +242,12 @@ def test_expected_y_matches_mixture():
 @pytest.mark.parametrize("lam", [50.0, 70.0, 150.0, 200.0, 300.0, 500.0])
 def test_expected_y_matches_mpmath(lam):
     """E[Y] against Ci/Si at 50 digits, at the same double a and lambda0,
-    from a barely fuzzy to a nearly crisp life."""
+    from a barely fuzzy to a nearly crisp life, across the switch to the
+    large-a series."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        for ratio in (1.001, 1.01, 1.1, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3, 1e4):
+        for ratio in (1.001, 1.01, 1.1, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3, 9999.0, 1e4, 1e6, 1e8,
+                      1e12, 1e14):
             a = ratio * lam
             big_a, big_lam = mpmath.mpf(a), mpmath.mpf(lam)
             c = big_a * mpmath.pi / big_lam

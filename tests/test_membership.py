@@ -61,6 +61,14 @@ def test_fuzzy_life_requires_a_above_lambda():
         FuzzyLife(lambda_j=-1.0, a=10.0)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_fuzzy_life_requires_a_finite_scale(a):
+    """An infinite a has a NaN membership everywhere; the crisp limit is a
+    plain mean life instead."""
+    with pytest.raises(DomainError, match="finite"):
+        FuzzyLife(lambda_j=300.0, a=a)
+
+
 @pytest.mark.parametrize("a", [1500.0, 15000.0])
 def test_mass_closed_form(a):
     assert life_membership_mass(FuzzyLife(lambda_j=300.0, a=a)) == 1.0 / a

@@ -42,6 +42,24 @@ def test_problem_validation():
         make_problem(objective_variant="nope")
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (dict(cost=math.inf), "cost rate must be positive and finite"),
+        (dict(family=Family.TYPE_I, tau=math.inf), "tau must be positive and finite"),
+        (dict(family=Family.TYPE_I, tau=0.0), "tau must be positive and finite"),
+        (dict(lambda0=math.inf, lambda1=50.0), "finite mean lives"),
+        (dict(lambda0=math.inf, lambda1=math.inf), "finite mean lives"),
+    ],
+    ids=["cost-inf", "tau-inf", "tau-zero", "lambda0-inf", "both-lives-inf"],
+)
+def test_problem_rejects_non_finite_inputs(overrides, message):
+    """Each would print Infinity, which is not JSON, or fail later with a
+    message about something else."""
+    with pytest.raises(DomainError, match=message):
+        make_problem(**overrides)
+
+
 def test_problem_rejects_unknown_sd_form():
     with pytest.raises(DomainError, match="sd_form"):
         make_problem(family=Family.TYPE_I, tau=50.0, sd_form="bogus")

@@ -30,8 +30,7 @@ EXAMPLES = {
 
 
 @pytest.mark.parametrize("golden", sorted(EXAMPLES))
-def test_readme_example_prints_its_golden(golden, capsys, monkeypatch):
-    monkeypatch.delenv("ASP_SEED", raising=False)
+def test_readme_example_prints_its_golden(golden, capsys):
     assert main(EXAMPLES[golden]) == 0
     assert capsys.readouterr().out == (GOLDENS / golden).read_text(encoding="utf-8")
 
