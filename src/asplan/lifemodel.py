@@ -9,12 +9,14 @@ Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
 Every formula takes and returns plain floats, one threshold pair at a time.
 
-Two special functions live here too: the oscillatory integrals of cos(u)/u
-and sin(u)/u in the expected inter-failure time, in closed form through the
-cosine and sine integrals (the tests check them against composite Simpson
-quadrature and mpmath), and the standard normal CDF of the Type-I
-approximation.  `scipy.special`, slow to import, loads at the first Ci/Si;
-from a = 1e4 * lambda_j on, E[Y] is a series and needs none.
+Two special functions live here too: the oscillatory integrals of
+(cos(u) - 1)/u and sin(u)/u in the expected inter-failure time, and the
+standard normal CDF of the Type-I approximation.  E[Y] is written with the
+pole of its log term split off, so both integrands are entire and a fixed
+16-node Gauss-Legendre rule in pure Python gives them to a few ulps for
+every fuzzy life (the tests check it against composite Simpson quadrature
+and 50-digit Ci/Si); from a = 1e4 * lambda_j on, E[Y] is a series.  Nothing
+here imports numpy or scipy.
 """
 
 from __future__ import annotations
@@ -177,30 +179,51 @@ def long_run(p: TriProb) -> LongRun:
     return LongRun(P_A=p.p_a / ends, P_R=p.p_r / ends, N=1.0 / ends)
 
 
+# The 16-node Gauss-Legendre rule on [-1, 1] as its 8 symmetric pairs
+# (x, w): the nodes -x and +x share the weight w.  Each value is the double
+# nearest the 50-digit root of P_16 and its weight 2 / ((1 - x^2) P_16'(x)^2).
+_GAUSS_LEGENDRE_16 = (
+    (0.09501250983763744, 0.1894506104550685),
+    (0.2816035507792589, 0.18260341504492358),
+    (0.45801677765722737, 0.16915651939500254),
+    (0.6178762444026438, 0.14959598881657674),
+    (0.755404408355003, 0.12462897125553388),
+    (0.8656312023878318, 0.09515851168249279),
+    (0.9445750230732326, 0.062253523938647894),
+    (0.9894009349916499, 0.027152459411754096),
+)
+
+
 def oscillatory_pair(c: float) -> tuple[float, float]:
-    """The pair (int cos(u)/u du, int sin(u)/u du) over [c - pi, c + pi].
+    """The pair (Jc, Js) of integrals over [c - pi, c + pi] of
+    (cos(u) - 1)/u = -2 sin^2(u/2)/u and of sin(u)/u.
 
-    Closed form Ci(c + pi) - Ci(c - pi), Si(c + pi) - Si(c - pi)
-    (Abramowitz & Stegun 5.2); c > pi keeps the interval away from the
-    origin (c = a*pi/lambda_0 with a > lambda_0).
+    Both integrands are entire, so the fixed 16-node Gauss-Legendre rule
+    converges for every c, c -> pi+ included, to within a few ulps.  In
+    terms of the cosine and sine integrals (Abramowitz & Stegun 5.2), Jc is
+    Ci(c + pi) - Ci(c - pi) - log((c + pi)/(c - pi)), the difference less
+    its pole at c = pi, and Js is Si(c + pi) - Si(c - pi).
     """
-    if not c > math.pi:
-        raise DomainError(f"need c > pi so the interval avoids the origin, got c={c}")
-    from scipy.special import sici
-
-    si_hi, ci_hi = sici(c + math.pi)
-    si_lo, ci_lo = sici(c - math.pi)
-    return float(ci_hi - ci_lo), float(si_hi - si_lo)
+    jc = js = 0.0
+    for x, w in _GAUSS_LEGENDRE_16:
+        for u in (c - math.pi * x, c + math.pi * x):
+            s = math.sin(0.5 * u)
+            jc -= w * (2.0 * s * s / u)
+            js += w * (2.0 * s * math.cos(0.5 * u) / u)
+    return math.pi * jc, math.pi * js
 
 
 def expected_y(f: Life) -> float:
     """Mean inter-failure time under the weighted model.
 
-    (a/2) ln((a+l)/(a-l)) + (a/2)[cos(c) Ic + sin(c) Is], c = a*pi/l, where
-    (Ic, Is) integrate cos(u)/u and sin(u)/u over [c-pi, c+pi].  Tends to the
-    nominal mean life as a grows (the oscillatory terms cancel the excess),
-    which is the value for a crisp life.  From a = 1e4 * lambda_j on, where
-    the Ci/Si form loses digits to cancellation, it is the series
+    (a/2) [(1 + cos c) L + cos(c) Jc + sin(c) Js], c = a*pi/l, with
+    L = log((a + l)/(a - l)) and (Jc, Js) from `oscillatory_pair`, a 16-node
+    Gauss-Legendre rule.  This is the mixture mean of 1/r with the pole of
+    the log split off: 1 + cos c vanishes to second order where L diverges
+    (a -> l+), so the form is finite and accurate for every fuzzy life, and
+    L is taken from a and l, never from c.  Tends to the nominal mean life
+    as a grows, which is the value for a crisp life.  From a = 1e4 *
+    lambda_j on it is the series
     lambda_j (1 + (lambda_j/a)^2 (1/3 - 2/pi^2)) from the rate law's variance
     (1/a)^2 (1/3 - 2/pi^2); the next term, O((lambda_j/a)^4), is below 1e-17.
     """
@@ -213,10 +236,11 @@ def expected_y(f: Life) -> float:
     if a >= 1e4 * lam:
         return lam * (1.0 + (lam / a) ** 2 * (1.0 / 3.0 - 2.0 / math.pi ** 2))
     c = a * math.pi / lam
-    ic, is_ = oscillatory_pair(c)
+    jc, js = oscillatory_pair(c)
     # log1p keeps the log term accurate when a >> lambda_j.
     log_term = math.log1p(lam / a) - math.log1p(-lam / a)
-    return (a / 2.0) * log_term + (a / 2.0) * (math.cos(c) * ic + math.sin(c) * is_)
+    cos_c = math.cos(c)
+    return (a / 2.0) * ((1.0 + cos_c) * log_term + cos_c * jc + math.sin(c) * js)
 
 
 def expected_y_upper_bound(f: Life) -> float:

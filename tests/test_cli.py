@@ -371,29 +371,33 @@ def test_oracle_type1_takes_a_mean_life_above_the_fuzziness_scale(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,loaded",
+    "argv",
     [
-        ([], "False False"),
-        (EXAMPLES["dispose_case_study.json"], "False False"),
-        (EXAMPLES["design_type1.json"], "False False"),
-        (EXAMPLES["design_ssp.json"], "True False"),
+        [],
+        EXAMPLES["dispose_case_study.json"],
+        EXAMPLES["design_type1.json"],
+        EXAMPLES["design_ssp.json"],
+        ["verify-tables"],
+        ["design", "--family", "rgsp_max", "--lambda0", "300", "--lambda1", "50", "--alpha",
+         "0.05", "--beta", "0.05", "--a", "1500", "--b1", "0.05", "--b2", "0.05", "--n-max", "3"],
     ],
-    ids=["import", "dispose", "design-type1", "design-ssp"],
+    ids=["import", "dispose", "design-type1", "design-ssp", "verify-tables", "design-rgsp-max"],
 )
-def test_scipy_loads_only_where_a_command_needs_it(argv, loaded):
-    """In a fresh interpreter, `import asplan` loads neither scipy.special
-    nor scipy.optimize, and of the README examples only the `ssp` design,
-    whose cost needs Ci/Si, loads scipy.special; none loads scipy.optimize."""
+def test_scipy_loads_only_where_a_command_needs_it(argv):
+    """In a fresh interpreter, no command needs scipy: neither `import
+    asplan` nor a README example, a fuzzy grouped design or `verify-tables`
+    loads any scipy module, since E[Y] of a fuzzy life is a Gauss-Legendre
+    rule in pure Python and the roots are `fuzzyopt._brentq`."""
     code = (
         "import sys\n"
         "import asplan\n"
         "from asplan.cli import main\n"
         "status = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(status, 'scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert result.stdout.splitlines()[-1] == "0 []"

@@ -100,10 +100,9 @@ def test_no_module_imports_scipy_at_import_time(path):
 
 @pytest.mark.parametrize("module", ["lifemodel", "plans"])
 def test_the_plan_formulas_import_no_numpy_or_scipy(module):
-    """Survival, the triprobs, the long-run rates and the plan closures have
-    one path, over plain floats, so their modules import no numpy, at module
-    level or in a function.  The Ci/Si of a fuzzy life's E[Y], in
-    `oscillatory_pair`, are the one scipy call left there."""
+    """Survival, the triprobs, E[Y], the long-run rates and the plan
+    closures have one path, over plain floats, so their modules import
+    neither numpy nor scipy, at module level or in a function."""
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert _imports_of(source, "numpy", skipped=lambda name: False) == []
-    assert _imports_of(source, "scipy", skipped=lambda name: name == "oscillatory_pair") == []
+    assert _imports_of(source, "scipy", skipped=lambda name: False) == []

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asplan.errors import ConsistencyError, DegeneratePlanError, DomainError
 from asplan.lifemodel import (
@@ -239,23 +241,54 @@ def test_expected_y_matches_mixture():
         assert expected_y(f) == pytest.approx(mixture_mean(f), rel=1e-6)
 
 
+def _mpmath_expected_y(mpmath, lam: float, a: float) -> float:
+    """E[Y] from Ci/Si at the working precision, at the exact doubles a and lambda0."""
+    big_a, big_lam = mpmath.mpf(a), mpmath.mpf(lam)
+    c = big_a * mpmath.pi / big_lam
+    ic = mpmath.ci(c + mpmath.pi) - mpmath.ci(c - mpmath.pi)
+    is_ = mpmath.si(c + mpmath.pi) - mpmath.si(c - mpmath.pi)
+    return float(big_a / 2 * (mpmath.log((big_a + big_lam) / (big_a - big_lam))
+                              + mpmath.cos(c) * ic + mpmath.sin(c) * is_))
+
+
 @pytest.mark.parametrize("lam", [50.0, 70.0, 150.0, 200.0, 300.0, 500.0])
 def test_expected_y_matches_mpmath(lam):
     """E[Y] against Ci/Si at 50 digits, at the same double a and lambda0,
-    from a barely fuzzy to a nearly crisp life, across the switch to the
-    large-a series."""
+    from the least fuzzy life a double can hold, a = nextafter(lambda0), to a
+    nearly crisp one, across the switch to the large-a series."""
     mpmath = pytest.importorskip("mpmath")
+    near = (math.nextafter(lam, math.inf), lam * (1.0 + 1e-12), lam * (1.0 + 1e-7))
+    ratios = (1.001, 1.01, 1.1, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3, 9999.0, 1e4, 1e6, 1e8, 1e12,
+              1e14)
     with mpmath.workdps(50):
-        for ratio in (1.001, 1.01, 1.1, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3, 9999.0, 1e4, 1e6, 1e8,
-                      1e12, 1e14):
-            a = ratio * lam
-            big_a, big_lam = mpmath.mpf(a), mpmath.mpf(lam)
-            c = big_a * mpmath.pi / big_lam
-            ic = mpmath.ci(c + mpmath.pi) - mpmath.ci(c - mpmath.pi)
-            is_ = mpmath.si(c + mpmath.pi) - mpmath.si(c - mpmath.pi)
-            want = big_a / 2 * (mpmath.log((big_a + big_lam) / (big_a - big_lam))
-                                + mpmath.cos(c) * ic + mpmath.sin(c) * is_)
-            assert expected_y(FuzzyLife(lam, a)) == pytest.approx(float(want), rel=1e-12), ratio
+        for a in (*near, *(ratio * lam for ratio in ratios)):
+            want = _mpmath_expected_y(mpmath, lam, a)
+            assert expected_y(FuzzyLife(lam, a)) == pytest.approx(want, rel=1e-13), a / lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(1e-3, 1e6), log_gap=st.floats(-16.0, 15.0))
+def test_expected_y_is_right_for_every_fuzzy_life(lam, log_gap):
+    """Every valid FuzzyLife, down to a = nextafter(lambda0), has a finite
+    E[Y] within 1e-13 of 50-digit Ci/Si."""
+    mpmath = pytest.importorskip("mpmath")
+    a = max(lam * (1.0 + 10.0 ** log_gap), math.nextafter(lam, math.inf))
+    got = expected_y(FuzzyLife(lam, a))
+    assert math.isfinite(got)
+    with mpmath.workdps(50):
+        assert got == pytest.approx(_mpmath_expected_y(mpmath, lam, a), rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [55.0, 63.0, 89.0])
+def test_expected_y_where_c_rounds_to_pi(lam):
+    """At a = nextafter(lambda0) these c = a*pi/lambda0 round to pi itself,
+    where the Ci/Si form divided by zero."""
+    mpmath = pytest.importorskip("mpmath")
+    a = math.nextafter(lam, math.inf)
+    assert a * math.pi / lam == math.pi
+    with mpmath.workdps(50):
+        assert expected_y(FuzzyLife(lam, a)) == pytest.approx(_mpmath_expected_y(mpmath, lam, a),
+                                                              rel=1e-13)
 
 
 def test_expected_y_tends_to_nominal():

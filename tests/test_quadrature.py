@@ -4,7 +4,7 @@ import random
 import pytest
 
 from asplan.errors import DomainError
-from asplan.lifemodel import oscillatory_pair, std_normal_cdf
+from asplan.lifemodel import _GAUSS_LEGENDRE_16, oscillatory_pair, std_normal_cdf
 
 from reference import ConvergenceError, QuadratureSettings, _composite_simpson, simpson
 
@@ -37,51 +37,73 @@ def test_simpson_nonconvergence_raises():
     assert excinfo.value.latest is not None
 
 
+def _jc_integrand(u):
+    return -2.0 * math.sin(0.5 * u) ** 2 / u
+
+
+def _js_integrand(u):
+    return math.sin(u) / u
+
+
 def test_oscillatory_pair_matches_fine_grid():
-    c = 1500.0 * math.pi / 300.0
-    ic, is_ = oscillatory_pair(c)
     fine = QuadratureSettings(initial_panels=640)
-    ic_fine = simpson(lambda u: math.cos(u) / u, c - math.pi, c + math.pi, fine)
-    is_fine = simpson(lambda u: math.sin(u) / u, c - math.pi, c + math.pi, fine)
-    assert ic == pytest.approx(ic_fine, rel=1e-10, abs=1e-12)
-    assert is_ == pytest.approx(is_fine, rel=1e-10, abs=1e-12)
+    for c in (math.pi * (1.0 + 1e-9), 1500.0 * math.pi / 300.0, 157.1):
+        jc, js = oscillatory_pair(c)
+        assert jc == pytest.approx(simpson(_jc_integrand, c - math.pi, c + math.pi, fine),
+                                   rel=1e-10, abs=1e-12)
+        assert js == pytest.approx(simpson(_js_integrand, c - math.pi, c + math.pi, fine),
+                                   rel=1e-10, abs=1e-12)
 
 
 def test_oscillatory_pair_bound_for_large_c():
+    """Jc + log((c+pi)/(c-pi)) and Js integrate cos(u)/u and sin(u)/u, each
+    bounded by 1/(c - pi) over an interval of length 2 pi."""
     c = 15000.0 * math.pi / 300.0
-    ic, is_ = oscillatory_pair(c)
+    jc, js = oscillatory_pair(c)
     bound = 2.0 * math.pi / (c - math.pi)
-    assert abs(ic) <= bound
-    assert abs(is_) <= bound
+    assert abs(jc + math.log((c + math.pi) / (c - math.pi))) <= bound
+    assert abs(js) <= bound
 
 
 def test_oscillatory_pair_small_c():
-    c = 2100.0 * math.pi / 70.0
-    ic, is_ = oscillatory_pair(c)
-    assert math.isfinite(ic) and math.isfinite(is_)
+    """The integrands are entire: c at pi, or below it, is no edge."""
+    for c in (math.pi, 3.0, 2100.0 * math.pi / 70.0):
+        jc, js = oscillatory_pair(c)
+        assert math.isfinite(jc) and math.isfinite(js)
 
 
-# Ci(c + pi) - Ci(c - pi) and Si(c + pi) - Si(c - pi), computed once with
-# mpmath at 50 significant digits (c taken as the exact double shown).
-MPMATH_PAIRS = {
-    3.25: (1.6420927631918405059, 1.3107386673781033014),
-    9.42: (0.016824456180669430184, 0.074008740428939083992),
-    15.71: (0.0032932618588160804009, 0.025872680874407663458),
-    157.1: (1.9442442489169643091e-6, -0.00025463502585819413921),
-}
-
-
-@pytest.mark.parametrize("c", sorted(MPMATH_PAIRS))
+@pytest.mark.parametrize("c", [math.pi * (1.0 + 1e-9), 3.25, 9.42, 15.71, 157.1, 1e4 * math.pi])
 def test_oscillatory_pair_matches_mpmath(c):
-    ic, is_ = oscillatory_pair(c)
-    want_ic, want_is = MPMATH_PAIRS[c]
-    assert ic == pytest.approx(want_ic, rel=0, abs=1e-14)
-    assert is_ == pytest.approx(want_is, rel=0, abs=1e-14)
+    """Jc = Ci(c+pi) - Ci(c-pi) - log((c+pi)/(c-pi)) and Js = Si(c+pi) - Si(c-pi),
+    at 50 digits and the exact double c."""
+    mpmath = pytest.importorskip("mpmath")
+    jc, js = oscillatory_pair(c)
+    with mpmath.workdps(50):
+        big_c = mpmath.mpf(c)
+        hi, lo = big_c + mpmath.pi, big_c - mpmath.pi
+        want_jc = mpmath.ci(hi) - mpmath.ci(lo) - mpmath.log(hi / lo)
+        want_js = mpmath.si(hi) - mpmath.si(lo)
+    assert jc == pytest.approx(float(want_jc), rel=1e-14, abs=1e-17)
+    assert js == pytest.approx(float(want_js), rel=1e-14, abs=1e-17)
 
 
-def test_oscillatory_pair_rejects_small_c():
-    with pytest.raises(DomainError):
-        oscillatory_pair(3.0)
+def test_gauss_legendre_table_is_the_16_node_rule():
+    """The literal table is leggauss(16) to its accuracy, and the doubles
+    nearest the 50-digit nodes and weights."""
+    np = pytest.importorskip("numpy")
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    table = sorted(_GAUSS_LEGENDRE_16)
+    assert len(table) == 8
+    for (x, w), node, weight in zip(table, nodes[8:], weights[8:]):
+        assert x == pytest.approx(float(node), rel=1e-15)
+        assert w == pytest.approx(float(weight), rel=1e-14)
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda t: mpmath.legendre(16, t), mpmath.mpf(x))
+            slope = mpmath.diff(lambda t: mpmath.legendre(16, t), root)
+            assert x == float(root)
+            assert w == float(2 / ((1 - root ** 2) * slope ** 2))
+    assert math.fsum(2.0 * w for _, w in table) == 2.0
 
 
 def test_std_normal_cdf_values():
