@@ -18,9 +18,9 @@ from functools import partial
 from . import disposition, oracle
 from .errors import DomainError, InfeasibleError
 from .fuzzyopt import MEMBERSHIP_FORMS, solve_plan
-from .lifemodel import Thresholds
+from .lifemodel import SD_FORMS, Thresholds
 from .membership import FuzzyLevel, FuzzyLife
-from .plans import Family, PlanProblem, crisp_baseline
+from .plans import OBJECTIVE_VARIANTS, Family, PlanProblem, crisp_baseline
 
 
 def _read_config(path: str) -> dict:
@@ -71,11 +71,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--b2", type=float, default=0.05, help="consumer risk slack")
     sub.add_argument("--cost", type=float, default=1.0, help="cost rate per unit time")
     sub.add_argument("--tau", type=float, help="censoring time (censored family only)")
-    sub.add_argument(
-        "--objective-variant",
-        choices=["etc_star", "etc_upper_bound"],
-        default="etc_star",
-    )
+    sub.add_argument("--objective-variant", choices=OBJECTIVE_VARIANTS, default="etc_star")
     sub.add_argument(
         "--n-max",
         type=int,
@@ -84,7 +80,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         "larger group size can cost less than the cheapest design meeting the risk levels",
     )
     sub.add_argument("--allow-t2-above-lambda0", action="store_true")
-    sub.add_argument("--sd-form", choices=["n", "sqrt_n"], default="n")
+    sub.add_argument("--sd-form", choices=SD_FORMS, default="n")
     sub.add_argument(
         "--membership-form",
         choices=MEMBERSHIP_FORMS,

@@ -112,12 +112,17 @@ def dispose_type1(
 
 
 def load_failure_data(path) -> FailureData:
-    """Read one value per line from CSV (optional header) or a JSON array."""
+    """Read one value per line from CSV (optional header) or a JSON array of numbers."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
-        values = [float(v) for v in json.loads(stripped)]
+        values = json.loads(stripped)
+        for v in values:
+            # Checked before conversion: true is not 1, and null or a list is no lifetime.
+            if type(v) not in (int, float):
+                raise DomainError(f"non-numeric value {json.dumps(v)} in data file")
+        values = [float(v) for v in values]
     else:
         values = []
         for record in csv.reader(text.splitlines()):

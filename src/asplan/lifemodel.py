@@ -33,6 +33,9 @@ Life = FuzzyLife | float
 # Probabilities may stray outside [0,1] by at most this before we refuse to clamp.
 _CLAMP_TOL = 1e-12
 
+# The two published scalings of the Type-I estimator's standard deviation.
+SD_FORMS = ("n", "sqrt_n")
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -151,13 +154,10 @@ def typeI_triprob(
         raise DomainError(f"tau must be positive, got {tau}")
     if not lambda_j > 0:
         raise DomainError(f"lambda_j must be positive, got {lambda_j}")
-    frac = -math.expm1(-tau / lambda_j)
-    if sd_form == "n":
-        m = n * math.sqrt(frac)
-    elif sd_form == "sqrt_n":
-        m = math.sqrt(n * frac)
-    else:
+    if sd_form not in SD_FORMS:
         raise DomainError(f"unknown sd_form {sd_form!r}")
+    frac = -math.expm1(-tau / lambda_j)
+    m = n * math.sqrt(frac) if sd_form == "n" else math.sqrt(n * frac)
     z1 = (th.t1 - lambda_j) / lambda_j * m
     z2 = (th.t2 - lambda_j) / lambda_j * m
     phi1 = std_normal_cdf(z1)
@@ -213,6 +213,11 @@ def oscillatory_pair(c: float) -> tuple[float, float]:
     return math.pi * jc, math.pi * js
 
 
+def _phase_and_log_term(a: float, lam: float) -> tuple[float, float]:
+    """c = a*pi/l and L = log((a + l)/(a - l)), by log1p to keep L accurate when a >> l."""
+    return a * math.pi / lam, math.log1p(lam / a) - math.log1p(-lam / a)
+
+
 def expected_y(f: Life) -> float:
     """Mean inter-failure time under the weighted model.
 
@@ -235,10 +240,8 @@ def expected_y(f: Life) -> float:
     lam = f.lambda_j
     if a >= 1e4 * lam:
         return lam * (1.0 + (lam / a) ** 2 * (1.0 / 3.0 - 2.0 / math.pi ** 2))
-    c = a * math.pi / lam
+    c, log_term = _phase_and_log_term(a, lam)
     jc, js = oscillatory_pair(c)
-    # log1p keeps the log term accurate when a >> lambda_j.
-    log_term = math.log1p(lam / a) - math.log1p(-lam / a)
     cos_c = math.cos(c)
     return (a / 2.0) * ((1.0 + cos_c) * log_term + cos_c * jc + math.sin(c) * js)
 
@@ -251,9 +254,7 @@ def expected_y_upper_bound(f: Life) -> float:
     if not isinstance(f, FuzzyLife):
         return expected_y(f)
     a = f.a
-    lam = f.lambda_j
-    c = a * math.pi / lam
-    log_term = math.log1p(lam / a) - math.log1p(-lam / a)
+    c, log_term = _phase_and_log_term(a, f.lambda_j)
     return (a / 2.0) * log_term * (1.0 + abs(math.cos(c)) + abs(math.sin(c)))
 
 

@@ -4,7 +4,8 @@ golden-table harness.
 The Monte-Carlo side re-derives every plan probability by direct simulation
 of the lifetime model (a random failure rate from the raised-cosine
 membership, then exponential lifetimes), with no shared code path through
-the closed forms it checks.
+the closed forms it checks.  The golden-table harness is not independent:
+it rechecks the published designs through each family's `plans.stage_law`.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .lifemodel import (
-    Thresholds,
+from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these oracle names
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
     typeI_triprob,
     weighted_survival,
 )
+from .lifemodel import LongRun, Thresholds, TriProb, long_run
 from .membership import FuzzyLife
-from .plans import Family, expected_stage_duration
+from .plans import Family, expected_stage_duration, stage_law
 
 _TYPE_I_CHUNK = 100_000
 
@@ -192,14 +193,6 @@ REGRESSION_GRID: tuple = (
 )
 
 
-def _closed_triprob(family: Family, f: FuzzyLife, th: Thresholds, n: int):
-    if family is Family.SSP:
-        return ssp_triprob(f, th)
-    if family is Family.RGSP_MIN:
-        return rgsp_min_triprob(f, th, n)
-    return rgsp_max_triprob(f, th, n)
-
-
 def compare_triprob(
     family: Family,
     f: FuzzyLife,
@@ -214,7 +207,7 @@ def compare_triprob(
     the two values, plus three counts, so that a closed form near 0 or 1
     is not held to the simulation's own, vanishing, error."""
     family = Family(family)
-    closed = _closed_triprob(family, f, th, n)
+    closed = stage_law(family, n)(f, th)
     mc = mc_triprob(family, f, th, n=n, draws=draws, seed=seed)
     reports = []
     for component, cf, est in (
@@ -290,41 +283,24 @@ def load_golden_rows() -> list[GoldenRow]:
 
 
 def _row_life(row: GoldenRow, lam: float):
-    """The row's life at mean lam: a plain mean for crisp rows and for the
-    Type-I normal approximation, which uses the nominal life alone."""
+    """The row's life at mean lam: a plain mean for crisp rows and for
+    Type-I rows, whose stage law and cost read the nominal life alone."""
     if row.variant == "crisp" or row.family == "type1":
         return lam
     return FuzzyLife(lambda_j=lam, a=row.a)
 
 
-def _row_rates(row: GoldenRow, lam: float) -> tuple[float, float, float]:
-    """(p_a, p_r, 1 - p_c) at the row's design for mean life lam.
+def _row_run(law, life, row: GoldenRow) -> LongRun:
+    """The long run of the row's design under ``life``.
 
-    Evaluated directly from the survival function so rows whose printed
-    thresholds are inverted (t1 > t2) still get the algebraic extension the
-    reference solver would have used.
+    p_a is read at the thresholds (t2, t2) and p_r at (t1, t1): each depends
+    on its own threshold alone, so rows whose printed thresholds are
+    inverted (t1 > t2) still get the algebraic extension the reference
+    solver would have used.
     """
-    n = row.n or 1
-    if row.family == "type1":
-        tp = typeI_triprob(lam, Thresholds(min(row.t1, row.t2), max(row.t1, row.t2)), n, row.tau)
-        return tp.p_a, tp.p_r, tp.p_a + tp.p_r
-    life = _row_life(row, lam)
-    scale = n if row.family == "rgsp_min" else 1
-    s1 = weighted_survival(life, scale * row.t1)
-    s2 = weighted_survival(life, scale * row.t2)
-    if row.family == "rgsp_max":
-        p_a = 1.0 - (1.0 - s2) ** n
-        p_r = (1.0 - s1) ** n
-    else:
-        p_a, p_r = s2, 1.0 - s1
-    return p_a, p_r, p_a + p_r
-
-
-def _row_expected_cost(row: GoldenRow, terminate0: float) -> float:
-    life = _row_life(row, row.lambda0)
-    upper = row.variant == "etc_upper_bound"
-    duration = expected_stage_duration(Family(row.family), life, row.n or 1, upper, row.tau)
-    return duration / terminate0
+    p_a = law(life, Thresholds(row.t2, row.t2)).p_a
+    p_r = law(life, Thresholds(row.t1, row.t1)).p_r
+    return long_run(TriProb(p_a, p_r, 1.0 - p_a - p_r))
 
 
 def verify_tables(
@@ -332,7 +308,10 @@ def verify_tables(
 ) -> list[dict]:
     """Recompute the risks and cost at every embedded design.
 
-    A row is feasible when the long-run producer risk stays within
+    g, h and the cost are read from the long run of the family's
+    `plans.stage_law`, the law of the solver's plan closures: the cost is
+    the expected stage duration times the stage count at the acceptable
+    life.  A row is feasible when the long-run producer risk stays within
     alpha + b1 and the consumer risk within beta + b2, both padded by the
     printed-precision tolerance.  Comparison-only rows carry no design and
     are reported without a feasibility verdict.
@@ -349,11 +328,14 @@ def verify_tables(
             report.update(feasible=None, g=None, h=None, etc_recomputed=None, etc_rel_err=None)
             reports.append(report)
             continue
-        p_a0, p_r0, terminate0 = _row_rates(row, row.lambda0)
-        p_a1, _, terminate1 = _row_rates(row, row.lambda1)
-        g = p_r0 / terminate0
-        h = p_a1 / terminate1
-        etc = _row_expected_cost(row, terminate0)
+        family, n = Family(row.family), row.n or 1
+        law = stage_law(family, n, row.tau)
+        life0 = _row_life(row, row.lambda0)
+        run0 = _row_run(law, life0, row)
+        g = run0.P_R
+        h = _row_run(law, _row_life(row, row.lambda1), row).P_A
+        upper = row.variant == "etc_upper_bound"
+        etc = expected_stage_duration(family, life0, n, upper, row.tau) * run0.N
         g_bound = row.alpha + row.b1 + feasibility_tol
         h_bound = row.beta + row.b2 + feasibility_tol
         report.update(

@@ -3,9 +3,9 @@
 Each family exposes the expected testing cost over the long run together
 with the long-run producer risk g (rejection probability at the acceptable
 life) and consumer risk h (acceptance probability at the rejectable life).
-This is the only module that tells the families apart: a PlanProblem hands
-the solver its group sizes, and per group size its plan functions and its
-cost floor.  The crisp baseline is the same problem with plain mean lives and
+Each family's one-stage law (`stage_law`) is chosen here alone, for the
+solver and the table recheck: a PlanProblem hands the solver its group
+sizes, and per group size its plan functions and its cost floor.  The crisp baseline is the same problem with plain mean lives and
 zero-slack risk levels (`crisp_limit`).
 """
 
@@ -19,6 +19,7 @@ from typing import Optional
 from .errors import DomainError
 from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
+    SD_FORMS,
     Life,
     LongRun,
     Thresholds,
@@ -37,6 +38,8 @@ from .membership import FuzzyLevel, FuzzyLife
 # Lower edge of the decision box, small enough to admit near-zero reject
 # thresholds; t > 0 keeps every survival evaluation inside its domain.
 _T_LO = 1e-6
+
+OBJECTIVE_VARIANTS = ("etc_star", "etc_upper_bound")
 
 
 class Family(str, Enum):
@@ -85,9 +88,9 @@ class PlanProblem:
             raise DomainError("Type-I plans require a censoring time tau")
         if self.family is Family.TYPE_I and not 0 < self.tau < math.inf:
             raise DomainError(f"censoring time tau must be positive and finite, got {self.tau}")
-        if self.objective_variant not in ("etc_star", "etc_upper_bound"):
+        if self.objective_variant not in OBJECTIVE_VARIANTS:
             raise DomainError(f"unknown objective_variant {self.objective_variant!r}")
-        if self.sd_form not in ("n", "sqrt_n"):
+        if self.sd_form not in SD_FORMS:
             raise DomainError(f"unknown sd_form {self.sd_form!r}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
@@ -139,13 +142,32 @@ def expected_stage_duration(
     return mean / n if family is Family.RGSP_MIN else harmonic_number(n) * mean
 
 
+def stage_law(family: Family, n: Optional[int] = None, tau: Optional[float] = None,
+              sd_form: str = "n"):
+    """The (life, Thresholds) -> TriProb law of one stage of a family with
+    group size n (None for the sequential plan).  The Type-I normal
+    approximation sees the nominal mean life alone.
+
+    In every family p_a depends on t2 alone and p_r on t1 alone.  The
+    triprobs are read from this module's globals, so rebinding them here
+    reaches every law built afterwards.
+    """
+    family = Family(family)
+    if family is Family.SSP:
+        return ssp_triprob
+    if family is Family.RGSP_MIN:
+        return lambda life, th: rgsp_min_triprob(life, th, n)
+    if family is Family.RGSP_MAX:
+        return lambda life, th: rgsp_max_triprob(life, th, n)
+    return lambda life, th: typeI_triprob(_mean(life), th, n, tau, sd_form=sd_form)
+
+
 def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     """(objective, g, h, box, ordering) over x = (t1, t2) for group size n
     (None for the sequential plan); ``crisp`` builds them for crisp_limit(p).
 
-    Each closure returns a float for one pair such as (t1, t2).  The Type-I
-    normal approximation works with the nominal lives alone; its objective
-    floor is cost * tau.
+    Each closure returns a float for one pair such as (t1, t2), from the
+    family's `stage_law`.  The Type-I objective floor is cost * tau.
     """
     if crisp:
         p = crisp_limit(p)
@@ -159,17 +181,7 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     box = ((_T_LO, hi), (_T_LO, hi))
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1
-    if p.family is Family.SSP:
-        stage = ssp_triprob
-    elif p.family is Family.RGSP_MIN:
-        stage = lambda f, th: rgsp_min_triprob(f, th, n)
-    elif p.family is Family.RGSP_MAX:
-        stage = lambda f, th: rgsp_max_triprob(f, th, n)
-    elif p.family is Family.TYPE_I:
-        life0, life1 = lam0, _mean(p.lambda1)
-        stage = lambda lam, th: typeI_triprob(lam, th, n, p.tau, sd_form=p.sd_form)
-    else:
-        raise DomainError(f"unknown family {p.family!r}")
+    stage = stage_law(p.family, n, p.tau, p.sd_form)
     e0 = expected_stage_duration(
         p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
     )

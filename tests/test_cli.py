@@ -249,6 +249,27 @@ def test_dispose_rejects_a_bad_design_json(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[null, 3]", "non-numeric value null in data file"),
+        ("[[1, 2]]", "non-numeric value [1, 2] in data file"),
+        ("[5, true]", "non-numeric value true in data file"),
+        ('[5, "6"]', 'non-numeric value "6" in data file'),
+    ],
+    ids=["null", "nested-list", "bool", "string"],
+)
+def test_dispose_rejects_a_json_data_file_of_non_numbers(tmp_path, capsys, text, message):
+    """Every element of a JSON data array must be a JSON number; anything
+    else is an input error, not a traceback."""
+    data = tmp_path / "data.json"
+    data.write_text(text)
+    assert main(["dispose", "--data", str(data), "--family", "ssp", "--t1", "1", "--t2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read data: {message}\n"
+
+
 def test_dispose_type1_group_with_no_failure_accepts(tmp_path, capsys):
     """Every item outlived tau, so the censored MLE is +inf: the group
     accepts, and its evidence prints as JSON null."""

@@ -106,3 +106,43 @@ def test_the_plan_formulas_import_no_numpy_or_scipy(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert _imports_of(source, "numpy", skipped=lambda name: False) == []
     assert _imports_of(source, "scipy", skipped=lambda name: False) == []
+
+
+# The closed forms of one stage.  Matched by exact name: `oracle.mc_triprob`
+# is the independent simulation, not one of them.
+CLOSED_FORMS = {"weighted_survival", "ssp_triprob", "rgsp_min_triprob", "rgsp_max_triprob",
+                "typeI_triprob"}
+
+
+def _closed_form_uses(source: str) -> list:
+    """(line, name) of each use of a closed form in an expression, as a bare
+    name or an attribute; importing one is not a use."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in CLOSED_FORMS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in CLOSED_FORMS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_closed_form_check_tells_uses_from_imports():
+    source = (
+        "from .lifemodel import ssp_triprob, weighted_survival\n"
+        "mc_triprob(family, life, th)\n"
+        "lifemodel.rgsp_max_triprob(f, th, 3)\n"
+        "stage = typeI_triprob\n"
+    )
+    assert _closed_form_uses(source) == [(3, "rgsp_max_triprob"), (4, "typeI_triprob")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.stem not in ("lifemodel", "plans")),
+    ids=lambda path: path.stem,
+)
+def test_only_lifemodel_and_plans_use_the_closed_forms(path):
+    """`lifemodel` owns survival and the per-family triprobs, and
+    `plans.stage_law` is the one place that picks a family's law; every
+    other module goes through it.  Imports that only keep a name for
+    rebinding from outside the package are allowed."""
+    assert _closed_form_uses(path.read_text(encoding="utf-8")) == []

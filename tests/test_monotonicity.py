@@ -28,17 +28,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asplan.errors import DegeneratePlanError
-from asplan.lifemodel import (
-    Thresholds,
-    TriProb,
-    long_run,
-    rgsp_max_triprob,
-    rgsp_min_triprob,
-    ssp_triprob,
-    typeI_triprob,
-)
+from asplan.lifemodel import Thresholds, TriProb, long_run
 from asplan.membership import FuzzyLevel, FuzzyLife
-from asplan.plans import Family, PlanProblem, crisp_limit
+from asplan.plans import Family, PlanProblem, crisp_limit, stage_law
 
 LEVELS = dict(alpha=FuzzyLevel(0.05, 0.05), beta=FuzzyLevel(0.05, 0.05))
 LIVES = {
@@ -59,15 +51,7 @@ def _problem(family: Family, crisp: bool) -> PlanProblem:
 
 def _stage(problem: PlanProblem, n, life, x) -> TriProb:
     """One stage's probabilities at thresholds x, for the tolerance only."""
-    th = Thresholds(*x)
-    if problem.family is Family.SSP:
-        return ssp_triprob(life, th)
-    if problem.family is Family.RGSP_MIN:
-        return rgsp_min_triprob(life, th, n)
-    if problem.family is Family.RGSP_MAX:
-        return rgsp_max_triprob(life, th, n)
-    mean = life.lambda_j if isinstance(life, FuzzyLife) else life
-    return typeI_triprob(mean, th, n, problem.tau)
+    return stage_law(problem.family, n, problem.tau, problem.sd_form)(life, Thresholds(*x))
 
 
 def _stages(problem: PlanProblem, n, life, points) -> float:

@@ -178,3 +178,19 @@ def test_verify_tables_report_files(tmp_path):
     write_reports_json(json_path, reports)
     assert csv_path.read_text().startswith("a,")
     assert json_path.read_text().lstrip().startswith("[")
+
+
+def test_verify_tables_extends_the_inverted_table6_rows():
+    """Two published crisp rgsp_max designs print t1 > t2, which `Thresholds`
+    rejects.  Their p_a is read at (t2, t2) and p_r at (t1, t1), and their
+    risks stay the values of the survival algebra written out by hand."""
+    rows = [r for r in load_golden_rows() if r.t1 is not None and r.t1 > r.t2]
+    reports = verify_tables(rows)
+    assert [(r["table"], r["family"], r["variant"], r["t1"], r["t2"], r["n"]) for r in reports] == [
+        (6, "rgsp_max", "crisp", 239.5461, 228.7969, 5),
+        (6, "rgsp_max", "crisp", 192.6274, 181.4727, 4),
+    ]
+    assert [(r["g"], r["h"], r["feasible"]) for r in reports] == [
+        (0.04997061584176103, 0.04995457886305189, True),
+        (0.05000002721661464, 0.09999997210235893, True),
+    ]

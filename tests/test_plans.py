@@ -3,9 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asplan.errors import DomainError
-from asplan.lifemodel import expected_y, expected_y_upper_bound, harmonic_number
+from asplan.lifemodel import (
+    SD_FORMS,
+    Thresholds,
+    expected_y,
+    expected_y_upper_bound,
+    harmonic_number,
+)
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import (
     Family,
@@ -13,6 +21,7 @@ from asplan.plans import (
     crisp_limit,
     expected_stage_duration,
     plan_functions,
+    stage_law,
 )
 from reference import plan_arrays
 
@@ -226,3 +235,31 @@ def test_type1_risks_stay_finite_where_both_tails_are_tiny():
         assert fn(x) == pytest.approx(exact(life, risk), rel=1e-9)
         assert array_fn(stacked)[0] == pytest.approx(fn(x), rel=1e-12)
     assert math.isfinite(objective(x))
+
+
+@st.composite
+def _lives(draw):
+    lam = draw(st.floats(1.0, 1e4))
+    if draw(st.booleans()):
+        return lam
+    return FuzzyLife(lam, lam * draw(st.floats(1.0 + 1e-9, 1e5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(Family),
+    sd_form=st.sampled_from(SD_FORMS),
+    n=st.integers(1, 60),
+    tau=st.floats(1.0, 1e3),
+    life=_lives(),
+    ts=st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=2).map(sorted),
+)
+def test_each_tail_reads_its_own_threshold(family, sd_form, n, tau, life, ts):
+    """p_a depends on t2 alone and p_r on t1 alone, bit for bit, in every
+    family: the premise on which `oracle.verify_tables` reads the tails of
+    designs with inverted thresholds at (t2, t2) and (t1, t1)."""
+    t1, t2 = ts
+    law = stage_law(family, None if family is Family.SSP else n, tau, sd_form)
+    both = law(life, Thresholds(t1, t2))
+    assert both.p_a == law(life, Thresholds(t2, t2)).p_a
+    assert both.p_r == law(life, Thresholds(t1, t1)).p_r
