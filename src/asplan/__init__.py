@@ -20,10 +20,8 @@ from .errors import (
     InfeasibleError,
 )
 from .fuzzyopt import (
-    CrispNlp,
     PlanDesign,
     SolverSettings,
-    solve_crisp,
     solve_max_phi,
     solve_plan,
     zimmermann_bounds,

@@ -32,8 +32,10 @@ class FailureData:
     def __post_init__(self) -> None:
         if not self.values:
             raise DomainError("failure data must contain at least one value")
-        if any(not v > 0 for v in self.values):
-            raise DomainError("all observed values must be positive")
+        # min and max may pass over a NaN, but then the sum is NaN.
+        values = self.values
+        if not 0 < min(values) <= max(values) < math.inf or math.isnan(sum(values)):
+            raise DomainError("all observed values must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def dispose_ssp(data: FailureData, t1: float, t2: float) -> Disposition:
 def _dispose_grouped(data: FailureData, t1: float, t2: float, n: int, statistic) -> Disposition:
     if not 0.0 <= t1 <= t2:
         raise DomainError(f"need 0 <= t1 <= t2, got t1={t1}, t2={t2}")
+    if t2 == math.inf:
+        raise DomainError(f"thresholds must be finite, got t1={t1}, t2={t2}")
     if n < 1:
         raise DomainError(f"group size must be >= 1, got {n}")
     if len(data.values) < n:
@@ -90,8 +94,8 @@ def censored_mle(values: Sequence[float], n: int, tau: float) -> float:
     failed items contribute their lifetime, survivors contribute tau, divided
     by the failure count.  With no failure before tau the likelihood
     exp(-n*tau/lambda) rises in lambda, so the estimate is +inf."""
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     if n < 1 or n > len(values):
         raise DomainError(f"need 1 <= n <= {len(values)}, got n={n}")
     block = values[:n]

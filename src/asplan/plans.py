@@ -206,5 +206,6 @@ def crisp_baseline(
     settings: SolverSettings = DEFAULT_SOLVER,
     membership_form: str = "cost_ascending",
 ) -> PlanDesign:
-    """The design of crisp_limit(p), for fuzzy-to-crisp convergence reporting."""
+    """The design of crisp_limit(p), for fuzzy-to-crisp convergence
+    reporting.  Nothing reads ``settings``; it goes with `SolverSettings`."""
     return solve_plan(crisp_limit(p), settings, membership_form=membership_form)

@@ -1,19 +1,24 @@
 """Reference numerics that only the tests use: composite Simpson quadrature,
 the raised-cosine life membership and its mass, the left-shoulder level
-membership, center-of-gravity de-fuzzification, and a numpy model of the
-plan functions that broadcasts over arrays of thresholds.  The closed forms
-in `asplan` are checked against these."""
+membership, center-of-gravity de-fuzzification, a numpy model of the plan
+functions that broadcasts over arrays of thresholds, and the grid oracle
+`solve_crisp` that scans it.  The closed forms and the solver in `asplan`
+are checked against these."""
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import erfc
 
-from asplan.errors import DomainError
+from asplan.errors import DegeneratePlanError, DomainError, InfeasibleError
+from asplan.fuzzyopt import _FEASIBILITY_TOL, DEFAULT_SOLVER, SolverSettings
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, crisp_limit, expected_stage_duration, plan_functions
 
@@ -133,7 +138,7 @@ def defuzzify_center_of_gravity(center: float, a: float) -> float:
 # -- the plan functions over arrays -----------------------------------------
 # A second implementation of `lifemodel`'s closed forms and `plans`' long-run
 # rates, elementwise over numpy arrays of thresholds, for the grid oracle
-# `asplan.fuzzyopt.solve_crisp` and for pinning the scalar path.  Points
+# `solve_crisp` below and for pinning the scalar path.  Points
 # where a plan never ends get N = inf and NaN risks, which the grid ranks as
 # infeasible.
 
@@ -206,3 +211,224 @@ def plan_arrays(problem, n, crisp: bool = False):
         return run(p.lambda1, x)[0]
 
     return objective, g, h, box, ordering
+
+
+# -- the grid oracle ----------------------------------------------------------
+# The general crisp solver for any box: one grid scan ranked at the
+# problem's bounds, its best basins polished by SLSQP.  No design path runs
+# it; the tests check `asplan.fuzzyopt.solve_monotone` against it.
+
+# Grid points per axis of the scan: a 2-D grid array is about 0.5 MB.
+_GRID = 257
+_CELLS = _GRID - 1
+# Cells per closure call in the scan.
+_BLOCK = 4096
+# SLSQP stopping tolerance on the objective, which the polish scales to O(1).
+_SLSQP_FTOL = 1e-12
+_SLSQP_MAX_ITER = 30
+# A polish stops once its objective has stayed within _SLSQP_FTOL over this
+# many iterations.  Runs that SLSQP cannot certify as converged otherwise go
+# on to _SLSQP_MAX_ITER; on the benchmark's `ssp` problems every such run had
+# reached its final objective by iteration 13.
+_STALL_ITERS = 5
+
+
+@dataclass(frozen=True)
+class CrispNlp:
+    """Minimize objective(x) subject to constraint(x) <= bound, box bounds,
+    and pairwise ordering x[i] <= x[j].
+
+    The objective and constraints take x stacked as (dim, ...) arrays and
+    broadcast; for a point of shape (dim,) they return a float.
+    """
+
+    objective: Callable[[np.ndarray], float]
+    constraints: tuple  # of (callable, upper bound)
+    box: tuple  # of (lo, hi)
+    ordering: tuple = ()  # of (i, j) meaning x[i] <= x[j]
+
+
+class _Coords:
+    """The box as the cube [0, _CELLS]^dim that the polish works in.
+
+    Axes are geometric when every lower edge is positive (thresholds span
+    many decades), linear otherwise, and measured in grid cells, so that a
+    unit step is one cell.  For an ordering pair (i, j), cube coordinate j
+    is the share of the room between x[i] and the top of axis j, so the
+    polish keeps x[i] <= x[j] by construction; each j may follow one i,
+    listed before any pair that orders after x[j].
+    """
+
+    def __init__(self, nlp: CrispNlp) -> None:
+        self.lo = np.array([b[0] for b in nlp.box], dtype=float)
+        self.hi = np.array([b[1] for b in nlp.box], dtype=float)
+        self.log = bool(np.all(self.lo > 0.0))
+        self.ordering = nlp.ordering
+        self._lo_u = self._u(self.lo)
+        self._hi_u = self._u(self.hi)
+
+    def _u(self, x: np.ndarray) -> np.ndarray:
+        return np.log(x) if self.log else x
+
+    def axes(self) -> list:
+        space = np.geomspace if self.log else np.linspace
+        return [space(lo, hi, _GRID) for lo, hi in zip(self.lo, self.hi)]
+
+    def to_x(self, z: np.ndarray) -> np.ndarray:
+        z = z / _CELLS
+        u = self._lo_u + z * (self._hi_u - self._lo_u)
+        for i, j in self.ordering:
+            u[j] = u[i] + z[j] * (self._hi_u[j] - u[i])
+        return np.clip(np.exp(u) if self.log else u, self.lo, self.hi)
+
+    def to_z(self, x: np.ndarray) -> np.ndarray:
+        u = self._u(np.clip(x, self.lo, self.hi))
+        z = _fraction(u - self._lo_u, self._hi_u - self._lo_u)
+        for i, j in self.ordering:
+            z[j] = _fraction(u[j] - u[i], self._hi_u[j] - u[i])
+        return np.clip(z, 0.0, 1.0) * _CELLS
+
+
+def _fraction(part, whole):
+    return np.divide(part, whole, out=np.zeros_like(part), where=whole > 0.0)
+
+
+def _points(axes: list, cells) -> np.ndarray:
+    """Grid points of flat cell indices, stacked as (dim, ...)."""
+    index = np.unravel_index(cells, tuple(len(axis) for axis in axes))
+    return np.array([axis[k] for axis, k in zip(axes, index)])
+
+
+def _basins(rank: np.ndarray) -> np.ndarray:
+    """Flat indices of the cells ranked no worse than any of their (up to
+    3^dim - 1) neighbours, best first."""
+    padded = np.pad(rank, 1, constant_values=np.inf)
+    lowest = np.isfinite(rank)
+    for offset in itertools.product((0, 1, 2), repeat=rank.ndim):
+        if any(o != 1 for o in offset):
+            window = tuple(slice(o, o + n) for o, n in zip(offset, rank.shape))
+            lowest &= rank <= padded[window]
+    cells = np.flatnonzero(lowest)
+    return cells[np.argsort(rank.flat[cells])]
+
+
+def _value(nlp: CrispNlp, x: np.ndarray) -> float:
+    """Objective at x if x is feasible within _FEASIBILITY_TOL, else inf."""
+    excess = [float(fn(x)) - bound for fn, bound in nlp.constraints]
+    excess += [x[i] - x[j] for i, j in nlp.ordering]
+    value = float(nlp.objective(x))
+    if math.isfinite(value) and all(e <= _FEASIBILITY_TOL for e in excess):
+        return value
+    return math.inf
+
+
+def _polish(nlp: CrispNlp, coords: _Coords, x0: np.ndarray) -> np.ndarray:
+    """SLSQP from x0 on the cube, the constraints passed as they are,
+    stopped early on a stalled objective."""
+    scale = 1.0 + abs(float(nlp.objective(x0)))
+    recent = collections.deque(maxlen=_STALL_ITERS + 1)
+
+    def ineq(z: np.ndarray) -> np.ndarray:
+        x = coords.to_x(z)
+        return np.array([bound - fn(x) for fn, bound in nlp.constraints])
+
+    def stop_on_stall(intermediate_result):
+        recent.append(intermediate_result.fun)
+        if len(recent) == recent.maxlen and (
+            max(recent) - min(recent) <= _SLSQP_FTOL * (1.0 + abs(recent[-1]))
+        ):
+            raise StopIteration
+
+    result = minimize(
+        lambda z: nlp.objective(coords.to_x(z)) / scale,
+        coords.to_z(x0),
+        method="SLSQP",
+        bounds=[(0.0, _CELLS)] * len(x0),
+        constraints={"type": "ineq", "fun": ineq} if nlp.constraints else (),
+        options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAX_ITER},
+        callback=stop_on_stall,
+    )
+    return coords.to_x(result.x)
+
+
+def solve_crisp(
+    nlp: CrispNlp,
+    settings: SolverSettings = DEFAULT_SOLVER,
+) -> tuple[np.ndarray, float]:
+    """Best feasible point of a grid scan, polished by a local solver.
+
+    The scan puts _GRID points on each axis of the box and evaluates the
+    objective and the largest constraint excess at every cell that keeps
+    the ordering; a cell where a function is not finite gets an infinite
+    excess.  Ranks order feasible cells by value, ties to the lower cell
+    index; infeasible cells are ranked, by excess, only when no cell is
+    feasible.  Then SLSQP starts from each of at most ``settings.restarts``
+    grid basins, best first; a grid with no feasible cell offers only its
+    least violation.  A polished point replaces its start only if it is
+    feasible and no worse.  A polish that steps out of the plan's domain is
+    dropped.  Raises InfeasibleError, with the grid's least violation, when
+    no point is feasible.
+
+    Cells and polished points up to _FEASIBILITY_TOL over a bound count as
+    feasible, so the answer can lie slightly over a level and cost less than
+    the exact optimum that `solve_monotone` returns: 2.4e-6 relative on one
+    generated `type1` problem.  That is why
+    `test_solve_monotone_is_no_worse_than_the_grid` compares the two at the
+    levels this answer meets.
+    """
+    coords = _Coords(nlp)
+    axes = coords.axes()
+    shape = tuple(len(axis) for axis in axes)
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    ordered = np.ones(shape, dtype=bool)
+    for i, j in nlp.ordering:
+        ordered &= mesh[i] <= mesh[j]
+    cells = np.flatnonzero(ordered)
+    value = np.empty(cells.size)
+    excess = np.zeros(cells.size)
+    # Blocks keep the closures' temporaries small.
+    for start in range(0, cells.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        x = _points(axes, cells[block])
+        with np.errstate(all="ignore"):
+            value[block] = nlp.objective(x)
+            for fn, bound in nlp.constraints:
+                excess[block] = np.maximum(excess[block], fn(x) - bound)
+    valid = np.isfinite(value) & np.isfinite(excess)
+    value[~valid] = np.inf
+    excess[~valid] = np.inf
+    feasible = excess <= _FEASIBILITY_TOL
+    order = np.lexsort((value, np.where(feasible, 0.0, excess)))
+    # float32 holds every rank of a 2-D grid exactly, in half the memory.
+    ranked = np.empty(cells.size, dtype=np.float32)
+    ranked[order] = np.arange(cells.size)
+    ranked[~(feasible if feasible.any() else valid)] = np.inf
+    rank = np.full(shape, np.inf, dtype=np.float32)
+    rank.flat[cells] = ranked
+
+    limit = settings.restarts if feasible.any() else 1
+    starts = [_points(axes, cell) for cell in _basins(rank)[:limit]]
+    best_x = None
+    best_f = math.inf
+    for x0 in starts:
+        f0 = _value(nlp, x0)
+        try:
+            x1 = _polish(nlp, coords, x0)
+            f1 = _value(nlp, x1)
+        except (DomainError, DegeneratePlanError):
+            x1, f1 = x0, math.inf
+        if f1 <= f0:
+            x0, f0 = x1, f1
+        if f0 < best_f:
+            best_x, best_f = x0, f0
+    if best_x is None:
+        least = int(np.argmin(excess))
+        violation = float(excess[least])
+        point = _points(axes, cells[least]) if math.isfinite(violation) else None
+        raise InfeasibleError(
+            f"no feasible point found on the grid or from {len(starts)} polished starts "
+            f"(best violation {violation:.3e})",
+            best_point=point,
+            best_violation=violation,
+        )
+    return best_x, best_f

@@ -270,6 +270,34 @@ def test_dispose_rejects_a_json_data_file_of_non_numbers(tmp_path, capsys, text,
     assert captured.err == f"error: cannot read data: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "data,flags,message",
+    [
+        ("1\ninf\n3\n", [], "cannot read data: all observed values must be positive and finite"),
+        ("[1e999, 3]", [], "cannot read data: all observed values must be positive and finite"),
+        (None, ["--t1", "inf", "--t2", "inf"], "thresholds must be finite, got t1=inf, t2=inf"),
+        (None, ["--t2", "inf"], "thresholds must be finite, got t1=1.0, t2=inf"),
+        (None, ["--family", "type1", "--n", "13", "--tau", "inf"],
+         "tau must be positive and finite, got inf"),
+    ],
+    ids=["csv-inf", "json-overflow", "t1-t2-inf", "t2-inf", "tau-inf"],
+)
+def test_dispose_rejects_non_finite_input(tmp_path, capsys, data, flags, message):
+    """An infinite lifetime, threshold or censoring time is an input error:
+    it would otherwise decide, and print evidence as null, which stands for
+    a Type-I group with no failure, or print Infinity, which is no JSON."""
+    path = "case-study"
+    if data is not None:
+        path = str(tmp_path / ("data.json" if data.startswith("[") else "data.csv"))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(data)
+    argv = ["dispose", "--data", path, "--family", "ssp", "--t1", "1", "--t2", "2000", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_dispose_type1_group_with_no_failure_accepts(tmp_path, capsys):
     """Every item outlived tau, so the censored MLE is +inf: the group
     accepts, and its evidence prints as JSON null."""

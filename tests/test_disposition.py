@@ -74,6 +74,20 @@ def test_thresholds_must_be_ordered_and_non_negative(dispose, t1, t2):
         dispose(case_study_data(), t1, t2)
 
 
+@pytest.mark.parametrize("t1,t2", [(math.inf, math.inf), (41.0, math.inf)])
+@pytest.mark.parametrize(
+    "dispose",
+    [dispose_ssp, lambda d, t1, t2: dispose_rgsp_min(d, t1, t2, 2),
+     lambda d, t1, t2: dispose_rgsp_max(d, t1, t2, 2),
+     lambda d, t1, t2: dispose_type1(d, t1, t2, 2, 2000.0)],
+    ids=["ssp", "rgsp_min", "rgsp_max", "type1"],
+)
+def test_thresholds_must_be_finite(dispose, t1, t2):
+    """An infinite t2 never accepts, and t1 = t2 = inf rejects every lot."""
+    with pytest.raises(DomainError, match="thresholds must be finite"):
+        dispose(case_study_data(), t1, t2)
+
+
 def test_rgsp_min_case_study_accepts():
     result = dispose_rgsp_min(case_study_data(), t1=4.0, t2=141.0, n=20)
     assert result.decision is Decision.ACCEPT
@@ -128,6 +142,13 @@ def test_type1_requires_tau():
         dispose_type1(case_study_data(), 1219.0, 1990.0, n=13, tau=None)
 
 
+@pytest.mark.parametrize("tau", [0.0, math.inf, math.nan])
+def test_type1_requires_a_positive_finite_tau(tau):
+    """With tau = inf no item is censored, so the plan is no Type-I plan."""
+    with pytest.raises(DomainError, match="tau must be positive and finite"):
+        dispose_type1(case_study_data(), 1219.0, 1990.0, n=13, tau=tau)
+
+
 def test_type1_case_study_accepts():
     result = dispose_type1(case_study_data(), t1=1219.0, t2=1990.0, n=13, tau=2000.0)
     assert result.decision is Decision.ACCEPT
@@ -140,6 +161,9 @@ def test_failure_data_validation():
         FailureData(())
     with pytest.raises(DomainError):
         FailureData((1.0, -2.0))
+    # An infinite lifetime would pass every t2, and print as no number.
+    with pytest.raises(DomainError, match="positive and finite"):
+        FailureData((math.inf, 3.0))
 
 
 def test_load_failure_data_csv(tmp_path):

@@ -8,18 +8,11 @@ from hypothesis import strategies as st
 
 from asplan import fuzzyopt
 from asplan.errors import DomainError, InfeasibleError
-from asplan.fuzzyopt import (
-    CrispNlp,
-    SolverSettings,
-    solve_crisp,
-    solve_max_phi,
-    solve_plan,
-    zimmermann_bounds,
-)
+from asplan.fuzzyopt import SolverSettings, solve_max_phi, solve_plan, zimmermann_bounds
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
 
-from reference import plan_arrays
+from reference import CrispNlp, plan_arrays, solve_crisp
 
 FAST = SolverSettings(restarts=6)
 
@@ -404,6 +397,24 @@ def test_grouped_z_lower_is_the_least_relaxed_optimum():
     assert design.z_lower == pytest.approx(471.170292, rel=1e-8)
 
 
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+def test_readme_rgsp_min_design_is_the_ssp_design_over_n_max(crisp, form):
+    """The `rgsp_min` risks depend on n*t only and its cost is c*E[Y]/n*N,
+    which leaves out the n items a stage uses.  So size n is the `ssp`
+    problem in u = n*t with its cost divided by n, and the design runs to
+    n_max: the `ssp` design over n_max."""
+    ssp, rgsp_min = _readme_problem(Family.SSP), _readme_problem(Family.RGSP_MIN, n_max=20)
+    if crisp:
+        ssp, rgsp_min = crisp_limit(ssp), crisp_limit(rgsp_min)
+    single = solve_plan(ssp, membership_form=form)
+    design = solve_plan(rgsp_min, membership_form=form)
+    assert design.n == 20
+    scaled = [20 * design.t1, 20 * design.t2, 20 * design.objective_value]
+    assert scaled == pytest.approx([single.t1, single.t2, single.objective_value], rel=1e-12)
+    assert design.phi == pytest.approx(single.phi, rel=1e-12)
+
+
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
 @pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
 def test_bracket_is_the_least_optimum_over_the_sizes(family, crisp):
@@ -558,7 +569,7 @@ def test_design_paths_run_no_grid(family, form, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("a design path ran the grid solver")
 
-    monkeypatch.setattr(fuzzyopt, "solve_crisp", no_grid)
+    monkeypatch.setattr("reference.solve_crisp", no_grid)
     for crisp in (False, True):
         design = solve_plan(_family_problem(family, crisp), FAST, form)
         assert design.g_margin >= 0.0 and design.h_margin >= 0.0

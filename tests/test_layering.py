@@ -1,13 +1,17 @@
-"""The package's own modules import one another without a cycle, counting
-imports made inside functions as well."""
+"""What the package's modules import, counting imports made inside
+functions as well: one another without a cycle, and of third-party
+packages exactly the runtime dependencies that `pyproject.toml` declares."""
 
 import ast
+import re
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "asplan"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "asplan"
 
 
 def _imports(path: Path, modules: set) -> set:
@@ -93,9 +97,43 @@ def test_scipy_import_check_tells_module_level_from_function_level():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_imports_scipy_at_import_time(path):
-    """scipy is slow to import, so `import asplan` must not load it: a
-    module imports it inside the function that needs it."""
-    assert _imports_of(path.read_text(encoding="utf-8"), "scipy") == []
+    """scipy is a test dependency only: no module imports it, at import
+    time or inside a function."""
+    assert _imports_of(path.read_text(encoding="utf-8"), "scipy", skipped=lambda name: False) == []
+
+
+def test_the_solver_imports_no_numpy():
+    """`fuzzyopt` probes the plan functions one point at a time, so it has
+    no array path: numpy is imported neither at module level nor in a
+    function."""
+    source = (PACKAGE / "fuzzyopt.py").read_text(encoding="utf-8")
+    assert _imports_of(source, "numpy", skipped=lambda name: False) == []
+
+
+def _third_party_imports() -> set:
+    """The top-level names of the packages outside the standard library
+    that any module of the package imports, anywhere."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"asplan"}
+
+
+def _names(requirements: list) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in requirements}
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    """A runtime dependency that no module imports, or an import that no
+    dependency covers, fails here; scipy is needed by the tests only."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert _names(project["dependencies"]) == _third_party_imports()
+    assert "scipy" in _names(project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("module", ["lifemodel", "plans"])
