@@ -6,6 +6,10 @@ of the lifetime model (a random failure rate from the raised-cosine
 membership, then exponential lifetimes), with no shared code path through
 the closed forms it checks.  The golden-table harness is not independent:
 it rechecks the published designs through each family's `plans.stage_law`.
+
+Only the simulation uses numpy, so `sample_mixture_rates` and `mc_triprob`
+import it when they run: `import asplan` and every command but `oracle`
+start without it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these oracle names
@@ -77,6 +79,8 @@ class GoldenRow:
 def sample_mixture_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` failure rates drawn from the normalized raised-cosine density
     by rejection against the uniform envelope (acceptance probability 1/2)."""
+    import numpy as np
+
     lo, hi = f.support
     center = 1.0 / f.lambda_j
     out = np.empty(size)
@@ -115,12 +119,14 @@ def mc_triprob(
 ) -> McEstimate:
     """Simulated accept/reject/continue frequencies for one stage of a plan.
 
-    ``life`` is a FuzzyLife or a plain positive mean life, the crisp
+    ``life`` is a FuzzyLife or a plain positive, finite mean life, the crisp
     exponential with the constant rate 1/life; the censored-MLE family uses
     only the nominal mean.  Groups of the minimum family share one rate; the
     maximum family draws an independent rate per item; the censored family
     simulates the exact MLE, counting zero-failure groups as acceptances.
     """
+    import numpy as np
+
     if draws < 10**4:
         raise DomainError(f"draws must be >= 10^4, got {draws}")
     if n < 1:
@@ -129,10 +135,10 @@ def mc_triprob(
     rng = np.random.default_rng(seed)
     if isinstance(life, FuzzyLife):
         rates_of = lambda: sample_mixture_rates(life, draws, rng)
-    elif life > 0:
+    elif 0 < life < math.inf:
         rates_of = lambda: np.full(draws, 1.0 / life)
     else:
-        raise DomainError(f"mean life must be positive, got {life}")
+        raise DomainError(f"mean life must be positive and finite, got {life}")
     if family is Family.SSP or family is Family.RGSP_MIN:
         rates = rates_of()
         scale = 1.0 / rates if family is Family.SSP else 1.0 / (n * rates)
@@ -147,8 +153,8 @@ def mc_triprob(
     if family is Family.TYPE_I:
         if tau is None:
             raise DomainError("censored-MLE simulation requires tau")
-        if not tau > 0:
-            raise DomainError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise DomainError(f"tau must be positive and finite, got {tau}")
         lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
         n_a = n_r = 0
         done = 0

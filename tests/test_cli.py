@@ -160,12 +160,19 @@ SSP_FLAGS = DESIGN_FLAGS[1:-2]
         (["design", "--family", "type1", "--lambda0", "300", "--lambda1", "200",
           "--alpha", "0.01", "--beta", "0.01", "--a", "15000", "--tau", "inf"],
          "tau must be positive and finite"),
+        (["oracle", "--family", "type1", "--tau", "inf", "--n", "3", "--draws", "10000"],
+         "tau must be positive and finite"),
+        (["oracle", "--family", "type1", "--lambda0", "inf", "--tau", "50", "--n", "3",
+          "--draws", "10000"], "mean life must be positive and finite"),
     ],
-    ids=["design-a-inf", "oracle-a-inf", "cost-inf", "tau-inf"],
+    ids=["design-a-inf", "oracle-a-inf", "cost-inf", "tau-inf", "oracle-tau-inf",
+         "oracle-lambda0-inf"],
 )
 def test_non_finite_inputs_are_errors(capsys, argv, message):
     """An infinite fuzziness scale once hung `oracle` and crashed `design`,
-    and an infinite cost or tau printed Infinity, which is not JSON."""
+    an infinite cost or tau printed Infinity, which is not JSON, and the
+    Type-I simulation once reported p_r = 0 at an infinite tau and p_a = 1
+    at an infinite mean life."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -420,33 +427,44 @@ def test_oracle_type1_takes_a_mean_life_above_the_fuzziness_scale(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,numpy",
     [
-        [],
-        EXAMPLES["dispose_case_study.json"],
-        EXAMPLES["design_type1.json"],
-        EXAMPLES["design_ssp.json"],
-        ["verify-tables"],
-        ["design", "--family", "rgsp_max", "--lambda0", "300", "--lambda1", "50", "--alpha",
-         "0.05", "--beta", "0.05", "--a", "1500", "--b1", "0.05", "--b2", "0.05", "--n-max", "3"],
+        ([], False),
+        (EXAMPLES["dispose_case_study.json"], False),
+        (EXAMPLES["design_type1.json"], False),
+        (EXAMPLES["design_ssp.json"], False),
+        (["verify-tables"], False),
+        (["design", "--family", "rgsp_max", "--lambda0", "300", "--lambda1", "50", "--alpha",
+          "0.05", "--beta", "0.05", "--a", "1500", "--b1", "0.05", "--b2", "0.05", "--n-max",
+          "3"], False),
+        (EXAMPLES["crisp_baseline_ssp.json"], False),
+        (["oracle", "--family", "ssp", "--lambda0", "300", "--a", "1500", "--t1", "5.8231",
+          "--t2", "251.1178", "--draws", "10000"], True),
     ],
-    ids=["import", "dispose", "design-type1", "design-ssp", "verify-tables", "design-rgsp-max"],
+    ids=["import", "dispose", "design-type1", "design-ssp", "verify-tables", "design-rgsp-max",
+         "crisp-baseline", "oracle"],
 )
-def test_scipy_loads_only_where_a_command_needs_it(argv):
+def test_scipy_loads_only_where_a_command_needs_it(argv, numpy):
     """In a fresh interpreter, no command needs scipy: neither `import
-    asplan` nor a README example, a fuzzy grouped design or `verify-tables`
-    loads any scipy module, since E[Y] of a fuzzy life is a Gauss-Legendre
-    rule in pure Python and the roots are `fuzzyopt._brentq`."""
+    asplan` nor a README example, a fuzzy grouped design, `verify-tables`
+    or the oracle loads any scipy module, since E[Y] of a fuzzy life is a
+    Gauss-Legendre rule in pure Python and the roots are
+    `fuzzyopt._brentq`.  numpy is loaded by the Monte-Carlo oracle alone,
+    so every other command starts without it."""
     code = (
         "import sys\n"
         "import asplan\n"
         "from asplan.cli import main\n"
         "status = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+        "print(status, loaded('scipy'))\n"
+        "print(loaded('numpy'))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    *_, scipy_line, numpy_line = result.stdout.splitlines()
+    assert scipy_line == "0 []"
+    assert (numpy_line != "[]") is numpy, numpy_line

@@ -110,6 +110,31 @@ def test_the_solver_imports_no_numpy():
     assert _imports_of(source, "numpy", skipped=lambda name: False) == []
 
 
+# The Monte-Carlo simulation, the one user of numpy in the package.
+NUMPY_USERS = {"sample_mixture_rates", "mc_triprob"}
+
+
+def test_numpy_is_imported_by_the_simulation_alone():
+    """`import asplan` and every command but `oracle` start without numpy:
+    `oracle` imports it in no code that runs at import time, only inside
+    the two simulation functions."""
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert _imports_of(source, "numpy") == []
+    assert _imports_of(source, "numpy", skipped=lambda name: name in NUMPY_USERS) == []
+    for user in NUMPY_USERS:
+        assert _imports_of(source, "numpy", skipped=lambda name: name != user), user
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "oracle"),
+    ids=lambda path: path.stem,
+)
+def test_no_other_module_imports_numpy(path):
+    """Only `oracle`'s simulation uses numpy; no other module imports it,
+    at module level or in a function."""
+    assert _imports_of(path.read_text(encoding="utf-8"), "numpy", skipped=lambda name: False) == []
+
+
 def _third_party_imports() -> set:
     """The top-level names of the packages outside the standard library
     that any module of the package imports, anywhere."""

@@ -121,6 +121,7 @@ def test_mc_triprob_rejects_tiny_draws():
         (Family.TYPE_I, 1, -5.0, "tau must be positive"),
         (Family.TYPE_I, 1, 0.0, "tau must be positive"),
         (Family.TYPE_I, 1, math.nan, "tau must be positive"),
+        (Family.TYPE_I, 3, math.inf, "tau must be positive and finite"),
         (Family.RGSP_MIN, 0, None, "n must be >= 1"),
         (Family.RGSP_MAX, -1, None, "n must be >= 1"),
     ],
@@ -128,6 +129,15 @@ def test_mc_triprob_rejects_tiny_draws():
 def test_mc_triprob_rejects_what_the_closed_forms_reject(family, n, tau, message):
     with pytest.raises(DomainError, match=message):
         mc_triprob(family, 300.0, Thresholds(100.0, 200.0), n=n, tau=tau, draws=10_000)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+@pytest.mark.parametrize("life", [math.inf, 0.0, math.nan], ids=["inf", "zero", "nan"])
+def test_mc_triprob_rejects_a_mean_life_that_is_not_positive_and_finite(family, life):
+    """An infinite mean life once gave every family p_a = 1, through a
+    division by zero in the rate."""
+    with pytest.raises(DomainError, match="mean life must be positive and finite"):
+        mc_triprob(family, life, Thresholds(5.0, 250.0), n=3, tau=50.0, draws=10_000)
 
 
 def test_single_case_tolerance_uses_the_pooled_standard_error():
