@@ -1,7 +1,8 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
 pipeline.  Nothing here knows the plan families: a plan problem hands
-`zimmermann_bounds` its group sizes, and per group size its functions and
-its cost floor.
+`zimmermann_bounds` its group sizes, per group size its functions and the
+least cost floor of the sizes after it, and the size that dominates the
+others, where its family has one.
 
 Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
@@ -11,6 +12,8 @@ The max-min satisfaction method is made of crisp solves at the s-cuts of
 the fuzzy risk levels.  `zimmermann_bounds` brackets the objective of the
 whole plan problem, group size included: the least tight (s = 1) and
 relaxed (s = 0) optima over the group sizes, one `ZBounds` per problem.
+Where the problem proves that one size wins at every cut, that size is
+the only one solved.
 Under the default `cost_ascending` membership the max-min design is the
 cheapest tight optimum; under `standard` it is the cheapest crisp optimum
 at phi*, the root in s of a 1-D equation over crisp solves
@@ -23,7 +26,6 @@ oracle in `tests/reference.py`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -267,12 +269,43 @@ class ZBounds:
 
     ``sizes`` maps each group size bracketed, in ascending order, to its
     ((objective, g, h, box), tight optimum (x, cost, case), relaxed cost),
-    for the max-min solve.
+    for the max-min solve.  ``shortcut_of`` is the problem when ``sizes``
+    holds its dominant size alone, and None when it comes from the loop.
     """
 
     z_lower: float
     z_upper: float
     sizes: dict = field(compare=False, repr=False)
+    shortcut_of: object = field(default=None, compare=False, repr=False)
+
+
+class _Undominated(Exception):
+    """A crisp optimum of the dominant size failed `problem.dominates`."""
+
+
+def _bracket_size(problem, n) -> tuple:
+    """(functions, tight optimum, relaxed optimum) of group size n: the
+    relaxed solve is the tight one when the levels have no slack.  Raises
+    InfeasibleError when the tight problem is."""
+    alpha, beta = problem.alpha, problem.beta
+    functions = problem.functions(n)[:4]
+    tight = solve_monotone(*functions, alpha.level, beta.level)
+    if alpha.slack == 0.0 and beta.slack == 0.0:
+        relaxed = tight
+    else:
+        relaxed = solve_monotone(*functions, alpha.relaxed, beta.relaxed)
+    if relaxed[1] > tight[1] + _FEASIBILITY_TOL * (1.0 + abs(tight[1])):
+        raise ConsistencyError(f"relaxed optimum {relaxed[1]} exceeds tight optimum {tight[1]}")
+    return functions, tight, relaxed
+
+
+def _bracket(sizes: dict, shortcut_of=None) -> ZBounds:
+    return ZBounds(
+        z_lower=min(min(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
+        z_upper=min(max(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
+        sizes=sizes,
+        shortcut_of=shortcut_of,
+    )
 
 
 def zimmermann_bounds(problem) -> ZBounds:
@@ -284,15 +317,23 @@ def zimmermann_bounds(problem) -> ZBounds:
 
     The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
     ascending order, ``functions(n)`` returning (objective, g, h, box,
-    ordering), and ``cost_floor(n)``, a cost that no design of group size n
-    goes below.
+    ordering), ``least_floor_after(n)``, a cost that no design of a size
+    after n goes below, and ``dominant_size`` with ``dominates(optimum)``.
+
+    When the problem names a dominant size, it is solved first.  If it is
+    feasible and both its optima pass ``dominates``, it costs less than
+    every other size at both levels, so it is both ends of the bracket and,
+    under ``cost_ascending``, the design: no other size is solved, and the
+    bracket is the one the loop below returns, bit for bit, as that size's
+    solves use the same closures.  `solve_max_phi` checks the optima of its
+    cuts too.  Otherwise the search is the loop over every size.
 
     A group size whose tight problem is infeasible is skipped, as it has no
     bracket.  It could still be feasible at the relaxed levels, where it
     might lower z_lower or win under ``standard``; the search does not look
     there.
 
-    The search stops once the least tight optimum so far is at most
+    The loop stops once the least tight optimum so far is at most
     (1 + 1e-9) times the least cost floor of the sizes still to try.  Every
     cost of a later size, at any cut, is at least its floor, so at least
     that least tight optimum, which is at least the running z_lower and at
@@ -301,41 +342,37 @@ def zimmermann_bounds(problem) -> ZBounds:
     to a smaller size: the stop changes no design, only how many sizes the
     trace lists.
     """
-    alpha, beta = problem.alpha, problem.beta
-    group_sizes = list(problem.group_sizes)
-    # later_floors[k]: the least cost floor of the sizes after group_sizes[k].
-    later_floors = list(
-        itertools.accumulate(
-            [problem.cost_floor(n) for n in reversed(group_sizes[1:])], min, initial=math.inf
-        )
-    )[::-1]
+    n = problem.dominant_size
+    if n is not None:
+        try:
+            functions, tight, relaxed = _bracket_size(problem, n)
+        except InfeasibleError:
+            pass
+        else:
+            if problem.dominates(tight) and problem.dominates(relaxed):
+                return _bracket({n: (functions, tight, relaxed[1])}, shortcut_of=problem)
+    return _bracket_every_size(problem)
+
+
+def _bracket_every_size(problem) -> ZBounds:
+    """The loop of `zimmermann_bounds` over the group sizes in ascending
+    order, up to the cost-floor stop."""
     sizes = {}
     per_n = []
     least_tight = math.inf
-    for n, later_floor in zip(group_sizes, later_floors):
-        functions = problem.functions(n)[:4]
+    for n in problem.group_sizes:
         try:
-            tight = solve_monotone(*functions, alpha.level, beta.level)
-            if alpha.slack == 0.0 and beta.slack == 0.0:
-                relaxed = tight[1]
-            else:
-                relaxed = solve_monotone(*functions, alpha.relaxed, beta.relaxed)[1]
+            functions, tight, relaxed = _bracket_size(problem, n)
         except InfeasibleError as exc:
             per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
             continue
-        if relaxed > tight[1] + _FEASIBILITY_TOL * (1.0 + abs(tight[1])):
-            raise ConsistencyError(f"relaxed optimum {relaxed} exceeds tight optimum {tight[1]}")
-        sizes[n] = (functions, tight, relaxed)
+        sizes[n] = (functions, tight, relaxed[1])
         least_tight = min(least_tight, tight[1])
-        if least_tight <= later_floor * (1.0 + 1e-9):
+        if least_tight <= problem.least_floor_after(n) * (1.0 + 1e-9):
             break
     if not sizes:
         raise InfeasibleError("every candidate group size was infeasible", per_n=tuple(per_n))
-    return ZBounds(
-        z_lower=min(min(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
-        z_upper=min(max(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
-        sizes=sizes,
-    )
+    return _bracket(sizes)
 
 
 def _level_membership(level: FuzzyLevel, value: float) -> float:
@@ -382,6 +419,11 @@ def solve_max_phi(
       least C(phi*): that argmin is the design.  It is taken from the root
       iterate of largest s with F(s) <= 0.
 
+    A bracket of the dominant size alone (``bracket.shortcut_of`` set) has
+    no other size to compare: each optimum a root probe takes must pass
+    ``dominates`` too.  If one does not, the design is this solve over the
+    loop's bracket of every size.
+
     Ties on cost go to the smaller n, the earlier key of ``bracket.sizes``.
     phi and the margins are computed at the design point, not set.  The
     trace has one entry (n, phi, cost, case) per size: its crisp optimum at
@@ -392,6 +434,7 @@ def solve_max_phi(
     _check_membership_form(membership_form)
     z_lower, z_upper = bracket.z_lower, bracket.z_upper
     span = z_upper - z_lower
+    shortcut_of = bracket.shortcut_of
 
     def design_at(n, x, objective: float, case: str) -> PlanDesign:
         (_, g, h, _), _, _ = bracket.sizes[n]
@@ -430,12 +473,19 @@ def solve_max_phi(
                 n: solve_monotone(*functions, *cuts)
                 for n, (functions, _, _) in bracket.sizes.items()
             }
+            if shortcut_of is not None and not all(map(shortcut_of.dominates, at_s.values())):
+                raise _Undominated
             excess = min(cost for _, cost, _ in at_s.values()) + s * span - z_upper
             if excess <= 0.0:
                 met[s] = at_s
             return excess
 
-        s = _last_met(shortfall, 0.0, 1.0)
+        try:
+            s = _last_met(shortfall, 0.0, 1.0)
+        except _Undominated:
+            return solve_max_phi(
+                _bracket_every_size(shortcut_of), alpha, beta, membership_form
+            )
         if s not in met:
             raise InfeasibleError("no point with positive satisfaction found")
         optima = met[s]
@@ -452,6 +502,22 @@ def solve_plan(
     """Full pipeline for one plan problem: bracket the objective over its
     group sizes (`zimmermann_bounds`), then take the max-min design over all
     of them at once (`solve_max_phi`).  Nothing reads ``settings``; it goes
-    with `SolverSettings`."""
+    with `SolverSettings`.
+
+    Only one size is solved where it dominates.  The design depends on the
+    sizes through C(s), the least crisp optimum over them at each cut s the
+    two stages use (the tight and relaxed levels, and each root probe), and
+    its argmin.  Let the problem's ``dominant_size`` be feasible at the
+    tight level, and each of its optima at those cuts pass ``dominates``:
+    then it costs less than every other size at each cut.  (For rgsp_min,
+    size n is the `ssp` problem in u = n*t with its cost divided by n; an
+    optimum of n_max that touches no box edge, with n_max*t2 within the box,
+    is the optimum of every size in u, so each smaller size n costs n_max/n
+    times as much; see `PlanProblem.dominates`.)  So C(s) is that size's
+    optimum, computed by the same closures as in the loop, and phi*, the
+    design and both ends of the bracket are the loop's, bit for bit; the
+    trace lists that size alone.  Where a check fails, or the size is
+    infeasible, the loop over every size runs as before, with its errors.
+    """
     _check_membership_form(membership_form)
     return solve_max_phi(zimmermann_bounds(problem), problem.alpha, problem.beta, membership_form)

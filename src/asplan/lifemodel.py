@@ -22,6 +22,7 @@ here imports numpy or scipy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError
@@ -81,6 +82,19 @@ def _clamp_prob(x: float, what: str) -> float:
     return min(1.0, max(0.0, x))
 
 
+def check_group_size(n, name: str = "n") -> None:
+    """Raise DomainError unless n is an integer (by `operator.index`, so
+    not a float) of at least 1.  A bool is not a group size."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = None
+    if size is None or isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if size < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+
+
 def weighted_survival(f: Life, t: float) -> float:
     """Survival probability P(Y >= t) under the membership-weighted model.
 
@@ -116,16 +130,14 @@ def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
 def rgsp_min_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
     """Group-minimum probabilities: the minimum of n shared-rate exponentials
     is exponential with n times the rate, so this is the SSP form at n*t."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_group_size(n)
     return ssp_triprob(f, Thresholds(t1=n * th.t1, t2=n * th.t2))
 
 
 def rgsp_max_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
     """Group-maximum probabilities raising the weighted CDF to the n-th power
     (an independent fuzzy rate per item)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_group_size(n)
     below_t1 = (1.0 - weighted_survival(f, th.t1)) ** n
     below_t2 = (1.0 - weighted_survival(f, th.t2)) ** n
     return TriProb(p_a=1.0 - below_t2, p_r=below_t1, p_c=_clamp_prob(below_t2 - below_t1, "p_c"))
@@ -148,8 +160,7 @@ def typeI_triprob(
     the reference operating characteristics; "sqrt_n" is the textbook
     asymptotic rate and is exposed for comparison.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_group_size(n)
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
     if not lambda_j > 0:

@@ -5,8 +5,11 @@ with the long-run producer risk g (rejection probability at the acceptable
 life) and consumer risk h (acceptance probability at the rejectable life).
 Each family's one-stage law (`stage_law`) is chosen here alone, for the
 solver and the table recheck: a PlanProblem hands the solver its group
-sizes, and per group size its plan functions and its cost floor.  The crisp baseline is the same problem with plain mean lives and
-zero-slack risk levels (`crisp_limit`).
+sizes, per group size its plan functions and the least cost floor of the
+sizes after it, and the size that dominates the others where the family's
+structure proves one (`PlanProblem.dominates`).  The crisp baseline is the
+same problem with plain mean lives and zero-slack risk levels
+(`crisp_limit`).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .lifemodel import (
     Life,
     LongRun,
     Thresholds,
+    check_group_size,
     expected_y,
     expected_y_upper_bound,
     harmonic_number,
@@ -92,8 +96,7 @@ class PlanProblem:
             raise DomainError(f"unknown objective_variant {self.objective_variant!r}")
         if self.sd_form not in SD_FORMS:
             raise DomainError(f"unknown sd_form {self.sd_form!r}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
+        check_group_size(self.n_max, "n_max")
 
     @property
     def group_sizes(self):
@@ -107,6 +110,44 @@ class PlanProblem:
         It calls no `plan_functions`, so that only solved sizes build them."""
         upper = self.objective_variant == "etc_upper_bound"
         return self.cost * expected_stage_duration(self.family, self.lambda0, n, upper, self.tau)
+
+    def least_floor_after(self, n: Optional[int]) -> float:
+        """The least `cost_floor` of the group sizes after n; inf after the
+        last.  The floor is monotone in n, and so is each of its rounded
+        factors: H_n (a correctly rounded sum) times E[Y] rises for rgsp_max,
+        E[Y]/n falls for rgsp_min and c*tau is constant for Type-I plans.  So
+        the least later floor is the next size's for rgsp_max and Type-I
+        plans and n_max's for rgsp_min, the same double as the least of them
+        all, from one `cost_floor` call."""
+        if n is None or n >= self.n_max:
+            return math.inf
+        return self.cost_floor(self.n_max if self.family is Family.RGSP_MIN else n + 1)
+
+    @property
+    def dominant_size(self) -> Optional[int]:
+        """A group size that is the design's at every cut once its crisp
+        optima pass `dominates`: n_max for rgsp_min, else None."""
+        return self.n_max if self.family is Family.RGSP_MIN else None
+
+    def dominates(self, optimum: tuple) -> bool:
+        """Whether a crisp optimum (x, cost, case) of `dominant_size`, at
+        some cut of the risk levels, costs less than every smaller size's
+        optimum at that cut.
+
+        The rgsp_min risks depend on u = n*t only, and its cost is
+        c*E[Y]/n*N(u): on the box [n*lo, n*hi] in u, size n is the `ssp`
+        problem with its cost divided by n.  Let u* = n_max*x.  u1* >=
+        n_max*lo holds, as x lies in the box; if also u2* <= hi, u* lies in
+        the u-box of every size, n = 1's included.  Unless the case is
+        ``"edge"``, no root of `solve_monotone` sits on the box, so u* is
+        the optimum of the `ssp` problem over any box that holds it: in the
+        ``"floor"`` case it costs N = 1, which no point goes below, and in
+        the ``"active"`` case every cheaper point breaks a risk.  Each
+        smaller size n then has the same optimum u* and costs n_max/n times
+        as much, up to rounding far below that factor.
+        """
+        x, _, case = optimum
+        return case != "edge" and self.n_max * x[1] <= _upper_edge(self)
 
     def functions(self, n: Optional[int]):
         """(objective, g, h, box, ordering) for group size n."""
@@ -125,6 +166,14 @@ def crisp_limit(p: PlanProblem) -> PlanProblem:
     )
 
 
+def _upper_edge(p: PlanProblem) -> float:
+    """The upper edge of the threshold box, on both axes."""
+    lam0 = _mean(p.lambda0)
+    if p.allow_t2_above_lambda0:
+        return 5.0 * lam0
+    return 2.0 * lam0 if p.family is Family.TYPE_I else lam0
+
+
 def expected_stage_duration(
     family: Family, life: Life, n: Optional[int], upper: bool, tau: Optional[float] = None
 ) -> float:
@@ -137,8 +186,7 @@ def expected_stage_duration(
     mean = (expected_y_upper_bound if upper else expected_y)(life)
     if family is Family.SSP:
         return mean
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_group_size(n)
     return mean / n if family is Family.RGSP_MIN else harmonic_number(n) * mean
 
 
@@ -171,13 +219,7 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     """
     if crisp:
         p = crisp_limit(p)
-    lam0 = _mean(p.lambda0)
-    if p.allow_t2_above_lambda0:
-        hi = 5.0 * lam0
-    elif p.family is Family.TYPE_I:
-        hi = 2.0 * lam0
-    else:
-        hi = lam0
+    hi = _upper_edge(p)
     box = ((_T_LO, hi), (_T_LO, hi))
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1

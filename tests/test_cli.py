@@ -179,6 +179,23 @@ def test_non_finite_inputs_are_errors(capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_design_rejects_a_group_size_bound_below_one(capsys):
+    argv = ["design", *DESIGN_FLAGS[1:], "--family", "rgsp_min", "--n-max", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be >= 1, got 0\n"
+
+
+def test_design_leaves_a_fractional_group_size_bound_to_argparse(capsys):
+    """A non-integer --n-max never reaches the problem: argparse rejects
+    it, with exit 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["design", *DESIGN_FLAGS[1:], "--family", "rgsp_min", "--n-max", "2.5"])
+    assert excinfo.value.code == 2
+    assert "invalid int value: '2.5'" in capsys.readouterr().err
+
+
 def test_dispose_exit_codes(tmp_path):
     accept = run_cli(
         ["dispose", "--data", "case-study", "--family", "ssp",

@@ -1,5 +1,6 @@
 import collections
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from asplan import fuzzyopt
 from asplan.errors import DomainError, InfeasibleError
-from asplan.fuzzyopt import SolverSettings, solve_max_phi, solve_plan, zimmermann_bounds
+from asplan.fuzzyopt import (
+    PlanDesign,
+    SolverSettings,
+    solve_max_phi,
+    solve_plan,
+    zimmermann_bounds,
+)
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
 
@@ -413,6 +420,175 @@ def test_readme_rgsp_min_design_is_the_ssp_design_over_n_max(crisp, form):
     scaled = [20 * design.t1, 20 * design.t2, 20 * design.objective_value]
     assert scaled == pytest.approx([single.t1, single.t2, single.objective_value], rel=1e-12)
     assert design.phi == pytest.approx(single.phi, rel=1e-12)
+
+
+def _without_trace(design: PlanDesign) -> str:
+    return repr(replace(design, trace=()))
+
+
+def _loop_design(problem: PlanProblem, form: str) -> PlanDesign:
+    """The design of the loop over every group size: no size dominates."""
+    with mock.patch.object(PlanProblem, "dominant_size", None):
+        return solve_plan(problem, membership_form=form)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    crisp=st.booleans(),
+    form=st.sampled_from(fuzzyopt.MEMBERSHIP_FORMS),
+    n_max=st.integers(1, 12),
+    lambda0=st.floats(200.0, 600.0),
+    ratio=st.floats(0.1, 0.6),
+    a_ratio=st.floats(2.0, 50.0),
+    alpha=st.floats(0.01, 0.2),
+    beta=st.floats(0.01, 0.2),
+    slack=st.floats(0.0, 0.05),
+)
+def test_rgsp_min_shortcut_is_the_loop_design(
+    crisp, form, n_max, lambda0, ratio, a_ratio, alpha, beta, slack
+):
+    """Solving the dominant size n_max alone gives the loop's design, up to
+    the trace, or the loop's error."""
+    problem = PlanProblem(
+        family=Family.RGSP_MIN,
+        lambda0=FuzzyLife(lambda0, a_ratio * lambda0),
+        lambda1=FuzzyLife(ratio * lambda0, a_ratio * lambda0),
+        alpha=FuzzyLevel(alpha, slack),
+        beta=FuzzyLevel(beta, slack),
+        n_max=n_max,
+    )
+    if crisp:
+        problem = crisp_limit(problem)
+    try:
+        loop = _loop_design(problem, form)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as excinfo:
+            solve_plan(problem, membership_form=form)
+        assert (str(excinfo.value), excinfo.value.per_n) == (str(exc), exc.per_n)
+        return
+    design = solve_plan(problem, membership_form=form)
+    assert _without_trace(design) == _without_trace(loop)
+    assert [n for n, *_ in design.trace] in ([n_max], [n for n, *_ in loop.trace])
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+def test_rgsp_min_falls_back_to_the_loop_where_n_max_leaves_the_box(crisp, form):
+    """At lambda1 = 100 the n_max = 10 optimum has n_max*t2 above the box's
+    upper edge, so a smaller size could sit on its own edge: the loop runs.
+    Sizes 1 and 2 are infeasible and are not traced."""
+    problem = _readme_problem(Family.RGSP_MIN, n_max=10)
+    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=100.0))
+    if crisp:
+        problem = crisp_limit(problem)
+    design = solve_plan(problem, membership_form=form)
+    assert [n for n, *_ in design.trace] == list(range(3, 11))
+    assert design.n == 10
+    assert _without_trace(design) == _without_trace(_loop_design(problem, form))
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+def test_infeasible_rgsp_min_reports_every_size(form):
+    """At lambda1 = 200 no size is feasible: the loop runs and reports each
+    size's best violation, as it did before the shortcut."""
+    problem = _readme_problem(Family.RGSP_MIN, n_max=10)
+    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=200.0))
+    with pytest.raises(InfeasibleError, match="every candidate group size was infeasible") as got:
+        solve_plan(problem, membership_form=form)
+    with pytest.raises(InfeasibleError) as loop:
+        _loop_design(problem, form)
+    assert got.value.per_n == loop.value.per_n
+    assert [n for n, _ in got.value.per_n] == list(range(1, 11))
+    assert got.value.per_n[0][1] == "infeasible: best violation 0.17371399378727959"
+
+
+def test_standard_probe_that_fails_dominance_runs_the_loop(monkeypatch):
+    """The bracket solves of n_max pass `dominates`; a root probe of the
+    max-phi solve that does not sends the design to the loop over every
+    size, whose trace lists them all."""
+    problem = _readme_problem(Family.RGSP_MIN, n_max=4)
+    checked = []
+    dominates = PlanProblem.dominates
+
+    def first_two_only(self, optimum):
+        checked.append(optimum)
+        return len(checked) <= 2 and dominates(self, optimum)
+
+    monkeypatch.setattr(PlanProblem, "dominates", first_two_only)
+    design = solve_plan(problem, membership_form="standard")
+    assert len(checked) == 3
+    assert [n for n, *_ in design.trace] == [1, 2, 3, 4]
+    monkeypatch.undo()
+    assert _without_trace(design) == _without_trace(solve_plan(problem, membership_form="standard"))
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+def test_readme_rgsp_min_solves_one_group_size(form, monkeypatch):
+    """README lives at the default n_max 200: n_max is solved at the tight
+    and the relaxed levels, and under `standard` once per root probe, at a
+    cut between the two.  The loop over every size makes 400 bracket
+    solves."""
+    problem = _readme_problem(Family.RGSP_MIN)
+    cuts = []
+    monotone = fuzzyopt.solve_monotone
+
+    def counted(objective, g, h, box, alpha, beta):
+        cuts.append((g, alpha, beta))
+        return monotone(objective, g, h, box, alpha, beta)
+
+    monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
+    design = solve_plan(problem, membership_form=form)
+    assert [n for n, *_ in design.trace] == [200]
+    assert len({g for g, _, _ in cuts}) == 1
+    levels = [(alpha, beta) for _, alpha, beta in cuts]
+    assert levels[:2] == [(0.05, 0.05), (0.1, 0.1)]
+    probes = levels[2:]
+    if form == "standard":
+        assert len(probes) == len(set(probes)) > 0
+        assert all(0.05 < alpha < 0.1 and 0.05 < beta < 0.1 for alpha, beta in probes)
+    else:
+        assert probes == []
+        cuts.clear()
+        _loop_design(problem, form)
+        assert len(cuts) == 400
+
+
+@pytest.mark.parametrize(
+    "family,tried",
+    [
+        (Family.RGSP_MIN, [10**5]),
+        (Family.RGSP_MAX, [1, 2, 3]),
+        (Family.TYPE_I, list(range(9, 29))),  # n < 9 is infeasible, n = 28 reaches cost * tau
+    ],
+    ids=["rgsp_min", "rgsp_max", "type1"],
+)
+def test_cost_floors_are_computed_as_the_loop_needs_them(family, tried, monkeypatch):
+    """At n_max 10**5 the loop computes no floor of a size it never
+    reaches: at most one `cost_floor` call per size tried, and one more."""
+    if family is Family.TYPE_I:
+        problem = PlanProblem(
+            family=family,
+            lambda0=FuzzyLife(300.0, 15000.0),
+            lambda1=FuzzyLife(200.0, 15000.0),
+            alpha=FuzzyLevel(0.01, 0.01),
+            beta=FuzzyLevel(0.01, 0.01),
+            tau=50.0,
+            objective_variant="etc_upper_bound",
+            n_max=10**5,
+        )
+    else:
+        problem = _readme_problem(family, n_max=10**5)
+    floors = []
+    cost_floor = PlanProblem.cost_floor
+
+    def counted(self, n):
+        floors.append(n)
+        return cost_floor(self, n)
+
+    monkeypatch.setattr(PlanProblem, "cost_floor", counted)
+    design = solve_plan(problem)
+    assert [n for n, *_ in design.trace] == tried
+    assert len(floors) <= len(tried) + 1
 
 
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])

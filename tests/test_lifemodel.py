@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,20 @@ def test_extrema_bounds_dominate():
         n = rng.randint(1, 60)
         assert _ymin(f, n) <= _ymin(f, n, upper=True)
         assert _ymax(f, n) <= _ymax(f, n, upper=True)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, None], ids=["fraction", "integral-float", "bool", "none"])
+@pytest.mark.parametrize("family", ["rgsp_min", "rgsp_max", "type1"])
+def test_group_triprobs_reject_a_group_size_that_is_no_integer(family, n):
+    """rgsp_min once returned probabilities at a fractional group size."""
+    th = Thresholds(10.0, 200.0)
+    triprob = {
+        "rgsp_min": lambda: rgsp_min_triprob(FuzzyLife(300.0, 1500.0), th, n),
+        "rgsp_max": lambda: rgsp_max_triprob(FuzzyLife(300.0, 1500.0), th, n),
+        "type1": lambda: typeI_triprob(300.0, th, n, 50.0),
+    }[family]
+    with pytest.raises(DomainError, match=re.escape(f"n must be an integer, got {n!r}")):
+        triprob()
 
 
 def test_thresholds_validation():

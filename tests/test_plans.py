@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,49 @@ def test_problem_rejects_non_finite_inputs(overrides, message):
     message about something else."""
     with pytest.raises(DomainError, match=message):
         make_problem(**overrides)
+
+
+@pytest.mark.parametrize(
+    "n_max,message",
+    [
+        (2.5, "n_max must be an integer, got 2.5"),
+        (3.0, "n_max must be an integer, got 3.0"),
+        (True, "n_max must be an integer, got True"),
+        ("3", "n_max must be an integer, got '3'"),
+        (0, "n_max must be >= 1, got 0"),
+    ],
+    ids=["fraction", "integral-float", "bool", "str", "zero"],
+)
+def test_problem_rejects_a_group_size_bound_that_is_no_positive_integer(n_max, message):
+    """A float n_max once failed at solve time with a TypeError from
+    `range`, and True quietly meant 1."""
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make_problem(family=Family.RGSP_MIN, n_max=n_max)
+
+
+def test_problem_takes_any_integer_n_max():
+    assert make_problem(family=Family.RGSP_MIN, n_max=np.int64(3)).group_sizes == range(1, 4)
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["etc_star", "etc_upper_bound"])
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+def test_least_floor_after_is_the_least_later_floor(family, crisp, upper):
+    """The floor is monotone in n, so one `cost_floor` call gives the least
+    floor of the later sizes, the same double as the least of them all."""
+    problem = make_problem(
+        family=family,
+        tau=50.0 if family is Family.TYPE_I else None,
+        objective_variant="etc_upper_bound" if upper else "etc_star",
+        n_max=40,
+        cost=3.7,
+    )
+    if crisp:
+        problem = crisp_limit(problem)
+    sizes = list(problem.group_sizes)
+    for k, n in enumerate(sizes):
+        later = [problem.cost_floor(m) for m in sizes[k + 1:]]
+        assert problem.least_floor_after(n) == min(later, default=math.inf)
 
 
 def test_problem_rejects_unknown_sd_form():

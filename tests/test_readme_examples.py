@@ -15,9 +15,13 @@ from asplan.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "tests" / "data" / "readme"
 SSP = ["--family", "ssp", "--lambda0", "300", "--lambda1", "50", "--alpha", "0.05", "--beta", "0.05"]
+RGSP_MIN = ["--family", "rgsp_min", *SSP[2:], "--a", "1500", "--b1", "0.05", "--b2", "0.05"]
 EXAMPLES = {
     "design_ssp.json": ["design", *SSP, "--a", "1500", "--b1", "0.05", "--b2", "0.05"],
     "crisp_baseline_ssp.json": ["crisp-baseline", *SSP, "--a", "1500"],
+    # At the default n_max 200; recorded from the loop over every group size.
+    "design_rgsp_min.json": ["design", *RGSP_MIN],
+    "design_rgsp_min_standard.json": ["design", *RGSP_MIN, "--membership-form", "standard"],
     "design_type1.json": [
         "design", "--family", "type1", "--tau", "50", "--lambda0", "300", "--lambda1", "200",
         "--alpha", "0.01", "--beta", "0.01", "--a", "15000", "--b1", "0.01", "--b2", "0.01",
