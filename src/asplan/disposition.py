@@ -17,6 +17,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import DomainError
+from .lifemodel import check_group_size
 
 
 class Decision(str, Enum):
@@ -63,8 +64,7 @@ def _dispose_grouped(data: FailureData, t1: float, t2: float, n: int, statistic)
         raise DomainError(f"need 0 <= t1 <= t2, got t1={t1}, t2={t2}")
     if t2 == math.inf:
         raise DomainError(f"thresholds must be finite, got t1={t1}, t2={t2}")
-    if n < 1:
-        raise DomainError(f"group size must be >= 1, got {n}")
+    check_group_size(n, "group size")
     if len(data.values) < n:
         raise DomainError(f"need at least {n} values for one group, have {len(data.values)}")
     examined = []
@@ -89,30 +89,41 @@ def dispose_rgsp_max(data: FailureData, t1: float, t2: float, n: int) -> Disposi
     return _dispose_grouped(data, t1, t2, n, max)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
+
+
+def _censored_estimate(block: Sequence[float], tau: float) -> float:
+    failed = [v for v in block if v < tau]
+    if not failed:
+        return math.inf
+    # fsum rounds the exact sum once, so the order of the terms does not count.
+    return math.fsum(failed + [tau] * (len(block) - len(failed))) / len(failed)
+
+
 def censored_mle(values: Sequence[float], n: int, tau: float) -> float:
     """Mean-life MLE from the first n items with the test truncated at tau:
     failed items contribute their lifetime, survivors contribute tau, divided
     by the failure count.  With no failure before tau the likelihood
-    exp(-n*tau/lambda) rises in lambda, so the estimate is +inf."""
-    if not 0 < tau < math.inf:
-        raise DomainError(f"tau must be positive and finite, got {tau}")
-    if n < 1 or n > len(values):
+    exp(-n*tau/lambda) rises in lambda, so the estimate is +inf.  The n
+    items must be positive and finite, as in `FailureData`."""
+    _check_tau(tau)
+    check_group_size(n, "group size")
+    if n > len(values):
         raise DomainError(f"need 1 <= n <= {len(values)}, got n={n}")
-    block = values[:n]
-    q = sum(1 for v in block if v < tau)
-    if q == 0:
-        return math.inf
-    return math.fsum(min(v, tau) for v in block) / q
+    return _censored_estimate(FailureData(tuple(values[:n])).values, tau)
 
 
 def dispose_type1(
     data: FailureData, t1: float, t2: float, n: int, tau: Optional[float]
 ) -> Disposition:
-    """Decide per consecutive block of n on the censored mean-life estimate;
-    a block with no failure before tau accepts."""
+    """Decide per consecutive block of n on the censored mean-life estimate
+    (`censored_mle`); a block with no failure before tau accepts."""
     if tau is None:
         raise DomainError("tau is required for the censored family")
-    return _dispose_grouped(data, t1, t2, n, lambda block: censored_mle(block, n, tau))
+    _check_tau(tau)
+    return _dispose_grouped(data, t1, t2, n, lambda block: _censored_estimate(block, tau))
 
 
 def load_failure_data(path) -> FailureData:

@@ -326,7 +326,9 @@ def zimmermann_bounds(problem) -> ZBounds:
     under ``cost_ascending``, the design: no other size is solved, and the
     bracket is the one the loop below returns, bit for bit, as that size's
     solves use the same closures.  `solve_max_phi` checks the optima of its
-    cuts too.  Otherwise the search is the loop over every size.
+    cuts too.  Otherwise the search is the loop over every size, which
+    takes the dominant size's outcome, a bracket or an InfeasibleError, as
+    already computed.
 
     A group size whose tight problem is infeasible is skipped, as it has no
     bracket.  It could still be feasible at the relaxed levels, where it
@@ -342,32 +344,42 @@ def zimmermann_bounds(problem) -> ZBounds:
     to a smaller size: the stop changes no design, only how many sizes the
     trace lists.
     """
+    known = {}
     n = problem.dominant_size
     if n is not None:
         try:
             functions, tight, relaxed = _bracket_size(problem, n)
-        except InfeasibleError:
-            pass
+        except InfeasibleError as exc:
+            known[n] = exc
         else:
+            known[n] = (functions, tight, relaxed[1])
             if problem.dominates(tight) and problem.dominates(relaxed):
-                return _bracket({n: (functions, tight, relaxed[1])}, shortcut_of=problem)
-    return _bracket_every_size(problem)
+                return _bracket(known, shortcut_of=problem)
+    return _bracket_every_size(problem, known)
 
 
-def _bracket_every_size(problem) -> ZBounds:
+def _bracket_every_size(problem, known: dict) -> ZBounds:
     """The loop of `zimmermann_bounds` over the group sizes in ascending
-    order, up to the cost-floor stop."""
+    order, up to the cost-floor stop.  ``known`` maps each size bracketed
+    already to its entry of `ZBounds.sizes`, or to the InfeasibleError of
+    its tight solve; the loop takes it as it stands, unsolved."""
     sizes = {}
     per_n = []
     least_tight = math.inf
     for n in problem.group_sizes:
-        try:
-            functions, tight, relaxed = _bracket_size(problem, n)
-        except InfeasibleError as exc:
-            per_n.append((n, f"infeasible: best violation {exc.best_violation}"))
+        entry = known.get(n)
+        if entry is None:
+            try:
+                functions, tight, relaxed = _bracket_size(problem, n)
+            except InfeasibleError as exc:
+                entry = exc
+            else:
+                entry = (functions, tight, relaxed[1])
+        if isinstance(entry, InfeasibleError):
+            per_n.append((n, f"infeasible: best violation {entry.best_violation}"))
             continue
-        sizes[n] = (functions, tight, relaxed[1])
-        least_tight = min(least_tight, tight[1])
+        sizes[n] = entry
+        least_tight = min(least_tight, entry[1][1])
         if least_tight <= problem.least_floor_after(n) * (1.0 + 1e-9):
             break
     if not sizes:
@@ -422,7 +434,7 @@ def solve_max_phi(
     A bracket of the dominant size alone (``bracket.shortcut_of`` set) has
     no other size to compare: each optimum a root probe takes must pass
     ``dominates`` too.  If one does not, the design is this solve over the
-    loop's bracket of every size.
+    loop's bracket of every size, which reuses the dominant size's.
 
     Ties on cost go to the smaller n, the earlier key of ``bracket.sizes``.
     phi and the margins are computed at the design point, not set.  The
@@ -484,7 +496,7 @@ def solve_max_phi(
             s = _last_met(shortfall, 0.0, 1.0)
         except _Undominated:
             return solve_max_phi(
-                _bracket_every_size(shortcut_of), alpha, beta, membership_form
+                _bracket_every_size(shortcut_of, bracket.sizes), alpha, beta, membership_form
             )
         if s not in met:
             raise InfeasibleError("no point with positive satisfaction found")

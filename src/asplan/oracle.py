@@ -3,7 +3,8 @@ golden-table harness.
 
 The Monte-Carlo side re-derives every plan probability by direct simulation
 of the lifetime model (a random failure rate from the raised-cosine
-membership, then exponential lifetimes), with no shared code path through
+membership, drawn exactly by an inverse-sine transform with nothing
+rejected, then exponential lifetimes), with no shared code path through
 the closed forms it checks.  The golden-table harness is not independent:
 it rechecks the published designs through each family's `plans.stage_law`.
 
@@ -33,7 +34,9 @@ from .lifemodel import LongRun, Thresholds, TriProb, long_run
 from .membership import FuzzyLife
 from .plans import Family, expected_stage_duration, stage_law
 
-_TYPE_I_CHUNK = 100_000
+# Lifetimes (draws times n) simulated per block by the censored family, so
+# that its memory does not grow with draws or n.
+_TYPE_I_CHUNK = 500_000
 
 
 @dataclass(frozen=True)
@@ -77,24 +80,28 @@ class GoldenRow:
 
 
 def sample_mixture_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` failure rates drawn from the normalized raised-cosine density
-    by rejection against the uniform envelope (acceptance probability 1/2)."""
+    """``size`` failure rates drawn from the normalized raised-cosine density,
+    by an exact transform of two uniforms per rate.
+
+    With theta = a*pi*(r - 1/lambda_j), the rate r has the density
+    (1 + cos theta)/(2*pi) = cos(theta/2)^2/pi in theta on [-pi, pi].  As
+    ds/dtheta = cos(theta/2)/2, s = sin(theta/2) has the density
+    (2/pi)*cos(theta/2) = (2/pi)*sqrt(1 - s^2) on [-1, 1]: the semicircle
+    law, the law of the abscissa of a uniform point in the unit disk
+    (L. Devroye, *Non-Uniform Random Variate Generation*, 1986).  That
+    point is at radius sqrt(U1) and angle 2*pi*U2, so s = sqrt(U1)*cos(2*pi*U2)
+    and r = 1/lambda_j + 2*arcsin(s)/(a*pi), clipped to ``f.support``
+    against rounding.  Nothing is rejected: each rate takes two uniforms.
+    """
     import numpy as np
 
     lo, hi = f.support
-    center = 1.0 / f.lambda_j
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        want = size - filled
-        # Acceptance rate is 1/2; oversample to finish in ~1 round.
-        proposals = lo + (hi - lo) * rng.random(2 * want + 16)
-        memberships = 0.5 * (1.0 + np.cos(f.a * np.pi * (proposals - center)))
-        accepted = proposals[rng.random(proposals.size) < memberships]
-        take = min(accepted.size, want)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
+    rates = np.sqrt(rng.random(size))
+    rates *= np.cos(2.0 * np.pi * rng.random(size))
+    np.arcsin(rates, out=rates)
+    rates *= 2.0 / (f.a * np.pi)
+    rates += 1.0 / f.lambda_j
+    return np.clip(rates, lo, hi, out=rates)
 
 
 def _estimate(n_a: int, n_r: int, draws: int) -> McEstimate:
@@ -139,16 +146,18 @@ def mc_triprob(
         rates_of = lambda: np.full(draws, 1.0 / life)
     else:
         raise DomainError(f"mean life must be positive and finite, got {life}")
+    # Each lifetime draw comes after its rates, so rgsp_max at n = 1 is ssp.
     if family is Family.SSP or family is Family.RGSP_MIN:
         rates = rates_of()
-        scale = 1.0 / rates if family is Family.SSP else 1.0 / (n * rates)
-        y = rng.exponential(scale)
+        if family is Family.RGSP_MIN:
+            rates *= n
+        y = rng.standard_exponential(draws) / rates
         return _estimate(int(np.sum(y >= th.t2)), int(np.sum(y < th.t1)), draws)
     if family is Family.RGSP_MAX:
         y_max = np.zeros(draws)
         for _ in range(n):
             rates = rates_of()
-            y_max = np.maximum(y_max, rng.exponential(1.0 / rates))
+            np.maximum(y_max, rng.standard_exponential(draws) / rates, out=y_max)
         return _estimate(int(np.sum(y_max >= th.t2)), int(np.sum(y_max < th.t1)), draws)
     if family is Family.TYPE_I:
         if tau is None:
@@ -156,13 +165,15 @@ def mc_triprob(
         if not 0 < tau < math.inf:
             raise DomainError(f"tau must be positive and finite, got {tau}")
         lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
+        rows = max(1, _TYPE_I_CHUNK // n)
         n_a = n_r = 0
         done = 0
         while done < draws:
-            chunk = min(_TYPE_I_CHUNK, draws - done)
+            # Drawn row-major, so the blocks join into one stream of lifetimes.
+            chunk = min(rows, draws - done)
             x = rng.exponential(lambda_j, size=(chunk, n))
             q = np.sum(x < tau, axis=1)
-            total = np.sum(np.minimum(x, tau), axis=1)
+            total = np.sum(np.minimum(x, tau, out=x), axis=1)
             with np.errstate(divide="ignore"):
                 lam_hat = np.where(q > 0, total / np.maximum(q, 1), np.inf)
             # q = 0 gives lam_hat = inf: every item outlived the test, accept.

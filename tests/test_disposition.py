@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asplan.disposition import (
     Decision,
@@ -127,6 +129,48 @@ def test_censored_mle_no_censoring_is_mean():
 def test_censored_mle_no_failures_is_infinite():
     # With no failure before tau the likelihood exp(-n*tau/lambda) rises in lambda.
     assert censored_mle((500.0,), 1, 100.0) == math.inf
+
+
+@pytest.mark.parametrize("values", [(10.0, math.nan), (math.nan, 10.0), (10.0, -5.0), (0.0, 10.0)])
+def test_censored_mle_refuses_a_lifetime_that_is_not_positive_and_finite(values):
+    """A NaN fails no `v < tau` test: counted as a survivor it would give a
+    finite estimate.  The values are checked as `FailureData` checks them."""
+    with pytest.raises(DomainError, match="positive and finite"):
+        censored_mle(values, 2, 50.0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    values=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=30),
+    tau=st.floats(1e-2, 1e5),
+)
+def test_censored_mle_is_the_exact_sum_over_the_failure_count(values, tau):
+    """Failed lifetimes plus tau per survivor, summed with one rounding, over
+    the failure count: the same double as summing min(v, tau) in order."""
+    failures = sum(1 for v in values if v < tau)
+    expected = math.fsum(min(v, tau) for v in values) / failures if failures else math.inf
+    assert censored_mle(values, len(values), tau) == expected
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [(2.5, "group size must be an integer, got 2.5"),
+     (True, "group size must be an integer, got True"),
+     (0, "group size must be >= 1, got 0")],
+)
+@pytest.mark.parametrize(
+    "dispose",
+    [lambda n: dispose_rgsp_min(case_study_data(), 4.0, 141.0, n),
+     lambda n: dispose_rgsp_max(case_study_data(), 203.0, 2630.0, n),
+     lambda n: dispose_type1(case_study_data(), 1219.0, 1990.0, n, 2000.0),
+     lambda n: censored_mle(case_study_data().values, n, 50.0)],
+    ids=["rgsp_min", "rgsp_max", "type1", "censored_mle"],
+)
+def test_group_size_must_be_a_positive_integer(dispose, n, message):
+    """A fractional size once failed with a TypeError, and True decided as
+    a group of one."""
+    with pytest.raises(DomainError, match=message):
+        dispose(n)
 
 
 def test_type1_group_with_no_failure_accepts():

@@ -487,6 +487,51 @@ def test_rgsp_min_falls_back_to_the_loop_where_n_max_leaves_the_box(crisp, form)
     assert _without_trace(design) == _without_trace(_loop_design(problem, form))
 
 
+@pytest.mark.parametrize("form,calls", [("cost_ascending", 18), ("standard", 98)])
+def test_fallback_reuses_the_dominant_size_bracket(form, calls, monkeypatch):
+    """At lambda1 = 100 n_max = 10 fails `dominates`, and the loop takes its
+    bracket as already solved: it makes the loop's crisp solves and no
+    more (sizes 1 and 2 are infeasible, one tight solve each), and gives
+    the loop's design, trace included."""
+    problem = _readme_problem(Family.RGSP_MIN, n_max=10)
+    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=100.0))
+    count = [0]
+    monotone = fuzzyopt.solve_monotone
+
+    def counted(*args):
+        count[0] += 1
+        return monotone(*args)
+
+    monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
+    design = solve_plan(problem, membership_form=form)
+    assert count[0] == calls
+    count[0] = 0
+    assert repr(design) == repr(_loop_design(problem, form))
+    assert count[0] == calls
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+def test_infeasible_fallback_reuses_the_dominant_size_error(form, monkeypatch):
+    """At lambda1 = 200 n_max = 10 is infeasible: its error goes into
+    ``per_n`` as the loop's would, and the loop does not solve it again."""
+    problem = _readme_problem(Family.RGSP_MIN, n_max=10)
+    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=200.0))
+    sizes = []
+    bracket_size = fuzzyopt._bracket_size
+
+    def counted(problem, n):
+        sizes.append(n)
+        return bracket_size(problem, n)
+
+    monkeypatch.setattr(fuzzyopt, "_bracket_size", counted)
+    with pytest.raises(InfeasibleError) as got:
+        solve_plan(problem, membership_form=form)
+    assert sizes == [10, *range(1, 10)]
+    with pytest.raises(InfeasibleError) as loop:
+        _loop_design(problem, form)
+    assert repr(got.value.per_n) == repr(loop.value.per_n)
+
+
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
 def test_infeasible_rgsp_min_reports_every_size(form):
     """At lambda1 = 200 no size is feasible: the loop runs and reports each

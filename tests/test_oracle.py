@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
+from asplan import oracle
 from asplan.errors import DomainError
 from asplan.lifemodel import (
     Thresholds,
@@ -43,15 +45,18 @@ def test_mixture_mean_life_matches_expectation():
     assert abs(lives.mean() - expected_y(f)) <= 3.0 * se
 
 
-def test_rejection_acceptance_rate_near_half():
-    f = FuzzyLife(300.0, 1500.0)
-    lo, hi = f.support
-    center = 1.0 / 300.0
-    rng = np.random.default_rng(7)
-    proposals = lo + (hi - lo) * rng.random(10**6)
-    memberships = 0.5 * (1.0 + np.cos(f.a * np.pi * (proposals - center)))
-    accepted = rng.random(10**6) < memberships
-    assert accepted.mean() == pytest.approx(0.5, abs=0.01)
+@pytest.mark.parametrize("lam,a,seed", [(300.0, 1500.0, 7), (50.0, 60.0, 8)])
+def test_sample_mixture_rates_follow_the_raised_cosine_law(lam, a, seed):
+    """Kolmogorov-Smirnov against the raised-cosine CDF: with
+    theta = a*pi*(r - 1/lambda_j), P(R <= r) = (theta + pi + sin theta)/(2*pi)."""
+    f = FuzzyLife(lam, a)
+
+    def cdf(r):
+        theta = f.a * np.pi * (r - 1.0 / f.lambda_j)
+        return (theta + np.pi + np.sin(theta)) / (2.0 * np.pi)
+
+    rates = sample_mixture_rates(f, 10**5, np.random.default_rng(seed))
+    assert kstest(rates, cdf).pvalue > 0.01
 
 
 def test_mc_triprob_reproducible():
@@ -106,6 +111,19 @@ def test_mc_type1_zero_failure_groups_accept():
         Family.TYPE_I, 1000.0, Thresholds(1.0, 2.0), n=2, tau=0.01, draws=10_000, seed=3
     )
     assert mc.p_a > 0.99
+
+
+def test_mc_type1_blocks_do_not_change_the_estimate(monkeypatch):
+    """The censored family simulates a few lifetimes per block, whatever n
+    and draws are; its lifetimes are one stream, so the blocks give the
+    estimate of a single block."""
+    args = (Family.TYPE_I, 300.0, Thresholds(200.0, 260.0))
+    kwargs = dict(n=7, tau=100.0, draws=10_003, seed=4)
+    whole = mc_triprob(*args, **kwargs)
+    monkeypatch.setattr(oracle, "_TYPE_I_CHUNK", 20)
+    assert mc_triprob(*args, **kwargs) == whole
+    monkeypatch.setattr(oracle, "_TYPE_I_CHUNK", 3)
+    assert mc_triprob(*args, **kwargs) == whole
 
 
 def test_mc_triprob_rejects_tiny_draws():
