@@ -33,9 +33,15 @@ class FailureData:
     def __post_init__(self) -> None:
         if not self.values:
             raise DomainError("failure data must contain at least one value")
-        # min and max may pass over a NaN, but then the sum is NaN.
+        # min may pass over a NaN, but then the sum is NaN.  A finite sum
+        # has no infinite term, so max is taken only when the sum overflows.
         values = self.values
-        if not 0 < min(values) <= max(values) < math.inf or math.isnan(sum(values)):
+        total = sum(values)
+        if (
+            not 0 < min(values)
+            or math.isnan(total)
+            or (total == math.inf and max(values) == math.inf)
+        ):
             raise DomainError("all observed values must be positive and finite")
 
 

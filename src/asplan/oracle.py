@@ -5,8 +5,11 @@ The Monte-Carlo side re-derives every plan probability by direct simulation
 of the lifetime model (a random failure rate from the raised-cosine
 membership, drawn exactly by an inverse-sine transform with nothing
 rejected, then exponential lifetimes), with no shared code path through
-the closed forms it checks.  The golden-table harness is not independent:
-it rechecks the published designs through each family's `plans.stage_law`.
+the closed forms it checks.  The censored family draws each group's
+failure count and then only its failed lifetimes, the structure of the
+censored MLE (Bartholomew 1963), not all n lifetimes.  The golden-table
+harness is not independent: it rechecks the published designs through each
+family's `plans.stage_law`.
 
 Only the simulation uses numpy, so `sample_mixture_rates` and `mc_triprob`
 import it when they run: `import asplan` and every command but `oracle`
@@ -30,12 +33,12 @@ from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these orac
     typeI_triprob,
     weighted_survival,
 )
-from .lifemodel import LongRun, Thresholds, TriProb, long_run
+from .lifemodel import LongRun, Thresholds, TriProb, check_group_size, long_run
 from .membership import FuzzyLife
 from .plans import Family, expected_stage_duration, stage_law
 
-# Lifetimes (draws times n) simulated per block by the censored family, so
-# that its memory does not grow with draws or n.
+# Group lifetimes (groups times n) per block of the censored family, so that
+# its memory beyond the failure counts does not grow with draws or n.
 _TYPE_I_CHUNK = 500_000
 
 
@@ -89,15 +92,17 @@ def sample_mixture_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> n
     (2/pi)*cos(theta/2) = (2/pi)*sqrt(1 - s^2) on [-1, 1]: the semicircle
     law, the law of the abscissa of a uniform point in the unit disk
     (L. Devroye, *Non-Uniform Random Variate Generation*, 1986).  That
-    point is at radius sqrt(U1) and angle 2*pi*U2, so s = sqrt(U1)*cos(2*pi*U2)
-    and r = 1/lambda_j + 2*arcsin(s)/(a*pi), clipped to ``f.support``
-    against rounding.  Nothing is rejected: each rate takes two uniforms.
+    point is at radius sqrt(U1) and angle 2*pi*U2, so s = sqrt(U1)*cos(2*pi*U2);
+    cos is symmetric about pi, so cos(pi*U2) has the same (arcsine) law and
+    s = sqrt(U1)*cos(pi*U2).  Then r = 1/lambda_j + 2*arcsin(s)/(a*pi),
+    clipped to ``f.support`` against rounding.  Nothing is rejected: each
+    rate takes two uniforms.
     """
     import numpy as np
 
     lo, hi = f.support
     rates = np.sqrt(rng.random(size))
-    rates *= np.cos(2.0 * np.pi * rng.random(size))
+    rates *= np.cos(np.pi * rng.random(size))
     np.arcsin(rates, out=rates)
     rates *= 2.0 / (f.a * np.pi)
     rates += 1.0 / f.lambda_j
@@ -129,15 +134,18 @@ def mc_triprob(
     ``life`` is a FuzzyLife or a plain positive, finite mean life, the crisp
     exponential with the constant rate 1/life; the censored-MLE family uses
     only the nominal mean.  Groups of the minimum family share one rate; the
-    maximum family draws an independent rate per item; the censored family
-    simulates the exact MLE, counting zero-failure groups as acceptances.
+    maximum family draws an independent rate per item.  The censored family
+    simulates the exact MLE theta = (sum of failed lifetimes + (n - D)*tau)/D
+    from its sufficient parts: first every group's failure count
+    D ~ Binomial(n, 1 - e^(-tau/lambda)), then, given D, the D failed
+    lifetimes as exponentials truncated to [0, tau).  A group with D = 0
+    has theta = inf and accepts.
     """
     import numpy as np
 
     if draws < 10**4:
         raise DomainError(f"draws must be >= 10^4, got {draws}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_group_size(n)
     family = Family(family)
     rng = np.random.default_rng(seed)
     if isinstance(life, FuzzyLife):
@@ -165,21 +173,27 @@ def mc_triprob(
         if not 0 < tau < math.inf:
             raise DomainError(f"tau must be positive and finite, got {tau}")
         lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
+        p = -math.expm1(-tau / lambda_j)
+        # Every count comes before any lifetime, and the failed lifetimes are
+        # one stream of uniforms, so the blocks do not change the estimate.
+        failures = rng.binomial(n, p, size=draws)
         rows = max(1, _TYPE_I_CHUNK // n)
         n_a = n_r = 0
-        done = 0
-        while done < draws:
-            # Drawn row-major, so the blocks join into one stream of lifetimes.
-            chunk = min(rows, draws - done)
-            x = rng.exponential(lambda_j, size=(chunk, n))
-            q = np.sum(x < tau, axis=1)
-            total = np.sum(np.minimum(x, tau, out=x), axis=1)
+        for start in range(0, draws, rows):
+            q = failures[start : start + rows]
+            # Inverse CDF of the exponential truncated to [0, tau).
+            x = rng.random(int(q.sum()))
+            x *= -p
+            np.log1p(x, out=x)
+            x *= -lambda_j
+            # The float term first: a bincount of no failures is int64.
+            total = (n - q) * tau + np.bincount(
+                np.repeat(np.arange(q.size), q), weights=x, minlength=q.size
+            )
             with np.errstate(divide="ignore"):
-                lam_hat = np.where(q > 0, total / np.maximum(q, 1), np.inf)
-            # q = 0 gives lam_hat = inf: every item outlived the test, accept.
-            n_a += int(np.sum(lam_hat >= th.t2))
-            n_r += int(np.sum(lam_hat < th.t1))
-            done += chunk
+                lam_hat = total / q  # q = 0: every item outlived the test, inf accepts
+            n_a += int(np.count_nonzero(lam_hat >= th.t2))
+            n_r += int(np.count_nonzero(lam_hat < th.t1))
         return _estimate(n_a, n_r, draws)
     raise DomainError(f"unknown family {family!r}")
 

@@ -210,6 +210,19 @@ def test_failure_data_validation():
         FailureData((math.inf, 3.0))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [(math.nan, -1.0), (1.0, math.nan), (math.inf, 3.0), (0.0, 1.0), (-math.inf, math.inf)],
+)
+def test_failure_data_refuses_a_value_that_is_not_positive_and_finite(values):
+    with pytest.raises(DomainError, match="positive and finite"):
+        FailureData(values)
+
+
+def test_failure_data_accepts_finite_values_whose_sum_overflows():
+    assert FailureData((1e308, 1e308)).values == (1e308, 1e308)
+
+
 def test_load_failure_data_csv(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("lifetime\n10\n20\n30\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,63 @@ def test_mc_type1_blocks_do_not_change_the_estimate(monkeypatch):
     assert mc_triprob(*args, **kwargs) == whole
     monkeypatch.setattr(oracle, "_TYPE_I_CHUNK", 3)
     assert mc_triprob(*args, **kwargs) == whole
+
+
+def _brute_force_type1(lam, tau, n, th, draws, seed):
+    """(p_a, p_r) of the censored MLE from all n lifetimes of every group,
+    drawn from a stream of its own."""
+    rng = np.random.default_rng([seed, 1])
+    n_a = n_r = 0
+    for start in range(0, draws, 2_000):
+        x = rng.exponential(lam, size=(min(2_000, draws - start), n))
+        q = np.sum(x < tau, axis=1)
+        total = np.sum(np.minimum(x, tau), axis=1)
+        lam_hat = np.divide(total, q, out=np.full(q.shape, np.inf), where=q > 0)
+        n_a += int(np.sum(lam_hat >= th.t2))
+        n_r += int(np.sum(lam_hat < th.t1))
+    return n_a / draws, n_r / draws
+
+
+@pytest.mark.parametrize("tau_over_lam", [0.05, 0.3, 10.0])
+@pytest.mark.parametrize("n", [1, 10, 200])
+def test_mc_type1_matches_a_full_lifetime_simulation(n, tau_over_lam):
+    """Failure counts plus failed lifetimes have the law of the censored MLE
+    over all n lifetimes.  tau/lambda = 10 makes nearly every item fail."""
+    lam, draws = 300.0, 20_000
+    th = Thresholds(0.9 * lam, 1.1 * lam)
+    tau = tau_over_lam * lam
+    mc = mc_triprob(Family.TYPE_I, lam, th, n=n, tau=tau, draws=draws, seed=6)
+    ref_a, ref_r = _brute_force_type1(lam, tau, n, th, draws, seed=6)
+    for est, ref in ((mc.p_a, ref_a), (mc.p_r, ref_r)):
+        pooled = 0.5 * (est + ref)
+        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / draws)
+        assert abs(est - ref) <= 5.0 * se + 3.0 / draws
+
+
+def test_mc_type1_memory_does_not_grow_with_the_group_size():
+    """Only the failure counts scale with draws; the lifetimes of a block
+    are bounded whatever n is."""
+    args = (Family.TYPE_I, 300.0, Thresholds(200.0, 260.0))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mc_triprob(*args, n=n, tau=50.0, draws=10**5, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mc_triprob(*args, n=20, tau=50.0, draws=10**4, seed=2)  # numpy loaded
+    assert peak(200) <= 1.5 * peak(20)
+
+
+@pytest.mark.parametrize("n", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+def test_mc_triprob_group_size_must_be_an_integer(family, n):
+    """A fractional size once simulated rgsp_min at n = 2.5 and failed with
+    a TypeError elsewhere; True simulated a group of one."""
+    with pytest.raises(DomainError, match="n must be an integer"):
+        mc_triprob(family, 300.0, Thresholds(100.0, 200.0), n=n, tau=50.0, draws=10_000)
 
 
 def test_mc_triprob_rejects_tiny_draws():
