@@ -9,6 +9,17 @@ Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
 Every formula takes and returns plain floats, one threshold pair at a time.
 
+Each family's stage law is one function of floats that returns
+(p_a, p_r, p_c): `ssp_law(f, t1, t2)`, and the laws that `rgsp_min_law(n)`,
+`rgsp_max_law(n)` and `typeI_law(n, tau, sd_form)` build once per group
+size, after checking what depends on it alone.  Each evaluation makes the
+checks of the value types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up
+to rounding, and a sum within 1e-10 of 1.  `long_run_rates` takes
+(p_a, p_r) to (P_A, P_R, N).  The value types `Thresholds`, `TriProb` and
+`LongRun`, with `ssp_triprob`, `rgsp_min_triprob`, `rgsp_max_triprob`,
+`typeI_triprob` and `long_run`, wrap these for callers that want named
+fields; the plan closures evaluate the laws and build none of them.
+
 Two special functions live here too: the oscillatory integrals of
 (cos(u) - 1)/u and sin(u)/u in the expected inter-failure time, and the
 standard normal CDF of the Type-I approximation.  E[Y] is written with the
@@ -49,10 +60,7 @@ class Thresholds:
     t2: float
 
     def __post_init__(self) -> None:
-        if not self.t1 > 0:
-            raise DomainError(f"t1 must be positive, got {self.t1}")
-        if not self.t2 >= self.t1:
-            raise DomainError(f"need t2 >= t1, got t1={self.t1}, t2={self.t2}")
+        _check_thresholds(self.t1, self.t2)
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,7 @@ class TriProb:
     p_c: float
 
     def __post_init__(self) -> None:
-        total = self.p_a + self.p_r + self.p_c
-        if not abs(total - 1.0) <= 1e-10:
-            raise ConsistencyError(f"probabilities sum to {total}, not 1")
+        _summed_to_one(self.p_a, self.p_r, self.p_c)
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,22 @@ class LongRun:
     P_A: float
     P_R: float
     N: float
+
+
+def _check_thresholds(t1: float, t2: float) -> None:
+    """Raise DomainError unless 0 < t1 <= t2; NaN fails both."""
+    if not t1 > 0:
+        raise DomainError(f"t1 must be positive, got {t1}")
+    if not t2 >= t1:
+        raise DomainError(f"need t2 >= t1, got t1={t1}, t2={t2}")
+
+
+def _summed_to_one(p_a: float, p_r: float, p_c: float) -> tuple[float, float, float]:
+    """(p_a, p_r, p_c), once their sum is within 1e-10 of 1."""
+    total = p_a + p_r + p_c
+    if not abs(total - 1.0) <= 1e-10:
+        raise ConsistencyError(f"probabilities sum to {total}, not 1")
+    return p_a, p_r, p_c
 
 
 def _clamp_prob(x: float, what: str) -> float:
@@ -120,27 +142,41 @@ def weighted_survival(f: Life, t: float) -> float:
     return _clamp_prob(value, "weighted survival")
 
 
-def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
-    """Accept/reject/continue probabilities for one inter-failure time."""
-    s1 = weighted_survival(f, th.t1)
-    s2 = weighted_survival(f, th.t2)
-    return TriProb(p_a=s2, p_r=1.0 - s1, p_c=_clamp_prob(s1 - s2, "p_c"))
+def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
+    """(p_a, p_r, p_c) of one inter-failure time at the thresholds (t1, t2)."""
+    _check_thresholds(t1, t2)
+    s1 = weighted_survival(f, t1)
+    s2 = weighted_survival(f, t2)
+    return _summed_to_one(s2, 1.0 - s1, _clamp_prob(s1 - s2, "p_c"))
 
 
-def rgsp_min_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
-    """Group-minimum probabilities: the minimum of n shared-rate exponentials
-    is exponential with n times the rate, so this is the SSP form at n*t."""
+def rgsp_min_law(n: int):
+    """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group minimum of size n:
+    the minimum of n shared-rate exponentials is exponential with n times
+    the rate, so this is `ssp_law` at (n*t1, n*t2)."""
     check_group_size(n)
-    return ssp_triprob(f, Thresholds(t1=n * th.t1, t2=n * th.t2))
+
+    def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
+        _check_thresholds(t1, t2)
+        return ssp_law(f, n * t1, n * t2)
+
+    return law
 
 
-def rgsp_max_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
-    """Group-maximum probabilities raising the weighted CDF to the n-th power
-    (an independent fuzzy rate per item)."""
+def rgsp_max_law(n: int):
+    """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group maximum of size n,
+    the weighted CDF raised to the n-th power (an independent fuzzy rate
+    per item)."""
     check_group_size(n)
-    below_t1 = (1.0 - weighted_survival(f, th.t1)) ** n
-    below_t2 = (1.0 - weighted_survival(f, th.t2)) ** n
-    return TriProb(p_a=1.0 - below_t2, p_r=below_t1, p_c=_clamp_prob(below_t2 - below_t1, "p_c"))
+
+    def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
+        _check_thresholds(t1, t2)
+        below_t1 = (1.0 - weighted_survival(f, t1)) ** n
+        below_t2 = (1.0 - weighted_survival(f, t2)) ** n
+        return _summed_to_one(
+            1.0 - below_t2, below_t1, _clamp_prob(below_t2 - below_t1, "p_c"))
+
+    return law
 
 
 def std_normal_cdf(z: float) -> float:
@@ -148,10 +184,9 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def typeI_triprob(
-    lambda_j: float, th: Thresholds, n: int, tau: float, sd_form: str = "n"
-) -> TriProb:
-    """Normal-approximation probabilities for the censored-MLE statistic.
+def typeI_law(n: int, tau: float, sd_form: str = "n"):
+    """The law (lambda_j, t1, t2) -> (p_a, p_r, p_c) of the censored-MLE
+    statistic of n items censored at tau, under the normal approximation.
 
     The estimator is treated as normal with mean lambda_j and standard
     deviation lambda_j / m.  Two published scalings of m coexist:
@@ -163,31 +198,66 @@ def typeI_triprob(
     check_group_size(n)
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    if not lambda_j > 0:
-        raise DomainError(f"lambda_j must be positive, got {lambda_j}")
     if sd_form not in SD_FORMS:
         raise DomainError(f"unknown sd_form {sd_form!r}")
-    frac = -math.expm1(-tau / lambda_j)
-    m = n * math.sqrt(frac) if sd_form == "n" else math.sqrt(n * frac)
-    z1 = (th.t1 - lambda_j) / lambda_j * m
-    z2 = (th.t2 - lambda_j) / lambda_j * m
-    phi1 = std_normal_cdf(z1)
-    # Phi(-z2), not 1 - Phi(z2): the upper tail keeps its digits past z2 = 8.3.
-    p_a = std_normal_cdf(-z2)
-    return TriProb(p_a=p_a, p_r=phi1, p_c=_clamp_prob(std_normal_cdf(z2) - phi1, "p_c"))
+    per_n = sd_form == "n"
+
+    def law(lambda_j: float, t1: float, t2: float) -> tuple[float, float, float]:
+        _check_thresholds(t1, t2)
+        if not lambda_j > 0:
+            raise DomainError(f"lambda_j must be positive, got {lambda_j}")
+        frac = -math.expm1(-tau / lambda_j)
+        m = n * math.sqrt(frac) if per_n else math.sqrt(n * frac)
+        z1 = (t1 - lambda_j) / lambda_j * m
+        z2 = (t2 - lambda_j) / lambda_j * m
+        phi1 = std_normal_cdf(z1)
+        # Phi(-z2), not 1 - Phi(z2): the upper tail keeps its digits past z2 = 8.3.
+        return _summed_to_one(
+            std_normal_cdf(-z2), phi1, _clamp_prob(std_normal_cdf(z2) - phi1, "p_c"))
+
+    return law
 
 
-def long_run(p: TriProb) -> LongRun:
-    """Long-run acceptance/rejection probabilities and expected stage count.
+def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
+    """Accept/reject/continue probabilities for one inter-failure time."""
+    return TriProb(*ssp_law(f, th.t1, th.t2))
+
+
+def rgsp_min_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
+    """Group-minimum probabilities (`rgsp_min_law`)."""
+    return TriProb(*rgsp_min_law(n)(f, th.t1, th.t2))
+
+
+def rgsp_max_triprob(f: Life, th: Thresholds, n: int) -> TriProb:
+    """Group-maximum probabilities (`rgsp_max_law`)."""
+    return TriProb(*rgsp_max_law(n)(f, th.t1, th.t2))
+
+
+def typeI_triprob(
+    lambda_j: float, th: Thresholds, n: int, tau: float, sd_form: str = "n"
+) -> TriProb:
+    """Normal-approximation probabilities for the censored-MLE statistic
+    (`typeI_law`)."""
+    return TriProb(*typeI_law(n, tau, sd_form)(lambda_j, th.t1, th.t2))
+
+
+def long_run_rates(p_a: float, p_r: float) -> tuple[float, float, float]:
+    """(P_A, P_R, N): the long-run acceptance and rejection probabilities
+    and the expected stage count of a stage with p_a and p_r.
 
     The stage ends with probability p_a + p_r, summed rather than taken as
     1 - p_c, which rounds to 0 once p_c is within an ulp of 1.  A plan that
     never ends (p_a + p_r = 0) raises DegeneratePlanError.
     """
-    ends = p.p_a + p.p_r
+    ends = p_a + p_r
     if ends == 0.0:
         raise DegeneratePlanError("the plan never terminates: p_a + p_r = 0")
-    return LongRun(P_A=p.p_a / ends, P_R=p.p_r / ends, N=1.0 / ends)
+    return p_a / ends, p_r / ends, 1.0 / ends
+
+
+def long_run(p: TriProb) -> LongRun:
+    """`long_run_rates` of a stage's probabilities."""
+    return LongRun(*long_run_rates(p.p_a, p.p_r))
 
 
 # The 16-node Gauss-Legendre rule on [-1, 1] as its 8 symmetric pairs

@@ -33,12 +33,12 @@ from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these orac
     typeI_triprob,
     weighted_survival,
 )
-from .lifemodel import LongRun, Thresholds, TriProb, check_group_size, long_run
+from .lifemodel import Thresholds, check_group_size, long_run_rates
 from .membership import FuzzyLife
 from .plans import Family, expected_stage_duration, stage_law
 
 # Group lifetimes (groups times n) per block of the censored family, so that
-# its memory beyond the failure counts does not grow with draws or n.
+# its memory does not grow with draws or n.
 _TYPE_I_CHUNK = 500_000
 
 
@@ -136,10 +136,13 @@ def mc_triprob(
     only the nominal mean.  Groups of the minimum family share one rate; the
     maximum family draws an independent rate per item.  The censored family
     simulates the exact MLE theta = (sum of failed lifetimes + (n - D)*tau)/D
-    from its sufficient parts: first every group's failure count
+    from its sufficient parts: each group's failure count
     D ~ Binomial(n, 1 - e^(-tau/lambda)), then, given D, the D failed
     lifetimes as exponentials truncated to [0, tau).  A group with D = 0
-    has theta = inf and accepts.
+    has theta = inf and accepts.  The counts come from a child stream of
+    ``seed`` (`numpy.random.SeedSequence.spawn`) and the lifetimes from
+    ``seed``'s own, both in blocks, so memory stays bounded and the blocks
+    do not change the estimate.
     """
     import numpy as np
 
@@ -174,13 +177,13 @@ def mc_triprob(
             raise DomainError(f"tau must be positive and finite, got {tau}")
         lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
         p = -math.expm1(-tau / lambda_j)
-        # Every count comes before any lifetime, and the failed lifetimes are
-        # one stream of uniforms, so the blocks do not change the estimate.
-        failures = rng.binomial(n, p, size=draws)
+        # The counts and the failed lifetimes are two streams, each drawn in
+        # order, so the blocks do not change the estimate.
+        counts = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         rows = max(1, _TYPE_I_CHUNK // n)
         n_a = n_r = 0
         for start in range(0, draws, rows):
-            q = failures[start : start + rows]
+            q = counts.binomial(n, p, size=min(rows, draws - start))
             # Inverse CDF of the exponential truncated to [0, tau).
             x = rng.random(int(q.sum()))
             x *= -p
@@ -238,14 +241,10 @@ def compare_triprob(
     the two values, plus three counts, so that a closed form near 0 or 1
     is not held to the simulation's own, vanishing, error."""
     family = Family(family)
-    closed = stage_law(family, n)(f, th)
+    p_a, p_r, p_c = stage_law(family, n)(f, th.t1, th.t2)
     mc = mc_triprob(family, f, th, n=n, draws=draws, seed=seed)
     reports = []
-    for component, cf, est in (
-        ("p_a", closed.p_a, mc.p_a),
-        ("p_r", closed.p_r, mc.p_r),
-        ("p_c", closed.p_c, mc.p_c),
-    ):
+    for component, cf, est in (("p_a", p_a, mc.p_a), ("p_r", p_r, mc.p_r), ("p_c", p_c, mc.p_c)):
         pooled = 0.5 * (cf + est)
         se = math.sqrt(max(pooled * (1.0 - pooled), 0.0) / draws)
         tol = 3.0 * se + 3.0 / draws
@@ -321,17 +320,15 @@ def _row_life(row: GoldenRow, lam: float):
     return FuzzyLife(lambda_j=lam, a=row.a)
 
 
-def _row_run(law, life, row: GoldenRow) -> LongRun:
-    """The long run of the row's design under ``life``.
+def _row_run(law, life, row: GoldenRow) -> tuple[float, float, float]:
+    """The long run (P_A, P_R, N) of the row's design under ``life``.
 
     p_a is read at the thresholds (t2, t2) and p_r at (t1, t1): each depends
     on its own threshold alone, so rows whose printed thresholds are
     inverted (t1 > t2) still get the algebraic extension the reference
     solver would have used.
     """
-    p_a = law(life, Thresholds(row.t2, row.t2)).p_a
-    p_r = law(life, Thresholds(row.t1, row.t1)).p_r
-    return long_run(TriProb(p_a, p_r, 1.0 - p_a - p_r))
+    return long_run_rates(law(life, row.t2, row.t2)[0], law(life, row.t1, row.t1)[1])
 
 
 def verify_tables(
@@ -362,11 +359,10 @@ def verify_tables(
         family, n = Family(row.family), row.n or 1
         law = stage_law(family, n, row.tau)
         life0 = _row_life(row, row.lambda0)
-        run0 = _row_run(law, life0, row)
-        g = run0.P_R
-        h = _row_run(law, _row_life(row, row.lambda1), row).P_A
+        _, g, stages = _row_run(law, life0, row)
+        h = _row_run(law, _row_life(row, row.lambda1), row)[0]
         upper = row.variant == "etc_upper_bound"
-        etc = expected_stage_duration(family, life0, n, upper, row.tau) * run0.N
+        etc = expected_stage_duration(family, life0, n, upper, row.tau) * stages
         g_bound = row.alpha + row.b1 + feasibility_tol
         h_bound = row.beta + row.b2 + feasibility_tol
         report.update(

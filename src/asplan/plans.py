@@ -24,18 +24,22 @@ from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
     SD_FORMS,
     Life,
-    LongRun,
-    Thresholds,
     check_group_size,
     expected_y,
     expected_y_upper_bound,
     harmonic_number,
-    long_run,
+    long_run_rates,
+    rgsp_max_law,
+    rgsp_min_law,
+    ssp_law,
+    typeI_law,
+)
+from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these plans names
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
     typeI_triprob,
-    weighted_survival,  # unused here; perfbench/tracing.py rebinds plans.weighted_survival
+    weighted_survival,
 )
 from .membership import FuzzyLevel, FuzzyLife
 
@@ -192,30 +196,35 @@ def expected_stage_duration(
 
 def stage_law(family: Family, n: Optional[int] = None, tau: Optional[float] = None,
               sd_form: str = "n"):
-    """The (life, Thresholds) -> TriProb law of one stage of a family with
-    group size n (None for the sequential plan).  The Type-I normal
-    approximation sees the nominal mean life alone.
+    """The law (life, t1, t2) -> (p_a, p_r, p_c) of one stage of a family
+    with group size n (None for the sequential plan), over plain floats.
+    The group size, tau and sd_form are checked here, once; the law checks
+    the thresholds and the probabilities at each evaluation.  The Type-I
+    normal approximation sees the nominal mean life alone.
 
-    In every family p_a depends on t2 alone and p_r on t1 alone.  The
-    triprobs are read from this module's globals, so rebinding them here
-    reaches every law built afterwards.
+    In every family p_a depends on t2 alone and p_r on t1 alone.  The laws
+    are read from this module's globals, so rebinding them here reaches
+    every law built afterwards.
     """
     family = Family(family)
     if family is Family.SSP:
-        return ssp_triprob
+        return ssp_law
     if family is Family.RGSP_MIN:
-        return lambda life, th: rgsp_min_triprob(life, th, n)
+        return rgsp_min_law(n)
     if family is Family.RGSP_MAX:
-        return lambda life, th: rgsp_max_triprob(life, th, n)
-    return lambda life, th: typeI_triprob(_mean(life), th, n, tau, sd_form=sd_form)
+        return rgsp_max_law(n)
+    law = typeI_law(n, tau, sd_form)
+    return lambda life, t1, t2: law(_mean(life), t1, t2)
 
 
 def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     """(objective, g, h, box, ordering) over x = (t1, t2) for group size n
     (None for the sequential plan); ``crisp`` builds them for crisp_limit(p).
 
-    Each closure returns a float for one pair such as (t1, t2), from the
-    family's `stage_law`.  The Type-I objective floor is cost * tau.
+    Each closure returns a float for one pair such as (t1, t2): the
+    family's `stage_law` and `long_run_rates` over plain floats, with no
+    value object built per evaluation.  The Type-I objective floor is
+    cost * tau.
     """
     if crisp:
         p = crisp_limit(p)
@@ -223,22 +232,23 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     box = ((_T_LO, hi), (_T_LO, hi))
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1
-    stage = stage_law(p.family, n, p.tau, p.sd_form)
+    law = stage_law(p.family, n, p.tau, p.sd_form)
     e0 = expected_stage_duration(
         p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
     )
 
-    def run(life, x) -> LongRun:
-        return long_run(stage(life, Thresholds(t1=float(x[0]), t2=float(x[1]))))
+    def run(life, x) -> tuple[float, float, float]:
+        p_a, p_r, _ = law(life, float(x[0]), float(x[1]))
+        return long_run_rates(p_a, p_r)
 
     def objective(x) -> float:
-        return p.cost * e0 * run(life0, x).N
+        return p.cost * e0 * run(life0, x)[2]
 
     def g(x) -> float:
-        return run(life0, x).P_R
+        return run(life0, x)[1]
 
     def h(x) -> float:
-        return run(life1, x).P_A
+        return run(life1, x)[0]
 
     return objective, g, h, box, ordering
 

@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asplan.errors import DegeneratePlanError
-from asplan.lifemodel import Thresholds, TriProb, long_run
+from asplan.lifemodel import TriProb, long_run
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_limit, stage_law
 
@@ -51,7 +51,7 @@ def _problem(family: Family, crisp: bool) -> PlanProblem:
 
 def _stage(problem: PlanProblem, n, life, x) -> TriProb:
     """One stage's probabilities at thresholds x, for the tolerance only."""
-    return stage_law(problem.family, n, problem.tau, problem.sd_form)(life, Thresholds(*x))
+    return TriProb(*stage_law(problem.family, n, problem.tau, problem.sd_form)(life, *x))
 
 
 def _stages(problem: PlanProblem, n, life, points) -> float:

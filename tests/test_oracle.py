@@ -175,6 +175,23 @@ def test_mc_type1_memory_does_not_grow_with_the_group_size():
     assert peak(200) <= 1.5 * peak(20)
 
 
+def test_mc_type1_memory_does_not_grow_with_the_draws():
+    """The failure counts are drawn per block too, from a stream of their
+    own, so ten times the draws need no more memory."""
+    args = (Family.TYPE_I, 300.0, Thresholds(200.0, 260.0))
+
+    def peak(draws):
+        tracemalloc.start()
+        try:
+            mc_triprob(*args, n=20, tau=50.0, draws=draws, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mc_triprob(*args, n=20, tau=50.0, draws=10**4, seed=2)  # numpy loaded
+    assert peak(10**6) <= 1.5 * peak(10**5)
+
+
 @pytest.mark.parametrize("n", [2.5, True], ids=["fraction", "bool"])
 @pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
 def test_mc_triprob_group_size_must_be_an_integer(family, n):

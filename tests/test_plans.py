@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asplan.errors import DomainError
+from asplan import fuzzyopt, lifemodel
+from asplan.errors import ConsistencyError, DegeneratePlanError, DomainError
 from asplan.lifemodel import (
     SD_FORMS,
     Thresholds,
+    TriProb,
     expected_y,
     expected_y_upper_bound,
     harmonic_number,
@@ -304,6 +306,111 @@ def test_each_tail_reads_its_own_threshold(family, sd_form, n, tau, life, ts):
     designs with inverted thresholds at (t2, t2) and (t1, t1)."""
     t1, t2 = ts
     law = stage_law(family, None if family is Family.SSP else n, tau, sd_form)
-    both = law(life, Thresholds(t1, t2))
-    assert both.p_a == law(life, Thresholds(t2, t2)).p_a
-    assert both.p_r == law(life, Thresholds(t1, t1)).p_r
+    p_a, p_r, _ = law(life, t1, t2)
+    assert p_a == law(life, t2, t2)[0]
+    assert p_r == law(life, t1, t1)[1]
+
+
+FAMILY_SIZES = [(Family.SSP, None), (Family.RGSP_MIN, 3), (Family.RGSP_MAX, 3), (Family.TYPE_I, 5)]
+FAMILY_IDS = [family.value for family, _ in FAMILY_SIZES]
+
+
+def _float_path(family, n):
+    """g, h, the objective and the stage law of the README lives: what the
+    solver and the table recheck evaluate."""
+    problem = make_problem(family=family, tau=50.0 if family is Family.TYPE_I else None)
+    objective, g, h, _, _ = plan_functions(problem, n)
+    law = stage_law(family, n, 50.0)
+    return objective, g, h, lambda x: law(problem.lambda0, *x)
+
+
+@pytest.mark.parametrize(
+    "x,message",
+    [
+        ((0.0, 100.0), "t1 must be positive, got 0.0"),
+        ((-1.0, 100.0), "t1 must be positive, got -1.0"),
+        ((math.nan, 100.0), "t1 must be positive, got nan"),
+        ((100.0, 50.0), "need t2 >= t1, got t1=100.0, t2=50.0"),
+        ((100.0, math.nan), "need t2 >= t1, got t1=100.0, t2=nan"),
+    ],
+    ids=["t1-zero", "t1-negative", "t1-nan", "t2-below-t1", "t2-nan"],
+)
+@pytest.mark.parametrize("family,n", FAMILY_SIZES, ids=FAMILY_IDS)
+def test_float_path_refuses_the_thresholds_that_thresholds_refuses(family, n, x, message):
+    """The closures and the laws build no `Thresholds`, but make its checks,
+    with its messages."""
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Thresholds(*x)
+    for fn in _float_path(family, n):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fn(x)
+
+
+def _rising(f, t):
+    return t / (1.0 + t)
+
+
+def _falling_cdf(z):
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("family,n", FAMILY_SIZES, ids=FAMILY_IDS)
+def test_float_path_refuses_a_continuation_probability_outside_0_1(family, n, monkeypatch):
+    """A survival that rises in t (a normal CDF that falls, for Type-I)
+    makes p_c = S(t1) - S(t2) negative beyond rounding: the clamp raises, on
+    the float path as in the public triprobs."""
+    if family is Family.TYPE_I:
+        monkeypatch.setattr(lifemodel, "std_normal_cdf", _falling_cdf)
+    else:
+        monkeypatch.setattr(lifemodel, "weighted_survival", _rising)
+    x = (45.0, 55.0)  # within a few sd of both mean lives, for Type-I
+    for fn in _float_path(family, n):
+        with pytest.raises(ConsistencyError, match=r"^p_c = -.* is outside \[0,1\] beyond tolerance$"):
+            fn(x)
+    with pytest.raises(ConsistencyError, match="p_c = -"):
+        {
+            Family.SSP: lambda: lifemodel.ssp_triprob(300.0, Thresholds(*x)),
+            Family.RGSP_MIN: lambda: lifemodel.rgsp_min_triprob(300.0, Thresholds(*x), n),
+            Family.RGSP_MAX: lambda: lifemodel.rgsp_max_triprob(300.0, Thresholds(*x), n),
+            Family.TYPE_I: lambda: lifemodel.typeI_triprob(300.0, Thresholds(*x), n, 50.0),
+        }[family]()
+
+
+@pytest.mark.parametrize("family,n", FAMILY_SIZES[:3], ids=FAMILY_IDS[:3])
+def test_float_path_refuses_probabilities_that_do_not_sum_to_one(family, n, monkeypatch):
+    """A NaN survival clamps p_c to 0 but leaves p_a NaN: the sum check of
+    `TriProb` raises, with its message."""
+    with pytest.raises(ConsistencyError, match=re.escape("probabilities sum to nan, not 1")):
+        TriProb(math.nan, 0.5, 0.0)
+    monkeypatch.setattr(lifemodel, "weighted_survival", lambda f, t: math.nan)
+    for fn in _float_path(family, n):
+        with pytest.raises(ConsistencyError, match=re.escape("probabilities sum to nan, not 1")):
+            fn((10.0, 100.0))
+
+
+def test_a_plan_that_never_ends_raises_and_reads_as_infeasible():
+    """At t1 = 1e-15 the crisp survival rounds to 1 and at t2 = 1e6 to 0, so
+    p_a = p_r = 0: each closure raises DegeneratePlanError, and the crisp
+    solve's `_excess` reads the point as 1, above any risk's excess."""
+    x = (1e-15, 1e6)
+    crisp = plan_functions(make_problem(lambda0=300.0, lambda1=50.0), None)[:3]
+    for fn in crisp:
+        with pytest.raises(DegeneratePlanError, match=re.escape("p_a + p_r = 0")):
+            fn(x)
+    _, g, h = crisp
+    assert fuzzyopt._excess(g, 0.05)(*x) == 1.0
+    assert fuzzyopt._excess(h, 0.05)(*x) == 1.0
+
+
+@pytest.mark.parametrize("family,n", FAMILY_SIZES, ids=FAMILY_IDS)
+def test_closures_build_no_value_object(family, n, monkeypatch):
+    """An evaluation builds no `Thresholds`, `TriProb` or `LongRun`: they
+    cost more than the survival maths the closures do."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (lifemodel.Thresholds, lifemodel.TriProb, lifemodel.LongRun):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for fn in _float_path(family, n)[:3]:
+        assert math.isfinite(fn((20.0, 250.0)))
