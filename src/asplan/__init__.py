@@ -27,18 +27,13 @@ from .fuzzyopt import (
     zimmermann_bounds,
 )
 from .lifemodel import (
-    LongRun,
     Thresholds,
     TriProb,
     expected_y,
     expected_y_upper_bound,
-    harmonic_number,
-    long_run,
-    oscillatory_pair,
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
-    std_normal_cdf,
     typeI_triprob,
     weighted_survival,
 )

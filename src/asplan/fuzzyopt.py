@@ -1,22 +1,20 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
 pipeline.  Nothing here knows the plan families: a plan problem hands
-`zimmermann_bounds` its group sizes, per group size its functions and the
-least cost floor of the sizes after it, and the size that dominates the
-others, where its family has one.
+`_optima` its group sizes, per group size its functions and the least cost
+floor of the sizes after it, and the size that dominates the others, where
+its family has one.
 
 Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
 nested 1-D roots (Brent's method), from the plans' monotone structure; it
 scans nothing and draws no random numbers, and it is the only solver here.
 The max-min satisfaction method is made of crisp solves at the s-cuts of
-the fuzzy risk levels.  `zimmermann_bounds` brackets the objective of the
-whole plan problem, group size included: the least tight (s = 1) and
-relaxed (s = 0) optima over the group sizes, one `ZBounds` per problem.
-Where the problem proves that one size wins at every cut, that size is
-the only one solved.
-Under the default `cost_ascending` membership the max-min design is the
-cheapest tight optimum; under `standard` it is the cheapest crisp optimum
-at phi*, the root in s of a 1-D equation over crisp solves
+the fuzzy risk levels, all from one search, `_optima`: C(s), the least
+crisp optimum over the group sizes at the cut s, with each (size, cut)
+solved once per problem.  `zimmermann_bounds` brackets the objective of
+the whole problem by C(1) and C(0).  Under the default `cost_ascending`
+membership the max-min design is the argmin of C(1); under `standard` it
+is that of C(phi*), phi* the root in s of a 1-D equation over C
 (`solve_max_phi`).  `solve_plan` is the two stages in turn.
 
 The tests check `solve_monotone` against a grid scan polished by SLSQP, the
@@ -262,129 +260,112 @@ def solve_monotone(
     return x, float(objective(x)), case
 
 
-@dataclass(frozen=True)
-class ZBounds:
-    """The objective's bracket over a whole plan problem: z_lower is the
-    least relaxed optimum over the group sizes, z_upper the least tight one.
+class _Memo:
+    """A plan problem's per-size functions and `least_floor_after`, and per
+    (size, alpha cut, beta cut) the `solve_monotone` optimum or the
+    InfeasibleError it raised, without its traceback: each made once."""
 
-    ``sizes`` maps each group size bracketed, in ascending order, to its
-    ((objective, g, h, box), tight optimum (x, cost, case), relaxed cost),
-    for the max-min solve.  ``shortcut_of`` is the problem when ``sizes``
-    holds its dominant size alone, and None when it comes from the loop.
-    """
+    def __init__(self, problem):
+        self.problem = problem
+        self.functions = functions = functools.cache(lambda n: problem.functions(n)[:4])
+        self.floor_after = functools.cache(problem.least_floor_after)
 
-    z_lower: float
-    z_upper: float
-    sizes: dict = field(compare=False, repr=False)
-    shortcut_of: object = field(default=None, compare=False, repr=False)
+        @functools.cache
+        def solve(n, alpha: float, beta: float):
+            try:
+                return solve_monotone(*functions(n), alpha, beta)
+            except InfeasibleError as exc:
+                return exc.with_traceback(None)
 
-
-class _Undominated(Exception):
-    """A crisp optimum of the dominant size failed `problem.dominates`."""
-
-
-def _bracket_size(problem, n) -> tuple:
-    """(functions, tight optimum, relaxed optimum) of group size n: the
-    relaxed solve is the tight one when the levels have no slack.  Raises
-    InfeasibleError when the tight problem is."""
-    alpha, beta = problem.alpha, problem.beta
-    functions = problem.functions(n)[:4]
-    tight = solve_monotone(*functions, alpha.level, beta.level)
-    if alpha.slack == 0.0 and beta.slack == 0.0:
-        relaxed = tight
-    else:
-        relaxed = solve_monotone(*functions, alpha.relaxed, beta.relaxed)
-    if relaxed[1] > tight[1] + _FEASIBILITY_TOL * (1.0 + abs(tight[1])):
-        raise ConsistencyError(f"relaxed optimum {relaxed[1]} exceeds tight optimum {tight[1]}")
-    return functions, tight, relaxed
+        self.solve = solve
 
 
-def _bracket(sizes: dict, shortcut_of=None) -> ZBounds:
-    return ZBounds(
-        z_lower=min(min(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
-        z_upper=min(max(tight[1], relaxed) for _, tight, relaxed in sizes.values()),
-        sizes=sizes,
-        shortcut_of=shortcut_of,
-    )
-
-
-def zimmermann_bounds(problem) -> ZBounds:
-    """Bracket the objective (Zimmermann 1978) over the group sizes of
-    ``problem``: per size, `solve_monotone` at the levels (tight) and at the
-    relaxed levels.  The relaxed problem's feasible set holds the tight
-    one's, so its optimum is no higher; without slack the two problems are
-    one, solved once.
+def _optima(memo: _Memo, alpha: float, beta: float) -> dict:
+    """The crisp optima {n: (x, cost, case)} of the group sizes of
+    ``memo.problem`` at the risk cuts (alpha, beta), in ascending n: their
+    least cost is C at that cut, and its argmin is among them.
 
     The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
     ascending order, ``functions(n)`` returning (objective, g, h, box,
     ordering), ``least_floor_after(n)``, a cost that no design of a size
     after n goes below, and ``dominant_size`` with ``dominates(optimum)``.
 
-    When the problem names a dominant size, it is solved first.  If it is
-    feasible and both its optima pass ``dominates``, it costs less than
-    every other size at both levels, so it is both ends of the bracket and,
-    under ``cost_ascending``, the design: no other size is solved, and the
-    bracket is the one the loop below returns, bit for bit, as that size's
-    solves use the same closures.  `solve_max_phi` checks the optima of its
-    cuts too.  Otherwise the search is the loop over every size, which
-    takes the dominant size's outcome, a bracket or an InfeasibleError, as
-    already computed.
+    A dominant size feasible at the tight levels is solved first.  If its
+    optimum at the cut passes ``dominates``, it costs less than every other
+    size there, so it is returned alone; as the loop below would solve it
+    by the same closures, C is the loop's, bit for bit.
 
-    A group size whose tight problem is infeasible is skipped, as it has no
-    bracket.  It could still be feasible at the relaxed levels, where it
-    might lower z_lower or win under ``standard``; the search does not look
-    there.
-
-    The loop stops once the least tight optimum so far is at most
-    (1 + 1e-9) times the least cost floor of the sizes still to try.  Every
-    cost of a later size, at any cut, is at least its floor, so at least
-    that least tight optimum, which is at least the running z_lower and at
-    least the least cost so far at any cut.  So, up to that factor 1 + 1e-9,
-    a later size moves neither end of the bracket and loses every cost tie
-    to a smaller size: the stop changes no design, only how many sizes the
-    trace lists.
+    Otherwise the loop takes the sizes in ascending order.  A size whose
+    tight problem is infeasible is skipped at every cut, with its best
+    violation in ``per_n`` of the InfeasibleError raised when every size
+    is; it might lower C at a looser cut, but the search does not look.
+    The loop stops once the least cost so far is at most (1 + 1e-9) times
+    the least cost floor of the sizes still to try.  Every cost of a later
+    size, at any cut, is at least its floor, so, up to that factor, it
+    neither lowers C nor wins a cost tie against a smaller size: the stop
+    changes no design, only how many sizes the trace lists.
     """
-    known = {}
+    problem = memo.problem
+    tight = (problem.alpha.level, problem.beta.level)
+
+    def at_cut(n) -> tuple:
+        optimum = memo.solve(n, alpha, beta)
+        if isinstance(optimum, InfeasibleError):
+            raise optimum
+        return optimum
+
     n = problem.dominant_size
-    if n is not None:
-        try:
-            functions, tight, relaxed = _bracket_size(problem, n)
-        except InfeasibleError as exc:
-            known[n] = exc
-        else:
-            known[n] = (functions, tight, relaxed[1])
-            if problem.dominates(tight) and problem.dominates(relaxed):
-                return _bracket(known, shortcut_of=problem)
-    return _bracket_every_size(problem, known)
-
-
-def _bracket_every_size(problem, known: dict) -> ZBounds:
-    """The loop of `zimmermann_bounds` over the group sizes in ascending
-    order, up to the cost-floor stop.  ``known`` maps each size bracketed
-    already to its entry of `ZBounds.sizes`, or to the InfeasibleError of
-    its tight solve; the loop takes it as it stands, unsolved."""
-    sizes = {}
-    per_n = []
-    least_tight = math.inf
+    if n is not None and not isinstance(memo.solve(n, *tight), InfeasibleError):
+        optimum = at_cut(n)
+        if problem.dominates(optimum):
+            return {n: optimum}
+    optima, per_n, least = {}, [], math.inf
     for n in problem.group_sizes:
-        entry = known.get(n)
-        if entry is None:
-            try:
-                functions, tight, relaxed = _bracket_size(problem, n)
-            except InfeasibleError as exc:
-                entry = exc
-            else:
-                entry = (functions, tight, relaxed[1])
-        if isinstance(entry, InfeasibleError):
-            per_n.append((n, f"infeasible: best violation {entry.best_violation}"))
+        outcome = memo.solve(n, *tight)
+        if isinstance(outcome, InfeasibleError):
+            per_n.append((n, f"infeasible: best violation {outcome.best_violation}"))
             continue
-        sizes[n] = entry
-        least_tight = min(least_tight, entry[1][1])
-        if least_tight <= problem.least_floor_after(n) * (1.0 + 1e-9):
+        optima[n] = at_cut(n)
+        least = min(least, optima[n][1])
+        if least <= memo.floor_after(n) * (1.0 + 1e-9):
             break
-    if not sizes:
+    if not optima:
         raise InfeasibleError("every candidate group size was infeasible", per_n=tuple(per_n))
-    return _bracket(sizes)
+    return optima
+
+
+def _least_cost(optima: dict) -> float:
+    return min(cost for _, cost, _ in optima.values())
+
+
+@dataclass(frozen=True)
+class ZBounds:
+    """The objective's bracket over a whole plan problem: z_upper is C(1),
+    the least tight optimum over the group sizes, and z_lower is C(0), the
+    least relaxed one, or z_upper where rounding puts C(0) above it.
+    ``sizes`` holds the tight optima, `_optima` at the levels, and ``memo``
+    every solve made so far, for the max-min solve's cuts."""
+
+    z_lower: float
+    z_upper: float
+    sizes: dict = field(compare=False, repr=False)
+    memo: _Memo = field(compare=False, repr=False)
+
+
+def zimmermann_bounds(problem) -> ZBounds:
+    """Bracket the objective (Zimmermann 1978) over the group sizes of
+    ``problem`` (see `_optima`): C at the levels (tight) and at the relaxed
+    levels.  The relaxed problem's feasible set holds the tight one's, so no
+    size's relaxed optimum is higher, which is checked for every size solved
+    at both; without slack the two cuts are one, solved once."""
+    memo = _Memo(problem)
+    tight = _optima(memo, problem.alpha.level, problem.beta.level)
+    relaxed = _optima(memo, problem.alpha.relaxed, problem.beta.relaxed)
+    for n, (_, cost, _) in relaxed.items():
+        if n in tight and cost > tight[n][1] + _FEASIBILITY_TOL * (1.0 + abs(tight[n][1])):
+            raise ConsistencyError(f"relaxed optimum {cost} exceeds tight optimum {tight[n][1]}")
+    z_upper = _least_cost(tight)
+    return ZBounds(min(_least_cost(relaxed), z_upper), z_upper, tight, memo)
 
 
 def _level_membership(level: FuzzyLevel, value: float) -> float:
@@ -431,27 +412,21 @@ def solve_max_phi(
       least C(phi*): that argmin is the design.  It is taken from the root
       iterate of largest s with F(s) <= 0.
 
-    A bracket of the dominant size alone (``bracket.shortcut_of`` set) has
-    no other size to compare: each optimum a root probe takes must pass
-    ``dominates`` too.  If one does not, the design is this solve over the
-    loop's bracket of every size, which reuses the dominant size's.
-
-    Ties on cost go to the smaller n, the earlier key of ``bracket.sizes``.
-    phi and the margins are computed at the design point, not set.  The
-    trace has one entry (n, phi, cost, case) per size: its crisp optimum at
-    the cuts of phi*, phi taken against the shared bracket, and ``case`` the
-    `solve_monotone` case.  Every crisp solve is `solve_monotone` of the
-    size's functions.
+    Each root probe is `_optima` at its cut, over ``bracket.memo``.  Ties
+    on cost go to the smaller n, the earlier key of the optima.  phi and the
+    margins are computed at the design point, not set.  The trace has one
+    entry (n, phi, cost, case) per size that `_optima` returns at the cuts
+    of phi* (``bracket.sizes`` under ``cost_ascending``): its crisp optimum
+    there, phi taken against the shared bracket, and ``case`` the
+    `solve_monotone` case.
     """
     _check_membership_form(membership_form)
     z_lower, z_upper = bracket.z_lower, bracket.z_upper
     span = z_upper - z_lower
-    shortcut_of = bracket.shortcut_of
 
     def design_at(n, x, objective: float, case: str) -> PlanDesign:
-        (_, g, h, _), _, _ = bracket.sizes[n]
-        g_value = float(g(x))
-        h_value = float(h(x))
+        _, g, h, _ = bracket.memo.functions(n)
+        g_value, h_value = float(g(x)), float(h(x))
         memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
         if membership_form == "standard" and span >= _MIN_SPAN:
             memberships.append((z_upper - objective) / span)
@@ -472,7 +447,7 @@ def solve_max_phi(
         )
 
     if membership_form == "cost_ascending" or span < _MIN_SPAN:
-        optima = {n: tight for n, (_, tight, _) in bracket.sizes.items()}
+        optima = bracket.sizes
     else:
         ends = {0.0: -span, 1.0: span}
         met = {}  # s -> {n: (x, C_n(s), case)} where F(s) <= 0
@@ -480,24 +455,13 @@ def solve_max_phi(
         def shortfall(s: float) -> float:
             if s in ends:
                 return ends[s]
-            cuts = (alpha.cut(s), beta.cut(s))
-            at_s = {
-                n: solve_monotone(*functions, *cuts)
-                for n, (functions, _, _) in bracket.sizes.items()
-            }
-            if shortcut_of is not None and not all(map(shortcut_of.dominates, at_s.values())):
-                raise _Undominated
-            excess = min(cost for _, cost, _ in at_s.values()) + s * span - z_upper
+            at_s = _optima(bracket.memo, alpha.cut(s), beta.cut(s))
+            excess = _least_cost(at_s) + s * span - z_upper
             if excess <= 0.0:
                 met[s] = at_s
             return excess
 
-        try:
-            s = _last_met(shortfall, 0.0, 1.0)
-        except _Undominated:
-            return solve_max_phi(
-                _bracket_every_size(shortcut_of, bracket.sizes), alpha, beta, membership_form
-            )
+        s = _last_met(shortfall, 0.0, 1.0)
         if s not in met:
             raise InfeasibleError("no point with positive satisfaction found")
         optima = met[s]
@@ -516,20 +480,10 @@ def solve_plan(
     of them at once (`solve_max_phi`).  Nothing reads ``settings``; it goes
     with `SolverSettings`.
 
-    Only one size is solved where it dominates.  The design depends on the
-    sizes through C(s), the least crisp optimum over them at each cut s the
-    two stages use (the tight and relaxed levels, and each root probe), and
-    its argmin.  Let the problem's ``dominant_size`` be feasible at the
-    tight level, and each of its optima at those cuts pass ``dominates``:
-    then it costs less than every other size at each cut.  (For rgsp_min,
-    size n is the `ssp` problem in u = n*t with its cost divided by n; an
-    optimum of n_max that touches no box edge, with n_max*t2 within the box,
-    is the optimum of every size in u, so each smaller size n costs n_max/n
-    times as much; see `PlanProblem.dominates`.)  So C(s) is that size's
-    optimum, computed by the same closures as in the loop, and phi*, the
-    design and both ends of the bracket are the loop's, bit for bit; the
-    trace lists that size alone.  Where a check fails, or the size is
-    infeasible, the loop over every size runs as before, with its errors.
+    The design depends on the sizes only through C(s) and its argmin,
+    `_optima` at each cut s the two stages use: the tight and relaxed
+    levels, and each root probe.  One memo serves them all, so no size is
+    solved twice at a cut.
     """
     _check_membership_form(membership_form)
     return solve_max_phi(zimmermann_bounds(problem), problem.alpha, problem.beta, membership_form)

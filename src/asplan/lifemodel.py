@@ -15,10 +15,10 @@ Each family's stage law is one function of floats that returns
 size, after checking what depends on it alone.  Each evaluation makes the
 checks of the value types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up
 to rounding, and a sum within 1e-10 of 1.  `long_run_rates` takes
-(p_a, p_r) to (P_A, P_R, N).  The value types `Thresholds`, `TriProb` and
-`LongRun`, with `ssp_triprob`, `rgsp_min_triprob`, `rgsp_max_triprob`,
-`typeI_triprob` and `long_run`, wrap these for callers that want named
-fields; the plan closures evaluate the laws and build none of them.
+(p_a, p_r) to (P_A, P_R, N).  The value types `Thresholds` and `TriProb`,
+with `ssp_triprob`, `rgsp_min_triprob`, `rgsp_max_triprob` and
+`typeI_triprob`, wrap these for callers that want named fields; the plan
+closures evaluate the laws and build none of them.
 
 Two special functions live here too: the oscillatory integrals of
 (cos(u) - 1)/u and sin(u)/u in the expected inter-failure time, and the
@@ -71,13 +71,6 @@ class TriProb:
 
     def __post_init__(self) -> None:
         _summed_to_one(self.p_a, self.p_r, self.p_c)
-
-
-@dataclass(frozen=True)
-class LongRun:
-    P_A: float
-    P_R: float
-    N: float
 
 
 def _check_thresholds(t1: float, t2: float) -> None:
@@ -196,8 +189,8 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
     asymptotic rate and is exposed for comparison.
     """
     check_group_size(n)
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    if tau is None or not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     if sd_form not in SD_FORMS:
         raise DomainError(f"unknown sd_form {sd_form!r}")
     per_n = sd_form == "n"
@@ -253,11 +246,6 @@ def long_run_rates(p_a: float, p_r: float) -> tuple[float, float, float]:
     if ends == 0.0:
         raise DegeneratePlanError("the plan never terminates: p_a + p_r = 0")
     return p_a / ends, p_r / ends, 1.0 / ends
-
-
-def long_run(p: TriProb) -> LongRun:
-    """`long_run_rates` of a stage's probabilities."""
-    return LongRun(*long_run_rates(p.p_a, p.p_r))
 
 
 # The 16-node Gauss-Legendre rule on [-1, 1] as its 8 symmetric pairs

@@ -129,8 +129,8 @@ class PlanProblem:
 
     @property
     def dominant_size(self) -> Optional[int]:
-        """A group size that is the design's at every cut once its crisp
-        optima pass `dominates`: n_max for rgsp_min, else None."""
+        """A group size that is the cheapest at any cut where its crisp
+        optimum passes `dominates`: n_max for rgsp_min, else None."""
         return self.n_max if self.family is Family.RGSP_MIN else None
 
     def dominates(self, optimum: tuple) -> bool:

@@ -3,8 +3,10 @@ solver faster must leave every design, and its trace, as it was.
 
 Each case is one problem solved by `solve_plan` and by `crisp_baseline`
 under both membership forms; the golden in
-tests/data/design_fingerprint.json holds ``repr(design)`` and
-``repr(design.trace)`` of each.  The problems are the README problem of
+tests/data/design_fingerprint.json holds ``repr(design)``,
+``repr(design.trace)`` and the number of `solve_monotone` calls of each,
+so that a change that adds crisp solves shows here too, where wall time
+would not.  The problems are the README problem of
 every family (`rgsp_min` and `rgsp_max` at `n_max` 200) and eight problems
 shaped like the benchmark's, written out here.  A change that moves a
 design on purpose re-records the golden with
@@ -14,9 +16,11 @@ design on purpose re-records the golden with
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from asplan import fuzzyopt
 from asplan.fuzzyopt import MEMBERSHIP_FORMS, solve_plan
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_baseline
@@ -70,8 +74,16 @@ CASES = [f"{name}/{solver}/{form}" for name in PROBLEMS for solver in SOLVERS
 
 def fingerprint(case: str) -> dict:
     name, solver, form = case.split("/")
-    design = SOLVERS[solver](PROBLEMS[name], membership_form=form)
-    return {"design": repr(design), "trace": repr(design.trace)}
+    solves = [0]
+    monotone = fuzzyopt.solve_monotone
+
+    def counted(*args):
+        solves[0] += 1
+        return monotone(*args)
+
+    with mock.patch.object(fuzzyopt, "solve_monotone", counted):
+        design = SOLVERS[solver](PROBLEMS[name], membership_form=form)
+    return {"design": repr(design), "trace": repr(design.trace), "solves": solves[0]}
 
 
 @pytest.fixture(scope="module")

@@ -230,7 +230,7 @@ def test_standard_form_runs_the_max_min_stages(monkeypatch):
     calls.clear()
     design = solve_plan(_family_problem(Family.RGSP_MAX, crisp=False), FAST, "standard")
     assert calls == [1]
-    assert [n for n, *_ in design.trace] == [1, 2, 3]
+    assert [n for n, *_ in design.trace] == [1, 2]
 
 
 def test_unknown_membership_form_fails_before_any_solve(monkeypatch):
@@ -247,7 +247,8 @@ def test_no_grid_scan_per_group_size(form, monkeypatch):
     """No closure sees an array of grid points: the crisp solves probe g
     and h one point at a time, and evaluate the objective once each, at
     their answer.  Under cost_ascending a group size runs the tight and the
-    relaxed solve only."""
+    relaxed solve only; n = 3 runs the tight one alone, as the relaxed
+    search stops at n = 2, and so does every root probe under standard."""
     calls = collections.Counter()
     size_of = {}  # each size's g closure -> n
 
@@ -269,13 +270,13 @@ def test_no_grid_scan_per_group_size(form, monkeypatch):
     monkeypatch.setattr(PlanProblem, "functions", counted_functions)
     solves = _count_crisp_solves(monkeypatch)
     design = solve_plan(_family_problem(Family.RGSP_MAX, crisp=False), FAST, form)
-    assert [n for n, *_ in design.trace] == [1, 2, 3]
+    assert [n for n, *_ in design.trace] == ([1, 2, 3] if form == "cost_ascending" else [1, 2])
     per_size = {size_of[g]: count for g, count in solves.items()}
     assert per_size == {n: calls[(n, "objective")] for n in (1, 2, 3)}
     if form == "cost_ascending":
-        assert per_size == {1: 2, 2: 2, 3: 2}
+        assert per_size == {1: 2, 2: 2, 3: 1}
     else:
-        assert min(per_size.values()) > 2
+        assert per_size[1] > 2 and per_size[2] > 2 and per_size[3] == 1
 
 
 def test_standard_design_is_the_crisp_optimum_at_its_phi():
@@ -329,18 +330,21 @@ def _stop_problem(family: Family, crisp: bool) -> PlanProblem:
 @pytest.mark.parametrize("family", [Family.RGSP_MAX, Family.TYPE_I], ids=["rgsp_max", "type1"])
 def test_cost_floor_stop_changes_no_design(family, crisp, form, monkeypatch):
     """The loop stops only where no later group size can win: the design is
-    the full loop's, and its trace a prefix of the full loop's.  Both forms
-    stop at the same size, as the stop does not look at phi."""
+    the full loop's, and its trace a prefix of the full loop's.  Under
+    standard the trace is the search at the cut of phi*, where the fuzzy
+    rgsp_max optima cost less than at the levels, so it stops sooner."""
     problem = _stop_problem(family, crisp)
     design = solve_plan(problem, FAST, form)
     if family is Family.TYPE_I:
         tried = [5, 6, 7]  # n < 5 is infeasible, n = 7 reaches cost * tau
+    elif form == "standard" and not crisp:
+        tried = [1, 2]
     else:
         tried = [1, 2, 3]
     assert [n for n, *_ in design.trace] == tried
     monkeypatch.setattr(PlanProblem, "cost_floor", lambda self, n: 0.0)
     full = solve_plan(problem, FAST, form)
-    assert design == full
+    assert _without_trace(design) == _without_trace(full)
     assert design.trace == full.trace[: len(design.trace)]
     assert full.trace[-1][0] == problem.n_max
 
@@ -382,7 +386,7 @@ def test_readme_rgsp_max_standard_design_shares_one_bracket():
     assert design.n == 2
     assert design.objective_value == pytest.approx(524.0221669, rel=1e-9)
     assert design.phi == pytest.approx(0.5073942, abs=1e-7)
-    assert [n for n, *_ in design.trace] == [1, 2, 3]
+    assert [n for n, *_ in design.trace] == [1, 2]
     assert (design.z_lower, design.z_upper) == pytest.approx((471.170292, 578.460689))
 
 
@@ -487,49 +491,32 @@ def test_rgsp_min_falls_back_to_the_loop_where_n_max_leaves_the_box(crisp, form)
     assert _without_trace(design) == _without_trace(_loop_design(problem, form))
 
 
-@pytest.mark.parametrize("form,calls", [("cost_ascending", 18), ("standard", 98)])
-def test_fallback_reuses_the_dominant_size_bracket(form, calls, monkeypatch):
-    """At lambda1 = 100 n_max = 10 fails `dominates`, and the loop takes its
-    bracket as already solved: it makes the loop's crisp solves and no
-    more (sizes 1 and 2 are infeasible, one tight solve each), and gives
-    the loop's design, trace included."""
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("lambda1", [100.0, 200.0])
+def test_no_crisp_solve_is_made_twice(lambda1, form, monkeypatch):
+    """At lambda1 = 100 n_max = 10 fails `dominates`, so the search runs
+    the loop at every cut; at lambda1 = 200 every size is infeasible.  No
+    size is solved twice at one cut: the loop takes n_max's solve, and each
+    cut every tight solve, as already made.  At lambda1 = 100 sizes 1 and 2
+    are infeasible, one tight solve each, and the totals are the loop's."""
     problem = _readme_problem(Family.RGSP_MIN, n_max=10)
-    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=100.0))
-    count = [0]
+    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=lambda1))
+    solves = collections.Counter()
     monotone = fuzzyopt.solve_monotone
 
-    def counted(*args):
-        count[0] += 1
-        return monotone(*args)
+    def counted(objective, g, h, box, alpha, beta):
+        solves[(g, alpha, beta)] += 1
+        return monotone(objective, g, h, box, alpha, beta)
 
     monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
-    design = solve_plan(problem, membership_form=form)
-    assert count[0] == calls
-    count[0] = 0
-    assert repr(design) == repr(_loop_design(problem, form))
-    assert count[0] == calls
-
-
-@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
-def test_infeasible_fallback_reuses_the_dominant_size_error(form, monkeypatch):
-    """At lambda1 = 200 n_max = 10 is infeasible: its error goes into
-    ``per_n`` as the loop's would, and the loop does not solve it again."""
-    problem = _readme_problem(Family.RGSP_MIN, n_max=10)
-    problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=200.0))
-    sizes = []
-    bracket_size = fuzzyopt._bracket_size
-
-    def counted(problem, n):
-        sizes.append(n)
-        return bracket_size(problem, n)
-
-    monkeypatch.setattr(fuzzyopt, "_bracket_size", counted)
-    with pytest.raises(InfeasibleError) as got:
+    if lambda1 == 100.0:
         solve_plan(problem, membership_form=form)
-    assert sizes == [10, *range(1, 10)]
-    with pytest.raises(InfeasibleError) as loop:
-        _loop_design(problem, form)
-    assert repr(got.value.per_n) == repr(loop.value.per_n)
+        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 98}[form]
+    else:
+        with pytest.raises(InfeasibleError):
+            solve_plan(problem, membership_form=form)
+        assert sum(solves.values()) == 10
+    assert set(solves.values()) == {1}
 
 
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
@@ -548,9 +535,9 @@ def test_infeasible_rgsp_min_reports_every_size(form):
 
 
 def test_standard_probe_that_fails_dominance_runs_the_loop(monkeypatch):
-    """The bracket solves of n_max pass `dominates`; a root probe of the
-    max-phi solve that does not sends the design to the loop over every
-    size, whose trace lists them all."""
+    """The bracket solves of n_max pass `dominates`; each root probe of the
+    max-phi solve fails it, so the loop runs at the probe's cut, and the
+    trace at phi*'s cut lists every size."""
     problem = _readme_problem(Family.RGSP_MIN, n_max=4)
     checked = []
     dominates = PlanProblem.dominates
@@ -561,7 +548,7 @@ def test_standard_probe_that_fails_dominance_runs_the_loop(monkeypatch):
 
     monkeypatch.setattr(PlanProblem, "dominates", first_two_only)
     design = solve_plan(problem, membership_form="standard")
-    assert len(checked) == 3
+    assert len(checked) > 2
     assert [n for n, *_ in design.trace] == [1, 2, 3, 4]
     monkeypatch.undo()
     assert _without_trace(design) == _without_trace(solve_plan(problem, membership_form="standard"))
@@ -655,13 +642,58 @@ def test_bracket_is_the_least_optimum_over_the_sizes(family, crisp):
     assert zb.z_upper == min(map(max, tight, relaxed))
 
 
+def _solve_with_optima_at_phi_star(problem, form, monkeypatch) -> tuple:
+    """`solve_plan` under ``form``, and `_optima` at the cut of phi*, the
+    root probe of largest s with C(s) + s*span <= z_upper; None where the
+    max-phi solve made no probe."""
+    probes = []  # (s, optima) per root probe
+    last_s = [None]
+    cut, optima = FuzzyLevel.cut, fuzzyopt._optima
+
+    def recorded_cut(self, s):
+        last_s[0] = s
+        return cut(self, s)
+
+    def recorded_optima(*args):
+        found = optima(*args)
+        if last_s[0] is not None:
+            probes.append((last_s[0], found))
+        return found
+
+    monkeypatch.setattr(FuzzyLevel, "cut", recorded_cut)
+    monkeypatch.setattr(fuzzyopt, "_optima", recorded_optima)
+    design = solve_plan(problem, FAST, form)
+    monkeypatch.undo()
+    span = design.z_upper - design.z_lower
+    met = [(s, found) for s, found in probes
+           if fuzzyopt._least_cost(found) + s * span - design.z_upper <= 0.0]
+    return design, max(met, key=lambda probe: probe[0])[1] if met else None
+
+
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
 @pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
-def test_bracket_sizes_are_the_trace_sizes(family, crisp, form):
+def test_bracket_sizes_are_the_trace_sizes(family, crisp, form, monkeypatch):
+    """The trace lists the bracket's sizes, or under standard, where the
+    max-phi solve probes, the sizes `_optima` returns at the cut of phi*."""
     problem = _stop_problem(family, crisp)
-    design = solve_plan(problem, FAST, form)
-    assert list(zimmermann_bounds(problem).sizes) == [n for n, *_ in design.trace]
+    design, at_phi_star = _solve_with_optima_at_phi_star(problem, form, monkeypatch)
+    assert at_phi_star is None or form == "standard"
+    sizes = zimmermann_bounds(problem).sizes if at_phi_star is None else at_phi_star
+    assert [n for n, *_ in design.trace] == list(sizes)
+
+
+def test_standard_trace_is_the_search_at_phi_star(monkeypatch):
+    """README lives at the default n_max 200: the trace is `_optima` at
+    the cut of phi*, entry for entry, where it stops after n = 2, while the
+    bracket, at the levels, tries n = 3 too."""
+    problem = _readme_problem(Family.RGSP_MAX)
+    design, at_phi_star = _solve_with_optima_at_phi_star(problem, "standard", monkeypatch)
+    assert [(n, cost, case) for n, _, cost, case in design.trace] == [
+        (n, cost, case) for n, (_, cost, case) in at_phi_star.items()
+    ]
+    assert list(at_phi_star) == [1, 2]
+    assert list(zimmermann_bounds(problem).sizes) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])

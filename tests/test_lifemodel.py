@@ -13,7 +13,8 @@ from asplan.lifemodel import (
     expected_y,
     expected_y_upper_bound,
     harmonic_number,
-    long_run,
+    long_run_rates,
+    typeI_law,
     rgsp_max_triprob,
     rgsp_min_triprob,
     ssp_triprob,
@@ -216,19 +217,19 @@ def test_triprob_rejects_bad_sum():
 
 
 def test_long_run_identities():
-    lr = long_run(TriProb(p_a=0.3, p_r=0.7, p_c=0.0))
-    assert lr.P_A == pytest.approx(0.3)
-    assert lr.N == pytest.approx(1.0)
-    lr = long_run(TriProb(p_a=0.25, p_r=0.25, p_c=0.5))
-    assert lr.P_A == pytest.approx(0.5)
-    assert lr.P_R == pytest.approx(0.5)
-    assert lr.N == pytest.approx(2.0)
-    assert lr.P_A + lr.P_R == pytest.approx(1.0, abs=1e-12)
+    P_A, _, N = long_run_rates(0.3, 0.7)
+    assert P_A == pytest.approx(0.3)
+    assert N == pytest.approx(1.0)
+    P_A, P_R, N = long_run_rates(0.25, 0.25)
+    assert P_A == pytest.approx(0.5)
+    assert P_R == pytest.approx(0.5)
+    assert N == pytest.approx(2.0)
+    assert P_A + P_R == pytest.approx(1.0, abs=1e-12)
 
 
 def test_long_run_degenerate():
     with pytest.raises(DegeneratePlanError):
-        long_run(TriProb(p_a=0.0, p_r=0.0, p_c=1.0))
+        long_run_rates(0.0, 0.0)
 
 
 def mixture_mean(f: FuzzyLife) -> float:
@@ -315,6 +316,12 @@ def test_crisp_limit_of_fuzzy_life(lam):
         assert fuzzy_tp.p_c == pytest.approx(crisp_tp.p_c, rel=1e-4)
     assert expected_y(fuzzy) == pytest.approx(expected_y(lam), rel=1e-4)
     assert expected_y(lam) == expected_y_upper_bound(lam) == lam
+
+
+@pytest.mark.parametrize("tau", [None, math.inf, 0.0, math.nan], ids=["none", "inf", "zero", "nan"])
+def test_type1_law_needs_a_positive_finite_tau(tau):
+    with pytest.raises(DomainError, match=f"tau must be positive and finite, got {tau}"):
+        typeI_law(3, tau)
 
 
 def test_crisp_life_must_be_positive():

@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asplan.errors import DegeneratePlanError
-from asplan.lifemodel import TriProb, long_run
+from asplan.lifemodel import TriProb, long_run_rates
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_limit, stage_law
 
@@ -56,7 +56,8 @@ def _stage(problem: PlanProblem, n, life, x) -> TriProb:
 
 def _stages(problem: PlanProblem, n, life, points) -> float:
     """The largest expected stage count N = 1/(p_a + p_r) over the points."""
-    return max(long_run(_stage(problem, n, life, x)).N for x in points)
+    stages = (_stage(problem, n, life, x) for x in points)
+    return max(long_run_rates(stage.p_a, stage.p_r)[2] for stage in stages)
 
 
 def _assert_directions(values: dict, tol: dict) -> None:

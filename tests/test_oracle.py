@@ -201,6 +201,11 @@ def test_mc_triprob_group_size_must_be_an_integer(family, n):
         mc_triprob(family, 300.0, Thresholds(100.0, 200.0), n=n, tau=50.0, draws=10_000)
 
 
+def test_compare_triprob_of_type1_without_tau_is_a_domain_error():
+    with pytest.raises(DomainError, match="tau must be positive and finite, got None"):
+        compare_triprob("type1", FuzzyLife(300.0, 1500.0), Thresholds(100.0, 200.0), n=3)
+
+
 def test_mc_triprob_rejects_tiny_draws():
     with pytest.raises(DomainError):
         mc_triprob(Family.SSP, FuzzyLife(300.0, 1500.0), Thresholds(1.0, 2.0), draws=10)

@@ -115,6 +115,11 @@ def test_least_floor_after_is_the_least_later_floor(family, crisp, upper):
         assert problem.least_floor_after(n) == min(later, default=math.inf)
 
 
+def test_type1_stage_law_without_tau_is_a_domain_error():
+    with pytest.raises(DomainError, match="tau must be positive and finite, got None"):
+        stage_law("type1", 3)
+
+
 def test_problem_rejects_unknown_sd_form():
     with pytest.raises(DomainError, match="sd_form"):
         make_problem(family=Family.TYPE_I, tau=50.0, sd_form="bogus")
@@ -213,14 +218,19 @@ def test_min_consumer_risk_decreases_in_t2():
 
 
 def test_constraints_match_direct_recomputation():
-    from asplan.lifemodel import Thresholds, long_run, rgsp_max_triprob
+    from asplan.lifemodel import Thresholds, long_run_rates, rgsp_max_triprob
 
     p = make_problem(family=Family.RGSP_MAX)
     _, g, h, _, _ = plan_functions(p, 5)
     x = (130.0, 290.0)
     th = Thresholds(*x)
-    assert g(x) == pytest.approx(long_run(rgsp_max_triprob(p.lambda0, th, 5)).P_R, abs=1e-12)
-    assert h(x) == pytest.approx(long_run(rgsp_max_triprob(p.lambda1, th, 5)).P_A, abs=1e-12)
+
+    def rates(life):
+        stage = rgsp_max_triprob(life, th, 5)
+        return long_run_rates(stage.p_a, stage.p_r)
+
+    assert g(x) == pytest.approx(rates(p.lambda0)[1], abs=1e-12)
+    assert h(x) == pytest.approx(rates(p.lambda1)[0], abs=1e-12)
 
 
 def test_box_respects_nominal_life_by_default():
@@ -404,13 +414,13 @@ def test_a_plan_that_never_ends_raises_and_reads_as_infeasible():
 
 @pytest.mark.parametrize("family,n", FAMILY_SIZES, ids=FAMILY_IDS)
 def test_closures_build_no_value_object(family, n, monkeypatch):
-    """An evaluation builds no `Thresholds`, `TriProb` or `LongRun`: they
-    cost more than the survival maths the closures do."""
+    """An evaluation builds no `Thresholds` or `TriProb`: they cost more
+    than the survival maths the closures do."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
-    for cls in (lifemodel.Thresholds, lifemodel.TriProb, lifemodel.LongRun):
+    for cls in (lifemodel.Thresholds, lifemodel.TriProb):
         monkeypatch.setattr(cls, "__init__", refuse)
     for fn in _float_path(family, n)[:3]:
         assert math.isfinite(fn((20.0, 250.0)))
