@@ -136,11 +136,14 @@ def weighted_survival(f: Life, t: float) -> float:
 
 
 def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
-    """(p_a, p_r, p_c) of one inter-failure time at the thresholds (t1, t2)."""
+    """(p_a, p_r, p_c) of one inter-failure time at the thresholds (t1, t2).
+    For a crisp life p_r is -expm1(-t1/lambda), which keeps its digits
+    where 1 - S(t1) would cancel, at t1 far below the mean life."""
     _check_thresholds(t1, t2)
     s1 = weighted_survival(f, t1)
     s2 = weighted_survival(f, t2)
-    return _summed_to_one(s2, 1.0 - s1, _clamp_prob(s1 - s2, "p_c"))
+    p_r = 1.0 - s1 if isinstance(f, FuzzyLife) else -math.expm1(-t1 / f)
+    return _summed_to_one(s2, p_r, _clamp_prob(s1 - s2, "p_c"))
 
 
 def rgsp_min_law(n: int):

@@ -4,16 +4,20 @@ solver faster must leave every design, and its trace, as it was.
 Each case is one problem solved by `solve_plan` and by `crisp_baseline`
 under both membership forms; the golden in
 tests/data/design_fingerprint.json holds ``repr(design)``,
-``repr(design.trace)`` and the number of `solve_monotone` calls of each,
-so that a change that adds crisp solves shows here too, where wall time
-would not.  The problems are the README problem of
+``repr(design.trace)``, the number of `solve_monotone` calls of each and
+the number of probes its roots made in `_brentq`, so that a change that
+adds crisp solves or root probes shows here too, where wall time would
+not.  The problems are the README problem of
 every family (`rgsp_min` and `rgsp_max` at `n_max` 200) and eight problems
 shaped like the benchmark's, written out here.  A change that moves a
 design on purpose re-records the golden with
-``PYTHONPATH=src python tests/test_design_fingerprint.py`` and says why.
+``PYTHONPATH=src python tests/test_design_fingerprint.py`` and says why;
+that run prints to stderr how far each moved design drifted from the old
+golden.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -75,15 +79,61 @@ CASES = [f"{name}/{solver}/{form}" for name in PROBLEMS for solver in SOLVERS
 def fingerprint(case: str) -> dict:
     name, solver, form = case.split("/")
     solves = [0]
-    monotone = fuzzyopt.solve_monotone
+    probes = [0]
+    monotone, brentq = fuzzyopt.solve_monotone, fuzzyopt._brentq
 
     def counted(*args):
         solves[0] += 1
         return monotone(*args)
 
-    with mock.patch.object(fuzzyopt, "solve_monotone", counted):
+    def counted_brentq(f, *args):
+        def probe(x):
+            probes[0] += 1
+            return f(x)
+
+        return brentq(probe, *args)
+
+    with mock.patch.object(fuzzyopt, "solve_monotone", counted), \
+            mock.patch.object(fuzzyopt, "_brentq", counted_brentq):
         design = SOLVERS[solver](PROBLEMS[name], membership_form=form)
-    return {"design": repr(design), "trace": repr(design.trace), "solves": solves[0]}
+    return {"design": repr(design), "trace": repr(design.trace), "solves": solves[0],
+            "probes": probes[0]}
+
+
+def _fields(design: str) -> dict:
+    """The scalar fields of a `PlanDesign` repr, as written."""
+    return dict(re.findall(r"(\w+)=([^,()]+)", design.split(", trace=")[0]))
+
+
+def drift(old: dict, new: dict) -> list[str]:
+    """One line per case whose golden moved: the relative change of t1, t2
+    and the cost, the new margins, and any change of n, case or counts."""
+    lines = []
+    for case in sorted(new):
+        before, after = old.get(case), new[case]
+        if before == after:
+            continue
+        if before is None:
+            lines.append(f"{case}: new case")
+            continue
+        parts = []
+        if before["design"] != after["design"]:
+            was, now = _fields(before["design"]), _fields(after["design"])
+            parts += [
+                f"{key} {float(now[field]) / float(was[field]) - 1.0:+.2e}"
+                for key, field in (("t1", "t1"), ("t2", "t2"), ("cost", "objective_value"))
+            ]
+            parts += [f"{field} {now[field]}" for field in ("g_margin", "h_margin")]
+            parts += [f"n {was['n']} -> {now['n']}"] if was["n"] != now["n"] else []
+        cases = [re.findall(r"'(\w+)'", entry["trace"]) for entry in (before, after)]
+        parts += [f"cases {cases[0]} -> {cases[1]}"] if cases[0] != cases[1] else []
+        parts += [f"{key} {before.get(key)} -> {after[key]}" for key in ("solves", "probes")
+                  if before.get(key) != after[key]]
+        lines.append(f"{case}: " + ", ".join(parts))
+    for key in ("solves", "probes"):
+        totals = [sum(entry.get(key) or 0 for entry in golden.values()) for golden in (old, new)]
+        lines.append(f"{key} in all: {totals[0]} -> {totals[1]}")
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +151,8 @@ def test_design_is_bit_identical_to_its_golden(case, golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({case: fingerprint(case) for case in CASES}, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    new = {case: fingerprint(case) for case in CASES}
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print("\n".join(drift(old, new)), file=sys.stderr)
     sys.exit(0)

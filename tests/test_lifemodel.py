@@ -127,6 +127,21 @@ def test_ssp_reference_design_feasible():
     assert tp.p_r / (1.0 - tp.p_c) <= 0.05 + 0.05
 
 
+@pytest.mark.parametrize("t_over_lam", [1e-8, 1e-6, 1e-3, 0.1, 1.0, 5.0])
+def test_crisp_ssp_p_r_matches_mpmath(t_over_lam):
+    """A crisp life's p_r = 1 - e^{-t1/lambda} to a few ulps relative, at
+    t1/lambda down to 1e-8, where 1 - e^{-t1/lambda} in double precision
+    keeps about half its digits."""
+    mpmath = pytest.importorskip("mpmath")
+    lam = 300.0
+    t1 = t_over_lam * lam
+    with mpmath.workdps(50):
+        want = float(-mpmath.expm1(-mpmath.mpf(t1) / mpmath.mpf(lam)))
+    for law in (lambda t1, t2: ssp_triprob(lam, Thresholds(t1, t2)),
+                lambda t1, t2: rgsp_min_triprob(lam, Thresholds(t1 / 4, t2 / 4), 4)):
+        assert law(t1, 10.0 * lam).p_r == pytest.approx(want, rel=4e-16, abs=0.0)
+
+
 def test_rgsp_min_equals_ssp_at_scaled_time():
     rng = random.Random(5)
     for _ in range(20):

@@ -399,10 +399,11 @@ def test_float_path_refuses_probabilities_that_do_not_sum_to_one(family, n, monk
 
 
 def test_a_plan_that_never_ends_raises_and_reads_as_infeasible():
-    """At t1 = 1e-15 the crisp survival rounds to 1 and at t2 = 1e6 to 0, so
-    p_a = p_r = 0: each closure raises DegeneratePlanError, and the crisp
-    solve's `_excess` reads the point as 1, above any risk's excess."""
-    x = (1e-15, 1e6)
+    """At t1 = 5e-324, the least positive double, t1/lambda underflows to 0,
+    and at t2 = 1e6 the crisp survival rounds to 0, so p_a = p_r = 0: each
+    closure raises DegeneratePlanError, and the crisp solve's `_excess`
+    reads the point as 1, above any risk's excess."""
+    x = (math.ulp(0.0), 1e6)
     crisp = plan_functions(make_problem(lambda0=300.0, lambda1=50.0), None)[:3]
     for fn in crisp:
         with pytest.raises(DegeneratePlanError, match=re.escape("p_a + p_r = 0")):
