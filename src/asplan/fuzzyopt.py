@@ -23,6 +23,7 @@ oracle in `tests/reference.py`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -97,14 +98,13 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: 
     iterations end, as `scipy.optimize.brentq(disp=False)` returns it.
     Raises ValueError when f(a) and f(b) share a sign or f returns NaN."""
 
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = f(xpre)
+    if fpre != fpre:  # NaN, tested without a call per probe
+        raise ValueError(_nan_message(xpre))
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise ValueError(_nan_message(xcur))
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
@@ -136,8 +136,14 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: 
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(_nan_message(xcur))
     return xcur
+
+
+def _nan_message(x: float) -> str:
+    return f"The function value at x={x} is NaN; solver cannot continue."
 
 
 def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
@@ -206,6 +212,14 @@ def solve_monotone(
       with h(t1, hi) <= beta up to t_h: ``"active"`` with both risks at
       their bounds, or ``"edge"`` when t1 = lo or t2 = hi.
 
+    As T does not rise in t1, each root T(t1) is bracketed by the points of
+    the curve already solved.  T(t1a), of the nearest solved t1a below t1,
+    is the met end once it is at least t1 and h(t1, T(t1a)) <= beta holds
+    as evaluated; where rounding near the crossing breaks that, the met end
+    is hi, as it is with nothing solved below.  T(t1b), of the nearest
+    solved t1b above, no higher than the met end, is the unmet end, or t1
+    with nothing solved above.
+
     Each root is the last probe that meets its bound, within 4 ulps relative
     (or `_ROOT_XTOL`) of the crossing, so the answer meets both bounds as
     evaluated.  That is the exact optimum up to that tolerance, and no point
@@ -235,11 +249,21 @@ def solve_monotone(
         t = t_h if balance(t_h) > 0.0 else _last_met(balance, t_h, t_g)
         return (t, t), float(objective((t, t))), "floor"
 
-    @functools.cache
+    curve = {}  # t1 -> T(t1), each point of the curve found so far
+    solved = []  # its t1 in ascending order
+
     def t2_of(t1: float) -> float:
-        if h_excess(t1, hi) > 0.0:  # only by rounding, as t1 >= t1_min
-            return hi
-        return _last_met(lambda t2: h_excess(t1, t2), hi, t1)
+        if t1 not in curve:
+            i = bisect.bisect(solved, t1)
+            below = curve[solved[i - 1]] if i else hi
+            met = below if t1 <= below and h_excess(t1, below) <= 0.0 else hi
+            if met == hi and h_excess(t1, hi) > 0.0:  # only by rounding, as t1 >= t1_min
+                curve[t1] = hi
+            else:
+                unmet = min(curve[solved[i]], met) if i < len(solved) else t1
+                curve[t1] = _last_met(lambda t2: h_excess(t1, t2), met, unmet)
+            solved.insert(i, t1)
+        return curve[t1]
 
     def g_on_curve(t1: float) -> float:
         return g_excess(t1, t2_of(t1))
@@ -267,17 +291,26 @@ class _Memo:
 
     def __init__(self, problem):
         self.problem = problem
-        self.functions = functions = functools.cache(lambda n: problem.functions(n)[:4])
-        self.floor_after = functools.cache(problem.least_floor_after)
+        self._functions, self._floors, self._solves = {}, {}, {}
 
-        @functools.cache
-        def solve(n, alpha: float, beta: float):
+    def functions(self, n) -> tuple:
+        if n not in self._functions:
+            self._functions[n] = self.problem.functions(n)[:4]
+        return self._functions[n]
+
+    def floor_after(self, n) -> float:
+        if n not in self._floors:
+            self._floors[n] = self.problem.least_floor_after(n)
+        return self._floors[n]
+
+    def solve(self, n, alpha: float, beta: float):
+        key = (n, alpha, beta)
+        if key not in self._solves:
             try:
-                return solve_monotone(*functions(n), alpha, beta)
+                self._solves[key] = solve_monotone(*self.functions(n), alpha, beta)
             except InfeasibleError as exc:
-                return exc.with_traceback(None)
-
-        self.solve = solve
+                self._solves[key] = exc.with_traceback(None)
+        return self._solves[key]
 
 
 def _optima(memo: _Memo, alpha: float, beta: float) -> dict:

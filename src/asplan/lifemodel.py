@@ -48,6 +48,9 @@ _CLAMP_TOL = 1e-12
 # The two published scalings of the Type-I estimator's standard deviation.
 SD_FORMS = ("n", "sqrt_n")
 
+_PI_SQUARED = math.pi ** 2
+_SQRT_2 = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -131,8 +134,8 @@ def weighted_survival(f: Life, t: float) -> float:
     if x == 0.0:
         return math.exp(-t / lam)
     value = math.exp(-(t / lam) * ((a - lam) / a)) * (
-        -math.expm1(-2.0 * x) / (2.0 * x * (1.0 + x * x / math.pi ** 2)))
-    return _clamp_prob(value, "weighted survival")
+        -math.expm1(-2.0 * x) / (2.0 * x * (1.0 + x * x / _PI_SQUARED)))
+    return value if 0.0 <= value <= 1.0 else _clamp_prob(value, "weighted survival")
 
 
 def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
@@ -143,7 +146,8 @@ def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
     s1 = weighted_survival(f, t1)
     s2 = weighted_survival(f, t2)
     p_r = 1.0 - s1 if isinstance(f, FuzzyLife) else -math.expm1(-t1 / f)
-    return _summed_to_one(s2, p_r, _clamp_prob(s1 - s2, "p_c"))
+    p_c = s1 - s2
+    return _summed_to_one(s2, p_r, p_c if 0.0 <= p_c <= 1.0 else _clamp_prob(p_c, "p_c"))
 
 
 def rgsp_min_law(n: int):
@@ -177,7 +181,7 @@ def rgsp_max_law(n: int):
 
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function, ~1e-15 accurate."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return 0.5 * math.erfc(-z / _SQRT_2)
 
 
 def typeI_law(n: int, tau: float, sd_form: str = "n"):
@@ -197,13 +201,16 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
     if sd_form not in SD_FORMS:
         raise DomainError(f"unknown sd_form {sd_form!r}")
     per_n = sd_form == "n"
+    scales = {}  # lambda_j -> m, made once per mean life
 
     def law(lambda_j: float, t1: float, t2: float) -> tuple[float, float, float]:
         _check_thresholds(t1, t2)
-        if not lambda_j > 0:
-            raise DomainError(f"lambda_j must be positive, got {lambda_j}")
-        frac = -math.expm1(-tau / lambda_j)
-        m = n * math.sqrt(frac) if per_n else math.sqrt(n * frac)
+        m = scales.get(lambda_j)
+        if m is None:
+            if not lambda_j > 0:
+                raise DomainError(f"lambda_j must be positive, got {lambda_j}")
+            frac = -math.expm1(-tau / lambda_j)
+            m = scales[lambda_j] = n * math.sqrt(frac) if per_n else math.sqrt(n * frac)
         z1 = (t1 - lambda_j) / lambda_j * m
         z2 = (t2 - lambda_j) / lambda_j * m
         phi1 = std_normal_cdf(z1)

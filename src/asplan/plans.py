@@ -233,22 +233,21 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1
     law = stage_law(p.family, n, p.tau, p.sd_form)
-    e0 = expected_stage_duration(
+    scale = p.cost * expected_stage_duration(
         p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
     )
 
-    def run(life, x) -> tuple[float, float, float]:
-        p_a, p_r, _ = law(life, float(x[0]), float(x[1]))
-        return long_run_rates(p_a, p_r)
-
     def objective(x) -> float:
-        return p.cost * e0 * run(life0, x)[2]
+        p_a, p_r, _ = law(life0, float(x[0]), float(x[1]))
+        return scale * long_run_rates(p_a, p_r)[2]
 
     def g(x) -> float:
-        return run(life0, x)[1]
+        p_a, p_r, _ = law(life0, float(x[0]), float(x[1]))
+        return long_run_rates(p_a, p_r)[1]
 
     def h(x) -> float:
-        return run(life1, x)[0]
+        p_a, p_r, _ = law(life1, float(x[0]), float(x[1]))
+        return long_run_rates(p_a, p_r)[0]
 
     return objective, g, h, box, ordering
 

@@ -19,13 +19,14 @@ golden.
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from asplan import fuzzyopt
-from asplan.fuzzyopt import MEMBERSHIP_FORMS, solve_plan
+from asplan.fuzzyopt import MEMBERSHIP_FORMS, PlanDesign, solve_plan
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_baseline
 
@@ -148,6 +149,25 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_design_is_bit_identical_to_its_golden(case, golden):
     assert fingerprint(case) == golden[case]
+
+
+def test_drift_names_each_moved_case_and_the_totals():
+    design = PlanDesign(t1=1.0, t2=2.0, n=3, phi=1.0, objective_value=4.0, g_value=0.05,
+                        h_value=0.05, g_margin=0.0, h_margin=0.0, z_lower=4.0, z_upper=4.0,
+                        trace=((3, 1.0, 4.0, "active"),))
+    moved = replace(design, t1=1.0 + 2.0 ** -40, h_margin=1e-17)
+
+    def entry(d: PlanDesign, probes: int) -> dict:
+        return {"design": repr(d), "trace": repr(d.trace), "solves": 2, "probes": probes}
+
+    old = {"same": entry(design, 10), "moved": entry(design, 10)}
+    new = {"same": entry(design, 10), "moved": entry(moved, 7)}
+    assert drift(old, new) == [
+        "moved: t1 +9.09e-13, t2 +0.00e+00, cost +0.00e+00, g_margin 0.0, h_margin 1e-17, "
+        "probes 10 -> 7",
+        "solves in all: 4 -> 4",
+        "probes in all: 20 -> 17",
+    ]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import collections
+import struct
 from dataclasses import replace
 from unittest import mock
 
@@ -767,6 +768,39 @@ def test_solve_monotone_box_edge():
     assert case == "edge"
     assert x == pytest.approx((2.0, 10.0), rel=1e-12)
     assert cost <= solve_crisp(_linear_nlp(h, 0.3, 0.0), FAST)[1] * (1.0 + 1e-9)
+
+
+def _rounding_noise(x) -> float:
+    """A deterministic stand-in for rounding noise in [-0.5, 0.5): a hash of
+    the bits of the point."""
+    bits = struct.unpack("<2Q", struct.pack("<2d", *x))
+    return (bits[0] * 2654435761 + bits[1]) % 1000003 / 1000003 - 0.5
+
+
+def test_solve_monotone_falls_back_to_the_box_edge_where_a_bracket_is_unmet():
+    """Each root T(t1) of the curve is bracketed by the points already
+    solved: T(t1a) of the nearest t1a below t1 is the met end, once
+    h(t1, T(t1a)) <= beta as evaluated.  With rounding noise of 1e-12 on h,
+    that check fails at some neighbour as the outer root closes in; the
+    solve then brackets from the box edge hi, and still returns the
+    active-set point (2, 6) with both bounds met as evaluated."""
+    hi = LINEAR_BOX[0][1]
+    calls = []
+
+    def h(x):
+        value = _linear_h(x) + 1e-12 * _rounding_noise(x)
+        calls.append((tuple(x), value))
+        return value
+
+    x, cost, case = fuzzyopt.solve_monotone(_linear_cost, _linear_g, h, LINEAR_BOX, 0.2, 0.5)
+    fallbacks = [
+        (t1, t2) for ((t1, t2), value), ((next_t1, next_t2), _) in zip(calls, calls[1:])
+        if value > 0.5 and t2 != hi and (next_t1, next_t2) == (t1, hi)
+    ]
+    assert fallbacks
+    assert case == "active"
+    assert x == pytest.approx((2.0, 6.0), rel=1e-9)
+    assert _linear_g(x) <= 0.2 and h(x) <= 0.5
 
 
 @pytest.mark.parametrize(
