@@ -50,11 +50,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         if key in ("command", "run") or not hasattr(args, key):
             raise DomainError(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):  # a store_true switch takes no value
-            if raw.lower() in ("1", "true", "yes", "on"):
-                tokens.append(flag)
-        else:
+        if not isinstance(getattr(args, key), bool):
             tokens.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)  # a store_true switch takes no value
+        elif raw.lower() not in ("0", "false", "no", "off"):
+            tokens.append(f"{flag}={raw}")  # which argparse rejects, as on the command line
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 

@@ -9,13 +9,12 @@ to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
 nested 1-D roots (Brent's method), from the plans' monotone structure; it
 scans nothing and draws no random numbers, and it is the only solver here.
 The max-min satisfaction method is made of crisp solves at the s-cuts of
-the fuzzy risk levels, all from one search, `_optima`: C(s), the least
-crisp optimum over the group sizes at the cut s, with each (size, cut)
-solved once per problem.  `zimmermann_bounds` brackets the objective of
-the whole problem by C(1) and C(0).  Under the default `cost_ascending`
-membership the max-min design is the argmin of C(1); under `standard` it
-is that of C(phi*), phi* the root in s of a 1-D equation over C
-(`solve_max_phi`).  `solve_plan` is the two stages in turn.
+the fuzzy risk levels, all from one search over s, `_optima`: C(s), the
+least crisp optimum over the group sizes at the cut s, with each (size,
+cut) solved once per problem.  `zimmermann_bounds` brackets the objective
+of the whole problem by C(1) and C(0).  Every design is the argmin of C at
+one cut s* (`solve_max_phi`): 1 under the default `cost_ascending`
+membership, phi* under `standard`.  `solve_plan` is the two in turn.
 
 The tests check `solve_monotone` against a grid scan polished by SLSQP, the
 oracle in `tests/reference.py`.
@@ -26,7 +25,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
@@ -286,8 +285,9 @@ def solve_monotone(
 
 class _Memo:
     """A plan problem's per-size functions and `least_floor_after`, and per
-    (size, alpha cut, beta cut) the `solve_monotone` optimum or the
-    InfeasibleError it raised, without its traceback: each made once."""
+    size and cut s the `solve_monotone` optimum or the InfeasibleError it
+    raised, without its traceback: each made once, keyed by the risk cuts,
+    so zero-slack levels share one solve at every s."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -303,20 +303,21 @@ class _Memo:
             self._floors[n] = self.problem.least_floor_after(n)
         return self._floors[n]
 
-    def solve(self, n, alpha: float, beta: float):
-        key = (n, alpha, beta)
+    def solve(self, n, s: float):
+        key = (n, self.problem.alpha.cut(s), self.problem.beta.cut(s))
         if key not in self._solves:
             try:
-                self._solves[key] = solve_monotone(*self.functions(n), alpha, beta)
+                self._solves[key] = solve_monotone(*self.functions(n), *key[1:])
             except InfeasibleError as exc:
                 self._solves[key] = exc.with_traceback(None)
         return self._solves[key]
 
 
-def _optima(memo: _Memo, alpha: float, beta: float) -> dict:
+def _optima(memo: _Memo, s: float) -> dict:
     """The crisp optima {n: (x, cost, case)} of the group sizes of
-    ``memo.problem`` at the risk cuts (alpha, beta), in ascending n: their
-    least cost is C at that cut, and its argmin is among them.
+    ``memo.problem`` at its risk levels cut at the satisfaction s, in
+    ascending n: their least cost is C(s), and its argmin is among them.
+    s = 1 is the tight levels and s = 0 the relaxed ones, both exactly.
 
     The problem supplies ``alpha`` and ``beta``, ``group_sizes`` in
     ascending order, ``functions(n)`` returning (objective, g, h, box,
@@ -339,22 +340,21 @@ def _optima(memo: _Memo, alpha: float, beta: float) -> dict:
     changes no design, only how many sizes the trace lists.
     """
     problem = memo.problem
-    tight = (problem.alpha.level, problem.beta.level)
 
     def at_cut(n) -> tuple:
-        optimum = memo.solve(n, alpha, beta)
+        optimum = memo.solve(n, s)
         if isinstance(optimum, InfeasibleError):
             raise optimum
         return optimum
 
     n = problem.dominant_size
-    if n is not None and not isinstance(memo.solve(n, *tight), InfeasibleError):
+    if n is not None and not isinstance(memo.solve(n, 1.0), InfeasibleError):
         optimum = at_cut(n)
         if problem.dominates(optimum):
             return {n: optimum}
     optima, per_n, least = {}, [], math.inf
     for n in problem.group_sizes:
-        outcome = memo.solve(n, *tight)
+        outcome = memo.solve(n, 1.0)
         if isinstance(outcome, InfeasibleError):
             per_n.append((n, f"infeasible: best violation {outcome.best_violation}"))
             continue
@@ -376,29 +376,27 @@ class ZBounds:
     """The objective's bracket over a whole plan problem: z_upper is C(1),
     the least tight optimum over the group sizes, and z_lower is C(0), the
     least relaxed one, or z_upper where rounding puts C(0) above it.
-    ``sizes`` holds the tight optima, `_optima` at the levels, and ``memo``
-    every solve made so far, for the max-min solve's cuts."""
+    ``memo`` holds every solve made so far, so `_optima` at any cut already
+    searched, s = 1 included, is read from it without a solve."""
 
     z_lower: float
     z_upper: float
-    sizes: dict = field(compare=False, repr=False)
     memo: _Memo = field(compare=False, repr=False)
 
 
 def zimmermann_bounds(problem) -> ZBounds:
     """Bracket the objective (Zimmermann 1978) over the group sizes of
-    ``problem`` (see `_optima`): C at the levels (tight) and at the relaxed
-    levels.  The relaxed problem's feasible set holds the tight one's, so no
-    size's relaxed optimum is higher, which is checked for every size solved
-    at both; without slack the two cuts are one, solved once."""
+    ``problem`` (see `_optima`): C(1), at the levels, and C(0), at the
+    relaxed levels.  The relaxed problem's feasible set holds the tight
+    one's, so no size's relaxed optimum is higher, which is checked for every
+    size solved at both; without slack the two cuts are one, solved once."""
     memo = _Memo(problem)
-    tight = _optima(memo, problem.alpha.level, problem.beta.level)
-    relaxed = _optima(memo, problem.alpha.relaxed, problem.beta.relaxed)
+    tight, relaxed = _optima(memo, 1.0), _optima(memo, 0.0)
     for n, (_, cost, _) in relaxed.items():
         if n in tight and cost > tight[n][1] + _FEASIBILITY_TOL * (1.0 + abs(tight[n][1])):
             raise ConsistencyError(f"relaxed optimum {cost} exceeds tight optimum {tight[n][1]}")
     z_upper = _least_cost(tight)
-    return ZBounds(min(_least_cost(relaxed), z_upper), z_upper, tight, memo)
+    return ZBounds(min(_least_cost(relaxed), z_upper), z_upper, memo)
 
 
 def _level_membership(level: FuzzyLevel, value: float) -> float:
@@ -410,16 +408,11 @@ def _level_membership(level: FuzzyLevel, value: float) -> float:
     return 1.0 if value <= level.level else 0.0
 
 
-def solve_max_phi(
-    bracket: ZBounds,
-    alpha: FuzzyLevel,
-    beta: FuzzyLevel,
-    membership_form: str = "cost_ascending",
-) -> PlanDesign:
+def solve_max_phi(bracket: ZBounds, membership_form: str = "cost_ascending") -> PlanDesign:
     """The max-min design (Zimmermann 1978) over the group sizes of
-    ``bracket``, a plan problem's `zimmermann_bounds`, at the fuzzy risk
-    levels ``alpha`` and ``beta``: the largest phi, then the least cost at
-    it, as crisp solves at the risk levels cut at phi.
+    ``bracket``, a plan problem's `zimmermann_bounds`, at the problem's
+    fuzzy risk levels: the largest phi, then the least cost at it, as the
+    cheapest crisp optimum of C(s*), `_optima` at one cut s*.
 
     The group size is a decision variable, so the bracket is the whole
     problem's.  phi(x, n) >= s holds exactly where g(x) <= alpha.cut(s),
@@ -430,77 +423,75 @@ def solve_max_phi(
     at every cut s <= 1, as the cut is no tighter than the level its tight
     solve met.
 
-    - Under ``cost_ascending`` the argmin of C(1) meets the levels and costs
-      z_upper, so every membership is 1 there; any point with phi = 1 meets
-      the levels, so it costs at least C(1).  The design is that cheapest
-      tight optimum, as it is when the bracket is narrower than _MIN_SPAN;
-      nothing is solved.  The objective takes no membership: every tight
-      cost is at least z_upper, so (cost - z_lower)/span would be at least 1.
+    - Under ``cost_ascending`` s* = 1: the argmin of C(1) meets the levels
+      and costs z_upper, so every membership is 1 there; any point with
+      phi = 1 meets the levels, so it costs at least C(1).  s* = 1 too
+      where the bracket is narrower than _MIN_SPAN; nothing is solved.  The
+      objective takes no membership: every tight cost is at least z_upper,
+      so (cost - z_lower)/span would be at least 1.
     - Under ``standard`` the objective's membership (z_upper - cost)/span is
-      at least s where cost <= z_upper - s*span.  So phi* is the largest s
-      with F(s) = C(s) + s*span - z_upper <= 0: the root of F, which rises
-      strictly from -span at s = 0 to +span at s = 1, found by Brent's
-      method.  The argmin of C(phi*) has phi >= phi*, as F(phi*) <= 0, and
-      every point with phi >= phi* meets the cuts at phi*, so it costs at
-      least C(phi*): that argmin is the design.  It is taken from the root
-      iterate of largest s with F(s) <= 0.
+      at least s where cost <= z_upper - s*span.  So s* = phi* is the
+      largest s with F(s) = C(s) + s*span - z_upper <= 0: the root of F,
+      which rises strictly from -span at s = 0 to +span at s = 1, found by
+      Brent's method as the root iterate of largest s with F(s) <= 0.  The
+      argmin of C(phi*) has phi >= phi*, as F(phi*) <= 0, and every point
+      with phi >= phi* meets the cuts at phi*, so it costs at least
+      C(phi*): that argmin is the design.
 
-    Each root probe is `_optima` at its cut, over ``bracket.memo``.  Ties
-    on cost go to the smaller n, the earlier key of the optima.  phi and the
-    margins are computed at the design point, not set.  The trace has one
-    entry (n, phi, cost, case) per size that `_optima` returns at the cuts
-    of phi* (``bracket.sizes`` under ``cost_ascending``): its crisp optimum
-    there, phi taken against the shared bracket, and ``case`` the
-    `solve_monotone` case.
+    Each root probe is `_optima` at its s over ``bracket.memo``, which so
+    holds every solve of the search at s*.  Ties on cost go to the smaller
+    n, the earlier key of the optima.  phi is computed at the design point,
+    not set, and each margin is the risk's cut at s* less its value there:
+    the optimum met that cut as evaluated, so no margin is negative.  The
+    trace has one entry (n, phi, cost, case) per size that `_optima`
+    returns at s*: its crisp optimum there, phi taken against the shared
+    bracket, and ``case`` the `solve_monotone` case.
     """
     _check_membership_form(membership_form)
-    z_lower, z_upper = bracket.z_lower, bracket.z_upper
+    memo, z_lower, z_upper = bracket.memo, bracket.z_lower, bracket.z_upper
+    alpha, beta = memo.problem.alpha, memo.problem.beta
     span = z_upper - z_lower
-
-    def design_at(n, x, objective: float, case: str) -> PlanDesign:
-        _, g, h, _ = bracket.memo.functions(n)
-        g_value, h_value = float(g(x)), float(h(x))
-        memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
-        if membership_form == "standard" and span >= _MIN_SPAN:
-            memberships.append((z_upper - objective) / span)
-        phi = min(1.0, max(0.0, min(memberships)))
-        return PlanDesign(
-            t1=float(x[0]),
-            t2=float(x[1]),
-            n=n,
-            phi=phi,
-            objective_value=objective,
-            g_value=g_value,
-            h_value=h_value,
-            g_margin=alpha.cut(phi) - g_value,
-            h_margin=beta.cut(phi) - h_value,
-            z_lower=z_lower,
-            z_upper=z_upper,
-            trace=((n, phi, objective, case),),
-        )
-
-    if membership_form == "cost_ascending" or span < _MIN_SPAN:
-        optima = bracket.sizes
-    else:
+    cost_membership = membership_form == "standard" and span >= _MIN_SPAN
+    s = 1.0
+    if cost_membership:
         ends = {0.0: -span, 1.0: span}
-        met = {}  # s -> {n: (x, C_n(s), case)} where F(s) <= 0
 
         def shortfall(s: float) -> float:
             if s in ends:
                 return ends[s]
-            at_s = _optima(bracket.memo, alpha.cut(s), beta.cut(s))
-            excess = _least_cost(at_s) + s * span - z_upper
-            if excess <= 0.0:
-                met[s] = at_s
-            return excess
+            return _least_cost(_optima(memo, s)) + s * span - z_upper
 
         s = _last_met(shortfall, 0.0, 1.0)
-        if s not in met:
+        if s == 0.0:
             raise InfeasibleError("no point with positive satisfaction found")
-        optima = met[s]
-    designs = [design_at(n, *optimum) for n, optimum in optima.items()]
-    best = min(designs, key=lambda design: design.objective_value)
-    return replace(best, trace=tuple(design.trace[0] for design in designs))
+    optima = _optima(memo, s)
+
+    def evaluated(n, x, cost: float) -> tuple:
+        _, g, h, _ = memo.functions(n)
+        g_value, h_value = float(g(x)), float(h(x))
+        memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
+        if cost_membership:
+            memberships.append((z_upper - cost) / span)
+        return min(1.0, max(0.0, min(memberships))), g_value, h_value
+
+    points = {n: evaluated(n, x, cost) for n, (x, cost, _) in optima.items()}
+    n = min(optima, key=lambda n: optima[n][1])
+    x, cost, _ = optima[n]
+    phi, g_value, h_value = points[n]
+    return PlanDesign(
+        t1=float(x[0]),
+        t2=float(x[1]),
+        n=n,
+        phi=phi,
+        objective_value=cost,
+        g_value=g_value,
+        h_value=h_value,
+        g_margin=alpha.cut(s) - g_value,
+        h_margin=beta.cut(s) - h_value,
+        z_lower=z_lower,
+        z_upper=z_upper,
+        trace=tuple((m, points[m][0], c, case) for m, (_, c, case) in optima.items()),
+    )
 
 
 def solve_plan(
@@ -514,9 +505,9 @@ def solve_plan(
     with `SolverSettings`.
 
     The design depends on the sizes only through C(s) and its argmin,
-    `_optima` at each cut s the two stages use: the tight and relaxed
-    levels, and each root probe.  One memo serves them all, so no size is
-    solved twice at a cut.
+    `_optima` at each s the two stages use: 1 and 0 for the bracket, each
+    root probe, and s*.  One memo serves them all, so no size is solved
+    twice at a cut.
     """
     _check_membership_form(membership_form)
-    return solve_max_phi(zimmermann_bounds(problem), problem.alpha, problem.beta, membership_form)
+    return solve_max_phi(zimmermann_bounds(problem), membership_form)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -146,6 +147,10 @@ def mc_triprob(
     """
     import numpy as np
 
+    try:
+        operator.index(draws)
+    except TypeError:
+        raise DomainError(f"draws must be an integer, got {draws!r}") from None
     if draws < 10**4:
         raise DomainError(f"draws must be >= 10^4, got {draws}")
     check_group_size(n)
@@ -356,7 +361,8 @@ def verify_tables(
             report.update(feasible=None, g=None, h=None, etc_recomputed=None, etc_rel_err=None)
             reports.append(report)
             continue
-        family, n = Family(row.family), row.n or 1
+        family, n = Family(row.family), 1 if row.n is None else row.n
+        check_group_size(n, "row group size")
         law = stage_law(family, n, row.tau)
         life0 = _row_life(row, row.lambda0)
         _, g, stages = _row_run(law, life0, row)

@@ -355,7 +355,11 @@ def test_config_flags_win_in_process(tmp_path, capsys):
 
 
 def test_bad_config_values_are_reported_like_flags(tmp_path, capsys):
-    for line, flag in (("lambda0 = abc", "--lambda0"), ("family = bogus", "--family")):
+    for line, flag in (
+        ("lambda0 = abc", "--lambda0"),
+        ("family = bogus", "--family"),
+        ("allow-t2-above-lambda0 = ture", "--allow-t2-above-lambda0"),
+    ):
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
         with pytest.raises(SystemExit) as excinfo:

@@ -2,8 +2,8 @@
 
 The literals are the costs that solver reached (32 restarts, seed 42) on
 the README `ssp` design, fuzzy and crisp, and on one small group-size
-problem per grouped family.  The grid-and-polish solver draws no random
-numbers, so its design must also be the same for every seed.  Under the
+problem per grouped family.  `solve_monotone`, the one solver, draws no
+random numbers, so its design must also be the same for every seed.  Under the
 `standard` membership no design may reach a lower phi or a higher cost
 than the two-stage max-phi solver did.
 """

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -211,6 +212,13 @@ def test_mc_triprob_rejects_tiny_draws():
         mc_triprob(Family.SSP, FuzzyLife(300.0, 1500.0), Thresholds(1.0, 2.0), draws=10)
 
 
+@pytest.mark.parametrize("draws", [20000.5, 2e4, "20000"], ids=["fraction", "float", "str"])
+def test_mc_triprob_draws_must_be_an_integer(draws):
+    """A fractional count once failed in numpy with a TypeError."""
+    with pytest.raises(DomainError, match="draws must be an integer"):
+        mc_triprob(Family.SSP, FuzzyLife(300.0, 1500.0), Thresholds(1.0, 2.0), draws=draws)
+
+
 @pytest.mark.parametrize(
     "family,n,tau,message",
     [
@@ -276,6 +284,14 @@ def test_verify_tables_reports_every_row():
     checked = [r for r in reports if r["feasible"] is not None]
     assert all(isinstance(r["feasible"], bool) for r in checked)
     assert all(math.isfinite(r["etc_recomputed"]) for r in checked)
+
+
+@pytest.mark.parametrize("n", [0, True, 3.0], ids=["zero", "bool", "float"])
+def test_verify_tables_checks_a_row_group_size(n):
+    """A row of n = 0 was once rechecked at n = 1 and reported as n = 0."""
+    row = next(r for r in load_golden_rows() if r.family == "rgsp_max" and r.n is not None)
+    with pytest.raises(DomainError, match="row group size must be"):
+        verify_tables([dataclasses.replace(row, n=n)])
 
 
 def test_verify_tables_report_files(tmp_path):
