@@ -166,15 +166,18 @@ def rgsp_min_law(n: int):
 def rgsp_max_law(n: int):
     """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group maximum of size n,
     the weighted CDF raised to the n-th power (an independent fuzzy rate
-    per item)."""
+    per item).  p_a = 1 - (1 - S(t2))^n is -expm1(n log1p(-S(t2))), which
+    keeps its digits where the power would lose eps/S(t2) relative, at
+    small S(t2); 0.0 - keeps it +0 where S(t2) underflows."""
     check_group_size(n)
 
     def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
         _check_thresholds(t1, t2)
+        s2 = weighted_survival(f, t2)
         below_t1 = (1.0 - weighted_survival(f, t1)) ** n
-        below_t2 = (1.0 - weighted_survival(f, t2)) ** n
+        p_a = 0.0 - math.expm1(n * math.log1p(-s2))
         return _summed_to_one(
-            1.0 - below_t2, below_t1, _clamp_prob(below_t2 - below_t1, "p_c"))
+            p_a, below_t1, _clamp_prob((1.0 - s2) ** n - below_t1, "p_c"))
 
     return law
 

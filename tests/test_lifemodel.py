@@ -177,6 +177,22 @@ def test_rgsp_max_power_structure():
     assert tp.p_a == pytest.approx(1.0 - (1.0 - s2) ** n, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 200, 20_000])
+@pytest.mark.parametrize("s2", [1e-12, 1e-8, 1e-4, 1e-2, 0.3])
+def test_rgsp_max_p_a_matches_mpmath(s2, n):
+    """p_a = 1 - (1 - S(t2))^n to a few ulps relative at small S(t2) and
+    large n, where 1 - (1 - S(t2))^n in double precision is off by about
+    eps/S(t2) relative: 2e-5 at S(t2) = 1e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    lam = 300.0
+    t2 = -lam * math.log(s2)
+    survival = weighted_survival(lam, t2)  # the double the law takes to the power
+    with mpmath.workdps(50):
+        want = float(1 - (1 - mpmath.mpf(survival)) ** n)
+    assert rgsp_max_triprob(lam, Thresholds(t2 / 2, t2), n).p_a == pytest.approx(
+        want, rel=4e-16, abs=0.0)
+
+
 def test_typeI_empty_band():
     tp = typeI_triprob(300.0, Thresholds(200.0, 200.0), 10, 50.0)
     assert tp.p_c == 0.0

@@ -315,6 +315,6 @@ def test_verify_tables_extends_the_inverted_table6_rows():
         (6, "rgsp_max", "crisp", 192.6274, 181.4727, 4),
     ]
     assert [(r["g"], r["h"], r["feasible"]) for r in reports] == [
-        (0.04997061584176103, 0.04995457886305189, True),
-        (0.05000002721661464, 0.09999997210235893, True),
+        (0.04997061584176103, 0.04995457886305182, True),
+        (0.05000002721661464, 0.09999997210235875, True),
     ]
