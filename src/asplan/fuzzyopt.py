@@ -1,8 +1,9 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
 pipeline.  Nothing here knows the plan families: a plan problem hands
-`_optima` its group sizes, per group size its functions and the least cost
-floor of the sizes after it, and the size that dominates the others, where
-its family has one.
+`_optima` its group sizes, per group size its functions and box (whose t1
+axis, a `LogAxis` or not, says whether roots over t1 run on log t1) and the
+least cost floor of the sizes after it, and the size that dominates the
+others, where its family has one.
 
 Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
@@ -153,8 +154,10 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
     is recorded, so the point returned meets f <= 0 as evaluated and lies in
     the final bracket.  The probes end at the root tolerance or after
     `_ROOT_ITER` iterations, which only an f whose rounding noise spans the
-    tolerance reaches (up to 77 of the 100 on generated plan problems); a
-    capped root is no less feasible.
+    tolerance nears: over 250 generated plan problems and the benchmark's,
+    the longest root took 96 of the 100, a root over t1 of a fuzzy
+    `rgsp_min` size, whose p_r = 1 - S(n*t1) moves in steps of an ulp of 1,
+    and no root reached the cap.  A capped root is no less feasible.
     """
     if f(unmet) <= 0.0:
         return unmet
@@ -172,6 +175,28 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
     return best
 
 
+class LogAxis(tuple):
+    """An axis (lo, hi), 0 < lo, of a `solve_monotone` box whose roots
+    over t1 are found on log t1; a plain (lo, hi) keeps t1 linear."""
+
+    __slots__ = ()
+
+
+def _last_met_on_log(f: Callable[[float], float], met: float, unmet: float) -> float:
+    """`_last_met` of f with the probes spaced on log t, for met and
+    unmet > 0.  Each end maps back to itself bit for bit, so the point
+    returned is one that f was evaluated at; where the two logs round to
+    one double, the probes stay on t."""
+    ends = {math.log(met): met, math.log(unmet): unmet}
+    if len(ends) == 1:
+        return _last_met(f, met, unmet)
+
+    def point(u: float) -> float:
+        return ends[u] if u in ends else math.exp(u)
+
+    return point(_last_met(lambda u: f(point(u)), math.log(met), math.log(unmet)))
+
+
 def _excess(fn: Callable, bound: float) -> Callable[[float, float], float]:
     """fn(t1, t2) - bound, evaluated once per point.  A probe where the plan
     never ends, or fn is not finite, reads 1, above any probability's
@@ -184,6 +209,42 @@ def _excess(fn: Callable, bound: float) -> Callable[[float, float], float]:
         except DegeneratePlanError:
             return 1.0
         return value - bound if math.isfinite(value) else 1.0
+
+    return excess
+
+
+# The log-odds read for a risk at or below 0 and at or above 1: beyond
+# those of the doubles in (0, 1), which lie within about -745 and 37.
+_LOGIT_EDGE = 800.0
+
+
+def _log_odds_excess(fn: Callable, bound: float) -> Callable[[float, float], float]:
+    """logit(fn(t1, t2)) - logit(bound), evaluated once per point, with the
+    sign of the `_excess` at the same evaluation: where rounding makes the
+    two disagree, that excess itself.  So f <= 0 exactly where fn <= bound
+    as evaluated, and f does not fall as fn rises.
+
+    The plans' risks are P = p/(p_a + p_r) of one stage, so their log-odds
+    is log p_r - log p_a (or its negative): for exponential lives, linear
+    in t2 and near k*log t1 at small t1, where the probability itself is
+    logistic.  Roots on it take fewer probes.  fn <= 0 reads -800 and
+    fn >= 1 reads +800 as its log-odds; a point that `_excess` counts as
+    infeasible reads +800.  A bound outside (0, 1), such as a cut of 1,
+    has no log-odds: there f is `_excess`."""
+    if not 0.0 < bound < 1.0:
+        return _excess(fn, bound)
+    level = math.log(bound / (1.0 - bound))
+
+    @functools.cache
+    def excess(t1: float, t2: float) -> float:
+        try:
+            value = float(fn((t1, t2)))
+        except DegeneratePlanError:
+            return _LOGIT_EDGE - level
+        if 0.0 < value < 1.0:
+            odds = math.log(value / (1.0 - value)) - level
+            return odds if (odds <= 0.0) == (value <= bound) else value - bound
+        return -_LOGIT_EDGE - level if -math.inf < value <= 0.0 else _LOGIT_EDGE - level
 
     return excess
 
@@ -219,19 +280,33 @@ def solve_monotone(
     solved t1b above, no higher than the met end, is the unmet end, or t1
     with nothing solved above.
 
+    Every root is found on the log-odds excess of its risk
+    (`_log_odds_excess`), whose sign is that of the risk's excess as
+    evaluated; for the plans' exponential lives it is near linear in t2 and
+    in log t1, where the risk itself is logistic, and Brent's method takes
+    about half the probes on it.  When the t1 axis of ``box`` is a
+    `LogAxis`, the two roots over t1 (the least t1 on the curve and the
+    design's) run on log t1 (`_last_met_on_log`); a plain (lo, hi) keeps t1
+    linear, as the Type-I plans do, whose p_r does not vanish at t1 = 0.
+    The corner checks, the violations reported and the floor's balance root
+    take the plain excess (`_excess`).
+
     Each root is the last probe that meets its bound, within 4 ulps relative
-    (or `_ROOT_XTOL`) of the crossing, so the answer meets both bounds as
-    evaluated.  That is the exact optimum up to that tolerance, and no point
-    of the box is both feasible and cheaper.  Raises InfeasibleError, with a
-    positive best violation, when g(lo, lo) > alpha, when h(hi, hi) > beta,
-    or when g(t1, T(t1)) > alpha already at the least t1 on the curve: then
-    no point is feasible.
+    (or `_ROOT_XTOL`) of the crossing in its coordinate: t, or log t1, which
+    is within 1.4e-14 relative in t1 on a box from lo = 1e-6.  So the
+    answer meets both bounds as evaluated.  That is the exact optimum up to
+    that tolerance, and no point of the box is both feasible and cheaper.
+    Raises InfeasibleError, with a positive best violation, when g(lo, lo)
+    > alpha, when h(hi, hi) > beta, or when g(t1, T(t1)) > alpha already at
+    the least t1 on the curve: then no point is feasible.
     """
     (lo, hi), _ = box
-    g_excess = _excess(g, alpha)
-    h_excess = _excess(h, beta)
-    for violation, point in ((g_excess(lo, lo), (lo, lo)), (h_excess(hi, hi), (hi, hi))):
-        if violation > 0.0:
+    along_t1 = _last_met_on_log if isinstance(box[0], LogAxis) else _last_met
+    g_excess = _log_odds_excess(g, alpha)
+    h_excess = _log_odds_excess(h, beta)
+    for excess, fn, bound, point in ((g_excess, g, alpha, (lo, lo)), (h_excess, h, beta, (hi, hi))):
+        if excess(*point) > 0.0:
+            violation = _excess(fn, bound)(*point)
             raise InfeasibleError(
                 f"no feasible thresholds: a risk exceeds its level by {violation:.3e} "
                 f"where it is least, at {point}",
@@ -241,9 +316,10 @@ def solve_monotone(
     t_h = _last_met(lambda t: h_excess(t, t), hi, lo)
     if g_excess(t_h, t_h) <= 0.0:
         t_g = _last_met(lambda t: g_excess(t, t), t_h, hi)
+        g_raw, h_raw = _excess(g, alpha), _excess(h, beta)
 
         def balance(t: float) -> float:
-            return (g_excess(t, t) + alpha) * beta - (h_excess(t, t) + beta) * alpha
+            return (g_raw(t, t) + alpha) * beta - (h_raw(t, t) + beta) * alpha
 
         t = t_h if balance(t_h) > 0.0 else _last_met(balance, t_h, t_g)
         return (t, t), float(objective((t, t))), "floor"
@@ -267,17 +343,17 @@ def solve_monotone(
     def g_on_curve(t1: float) -> float:
         return g_excess(t1, t2_of(t1))
 
-    t1_min = _last_met(lambda t: h_excess(t, hi), t_h, lo)
-    violation = g_on_curve(t1_min)
-    if violation > 0.0:
+    t1_min = along_t1(lambda t: h_excess(t, hi), t_h, lo)
+    if g_on_curve(t1_min) > 0.0:
         point = (t1_min, t2_of(t1_min))
+        violation = _excess(g, alpha)(*point)
         raise InfeasibleError(
             f"no feasible thresholds: g exceeds its level by {violation:.3e} where h "
             f"first meets its level, at {point}",
             best_point=point,
             best_violation=violation,
         )
-    t1 = _last_met(g_on_curve, t1_min, t_h)
+    t1 = along_t1(g_on_curve, t1_min, t_h)
     x = (t1, t2_of(t1))
     case = "edge" if t1 == lo or x[1] == hi else "active"
     return x, float(objective(x)), case

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError
-from .fuzzyopt import DEFAULT_SOLVER, PlanDesign, SolverSettings, solve_plan
+from .fuzzyopt import DEFAULT_SOLVER, LogAxis, PlanDesign, SolverSettings, solve_plan
 from .lifemodel import (
     SD_FORMS,
     Life,
@@ -225,11 +225,18 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     family's `stage_law` and `long_run_rates` over plain floats, with no
     value object built per evaluation.  The Type-I objective floor is
     cost * tau.
+
+    The box's t1 axis is a `LogAxis` for the lifetime families: their p_r
+    vanishes as a power of t1 at 0, so the log-odds of g and h is near
+    linear in log t1, and `solve_monotone` finds its roots over t1 there.
+    The Type-I normal approximation has p_r(0+) = Phi(-m) > 0, and its t1
+    axis stays linear.
     """
     if crisp:
         p = crisp_limit(p)
     hi = _upper_edge(p)
-    box = ((_T_LO, hi), (_T_LO, hi))
+    t1_axis = (_T_LO, hi) if p.family is Family.TYPE_I else LogAxis((_T_LO, hi))
+    box = (t1_axis, (_T_LO, hi))
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1
     law = stage_law(p.family, n, p.tau, p.sd_form)

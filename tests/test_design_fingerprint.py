@@ -13,7 +13,7 @@ shaped like the benchmark's, written out here.  A change that moves a
 design on purpose re-records the golden with
 ``PYTHONPATH=src python tests/test_design_fingerprint.py`` and says why;
 that run prints to stderr how far each moved design drifted from the old
-golden.
+golden, and last the largest move over all cases and how many costs rose.
 """
 
 import json
@@ -108,8 +108,11 @@ def _fields(design: str) -> dict:
 
 def drift(old: dict, new: dict) -> list[str]:
     """One line per case whose golden moved: the relative change of t1, t2
-    and the cost, the new margins, and any change of n, case or counts."""
+    and the cost, the new margins, and any change of n, case or counts.
+    Then the totals of the counts, and a summary: the largest relative move
+    of t1, t2 and the cost over all cases, and how many costs rose."""
     lines = []
+    largest, rose = {"t1": 0.0, "t2": 0.0, "cost": 0.0}, 0
     for case in sorted(new):
         before, after = old.get(case), new[case]
         if before == after:
@@ -120,10 +123,11 @@ def drift(old: dict, new: dict) -> list[str]:
         parts = []
         if before["design"] != after["design"]:
             was, now = _fields(before["design"]), _fields(after["design"])
-            parts += [
-                f"{key} {float(now[field]) / float(was[field]) - 1.0:+.2e}"
-                for key, field in (("t1", "t1"), ("t2", "t2"), ("cost", "objective_value"))
-            ]
+            moves = {key: float(now[field]) / float(was[field]) - 1.0
+                     for key, field in (("t1", "t1"), ("t2", "t2"), ("cost", "objective_value"))}
+            parts += [f"{key} {move:+.2e}" for key, move in moves.items()]
+            largest = {key: max(largest[key], abs(moves[key])) for key in largest}
+            rose += moves["cost"] > 0.0
             parts += [f"{field} {now[field]}" for field in ("g_margin", "h_margin")]
             parts += [f"n {was['n']} -> {now['n']}"] if was["n"] != now["n"] else []
         cases = [re.findall(r"'(\w+)'", entry["trace"]) for entry in (before, after)]
@@ -134,6 +138,9 @@ def drift(old: dict, new: dict) -> list[str]:
     for key in ("solves", "probes"):
         totals = [sum(entry.get(key) or 0 for entry in golden.values()) for golden in (old, new)]
         lines.append(f"{key} in all: {totals[0]} -> {totals[1]}")
+    lines.append("largest relative move: " + ", ".join(
+        f"{key} {move:.2e}" for key, move in largest.items()) + f"; costs rose in {rose} of "
+        f"{len(new)} cases")
     return lines
 
 
@@ -156,17 +163,21 @@ def test_drift_names_each_moved_case_and_the_totals():
                         h_value=0.05, g_margin=0.0, h_margin=0.0, z_lower=4.0, z_upper=4.0,
                         trace=((3, 1.0, 4.0, "active"),))
     moved = replace(design, t1=1.0 + 2.0 ** -40, h_margin=1e-17)
+    dearer = replace(design, objective_value=4.0 + 2.0 ** -48)
 
     def entry(d: PlanDesign, probes: int) -> dict:
         return {"design": repr(d), "trace": repr(d.trace), "solves": 2, "probes": probes}
 
-    old = {"same": entry(design, 10), "moved": entry(design, 10)}
-    new = {"same": entry(design, 10), "moved": entry(moved, 7)}
+    old = {"same": entry(design, 10), "moved": entry(design, 10), "dearer": entry(design, 10)}
+    new = {"same": entry(design, 10), "moved": entry(moved, 7), "dearer": entry(dearer, 10)}
     assert drift(old, new) == [
+        "dearer: t1 +0.00e+00, t2 +0.00e+00, cost +8.88e-16, g_margin 0.0, h_margin 0.0",
         "moved: t1 +9.09e-13, t2 +0.00e+00, cost +0.00e+00, g_margin 0.0, h_margin 1e-17, "
         "probes 10 -> 7",
-        "solves in all: 4 -> 4",
-        "probes in all: 20 -> 17",
+        "solves in all: 6 -> 6",
+        "probes in all: 30 -> 27",
+        "largest relative move: t1 9.09e-13, t2 0.00e+00, cost 8.88e-16; costs rose in 1 of 3 "
+        "cases",
     ]
 
 

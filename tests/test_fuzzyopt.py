@@ -1,4 +1,5 @@
 import collections
+import math
 import random
 import struct
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asplan import fuzzyopt
-from asplan.errors import DomainError, InfeasibleError
+from asplan.errors import DegeneratePlanError, DomainError, InfeasibleError
 from asplan.fuzzyopt import (
     PlanDesign,
     SolverSettings,
@@ -513,7 +514,7 @@ def test_no_crisp_solve_is_made_twice(lambda1, form, monkeypatch):
     monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
     if lambda1 == 100.0:
         solve_plan(problem, membership_form=form)
-        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 98}[form]
+        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 106}[form]
     else:
         with pytest.raises(InfeasibleError):
             solve_plan(problem, membership_form=form)
@@ -805,6 +806,73 @@ def test_solve_monotone_box_edge():
     assert case == "edge"
     assert x == pytest.approx((2.0, 10.0), rel=1e-12)
     assert cost <= solve_crisp(_linear_nlp(h, 0.3, 0.0), FAST)[1] * (1.0 + 1e-9)
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+# Risk values: the edges of (0, 1), subnormals, outside [0, 1], not finite.
+_RISK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.ulp(0.0), 1e-320, _SMALLEST_NORMAL, 1.0 - 2.0 ** -53,
+                     1.0, 1.0 + 2.0 ** -52, -1e-300, math.inf, -math.inf, math.nan]),
+    st.floats(0.0, 1.0),
+    st.floats(),
+)
+# Levels in (0, 1]: 1 is a cut at level + slack = 1.
+_CUT_LEVELS = st.one_of(
+    st.sampled_from([1.0, 1.0 - 2.0 ** -53, 0.5, 0.05, math.ulp(0.0), _SMALLEST_NORMAL]),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+def _log_odds_at(value: float, level: float) -> float:
+    return fuzzyopt._log_odds_excess(lambda x: value, level)(1.0, 2.0)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(v=_RISK_VALUES, w=_RISK_VALUES, level=_CUT_LEVELS, steps=st.integers(-3, 3))
+def test_log_odds_excess_has_the_sign_of_the_excess_and_does_not_fall(v, w, level, steps):
+    """The roots' excess is finite, is <= 0 exactly where the risk is at or
+    below its level as evaluated, reads a value that is not finite as
+    infeasible, and does not fall as the risk rises (-inf and NaN apart,
+    which read as infeasible).  Values a few ulps from the level, where
+    the log-odds can round to the level's, are drawn too."""
+    near = level
+    for _ in range(abs(steps)):
+        near = math.nextafter(near, math.copysign(math.inf, steps))
+    values = (v, w, near)
+    excesses = [_log_odds_at(value, level) for value in values]
+    for value, excess in zip(values, excesses):
+        assert math.isfinite(excess)
+        assert (excess <= 0.0) == (math.isfinite(value) and value <= level)
+    ordered = sorted((value, excess) for value, excess in zip(values, excesses)
+                     if value == value and value != -math.inf)
+    assert [excess for _, excess in ordered] == sorted(excess for _, excess in ordered)
+
+
+@pytest.mark.parametrize("level", [1.0, 0.5, 0.05, math.ulp(0.0)])
+def test_log_odds_excess_reads_a_plan_that_never_ends_as_infeasible(level):
+    def never_ends(x):
+        raise DegeneratePlanError("the plan never terminates: p_a + p_r = 0")
+
+    assert fuzzyopt._log_odds_excess(never_ends, level)(1.0, 2.0) > 0.0
+
+
+def test_log_t1_roots_return_the_box_edge_bit_for_bit():
+    """A crisp `ssp` problem whose alpha is g at (lo, T(lo)), the first
+    point of the curve h = beta, has its optimum on the lower edge t1 = lo.
+    Its roots over t1 run on log t1, where exp(log(lo)) is not lo, yet the
+    design has t1 == lo bit for bit and its case reads "edge"."""
+    problem = PlanProblem(
+        family=Family.SSP, lambda0=300.0, lambda1=5.0,
+        alpha=FuzzyLevel(0.05, 0.0), beta=FuzzyLevel(0.05, 0.0),
+    )
+    _, g, h, box, _ = plan_functions(problem, None)
+    (lo, hi), _ = box
+    assert isinstance(box[0], fuzzyopt.LogAxis) and math.exp(math.log(lo)) != lo
+    h_excess = fuzzyopt._log_odds_excess(h, problem.beta.level)
+    first_t2 = fuzzyopt._last_met(lambda t2: h_excess(lo, t2), hi, lo)
+    design = solve_plan(replace(problem, alpha=FuzzyLevel(g((lo, first_t2)), 0.0)))
+    assert design.t1 == lo
+    assert design.trace[0][3] == "edge"
 
 
 def _rounding_noise(x) -> float:
