@@ -4,7 +4,9 @@ Everything here is built from the weighted survival function S(t): the
 exponential survival e^{-lambda t} averaged over the raised-cosine
 membership of the failure rate and renormalized by the membership mass,
 e^{-t/lambda_j} sinh(x) / (x (1 + (x/pi)^2)) with x = t/a: one expression
-at every scale, which tends to the crisp e^{-t/lambda_j} as a grows.
+at every scale, which tends to the crisp e^{-t/lambda_j} as a grows.  It is
+taken in log form, log S = -t/lambda_j + L(x), so that a rejection
+probability 1 - S is -expm1(log S) and keeps its digits at small t.
 Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
 Every formula takes and returns plain floats, one threshold pair at a time.
@@ -113,41 +115,64 @@ def check_group_size(n, name: str = "n") -> None:
         raise DomainError(f"{name} must be >= 1, got {n}")
 
 
-def weighted_survival(f: Life, t: float) -> float:
-    """Survival probability P(Y >= t) under the membership-weighted model.
+# Below x = 1/2, L(x) = log(sinh(x)/x) - log1p((x/pi)^2) is its series in
+# y = (x/pi)^2.  L is the sum over k >= 2 of log1p((x/(k pi))^2), from the
+# product sinh(x)/x = prod (1 + (x/(k pi))^2), so the coefficient of y^j is
+# (-1)^(j+1) (zeta(2j) - 1)/j; `log_survival` writes the double nearest each
+# 40-digit value in Horner form.  The terms fall by about y/4 each, so the
+# eight there reach 1e-17 of the first.
+_L_SERIES_BELOW = 0.5
 
-    The mixture a * int e^{-lambda t} H_j(lambda) dlambda in closed form:
-    e^{-t/lambda_j} sinh(x) / (x (1 + (x/pi)^2)) with x = t/a, evaluated as
-    e^{-(t/lambda_j)(a - lambda_j)/a} (1 - e^{-2x}) / (2x (1 + (x/pi)^2)),
-    which neither overflows nor cancels at any a > lambda_j or t > 0.
-    e^{-t/lambda} for a crisp life, and for a fuzzy one where x underflows.
+
+def log_survival(f: Life, t: float) -> float:
+    """log S(t) under the membership-weighted model: -t/lambda for a crisp
+    life, and -t/lambda_j + L(x), x = t/a, for a fuzzy one, with L(x) =
+    log(sinh(x)/x) - log1p((x/pi)^2) >= 0.
+
+    Below x = 1/2, L is its series in (x/pi)^2, accurate relative to
+    itself, so log S keeps its digits relative to t/lambda_j as t -> 0.
+    From there it is -(t/lambda_j)(a - lambda_j)/a + log((1 - e^{-2x})/(2x))
+    - log1p((x/pi)^2), every term at most 0, so it neither overflows nor
+    cancels at any a > lambda_j or t > 0; its absolute error of a few ulps
+    is small against t/lambda_j > 1/2.
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
     if not isinstance(f, FuzzyLife):
         if not f > 0:
             raise DomainError(f"mean life must be positive, got {f}")
-        return math.exp(-t / f)
+        return -t / f
     a = f.a
     lam = f.lambda_j
     x = t / a
-    if x == 0.0:
-        return math.exp(-t / lam)
-    value = math.exp(-(t / lam) * ((a - lam) / a)) * (
-        -math.expm1(-2.0 * x) / (2.0 * x * (1.0 + x * x / _PI_SQUARED)))
-    return value if 0.0 <= value <= 1.0 else _clamp_prob(value, "weighted survival")
+    if x < _L_SERIES_BELOW:
+        y = x * x / _PI_SQUARED
+        return -t / lam + y * (0.6449340668482264 - y * (0.04116161685556909 - y * (
+            0.005781020661483047 - y * (0.001019339049486085 - y * (
+                0.00019891502556361706 - y * (4.101442555134138e-05 - y * (
+                    8.749733579814976e-06 - y * 1.910282426081484e-06)))))))
+    return (-(t / lam) * ((a - lam) / a) + math.log(-math.expm1(-2.0 * x) / (2.0 * x))
+            - math.log1p(x * x / _PI_SQUARED))
+
+
+def weighted_survival(f: Life, t: float) -> float:
+    """Survival probability P(Y >= t) under the membership-weighted model:
+    the mixture a * int e^{-lambda t} H_j(lambda) dlambda, e^{log S(t)}
+    (`log_survival`), in [0, 1] as log S <= 0.  e^{-t/lambda} for a crisp
+    life, and for a fuzzy one where x = t/a is negligible."""
+    return math.exp(log_survival(f, t))
 
 
 def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
     """(p_a, p_r, p_c) of one inter-failure time at the thresholds (t1, t2).
-    For a crisp life p_r is -expm1(-t1/lambda), which keeps its digits
-    where 1 - S(t1) would cancel, at t1 far below the mean life."""
+    p_r is -expm1(log S(t1)), which keeps its digits where 1 - S(t1) would
+    cancel, at t1 far below the mean life, and rises with t1 as evaluated."""
     _check_thresholds(t1, t2)
-    s1 = weighted_survival(f, t1)
+    log_s1 = log_survival(f, t1)
     s2 = weighted_survival(f, t2)
-    p_r = 1.0 - s1 if isinstance(f, FuzzyLife) else -math.expm1(-t1 / f)
-    p_c = s1 - s2
-    return _summed_to_one(s2, p_r, p_c if 0.0 <= p_c <= 1.0 else _clamp_prob(p_c, "p_c"))
+    p_c = math.exp(log_s1) - s2
+    return _summed_to_one(s2, -math.expm1(log_s1),
+                          p_c if 0.0 <= p_c <= 1.0 else _clamp_prob(p_c, "p_c"))
 
 
 def rgsp_min_law(n: int):
@@ -168,13 +193,14 @@ def rgsp_max_law(n: int):
     the weighted CDF raised to the n-th power (an independent fuzzy rate
     per item).  p_a = 1 - (1 - S(t2))^n is -expm1(n log1p(-S(t2))), which
     keeps its digits where the power would lose eps/S(t2) relative, at
-    small S(t2); 0.0 - keeps it +0 where S(t2) underflows."""
+    small S(t2); 0.0 - keeps it +0 where S(t2) underflows.  p_r is
+    (-expm1(log S(t1)))^n, the `ssp_law` p_r to the n-th power."""
     check_group_size(n)
 
     def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
         _check_thresholds(t1, t2)
         s2 = weighted_survival(f, t2)
-        below_t1 = (1.0 - weighted_survival(f, t1)) ** n
+        below_t1 = (-math.expm1(log_survival(f, t1))) ** n
         p_a = 0.0 - math.expm1(n * math.log1p(-s2))
         return _summed_to_one(
             p_a, below_t1, _clamp_prob((1.0 - s2) ** n - below_t1, "p_c"))

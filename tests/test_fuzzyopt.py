@@ -514,7 +514,7 @@ def test_no_crisp_solve_is_made_twice(lambda1, form, monkeypatch):
     monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
     if lambda1 == 100.0:
         solve_plan(problem, membership_form=form)
-        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 106}[form]
+        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 66}[form]
     else:
         with pytest.raises(InfeasibleError):
             solve_plan(problem, membership_form=form)

@@ -13,6 +13,7 @@ from asplan.lifemodel import (
     expected_y,
     expected_y_upper_bound,
     harmonic_number,
+    log_survival,
     long_run_rates,
     typeI_law,
     rgsp_max_triprob,
@@ -140,6 +141,50 @@ def test_crisp_ssp_p_r_matches_mpmath(t_over_lam):
     for law in (lambda t1, t2: ssp_triprob(lam, Thresholds(t1, t2)),
                 lambda t1, t2: rgsp_min_triprob(lam, Thresholds(t1 / 4, t2 / 4), 4)):
         assert law(t1, 10.0 * lam).p_r == pytest.approx(want, rel=4e-16, abs=0.0)
+
+
+def _mpmath_log_survival(mpmath, f: FuzzyLife, t: float):
+    """log S(t) from sinh at the working precision, at the doubles f and t."""
+    a, lam, t = mpmath.mpf(f.a), mpmath.mpf(f.lambda_j), mpmath.mpf(t)
+    x = t / a
+    return -t / lam + mpmath.log(mpmath.sinh(x) / x) - mpmath.log1p(x * x / mpmath.pi ** 2)
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-12, 1.001, 1.2, 5.0, 1e3, 1e8])
+def test_fuzzy_log_survival_and_p_r_match_mpmath(ratio):
+    """log S and the fuzzy p_r = -expm1(log S(t1)) against 50-digit mpmath,
+    from t = 1e-6, where 1 - S(t) kept only about 10 of its digits, to the
+    far tail, across the series' switch at t = a/2.  `rgsp_max` p_r is the
+    same to the n-th power."""
+    mpmath = pytest.importorskip("mpmath")
+    lam = 300.0
+    f = FuzzyLife(lam, ratio * lam)
+    for t in (1e-6, 1e-4, 1e-2, 1.0, 0.4999 * f.a, 0.5 * f.a, 0.5001 * f.a, 100.0, 300.0,
+              3000.0):
+        with mpmath.workdps(50):
+            log_s = _mpmath_log_survival(mpmath, f, t)
+            p_r = -mpmath.expm1(log_s)
+            want = float(log_s), float(p_r), float(p_r ** 3)
+        assert log_survival(f, t) == pytest.approx(want[0], rel=2e-15, abs=0.0), t
+        assert ssp_triprob(f, Thresholds(t, 2.0 * t)).p_r == pytest.approx(
+            want[1], rel=6e-16, abs=0.0), t
+        assert rgsp_max_triprob(f, Thresholds(t, 2.0 * t), 3).p_r == pytest.approx(
+            want[2], rel=2e-15, abs=0.0), t
+
+
+def test_fuzzy_p_r_rises_strictly_at_small_n_t1():
+    """At a small group-minimum time n*t1 (n = 36, t1 near 8.87e-4, where a
+    generated `rgsp_min` design's roots once stalled), 1 - S(n*t1) moves in
+    steps of an ulp of 1, so it stays flat over many steps of t1 (and, from
+    the earlier product form of S, fell back); the -expm1 form rises at
+    every step of 16 ulps of t1."""
+    f = FuzzyLife(560.0, 5600.0)
+    n, t1 = 36, 8.87e-4
+    points = [t1 + k * 16.0 * math.ulp(t1) for k in range(400)]
+    p_r = [rgsp_min_triprob(f, Thresholds(t, 1.0), n).p_r for t in points]
+    assert all(a < b for a, b in zip(p_r, p_r[1:]))
+    cancelled = [1.0 - weighted_survival(f, n * t) for t in points]
+    assert not all(a < b for a, b in zip(cancelled, cancelled[1:]))
 
 
 def test_rgsp_min_equals_ssp_at_scaled_time():
