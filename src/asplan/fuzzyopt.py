@@ -24,7 +24,6 @@ oracle in `tests/reference.py`.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -155,9 +154,9 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
     the final bracket.  The probes end at the root tolerance or after
     `_ROOT_ITER` iterations, which only an f whose rounding noise spans the
     tolerance nears: over 250 generated plan problems and the benchmark's,
-    the longest root took 96 of the 100, a root over t1 of a fuzzy
-    `rgsp_min` size, whose p_r = 1 - S(n*t1) moves in steps of an ulp of 1,
-    and no root reached the cap.  A capped root is no less feasible.
+    the longest root took 14 of the 100, and none came near the cap (96
+    while a fuzzy p_r was 1 - S, which moves in steps of an ulp of 1).  A
+    capped root is no less feasible.
     """
     if f(unmet) <= 0.0:
         return unmet
@@ -197,56 +196,95 @@ def _last_met_on_log(f: Callable[[float], float], met: float, unmet: float) -> f
     return point(_last_met(lambda u: f(point(u)), math.log(met), math.log(unmet)))
 
 
-def _excess(fn: Callable, bound: float) -> Callable[[float, float], float]:
-    """fn(t1, t2) - bound, evaluated once per point.  A probe where the plan
-    never ends, or fn is not finite, reads 1, above any probability's
-    excess: it counts as infeasible, as it does on the grid."""
-
-    @functools.cache
-    def excess(t1: float, t2: float) -> float:
-        try:
-            value = float(fn((t1, t2)))
-        except DegeneratePlanError:
-            return 1.0
-        return value - bound if math.isfinite(value) else 1.0
-
-    return excess
-
-
 # The log-odds read for a risk at or below 0 and at or above 1: beyond
 # those of the doubles in (0, 1), which lie within about -745 and 37.
 _LOGIT_EDGE = 800.0
 
 
 def _log_odds_excess(fn: Callable, bound: float) -> Callable[[float, float], float]:
-    """logit(fn(t1, t2)) - logit(bound), evaluated once per point, with the
-    sign of the `_excess` at the same evaluation: where rounding makes the
-    two disagree, that excess itself.  So f <= 0 exactly where fn <= bound
-    as evaluated, and f does not fall as fn rises.
+    """logit(fn(t1, t2)) - logit(bound), with fn evaluated once per point,
+    and the sign of fn - bound as evaluated: where rounding makes the two
+    disagree, fn - bound itself.  So f <= 0 exactly where fn <= bound as
+    evaluated, and f does not fall as fn rises.  ``f.value(t1, t2)`` is fn
+    at the point, from the same evaluation: inf where the plan never ends
+    (`DegeneratePlanError`) or fn is not finite, which counts as infeasible,
+    as it does on the grid.
 
     The plans' risks are P = p/(p_a + p_r) of one stage, so their log-odds
     is log p_r - log p_a (or its negative): for exponential lives, linear
     in t2 and near k*log t1 at small t1, where the probability itself is
     logistic.  Roots on it take fewer probes.  fn <= 0 reads -800 and
-    fn >= 1 reads +800 as its log-odds; a point that `_excess` counts as
-    infeasible reads +800.  A bound outside (0, 1), such as a cut of 1,
-    has no log-odds: there f is `_excess`."""
-    if not 0.0 < bound < 1.0:
-        return _excess(fn, bound)
-    level = math.log(bound / (1.0 - bound))
+    fn >= 1 reads +800 as its log-odds, as does an infeasible point.  A
+    bound outside (0, 1), such as a cut of 1, has no log-odds: there f is
+    fn - bound, and 1 at an infeasible point."""
+    level = math.log(bound / (1.0 - bound)) if 0.0 < bound < 1.0 else None
+    values = {}
 
-    @functools.cache
+    def value(t1: float, t2: float) -> float:
+        v = values.get((t1, t2))
+        if v is None:
+            try:
+                v = float(fn((t1, t2)))
+            except DegeneratePlanError:
+                v = math.inf
+            v = values[t1, t2] = v if math.isfinite(v) else math.inf
+        return v
+
     def excess(t1: float, t2: float) -> float:
-        try:
-            value = float(fn((t1, t2)))
-        except DegeneratePlanError:
-            return _LOGIT_EDGE - level
-        if 0.0 < value < 1.0:
-            odds = math.log(value / (1.0 - value)) - level
-            return odds if (odds <= 0.0) == (value <= bound) else value - bound
-        return -_LOGIT_EDGE - level if -math.inf < value <= 0.0 else _LOGIT_EDGE - level
+        v = value(t1, t2)
+        if level is None:
+            return v - bound if v < math.inf else 1.0
+        if 0.0 < v < 1.0:
+            odds = math.log(v / (1.0 - v)) - level
+            return odds if (odds <= 0.0) == (v <= bound) else v - bound
+        return -_LOGIT_EDGE - level if v <= 0.0 else _LOGIT_EDGE - level
 
+    excess.value = value
     return excess
+
+
+def _violation(excess: Callable, bound: float, point: tuple) -> float:
+    """How far the risk of a `_log_odds_excess` is above its bound at a
+    point: 1 where it counts as infeasible, above any probability's."""
+    value = excess.value(*point)
+    return value - bound if value < math.inf else 1.0
+
+
+class Box(tuple):
+    """A `solve_monotone` box ((lo, hi), (lo, hi)) that also carries
+    closed-form guesses of the three roots that one tail of a stage law
+    answers: ``t_h(beta)``, the least t with h(t, t) <= beta; ``t_g(alpha)``,
+    the largest t with g(t, t) <= alpha; and ``t1_min(beta)``, the least t1
+    with h(t1, hi) <= beta.  Each guess may lie outside the box or miss its
+    bound by rounding, as the solver checks every one.  A plain tuple box
+    has none, and every root is Brent's."""
+
+    def __new__(cls, axes, t_h, t_g, t1_min):
+        box = super().__new__(cls, axes)
+        box.t_h, box.t_g, box.t1_min = t_h, t_g, t1_min
+        return box
+
+
+def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, unmet: float,
+             last_met: Callable = _last_met) -> float:
+    """``last_met(f, met, unmet)``, or a closed-form guess of it taken in its
+    stead.  The guess, clamped between met and unmet, is taken where f <= 0
+    there as evaluated, or else the point 4 ulps nearer met where f <= 0
+    there.  Otherwise, and with no guess, it is ``last_met`` from met to
+    that point, which f does not meet (to unmet with no guess), or met
+    itself where rounding breaks f(met) <= 0.  So the point returned meets
+    f <= 0 as evaluated, as ``last_met``'s does, unless met itself does
+    not."""
+    if guess is not None:
+        lower, upper = min(met, unmet), max(met, unmet)
+        t = min(max(guess, lower), upper)
+        if f(t) <= 0.0:
+            return t
+        nudge = 4.0 * math.ulp(t)
+        unmet = min(t + nudge, upper) if met > unmet else max(t - nudge, lower)
+        if f(unmet) <= 0.0:
+            return unmet
+    return met if f(met) > 0.0 else last_met(f, met, unmet)
 
 
 def solve_monotone(
@@ -272,15 +310,24 @@ def solve_monotone(
       with h(t1, hi) <= beta up to t_h: ``"active"`` with both risks at
       their bounds, or ``"edge"`` when t1 = lo or t2 = hi.
 
-    As T does not rise in t1, each root T(t1) is bracketed by the points of
-    the curve already solved.  T(t1a), of the nearest solved t1a below t1,
-    is the met end once it is at least t1 and h(t1, T(t1a)) <= beta holds
-    as evaluated; where rounding near the crossing breaks that, the met end
-    is hi, as it is with nothing solved below.  T(t1b), of the nearest
-    solved t1b above, no higher than the met end, is the unmet end, or t1
-    with nothing solved above.
+    When ``box`` is a `Box`, t_h, t_g and the least t1 on the curve start
+    from their closed-form guesses (`_guessed`): a guess
+    clamped to its bracket is taken where its risk meets the bound there as
+    evaluated, after at most one nudge of 4 ulps toward the met end, which
+    rounding between the family's tail and the risk can call for.
+    Otherwise, and in a plain box such as a test's, the root is Brent's,
+    bracketed from the met end to the nudged guess or to the unmet end.
 
-    Every root is found on the log-odds excess of its risk
+    The points of the curve, the outer root over t1 and the floor's balance
+    root are Brent's.  As T does not rise in t1, each root T(t1) is
+    bracketed by the points of the curve already solved.  T(t1a), of the
+    nearest solved t1a below t1, is the met end once it is at least t1 and
+    h(t1, T(t1a)) <= beta holds as evaluated; where rounding near the
+    crossing breaks that, the met end is hi, as it is with nothing solved
+    below.  T(t1b), of the nearest solved t1b above, no higher than the met
+    end, is the unmet end, or t1 with nothing solved above.
+
+    Every Brent root is found on the log-odds excess of its risk
     (`_log_odds_excess`), whose sign is that of the risk's excess as
     evaluated; for the plans' exponential lives it is near linear in t2 and
     in log t1, where the risk itself is logistic, and Brent's method takes
@@ -288,38 +335,45 @@ def solve_monotone(
     `LogAxis`, the two roots over t1 (the least t1 on the curve and the
     design's) run on log t1 (`_last_met_on_log`); a plain (lo, hi) keeps t1
     linear, as the Type-I plans do, whose p_r does not vanish at t1 = 0.
-    The corner checks, the violations reported and the floor's balance root
-    take the plain excess (`_excess`).
+    The balance root reads g and h from the same evaluations, by their
+    ``value``, and the corner checks and the curve's report their excess
+    over the bound (`_violation`).
 
-    Each root is the last probe that meets its bound, within 4 ulps relative
-    (or `_ROOT_XTOL`) of the crossing in its coordinate: t, or log t1, which
-    is within 1.4e-14 relative in t1 on a box from lo = 1e-6.  So the
-    answer meets both bounds as evaluated.  That is the exact optimum up to
-    that tolerance, and no point of the box is both feasible and cheaper.
+    Each Brent root is the last probe that meets its bound, within 4 ulps
+    relative (or `_ROOT_XTOL`) of the crossing in its coordinate: t, or
+    log t1, which is within 1.4e-14 relative in t1 on a box from lo = 1e-6.
+    A taken guess meets its bound too, and a family's tail quantiles put it
+    within 8 ulps of the crossing of the tail they invert, which rounding
+    in the risk moves by a few ulps more.  So the answer meets both bounds
+    as evaluated.  That is the exact optimum up to that tolerance, and no
+    point of the box is both feasible and cheaper.
     Raises InfeasibleError, with a positive best violation, when g(lo, lo)
     > alpha, when h(hi, hi) > beta, or when g(t1, T(t1)) > alpha already at
     the least t1 on the curve: then no point is feasible.
     """
     (lo, hi), _ = box
     along_t1 = _last_met_on_log if isinstance(box[0], LogAxis) else _last_met
+    # The guesses solve h = beta and g = alpha as odds, which a level
+    # outside (0, 1) does not have.
+    guesses = box if isinstance(box, Box) and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
     g_excess = _log_odds_excess(g, alpha)
     h_excess = _log_odds_excess(h, beta)
-    for excess, fn, bound, point in ((g_excess, g, alpha, (lo, lo)), (h_excess, h, beta, (hi, hi))):
+    for excess, bound, point in ((g_excess, alpha, (lo, lo)), (h_excess, beta, (hi, hi))):
         if excess(*point) > 0.0:
-            violation = _excess(fn, bound)(*point)
+            violation = _violation(excess, bound, point)
             raise InfeasibleError(
                 f"no feasible thresholds: a risk exceeds its level by {violation:.3e} "
                 f"where it is least, at {point}",
                 best_point=point,
                 best_violation=violation,
             )
-    t_h = _last_met(lambda t: h_excess(t, t), hi, lo)
+    t_h = _guessed(lambda t: h_excess(t, t), guesses and guesses.t_h(beta), hi, lo)
     if g_excess(t_h, t_h) <= 0.0:
-        t_g = _last_met(lambda t: g_excess(t, t), t_h, hi)
-        g_raw, h_raw = _excess(g, alpha), _excess(h, beta)
+        t_g = _guessed(lambda t: g_excess(t, t), guesses and guesses.t_g(alpha), t_h, hi)
+        g_value, h_value = g_excess.value, h_excess.value
 
         def balance(t: float) -> float:
-            return (g_raw(t, t) + alpha) * beta - (h_raw(t, t) + beta) * alpha
+            return g_value(t, t) * beta - h_value(t, t) * alpha
 
         t = t_h if balance(t_h) > 0.0 else _last_met(balance, t_h, t_g)
         return (t, t), float(objective((t, t))), "floor"
@@ -343,10 +397,11 @@ def solve_monotone(
     def g_on_curve(t1: float) -> float:
         return g_excess(t1, t2_of(t1))
 
-    t1_min = along_t1(lambda t: h_excess(t, hi), t_h, lo)
+    t1_min = _guessed(lambda t: h_excess(t, hi), guesses and guesses.t1_min(beta), t_h, lo,
+                      along_t1)
     if g_on_curve(t1_min) > 0.0:
         point = (t1_min, t2_of(t1_min))
-        violation = _excess(g, alpha)(*point)
+        violation = _violation(g_excess, alpha, point)
         raise InfeasibleError(
             f"no feasible thresholds: g exceeds its level by {violation:.3e} where h "
             f"first meets its level, at {point}",

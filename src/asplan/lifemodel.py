@@ -14,7 +14,9 @@ Every formula takes and returns plain floats, one threshold pair at a time.
 Each family's stage law is one function of floats that returns
 (p_a, p_r, p_c): `ssp_law(f, t1, t2)`, and the laws that `rgsp_min_law(n)`,
 `rgsp_max_law(n)` and `typeI_law(n, tau, sd_form)` build once per group
-size, after checking what depends on it alone.  Each evaluation makes the
+size, after checking what depends on it alone.  p_a is a tail at t2 alone
+and p_r at t1 alone; each law carries the two tails and their quantiles in
+closed form, refined to the tails as evaluated (`_with_tails`).  Each evaluation makes the
 checks of the value types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up
 to rounding, and a sum within 1e-10 of 1.  `long_run_rates` takes
 (p_a, p_r) to (P_A, P_R, N).  The value types `Thresholds` and `TriProb`,
@@ -52,6 +54,7 @@ SD_FORMS = ("n", "sqrt_n")
 
 _PI_SQUARED = math.pi ** 2
 _SQRT_2 = math.sqrt(2.0)
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,113 @@ def weighted_survival(f: Life, t: float) -> float:
     return math.exp(log_survival(f, t))
 
 
+def _with_tails(law, accept, reject, accept_guess, reject_guess):
+    """Give a stage law its two tails and their quantiles, as attributes.
+
+    ``accept(life, t)`` is the law's p_a at t2 = t and ``reject(life, t)``
+    its p_r at t1 = t, by the law's own expressions; p_a falls and p_r rises
+    in t.  ``accept_quantile(life, q)`` is the least t with accept <= q, and
+    ``reject_quantile(life, q)`` the least t with reject >= q, each as
+    evaluated: the closed-form guess refined by `_least_met`, so the point
+    8 ulps below it misses q.  Outside 0 < q < 1 they are 0.0 where every
+    t meets q and inf where none does.
+    """
+
+    def accept_quantile(life, q: float) -> float:
+        if not 0.0 < q < 1.0:
+            return 0.0 if q >= 1.0 else math.inf
+        return _least_met(lambda t: accept(life, t) <= q, accept_guess(life, q))
+
+    def reject_quantile(life, q: float) -> float:
+        if not 0.0 < q < 1.0:
+            return 0.0 if q <= 0.0 else math.inf
+        return _least_met(lambda t: reject(life, t) >= q, reject_guess(life, q))
+
+    law.accept, law.reject = accept, reject
+    law.accept_quantile, law.reject_quantile = accept_quantile, reject_quantile
+    return law
+
+
+def _least_met(meets, t: float) -> float:
+    """The least t > 0 where ``meets`` holds, within 4 ulps above it, for a
+    predicate that fails below some point and holds from there on, from a
+    guess t near that point.
+
+    Steps of 4 ulps, doubling, move away from the guess until the predicate
+    changes, and bisection closes the bracket to 4 ulps: two evaluations
+    when the guess is within 4 ulps, and twice the log2 of the distance in
+    ulps where the guess is off, as where the tail rounds to one value over
+    many ulps.  A guess that is not positive and finite is returned as it
+    is, at most clamped to 0.0, as is 0.0 where the steps down reach 0.
+    """
+    if not 0.0 < t < math.inf:
+        return max(t, 0.0)
+    step = 4.0 * math.ulp(t)
+    if meets(t):
+        met, unmet = t, t - step
+        while unmet > 0.0 and meets(unmet):
+            met, step = unmet, 2.0 * step
+            unmet = t - step
+        if unmet <= 0.0:
+            return 0.0
+    else:
+        unmet, met = t, t + step
+        while not meets(met):
+            unmet, step = met, 2.0 * step
+            met = t + step
+            if met == math.inf:
+                return met
+    while met - unmet > 4.0 * math.ulp(met):
+        middle = 0.5 * (met + unmet)
+        if meets(middle):
+            met = middle
+        else:
+            unmet = middle
+    return met
+
+
+def _log1mexp(v: float) -> float:
+    """log(1 - e^v) for v <= 0, by log(-expm1(v)) near 0 and log1p(-e^v)
+    beyond -log 2, where each keeps its digits."""
+    return math.log(-math.expm1(v)) if v > -_LOG_2 else math.log1p(-math.exp(v))
+
+
+# Newton steps of `_survival_quantile`: from the crisp start they converge to
+# the last bits in 3 or 4 where t/a is below a few units; the cap only ends
+# the slow approach of a heavy tail (a near lambda_j), which `_least_met`
+# then closes.
+_NEWTON_STEPS = 30
+
+
+def _survival_quantile(f: Life, log_level: float) -> float:
+    """The t where log S(t) = log_level < 0 (`log_survival`): -lambda *
+    log_level for a crisp life.  For a fuzzy one, Newton's method from that
+    crisp value, which is at or below the root as L >= 0, with the slope
+    -1/lambda_j + L'(t/a)/a, L'(x) = coth(x) - 1/x - 2x/(pi^2 + x^2), whose
+    series below x = 1/2 starts 2x/pi^2 (zeta(2) - 1 - (zeta(4) - 1) y).
+    log S is convex in t, as L is, so each step stays below the root and
+    rises to it; it stops once a step is within 2 ulps.  0.0 where
+    log_level rounds to 0."""
+    if not log_level < 0.0:
+        return 0.0
+    if not isinstance(f, FuzzyLife):
+        return -f * log_level
+    a, lam = f.a, f.lambda_j
+    t = -lam * log_level
+    for _ in range(_NEWTON_STEPS):
+        x = t / a
+        if x < _L_SERIES_BELOW:
+            d_l = 2.0 * x / _PI_SQUARED * (
+                0.6449340668482264 - 0.08232323371113819 * x * x / _PI_SQUARED)
+        else:
+            d_l = 1.0 / math.tanh(x) - 1.0 / x - 2.0 * x / (_PI_SQUARED + x * x)
+        step = (log_survival(f, t) - log_level) / (1.0 / lam - d_l / a)
+        t += step
+        if not abs(step) > 2.0 * math.ulp(t):
+            break
+    return t
+
+
 def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
     """(p_a, p_r, p_c) of one inter-failure time at the thresholds (t1, t2).
     p_r is -expm1(log S(t1)), which keeps its digits where 1 - S(t1) would
@@ -175,17 +285,35 @@ def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
                           p_c if 0.0 <= p_c <= 1.0 else _clamp_prob(p_c, "p_c"))
 
 
+def _ssp_reject(f: Life, t: float) -> float:
+    return -math.expm1(log_survival(f, t))
+
+
+_with_tails(
+    ssp_law, weighted_survival, _ssp_reject,
+    lambda f, q: _survival_quantile(f, math.log(q)),
+    lambda f, q: _survival_quantile(f, math.log1p(-q)),
+)
+
+
 def rgsp_min_law(n: int):
     """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group minimum of size n:
     the minimum of n shared-rate exponentials is exponential with n times
-    the rate, so this is `ssp_law` at (n*t1, n*t2)."""
+    the rate, so this is `ssp_law` at (n*t1, n*t2), and so are its tails;
+    its quantiles start from the `ssp_law` ones divided by n."""
     check_group_size(n)
 
     def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
         _check_thresholds(t1, t2)
         return ssp_law(f, n * t1, n * t2)
 
-    return law
+    return _with_tails(
+        law,
+        lambda f, t: weighted_survival(f, n * t),
+        lambda f, t: _ssp_reject(f, n * t),
+        lambda f, q: _survival_quantile(f, math.log(q)) / n,
+        lambda f, q: _survival_quantile(f, math.log1p(-q)) / n,
+    )
 
 
 def rgsp_max_law(n: int):
@@ -194,8 +322,13 @@ def rgsp_max_law(n: int):
     per item).  p_a = 1 - (1 - S(t2))^n is -expm1(n log1p(-S(t2))), which
     keeps its digits where the power would lose eps/S(t2) relative, at
     small S(t2); 0.0 - keeps it +0 where S(t2) underflows.  p_r is
-    (-expm1(log S(t1)))^n, the `ssp_law` p_r to the n-th power."""
+    (-expm1(log S(t1)))^n, the `ssp_law` p_r to the n-th power.  p_a <= q
+    where S <= 1 - (1 - q)^(1/n), and p_r >= q where S <= 1 - q^(1/n): its
+    quantiles start from the survival quantile there."""
     check_group_size(n)
+
+    def accept(f: Life, t: float) -> float:
+        return 0.0 - math.expm1(n * math.log1p(-weighted_survival(f, t)))
 
     def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
         _check_thresholds(t1, t2)
@@ -205,7 +338,11 @@ def rgsp_max_law(n: int):
         return _summed_to_one(
             p_a, below_t1, _clamp_prob((1.0 - s2) ** n - below_t1, "p_c"))
 
-    return law
+    return _with_tails(
+        law, accept, lambda f, t: _ssp_reject(f, t) ** n,
+        lambda f, q: _survival_quantile(f, _log1mexp(math.log1p(-q) / n)),
+        lambda f, q: _survival_quantile(f, _log1mexp(math.log(q) / n)),
+    )
 
 
 def std_normal_cdf(z: float) -> float:
@@ -214,16 +351,20 @@ def std_normal_cdf(z: float) -> float:
 
 
 def typeI_law(n: int, tau: float, sd_form: str = "n"):
-    """The law (lambda_j, t1, t2) -> (p_a, p_r, p_c) of the censored-MLE
-    statistic of n items censored at tau, under the normal approximation.
+    """The law (life, t1, t2) -> (p_a, p_r, p_c) of the censored-MLE
+    statistic of n items censored at tau, under the normal approximation,
+    at the nominal mean lambda_j of a fuzzy life or at a plain mean life.
 
     The estimator is treated as normal with mean lambda_j and standard
     deviation lambda_j / m.  Two published scalings of m coexist:
     ``sd_form="n"`` uses m = n*sqrt(1 - e^{-tau/lambda_j}) and ``"sqrt_n"``
     uses m = sqrt(n*(1 - e^{-tau/lambda_j})).  The "n" scaling reproduces
     the reference operating characteristics; "sqrt_n" is the textbook
-    asymptotic rate and is exposed for comparison.
+    asymptotic rate and is exposed for comparison.  The tails' quantiles
+    are lambda_j (1 -/+ z_q / m), z_q the standard normal quantile of q.
     """
+    from statistics import NormalDist
+
     check_group_size(n)
     if tau is None or not 0 < tau < math.inf:
         raise DomainError(f"tau must be positive and finite, got {tau}")
@@ -231,15 +372,21 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
         raise DomainError(f"unknown sd_form {sd_form!r}")
     per_n = sd_form == "n"
     scales = {}  # lambda_j -> m, made once per mean life
+    normal_quantile = NormalDist().inv_cdf
 
-    def law(lambda_j: float, t1: float, t2: float) -> tuple[float, float, float]:
-        _check_thresholds(t1, t2)
+    def mean_and_scale(life: Life) -> tuple[float, float]:
+        lambda_j = life.lambda_j if isinstance(life, FuzzyLife) else life
         m = scales.get(lambda_j)
         if m is None:
             if not lambda_j > 0:
                 raise DomainError(f"lambda_j must be positive, got {lambda_j}")
             frac = -math.expm1(-tau / lambda_j)
             m = scales[lambda_j] = n * math.sqrt(frac) if per_n else math.sqrt(n * frac)
+        return lambda_j, m
+
+    def law(life: Life, t1: float, t2: float) -> tuple[float, float, float]:
+        _check_thresholds(t1, t2)
+        lambda_j, m = mean_and_scale(life)
         z1 = (t1 - lambda_j) / lambda_j * m
         z2 = (t2 - lambda_j) / lambda_j * m
         phi1 = std_normal_cdf(z1)
@@ -247,7 +394,19 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
         return _summed_to_one(
             std_normal_cdf(-z2), phi1, _clamp_prob(std_normal_cdf(z2) - phi1, "p_c"))
 
-    return law
+    def tail(sign: float):
+        def at(life: Life, t: float) -> float:
+            lambda_j, m = mean_and_scale(life)
+            return std_normal_cdf(sign * ((t - lambda_j) / lambda_j * m))
+        return at
+
+    def quantile(sign: float):
+        def at(life: Life, q: float) -> float:
+            lambda_j, m = mean_and_scale(life)
+            return lambda_j * (1.0 + sign * normal_quantile(q) / m)
+        return at
+
+    return _with_tails(law, tail(-1.0), tail(1.0), quantile(-1.0), quantile(1.0))
 
 
 def ssp_triprob(f: Life, th: Thresholds) -> TriProb:

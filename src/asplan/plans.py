@@ -20,7 +20,14 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError
-from .fuzzyopt import DEFAULT_SOLVER, LogAxis, PlanDesign, SolverSettings, solve_plan
+from .fuzzyopt import (
+    DEFAULT_SOLVER,
+    Box,
+    LogAxis,
+    PlanDesign,
+    SolverSettings,
+    solve_plan,
+)
 from .lifemodel import (
     SD_FORMS,
     Life,
@@ -202,9 +209,12 @@ def stage_law(family: Family, n: Optional[int] = None, tau: Optional[float] = No
     the thresholds and the probabilities at each evaluation.  The Type-I
     normal approximation sees the nominal mean life alone.
 
-    In every family p_a depends on t2 alone and p_r on t1 alone.  The laws
-    are read from this module's globals, so rebinding them here reaches
-    every law built afterwards.
+    In every family p_a depends on t2 alone and p_r on t1 alone: the law
+    carries the two as its tails ``accept(life, t)`` and ``reject(life,
+    t)``, with their quantiles ``accept_quantile(life, q)``, the least t
+    with p_a <= q, and ``reject_quantile(life, q)``, the least t with p_r
+    >= q.  The laws are read from this module's globals, so rebinding them
+    here reaches every law built afterwards.
     """
     family = Family(family)
     if family is Family.SSP:
@@ -213,8 +223,7 @@ def stage_law(family: Family, n: Optional[int] = None, tau: Optional[float] = No
         return rgsp_min_law(n)
     if family is Family.RGSP_MAX:
         return rgsp_max_law(n)
-    law = typeI_law(n, tau, sd_form)
-    return lambda life, t1, t2: law(_mean(life), t1, t2)
+    return typeI_law(n, tau, sd_form)
 
 
 def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
@@ -231,15 +240,28 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     linear in log t1, and `solve_monotone` finds its roots over t1 there.
     The Type-I normal approximation has p_r(0+) = Phi(-m) > 0, and its t1
     axis stays linear.
+
+    The box is a `Box` with guesses of three of `solve_monotone`'s roots,
+    from the law's tail quantiles.  h <= beta is p_a <= k p_r at lambda1, k =
+    beta/(1 - beta), so the least t1 with h(t1, hi) <= beta is
+    Q_R(p_a(hi)/k).  On the diagonal p_c = 0 and p_a + p_r = 1 up to
+    rounding, so h(t, t) = p_a(t) at lambda1, g(t, t) = p_r(t) at lambda0,
+    t_h = Q_A(beta) and t_g = Q_R(alpha), at which g first exceeds alpha.
     """
     if crisp:
         p = crisp_limit(p)
     hi = _upper_edge(p)
     t1_axis = (_T_LO, hi) if p.family is Family.TYPE_I else LogAxis((_T_LO, hi))
-    box = (t1_axis, (_T_LO, hi))
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1
     law = stage_law(p.family, n, p.tau, p.sd_form)
+    box = Box(
+        (t1_axis, (_T_LO, hi)),
+        t_h=lambda beta: law.accept_quantile(life1, beta),
+        t_g=lambda alpha: law.reject_quantile(life0, alpha),
+        t1_min=lambda beta: law.reject_quantile(
+            life1, law.accept(life1, hi) * (1.0 - beta) / beta),
+    )
     scale = p.cost * expected_stage_duration(
         p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
     )

@@ -471,7 +471,8 @@ def test_scipy_loads_only_where_a_command_needs_it(argv, numpy):
     or the oracle loads any scipy module, since E[Y] of a fuzzy life is a
     Gauss-Legendre rule in pure Python and the roots are
     `fuzzyopt._brentq`.  numpy is loaded by the Monte-Carlo oracle alone,
-    so every other command starts without it."""
+    so every other command starts without it.  `import asplan` loads no
+    `statistics` either: only a Type-I law, for its normal quantile."""
     code = (
         "import sys\n"
         "import asplan\n"
@@ -480,12 +481,15 @@ def test_scipy_loads_only_where_a_command_needs_it(argv, numpy):
         "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
         "print(status, loaded('scipy'))\n"
         "print(loaded('numpy'))\n"
+        "print('statistics' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env=env)
     assert result.returncode == 0, result.stderr
-    *_, scipy_line, numpy_line = result.stdout.splitlines()
+    *_, scipy_line, numpy_line, statistics_line = result.stdout.splitlines()
     assert scipy_line == "0 []"
     assert (numpy_line != "[]") is numpy, numpy_line
+    if not argv:
+        assert statistics_line == "False"

@@ -4,9 +4,11 @@ solver faster must leave every design, and its trace, as it was.
 Each case is one problem solved by `solve_plan` and by `crisp_baseline`
 under both membership forms; the golden in
 tests/data/design_fingerprint.json holds ``repr(design)``,
-``repr(design.trace)``, the number of `solve_monotone` calls of each and
-the number of probes its roots made in `_brentq`, so that a change that
-adds crisp solves or root probes shows here too, where wall time would
+``repr(design.trace)``, the number of `solve_monotone` calls of each, the
+number of probes its roots made in `_brentq` and the number of closed-form
+root guesses that missed their bound and fell back to Brent's method
+(`fuzzyopt._guessed`), so that a change that adds crisp solves or root
+probes, or degrades a tail quantile, shows here too, where wall time would
 not.  The problems are the README problem of
 every family (`rgsp_min` and `rgsp_max` at `n_max` 200) and eight problems
 shaped like the benchmark's, written out here.  A change that moves a
@@ -81,7 +83,8 @@ def fingerprint(case: str) -> dict:
     name, solver, form = case.split("/")
     solves = [0]
     probes = [0]
-    monotone, brentq = fuzzyopt.solve_monotone, fuzzyopt._brentq
+    fallbacks = [0]
+    monotone, brentq, guessed = fuzzyopt.solve_monotone, fuzzyopt._brentq, fuzzyopt._guessed
 
     def counted(*args):
         solves[0] += 1
@@ -94,11 +97,22 @@ def fingerprint(case: str) -> dict:
 
         return brentq(probe, *args)
 
+    def counted_guessed(f, guess, met, unmet, last_met=fuzzyopt._last_met):
+        def fallback(*args):
+            fallbacks[0] += guess is not None
+            return last_met(*args)
+
+        return guessed(f, guess, met, unmet, fallback)
+
     with mock.patch.object(fuzzyopt, "solve_monotone", counted), \
-            mock.patch.object(fuzzyopt, "_brentq", counted_brentq):
+            mock.patch.object(fuzzyopt, "_brentq", counted_brentq), \
+            mock.patch.object(fuzzyopt, "_guessed", counted_guessed):
         design = SOLVERS[solver](PROBLEMS[name], membership_form=form)
     return {"design": repr(design), "trace": repr(design.trace), "solves": solves[0],
-            "probes": probes[0]}
+            "probes": probes[0], "fallbacks": fallbacks[0]}
+
+
+COUNTS = ("solves", "probes", "fallbacks")
 
 
 def _fields(design: str) -> dict:
@@ -132,10 +146,10 @@ def drift(old: dict, new: dict) -> list[str]:
             parts += [f"n {was['n']} -> {now['n']}"] if was["n"] != now["n"] else []
         cases = [re.findall(r"'(\w+)'", entry["trace"]) for entry in (before, after)]
         parts += [f"cases {cases[0]} -> {cases[1]}"] if cases[0] != cases[1] else []
-        parts += [f"{key} {before.get(key)} -> {after[key]}" for key in ("solves", "probes")
+        parts += [f"{key} {before.get(key)} -> {after[key]}" for key in COUNTS
                   if before.get(key) != after[key]]
         lines.append(f"{case}: " + ", ".join(parts))
-    for key in ("solves", "probes"):
+    for key in COUNTS:
         totals = [sum(entry.get(key) or 0 for entry in golden.values()) for golden in (old, new)]
         lines.append(f"{key} in all: {totals[0]} -> {totals[1]}")
     lines.append("largest relative move: " + ", ".join(
@@ -165,17 +179,19 @@ def test_drift_names_each_moved_case_and_the_totals():
     moved = replace(design, t1=1.0 + 2.0 ** -40, h_margin=1e-17)
     dearer = replace(design, objective_value=4.0 + 2.0 ** -48)
 
-    def entry(d: PlanDesign, probes: int) -> dict:
-        return {"design": repr(d), "trace": repr(d.trace), "solves": 2, "probes": probes}
+    def entry(d: PlanDesign, probes: int, fallbacks: int = 0) -> dict:
+        return {"design": repr(d), "trace": repr(d.trace), "solves": 2, "probes": probes,
+                "fallbacks": fallbacks}
 
     old = {"same": entry(design, 10), "moved": entry(design, 10), "dearer": entry(design, 10)}
-    new = {"same": entry(design, 10), "moved": entry(moved, 7), "dearer": entry(dearer, 10)}
+    new = {"same": entry(design, 10), "moved": entry(moved, 7, 1), "dearer": entry(dearer, 10)}
     assert drift(old, new) == [
         "dearer: t1 +0.00e+00, t2 +0.00e+00, cost +8.88e-16, g_margin 0.0, h_margin 0.0",
         "moved: t1 +9.09e-13, t2 +0.00e+00, cost +0.00e+00, g_margin 0.0, h_margin 1e-17, "
-        "probes 10 -> 7",
+        "probes 10 -> 7, fallbacks 0 -> 1",
         "solves in all: 6 -> 6",
         "probes in all: 30 -> 27",
+        "fallbacks in all: 0 -> 1",
         "largest relative move: t1 9.09e-13, t2 0.00e+00, cost 8.88e-16; costs rose in 1 of 3 "
         "cases",
     ]

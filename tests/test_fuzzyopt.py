@@ -514,7 +514,7 @@ def test_no_crisp_solve_is_made_twice(lambda1, form, monkeypatch):
     monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
     if lambda1 == 100.0:
         solve_plan(problem, membership_form=form)
-        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 66}[form]
+        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 74}[form]
     else:
         with pytest.raises(InfeasibleError):
             solve_plan(problem, membership_form=form)
@@ -906,6 +906,63 @@ def test_solve_monotone_falls_back_to_the_box_edge_where_a_bracket_is_unmet():
     assert case == "active"
     assert x == pytest.approx((2.0, 6.0), rel=1e-9)
     assert _linear_g(x) <= 0.2 and h(x) <= 0.5
+
+
+def _linear_box(shift: float = 0.0) -> fuzzyopt.Box:
+    """`LINEAR_BOX` with the roots that one risk answers in closed form,
+    each moved by ``shift`` toward its unmet end: t_h = 10 (1 - beta),
+    t_g = 20 alpha, and t1_min, where h(t1, 10) = beta, below the box."""
+    return fuzzyopt.Box(
+        LINEAR_BOX,
+        t_h=lambda beta: 10.0 * (1.0 - beta) - shift,
+        t_g=lambda alpha: 20.0 * alpha + shift,
+        t1_min=lambda beta: 40.0 * (1.0 - beta) - 30.0,
+    )
+
+
+@pytest.mark.parametrize("alpha,case", [(0.4, "floor"), (0.2, "active")])
+def test_solve_monotone_takes_a_guess_that_meets_its_bound(alpha, case):
+    """With exact root guesses on the box, t_h, t_g and the least t1 on
+    the curve each cost one evaluation, at the guess: the solve makes fewer
+    evaluations than with Brent's roots and returns their design, to their
+    tolerance."""
+    calls = []
+
+    def h(x):
+        calls.append(tuple(x))
+        return _linear_h(x)
+
+    box = _linear_box()
+    x, cost, got_case = fuzzyopt.solve_monotone(_linear_cost, _linear_g, h, box, alpha, 0.5)
+    assert got_case == case
+    assert [t for t, t2 in calls if t == t2][:2] == [10.0, 5.0]  # the corner, then t_h
+    guessed_calls = len(calls)
+    calls.clear()
+    brent = fuzzyopt.solve_monotone(_linear_cost, _linear_g, h, LINEAR_BOX, alpha, 0.5)
+    assert brent[2] == case and x == pytest.approx(brent[0], rel=1e-12)
+    assert guessed_calls < len(calls)
+
+
+def test_solve_monotone_falls_back_to_brent_where_a_guess_misses():
+    """Guesses 1e-6 short of t_h and t_g, on the side where the bound is
+    missed, fail their check and the nudge of 4 ulps: each root is then
+    Brent's, bracketed from the met end to the nudged guess, and with
+    rounding noise of 1e-12 on h the solve still returns the floor design,
+    with both bounds met as evaluated."""
+    calls = []
+
+    def h(x):
+        value = _linear_h(x) + 1e-12 * _rounding_noise(x)
+        calls.append((tuple(x), value))
+        return value
+
+    box = _linear_box(shift=1e-6)
+    x, cost, case = fuzzyopt.solve_monotone(_linear_cost, _linear_g, h, box, 0.4, 0.5)
+    assert calls[1] == ((5.0 - 1e-6,) * 2, pytest.approx(0.5 + 1e-7, rel=1e-9))
+    assert len([point for point, _ in calls if point[0] == point[1]]) > 4
+    assert case == "floor"
+    assert x[0] == x[1] == pytest.approx(2.0 / (1.0 / 8.0 + 1.0 / 5.0), rel=1e-9)
+    assert _linear_g(x) <= 0.4 and h(x) <= 0.5
 
 
 @pytest.mark.parametrize(

@@ -171,11 +171,12 @@ def test_the_plan_formulas_import_no_numpy_or_scipy(module):
     assert _imports_of(source, "scipy", skipped=lambda name: False) == []
 
 
-# The closed forms of one stage: the float laws and their value-type
-# wrappers.  Matched by exact name: `oracle.mc_triprob` is the independent
-# simulation, not one of them.
-CLOSED_FORMS = {"weighted_survival", "ssp_triprob", "rgsp_min_triprob", "rgsp_max_triprob",
-                "typeI_triprob", "ssp_law", "rgsp_min_law", "rgsp_max_law", "typeI_law"}
+# The closed forms of one stage: the float laws, their value-type wrappers
+# and the quantiles of their tails.  Matched by exact name:
+# `oracle.mc_triprob` is the independent simulation, not one of them.
+CLOSED_FORMS = {"weighted_survival", "log_survival", "ssp_triprob", "rgsp_min_triprob",
+                "rgsp_max_triprob", "typeI_triprob", "ssp_law", "rgsp_min_law", "rgsp_max_law",
+                "typeI_law", "accept_quantile", "reject_quantile"}
 
 
 def _closed_form_uses(source: str) -> list:

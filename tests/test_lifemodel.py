@@ -3,9 +3,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from asplan import lifemodel
 from asplan.errors import ConsistencyError, DegeneratePlanError, DomainError
 from asplan.lifemodel import (
     Thresholds,
@@ -15,6 +16,9 @@ from asplan.lifemodel import (
     harmonic_number,
     log_survival,
     long_run_rates,
+    rgsp_max_law,
+    rgsp_min_law,
+    ssp_law,
     typeI_law,
     rgsp_max_triprob,
     rgsp_min_triprob,
@@ -185,6 +189,82 @@ def test_fuzzy_p_r_rises_strictly_at_small_n_t1():
     assert all(a < b for a, b in zip(p_r, p_r[1:]))
     cancelled = [1.0 - weighted_survival(f, n * t) for t in points]
     assert not all(a < b for a, b in zip(cancelled, cancelled[1:]))
+
+
+def _law(family: str, n: int, tau_ratio: float, lam: float, sd_form: str = "n"):
+    if family == "ssp":
+        return ssp_law
+    if family == "rgsp_min":
+        return rgsp_min_law(n)
+    if family == "rgsp_max":
+        return rgsp_max_law(n)
+    return typeI_law(n, tau_ratio * lam, sd_form)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(
+    family=st.sampled_from(["ssp", "rgsp_min", "rgsp_max", "type1"]),
+    n=st.integers(1, 10_000),
+    lam=st.floats(1e-3, 1e6),
+    log_ratio=st.one_of(st.none(), st.floats(math.log(1.0 + 1e-9), math.log(1e8))),
+    tau_ratio=st.floats(1e-3, 1e3),
+    sd_form=st.sampled_from(["n", "sqrt_n"]),
+    q=st.one_of(st.sampled_from([1e-300, 0.5, 1.0 - 1e-12]), st.floats(1e-300, 1.0 - 1e-12)),
+)
+def test_tail_quantiles_are_the_least_points_that_meet_q(
+        family, n, lam, log_ratio, tau_ratio, sd_form, q):
+    """Each law's accept_quantile is a t with p_a(t) <= q as evaluated and
+    reject_quantile a t with p_r(t) >= q, and neither tail meets q 8 ulps
+    below: so a root guess taken from them costs at most a few ulps.  Over
+    every family, crisp lives (``log_ratio`` None) and fuzzy ones from a
+    barely fuzzy a = lambda (1 + 1e-9) to a = 1e8 lambda, n up to 10,000
+    and q from 1e-300 to 1 - 1e-12.  A Type-I quantile may lie at t <= 0,
+    where the tail has met q already at t = 0+; those are not checked."""
+    life = lam if log_ratio is None else FuzzyLife(lam, lam * math.exp(log_ratio))
+    assume(not isinstance(life, FuzzyLife) or life.a > lam)
+    law = _law(family, n, tau_ratio, lam, sd_form)
+    for quantile, meets in (
+            (law.accept_quantile, lambda t: law.accept(life, t) <= q),
+            (law.reject_quantile, lambda t: law.reject(life, t) >= q)):
+        t = quantile(life, q)
+        if family == "type1" and t <= 0.0:
+            continue
+        assert 0.0 < t < math.inf
+        assert meets(t)
+        assert not meets(t - 8.0 * math.ulp(t))
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.2, 5.0, 1e3, 1e8])
+def test_fuzzy_survival_quantile_matches_mpmath(ratio):
+    """The fuzzy inverse of log S, Newton's method from the crisp quantile,
+    is the root of log S(t) = level by 50-digit mpmath within 1e-14
+    relative, from t far below a to t far beyond it.  The tail quantiles
+    built on it agree as well where their tail keeps its digits: p_a at
+    every q, and p_r up to q = 0.5 (near 1 it is 1 - S, and flat over
+    about eps/S relative)."""
+    mpmath = pytest.importorskip("mpmath")
+    f = FuzzyLife(50.0, 50.0 * ratio)
+    for q in (1e-200, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-9):
+        for quantile, level in ((ssp_law.accept_quantile, math.log(q)),
+                                (ssp_law.reject_quantile, math.log1p(-q))):
+            got = lifemodel._survival_quantile(f, level)
+            with mpmath.workdps(50):
+                want = float(mpmath.findroot(
+                    lambda t: _mpmath_log_survival(mpmath, f, t) - level,
+                    (mpmath.mpf(got) * (1 - mpmath.mpf(1e-9)), mpmath.mpf(got))))
+            assert got == pytest.approx(want, rel=1e-14), (q, level)
+            if quantile is ssp_law.accept_quantile or q <= 0.5:
+                assert quantile(f, q) == pytest.approx(want, rel=2e-14), (q, level)
+
+
+def test_tail_quantiles_outside_the_open_unit_interval():
+    """At q >= 1 every t meets p_a <= q and none p_r >= q; at q <= 0 the
+    other way round, as far as the closed forms go."""
+    for law in (ssp_law, rgsp_min_law(3), rgsp_max_law(3), typeI_law(3, 50.0)):
+        assert law.accept_quantile(300.0, 1.0) == 0.0
+        assert law.accept_quantile(300.0, 0.0) == math.inf
+        assert law.reject_quantile(300.0, 0.0) == 0.0
+        assert law.reject_quantile(300.0, 1.0) == math.inf
 
 
 def test_rgsp_min_equals_ssp_at_scaled_time():

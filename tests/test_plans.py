@@ -401,16 +401,19 @@ def test_float_path_refuses_probabilities_that_do_not_sum_to_one(family, n, monk
 def test_a_plan_that_never_ends_raises_and_reads_as_infeasible():
     """At t1 = 5e-324, the least positive double, t1/lambda underflows to 0,
     and at t2 = 1e6 the crisp survival rounds to 0, so p_a = p_r = 0: each
-    closure raises DegeneratePlanError, and the crisp solve's `_excess`
-    reads the point as 1, above any risk's excess."""
+    closure raises DegeneratePlanError, and the crisp solve's excess reads
+    the point's risk as inf, infeasible at any level."""
     x = (math.ulp(0.0), 1e6)
     crisp = plan_functions(make_problem(lambda0=300.0, lambda1=50.0), None)[:3]
     for fn in crisp:
         with pytest.raises(DegeneratePlanError, match=re.escape("p_a + p_r = 0")):
             fn(x)
     _, g, h = crisp
-    assert fuzzyopt._excess(g, 0.05)(*x) == 1.0
-    assert fuzzyopt._excess(h, 0.05)(*x) == 1.0
+    for fn in (g, h):
+        excess = fuzzyopt._log_odds_excess(fn, 0.05)
+        assert excess(*x) > 0.0
+        assert excess.value(*x) == math.inf
+        assert fuzzyopt._violation(excess, 0.05, x) == 1.0
 
 
 @pytest.mark.parametrize("family,n", FAMILY_SIZES, ids=FAMILY_IDS)
