@@ -311,12 +311,12 @@ def solve_monotone(
       their bounds, or ``"edge"`` when t1 = lo or t2 = hi.
 
     When ``box`` is a `Box`, t_h, t_g and the least t1 on the curve start
-    from their closed-form guesses (`_guessed`): a guess
-    clamped to its bracket is taken where its risk meets the bound there as
-    evaluated, after at most one nudge of 4 ulps toward the met end, which
-    rounding between the family's tail and the risk can call for.
-    Otherwise, and in a plain box such as a test's, the root is Brent's,
-    bracketed from the met end to the nudged guess or to the unmet end.
+    from their closed-form guesses (`_guessed`): a guess clamped to its
+    bracket is taken where its risk meets the bound there as evaluated,
+    after at most one nudge of 4 ulps toward the met end, which rounding
+    between the family's tail and the risk can call for.  Otherwise, and
+    in a plain box such as a test's, the root is Brent's, bracketed from
+    the met end to the nudged guess or to the unmet end.
 
     The points of the curve, the outer root over t1 and the floor's balance
     root are Brent's.  As T does not rise in t1, each root T(t1) is

@@ -14,11 +14,11 @@ Every formula takes and returns plain floats, one threshold pair at a time.
 Each family's stage law is one function of floats that returns
 (p_a, p_r, p_c): `ssp_law(f, t1, t2)`, and the laws that `rgsp_min_law(n)`,
 `rgsp_max_law(n)` and `typeI_law(n, tau, sd_form)` build once per group
-size, after checking what depends on it alone.  p_a is a tail at t2 alone
-and p_r at t1 alone; each law carries the two tails and their quantiles in
-closed form, refined to the tails as evaluated (`_with_tails`).  Each evaluation makes the
+size, after checking what depends on it alone.  Each evaluation makes the
 checks of the value types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up
-to rounding, and a sum within 1e-10 of 1.  `long_run_rates` takes
+to rounding, and a sum within 1e-10 of 1.  p_a is a tail at t2 alone and
+p_r at t1 alone; each law carries the two tails and their quantiles in
+closed form, refined to the tails as evaluated (`_with_tails`).  `long_run_rates` takes
 (p_a, p_r) to (P_A, P_R, N).  The value types `Thresholds` and `TriProb`,
 with `ssp_triprob`, `rgsp_min_triprob`, `rgsp_max_triprob` and
 `typeI_triprob`, wrap these for callers that want named fields; the plan
