@@ -79,7 +79,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
         default=200,
         help="largest group size to search; the search stops sooner once no "
         "larger group size can cost less than the cheapest design meeting the risk levels; "
-        "rgsp_min solves n_max alone where its optimum lies inside every group size's "
+        "rgsp_min solves n_max alone where its optimum is off the edges of its "
         "threshold box, as no smaller size can then cost less",
     )
     sub.add_argument("--allow-t2-above-lambda0", action="store_true")

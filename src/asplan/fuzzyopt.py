@@ -153,10 +153,10 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
     is recorded, so the point returned meets f <= 0 as evaluated and lies in
     the final bracket.  The probes end at the root tolerance or after
     `_ROOT_ITER` iterations, which only an f whose rounding noise spans the
-    tolerance nears: over 250 generated plan problems and the benchmark's,
-    the longest root took 14 of the 100, and none came near the cap (96
-    while a fuzzy p_r was 1 - S, which moves in steps of an ulp of 1).  A
-    capped root is no less feasible.
+    tolerance nears: over the 250 audit problems and the fingerprint
+    problems of tests/test_design_fingerprint.py, the longest root took 44
+    of the 100, a Type-I root over its linear t1 axis from 1e-6, and every
+    other root at most 15.  A capped root is no less feasible.
     """
     if f(unmet) <= 0.0:
         return unmet
@@ -255,9 +255,10 @@ class Box(tuple):
     closed-form guesses of the three roots that one tail of a stage law
     answers: ``t_h(beta)``, the least t with h(t, t) <= beta; ``t_g(alpha)``,
     the largest t with g(t, t) <= alpha; and ``t1_min(beta)``, the least t1
-    with h(t1, hi) <= beta.  Each guess may lie outside the box or miss its
-    bound by rounding, as the solver checks every one.  A plain tuple box
-    has none, and every root is Brent's."""
+    with h(t1, hi) <= beta.  Each guess is within 1e-12 relative of its
+    tail's crossing where rounding resolves it (`lifemodel._with_tails`),
+    and may lie outside the box or miss its bound by rounding, as the solver
+    checks every one.  A plain tuple box has none, and every root is Brent's."""
 
     def __new__(cls, axes, t_h, t_g, t1_min):
         box = super().__new__(cls, axes)
@@ -342,10 +343,9 @@ def solve_monotone(
     Each Brent root is the last probe that meets its bound, within 4 ulps
     relative (or `_ROOT_XTOL`) of the crossing in its coordinate: t, or
     log t1, which is within 1.4e-14 relative in t1 on a box from lo = 1e-6.
-    A taken guess meets its bound too, and a family's tail quantiles put it
-    within 8 ulps of the crossing of the tail they invert, which rounding
-    in the risk moves by a few ulps more.  So the answer meets both bounds
-    as evaluated.  That is the exact optimum up to that tolerance, and no
+    A taken guess meets its bound too, within 1e-12 relative of its tail's
+    crossing where rounding resolves it (`Box`).  So the answer meets both
+    bounds as evaluated: the exact optimum up to those tolerances, and no
     point of the box is both feasible and cheaper.
     Raises InfeasibleError, with a positive best violation, when g(lo, lo)
     > alpha, when h(hi, hi) > beta, or when g(t1, T(t1)) > alpha already at

@@ -13,6 +13,15 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
+def _check_real(**fields) -> None:
+    """Raise DomainError naming each field whose value does not order against floats."""
+    for name, value in fields.items():
+        try:
+            value < 0.0
+        except TypeError:
+            raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FuzzyLife:
     """Fuzzy mean life (lambda_j, a).
@@ -28,6 +37,7 @@ class FuzzyLife:
     a: float
 
     def __post_init__(self) -> None:
+        _check_real(lambda_j=self.lambda_j, a=self.a)
         if not self.lambda_j > 0:
             raise DomainError(f"nominal mean life must be positive, got {self.lambda_j}")
         if not self.lambda_j < self.a < math.inf:
@@ -55,6 +65,7 @@ class FuzzyLevel:
     slack: float
 
     def __post_init__(self) -> None:
+        _check_real(level=self.level, slack=self.slack)
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"risk level must be in (0,1), got {self.level}")
         if not 0.0 <= self.slack <= 1.0:

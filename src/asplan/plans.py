@@ -143,22 +143,20 @@ class PlanProblem:
     def dominates(self, optimum: tuple) -> bool:
         """Whether a crisp optimum (x, cost, case) of `dominant_size`, at
         some cut of the risk levels, costs less than every smaller size's
-        optimum at that cut.
+        optimum at that cut: whenever its case is not ``"edge"``.
 
         The rgsp_min risks depend on u = n*t only, and its cost is
         c*E[Y]/n*N(u): on the box [n*lo, n*hi] in u, size n is the `ssp`
-        problem with its cost divided by n.  Let u* = n_max*x.  u1* >=
-        n_max*lo holds, as x lies in the box; if also u2* <= hi, u* lies in
-        the u-box of every size, n = 1's included.  Unless the case is
-        ``"edge"``, no root of `solve_monotone` sits on the box, so u* is
-        the optimum of the `ssp` problem over any box that holds it: in the
-        ``"floor"`` case it costs N = 1, which no point goes below, and in
-        the ``"active"`` case every cheaper point breaks a risk.  Each
-        smaller size n then has the same optimum u* and costs n_max/n times
-        as much, up to rounding far below that factor.
+        problem with its cost divided by n.  For a smaller size n, the hull
+        box [n*lo, n_max*hi] holds size n's box and n_max's, so u* = n_max*x
+        too.  Unless the case is ``"edge"``, no root of `solve_monotone`
+        sits on n_max's box, so u* is the `ssp` optimum over any box that
+        holds it, the hull's included: in the ``"floor"`` case N = 1, which
+        no point goes below, and in the ``"active"`` case every cheaper
+        point breaks a risk.  So size n costs at least n_max/n times as
+        much, up to rounding far below that factor.
         """
-        x, _, case = optimum
-        return case != "edge" and self.n_max * x[1] <= _upper_edge(self)
+        return optimum[2] != "edge"
 
     def functions(self, n: Optional[int]):
         """(objective, g, h, box, ordering) for group size n."""
@@ -211,10 +209,10 @@ def stage_law(family: Family, n: Optional[int] = None, tau: Optional[float] = No
 
     In every family p_a depends on t2 alone and p_r on t1 alone: the law
     carries the two as its tails ``accept(life, t)`` and ``reject(life,
-    t)``, with their quantiles ``accept_quantile(life, q)``, the least t
-    with p_a <= q, and ``reject_quantile(life, q)``, the least t with p_r
-    >= q.  The laws are read from this module's globals, so rebinding them
-    here reaches every law built afterwards.
+    t)``, with their closed-form quantiles ``accept_quantile(life, q)`` and
+    ``reject_quantile(life, q)``, the t with p_a = q and with p_r = q.  The
+    laws are read from this module's globals, so rebinding them here
+    reaches every law built afterwards.
     """
     family = Family(family)
     if family is Family.SSP:

@@ -11,14 +11,31 @@ root guesses that missed their bound and fell back to Brent's method
 probes, or degrades a tail quantile, shows here too, where wall time would
 not.  The problems are the README problem of
 every family (`rgsp_min` and `rgsp_max` at `n_max` 200) and eight problems
-shaped like the benchmark's, written out here.  A change that moves a
-design on purpose re-records the golden with
-``PYTHONPATH=src python tests/test_design_fingerprint.py`` and says why;
-that run prints to stderr how far each moved design drifted from the old
-golden, and last the largest move over all cases and how many costs rose.
+shaped like the benchmark's, written out here.  Each golden design is also
+checked in 50-digit arithmetic, with S by quadrature over the rate density:
+its risks meet their cut levels.
+
+Run as a script, the module re-records the golden or makes a drift audit
+(with ``PYTHONPATH=src``):
+
+    python tests/test_design_fingerprint.py
+    python tests/test_design_fingerprint.py --audit AUDIT.json
+    python tests/test_design_fingerprint.py --drift OLD.json NEW.json
+
+The first re-records the golden, for a change that moves a design on
+purpose and says why; it prints to stderr how far each moved design
+drifted from the old golden, and last the largest move over all cases and
+how many costs rose.  ``--audit`` writes the same record, with the
+InfeasibleError message and ``per_n`` in place of a design, for the 250
+generated problems of `audit_problems` (seed 11, all four families, fuzzy
+and crisp, both forms: 1,000 entries).  ``--drift`` prints the drift from
+one such file to another, as from an audit of the parent commit's source
+to one of the change's.
 """
 
+import argparse
 import json
+import random
 import re
 import sys
 from dataclasses import replace
@@ -28,9 +45,11 @@ from unittest import mock
 import pytest
 
 from asplan import fuzzyopt
+from asplan.errors import InfeasibleError
 from asplan.fuzzyopt import MEMBERSHIP_FORMS, PlanDesign, solve_plan
+from asplan.lifemodel import SD_FORMS
 from asplan.membership import FuzzyLevel, FuzzyLife
-from asplan.plans import Family, PlanProblem, crisp_baseline
+from asplan.plans import OBJECTIVE_VARIANTS, Family, PlanProblem, crisp_baseline, crisp_limit
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "design_fingerprint.json"
 
@@ -79,8 +98,40 @@ CASES = [f"{name}/{solver}/{form}" for name in PROBLEMS for solver in SOLVERS
          for form in MEMBERSHIP_FORMS]
 
 
-def fingerprint(case: str) -> dict:
-    name, solver, form = case.split("/")
+def audit_problems(seed: int = 11, count: int = 250) -> dict:
+    """``count`` fuzzy problems of the four families in turn, drawn from
+    ``seed``: mean lives from 200 to 600 with lambda1/lambda0 from 0.1 to
+    0.7, a from 2 to 50 times lambda0, risk levels of 1 % to 20 % with up to
+    6 % slack, either objective variant, t2 above lambda0 allowed or not,
+    group sizes up to 12, and Type-I plans of either scaling, censored at
+    0.3 to 2 times lambda1.  Many of them are infeasible."""
+    rng = random.Random(seed)
+    problems = {}
+    for i in range(count):
+        family = list(Family)[i % 4]
+        lambda0 = rng.uniform(200.0, 600.0)
+        lambda1 = lambda0 * rng.uniform(0.1, 0.7)
+        a = lambda0 * rng.uniform(2.0, 50.0)
+        extra = {"objective_variant": rng.choice(OBJECTIVE_VARIANTS),
+                 "allow_t2_above_lambda0": rng.random() < 0.5}
+        if family is not Family.SSP:
+            extra["n_max"] = rng.randint(1, 12)
+        if family is Family.TYPE_I:
+            extra.update(tau=lambda1 * rng.uniform(0.3, 2.0), sd_form=rng.choice(SD_FORMS))
+        problems[f"{i:03d}-{family.value}"] = PlanProblem(
+            family=family,
+            lambda0=FuzzyLife(lambda0, a),
+            lambda1=FuzzyLife(lambda1, a),
+            alpha=FuzzyLevel(rng.uniform(0.01, 0.2), rng.uniform(0.0, 0.06)),
+            beta=FuzzyLevel(rng.uniform(0.01, 0.2), rng.uniform(0.0, 0.06)),
+            **extra,
+        )
+    return problems
+
+
+def measured(problem: PlanProblem, solver: str, form: str) -> dict:
+    """The record of one case: the design's repr and its trace's, or an
+    InfeasibleError's message and ``per_n``, and the counts of the solve."""
     solves = [0]
     probes = [0]
     fallbacks = [0]
@@ -107,9 +158,24 @@ def fingerprint(case: str) -> dict:
     with mock.patch.object(fuzzyopt, "solve_monotone", counted), \
             mock.patch.object(fuzzyopt, "_brentq", counted_brentq), \
             mock.patch.object(fuzzyopt, "_guessed", counted_guessed):
-        design = SOLVERS[solver](PROBLEMS[name], membership_form=form)
-    return {"design": repr(design), "trace": repr(design.trace), "solves": solves[0],
-            "probes": probes[0], "fallbacks": fallbacks[0]}
+        try:
+            design = SOLVERS[solver](problem, membership_form=form)
+            outcome = {"design": repr(design), "trace": repr(design.trace)}
+        except InfeasibleError as exc:
+            outcome = {"design": f"InfeasibleError: {exc}", "trace": repr(exc.per_n)}
+    return {**outcome, "solves": solves[0], "probes": probes[0], "fallbacks": fallbacks[0]}
+
+
+def fingerprint(case: str) -> dict:
+    name, solver, form = case.split("/")
+    return measured(PROBLEMS[name], solver, form)
+
+
+def audit(seed: int = 11, count: int = 250) -> dict:
+    """`measured` for every solver and form of each of `audit_problems`."""
+    return {f"{name}/{solver}/{form}": measured(problem, solver, form)
+            for name, problem in audit_problems(seed, count).items()
+            for solver in SOLVERS for form in MEMBERSHIP_FORMS}
 
 
 COUNTS = ("solves", "probes", "fallbacks")
@@ -122,7 +188,9 @@ def _fields(design: str) -> dict:
 
 def drift(old: dict, new: dict) -> list[str]:
     """One line per case whose golden moved: the relative change of t1, t2
-    and the cost, the new margins, and any change of n, case or counts.
+    and the cost, the new margins, and any change of n, case or counts;
+    where only the trace moved, its sizes, and where either side is an
+    error, both outcomes as recorded.
     Then the totals of the counts, and a summary: the largest relative move
     of t1, t2 and the cost over all cases, and how many costs rose."""
     lines = []
@@ -136,14 +204,21 @@ def drift(old: dict, new: dict) -> list[str]:
             continue
         parts = []
         if before["design"] != after["design"]:
-            was, now = _fields(before["design"]), _fields(after["design"])
-            moves = {key: float(now[field]) / float(was[field]) - 1.0
-                     for key, field in (("t1", "t1"), ("t2", "t2"), ("cost", "objective_value"))}
-            parts += [f"{key} {move:+.2e}" for key, move in moves.items()]
-            largest = {key: max(largest[key], abs(moves[key])) for key in largest}
-            rose += moves["cost"] > 0.0
-            parts += [f"{field} {now[field]}" for field in ("g_margin", "h_margin")]
-            parts += [f"n {was['n']} -> {now['n']}"] if was["n"] != now["n"] else []
+            was, now = (_fields(entry["design"]) if entry["design"].startswith("PlanDesign(")
+                        else None for entry in (before, after))
+            if was is None or now is None:
+                parts.append(f"{before['design']} -> {after['design']}")
+            elif was == now:
+                sizes = [re.findall(r"\((\d+|None), ", entry["trace"]) for entry in (before, after)]
+                parts.append(f"trace sizes {sizes[0]} -> {sizes[1]}")
+            else:
+                moves = {key: float(now[field]) / float(was[field]) - 1.0 for key, field in
+                         (("t1", "t1"), ("t2", "t2"), ("cost", "objective_value"))}
+                parts += [f"{key} {move:+.2e}" for key, move in moves.items()]
+                largest = {key: max(largest[key], abs(moves[key])) for key in largest}
+                rose += moves["cost"] > 0.0
+                parts += [f"{field} {now[field]}" for field in ("g_margin", "h_margin")]
+                parts += [f"n {was['n']} -> {now['n']}"] if was["n"] != now["n"] else []
         cases = [re.findall(r"'(\w+)'", entry["trace"]) for entry in (before, after)]
         parts += [f"cases {cases[0]} -> {cases[1]}"] if cases[0] != cases[1] else []
         parts += [f"{key} {before.get(key)} -> {after[key]}" for key in COUNTS
@@ -172,6 +247,55 @@ def test_design_is_bit_identical_to_its_golden(case, golden):
     assert fingerprint(case) == golden[case]
 
 
+def _exact_survival(mpmath, life, t):
+    """S(t) in mpmath: e^{-t/lambda} for a plain life, and for a fuzzy one
+    a times the integral of e^{-r t} over the raised-cosine membership of
+    the rate r, by quadrature, not from the closed form."""
+    t = mpmath.mpf(t)
+    if not isinstance(life, FuzzyLife):
+        return mpmath.exp(-t / mpmath.mpf(life))
+    a, center = mpmath.mpf(life.a), 1 / mpmath.mpf(life.lambda_j)
+    return a * mpmath.quad(
+        lambda r: mpmath.exp(-r * t) * (1 + mpmath.cos(mpmath.pi * a * (r - center))) / 2,
+        [center - 1 / a, center, center + 1 / a])
+
+
+def _exact_stage(mpmath, problem: PlanProblem, life, n, t1: float, t2: float) -> tuple:
+    """(p_a, p_r) of one stage of the problem's family in mpmath."""
+    if problem.family is Family.TYPE_I:
+        mean = mpmath.mpf(life.lambda_j if isinstance(life, FuzzyLife) else life)
+        frac = -mpmath.expm1(-mpmath.mpf(problem.tau) / mean)
+        m = n * mpmath.sqrt(frac) if problem.sd_form == "n" else mpmath.sqrt(n * frac)
+        return mpmath.ncdf(-(t2 - mean) / mean * m), mpmath.ncdf((t1 - mean) / mean * m)
+    scale = n if problem.family is Family.RGSP_MIN else 1
+    s1, s2 = (_exact_survival(mpmath, life, scale * t) for t in (t1, t2))
+    if problem.family is Family.RGSP_MAX:
+        return 1 - (1 - s2) ** n, (1 - s1) ** n
+    return s2, 1 - s1
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_design_meets_its_cuts_in_50_digit_arithmetic(case, golden):
+    """g and h of each golden design, at 50 digits with S by quadrature
+    over the rate density, are within 1e-12 relative of their cut levels at
+    the design's satisfaction level: each cut is the risk as evaluated plus
+    its margin.  The worst excess was 2.5e-16 when this test was written.
+    The golden holds the designs bit for bit, as the test above checks, so
+    this checks the solver's designs without a solve."""
+    mpmath = pytest.importorskip("mpmath")
+    name, solver, _ = case.split("/")
+    problem = PROBLEMS[name] if solver == "solve_plan" else crisp_limit(PROBLEMS[name])
+    fields = _fields(golden[case]["design"])
+    t1, t2 = float(fields["t1"]), float(fields["t2"])
+    n = None if fields["n"] == "None" else int(fields["n"])
+    with mpmath.workdps(50):
+        for risk, life, accepts in (("g", problem.lambda0, False), ("h", problem.lambda1, True)):
+            p_a, p_r = _exact_stage(mpmath, problem, life, n, t1, t2)
+            value = (p_a if accepts else p_r) / (p_a + p_r)
+            cut = mpmath.mpf(fields[f"{risk}_value"]) + mpmath.mpf(fields[f"{risk}_margin"])
+            assert value / cut - 1 <= 1e-12, risk
+
+
 def test_drift_names_each_moved_case_and_the_totals():
     design = PlanDesign(t1=1.0, t2=2.0, n=3, phi=1.0, objective_value=4.0, g_value=0.05,
                         h_value=0.05, g_margin=0.0, h_margin=0.0, z_lower=4.0, z_upper=4.0,
@@ -197,9 +321,59 @@ def test_drift_names_each_moved_case_and_the_totals():
     ]
 
 
+def test_audit_problems_are_seeded_and_cover_every_variant():
+    problems = audit_problems()
+    assert len(problems) == 250 and audit_problems() == problems != audit_problems(seed=12)
+    assert {p.family for p in problems.values()} == set(Family)
+    assert {p.objective_variant for p in problems.values()} == set(OBJECTIVE_VARIANTS)
+    assert {p.allow_t2_above_lambda0 for p in problems.values()} == {False, True}
+    assert {p.sd_form for p in problems.values() if p.family is Family.TYPE_I} == set(SD_FORMS)
+
+
+def test_drift_names_errors_and_moved_trace_sizes():
+    design = PlanDesign(t1=1.0, t2=2.0, n=3, phi=1.0, objective_value=4.0, g_value=0.05,
+                        h_value=0.05, g_margin=0.0, h_margin=0.0, z_lower=4.0, z_upper=4.0,
+                        trace=((2, 1.0, 5.0, "active"), (3, 1.0, 4.0, "active")))
+    shortcut = replace(design, trace=design.trace[1:])
+
+    def entry(outcome, trace) -> dict:
+        return {"design": outcome, "trace": repr(trace), "solves": 2, "probes": 10,
+                "fallbacks": 0}
+
+    error = entry("InfeasibleError: every candidate group size was infeasible", ())
+    old = {"loop": entry(repr(design), design.trace), "lost": entry(repr(design), design.trace)}
+    new = {"loop": entry(repr(shortcut), shortcut.trace), "lost": error}
+    assert drift(old, new)[:2] == [
+        "loop: trace sizes ['2', '3'] -> ['3'], cases ['active', 'active'] -> ['active']",
+        "lost: " + repr(design) + " -> InfeasibleError: every candidate group size was "
+        "infeasible, cases ['active', 'active'] -> []",
+    ]
+
+
+def _main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--audit", metavar="OUT", help="write the audit record to OUT")
+    parser.add_argument("--drift", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the drift from one record file to another")
+    args = parser.parse_args(argv)
+    if args.drift:
+        old, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.drift)
+        print("\n".join(drift(old, new)))
+        return 0
+    if args.audit:
+        path, old, new = Path(args.audit), {}, audit()
+    else:
+        path, new = GOLDEN, {case: fingerprint(case) for case in CASES}
+        old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    errors = sum(not entry["design"].startswith("PlanDesign(") for entry in new.values())
+    print(f"{len(new) - errors} designs and {errors} errors written to {path}", file=sys.stderr)
+    if old:
+        print("\n".join(drift(old, new)), file=sys.stderr)
+    else:
+        for key in COUNTS:
+            print(f"{key} in all: {sum(entry[key] for entry in new.values())}", file=sys.stderr)
+    return 0
+
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    new = {case: fingerprint(case) for case in CASES}
-    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print("\n".join(drift(old, new)), file=sys.stderr)
-    sys.exit(0)
+    sys.exit(_main(sys.argv[1:]))

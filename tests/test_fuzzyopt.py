@@ -445,7 +445,7 @@ def _loop_design(problem: PlanProblem, form: str) -> PlanDesign:
     form=st.sampled_from(fuzzyopt.MEMBERSHIP_FORMS),
     n_max=st.integers(1, 12),
     lambda0=st.floats(200.0, 600.0),
-    ratio=st.floats(0.1, 0.6),
+    ratio=st.floats(0.1, 0.7),
     a_ratio=st.floats(2.0, 50.0),
     alpha=st.floats(0.01, 0.2),
     beta=st.floats(0.01, 0.2),
@@ -480,28 +480,32 @@ def test_rgsp_min_shortcut_is_the_loop_design(
 
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
-def test_rgsp_min_falls_back_to_the_loop_where_n_max_leaves_the_box(crisp, form):
+def test_rgsp_min_shortcut_holds_where_n_max_leaves_the_box(crisp, form):
     """At lambda1 = 100 the n_max = 10 optimum has n_max*t2 above the box's
-    upper edge, so a smaller size could sit on its own edge: the loop runs.
-    Sizes 1 and 2 are infeasible and are not traced."""
+    upper edge, outside the u-box of size 1.  It is not on the edge of its
+    own box, so it still dominates (`PlanProblem.dominates`): n_max alone is
+    solved, and the design is the loop's, whose sizes 1 and 2 are
+    infeasible and are not traced."""
     problem = _readme_problem(Family.RGSP_MIN, n_max=10)
     problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=100.0))
     if crisp:
         problem = crisp_limit(problem)
     design = solve_plan(problem, membership_form=form)
-    assert [n for n, *_ in design.trace] == list(range(3, 11))
-    assert design.n == 10
-    assert _without_trace(design) == _without_trace(_loop_design(problem, form))
+    assert [n for n, *_ in design.trace] == [10]
+    assert 10 * design.t2 > 300.0  # the upper edge of every size's box
+    loop = _loop_design(problem, form)
+    assert [n for n, *_ in loop.trace] == list(range(3, 11))
+    assert _without_trace(design) == _without_trace(loop)
 
 
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
 @pytest.mark.parametrize("lambda1", [100.0, 200.0])
 def test_no_crisp_solve_is_made_twice(lambda1, form, monkeypatch):
-    """At lambda1 = 100 n_max = 10 fails `dominates`, so the search runs
-    the loop at every cut; at lambda1 = 200 every size is infeasible.  No
-    size is solved twice at one cut: the loop takes n_max's solve, and each
-    cut every tight solve, as already made.  At lambda1 = 100 sizes 1 and 2
-    are infeasible, one tight solve each, and the totals are the loop's."""
+    """At lambda1 = 100 n_max = 10 dominates at every cut, so the search
+    solves it alone: at the tight and relaxed levels, and under `standard`
+    once per root probe.  At lambda1 = 200 every size is infeasible, and
+    the loop runs.  No size is solved twice at one cut: the loop takes
+    n_max's tight solve, as already made, and each size is solved once."""
     problem = _readme_problem(Family.RGSP_MIN, n_max=10)
     problem = replace(problem, lambda1=replace(problem.lambda1, lambda_j=lambda1))
     solves = collections.Counter()
@@ -514,7 +518,7 @@ def test_no_crisp_solve_is_made_twice(lambda1, form, monkeypatch):
     monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
     if lambda1 == 100.0:
         solve_plan(problem, membership_form=form)
-        assert sum(solves.values()) == {"cost_ascending": 18, "standard": 74}[form]
+        assert sum(solves.values()) == {"cost_ascending": 2, "standard": 9}[form]
     else:
         with pytest.raises(InfeasibleError):
             solve_plan(problem, membership_form=form)

@@ -69,6 +69,23 @@ def test_fuzzy_life_requires_a_finite_scale(a):
         FuzzyLife(lambda_j=300.0, a=a)
 
 
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: FuzzyLife(300.0, None), "a"),
+        (lambda: FuzzyLife(300.0, "1500"), "a"),
+        (lambda: FuzzyLevel("0.05", 0.0), "level"),
+    ],
+    ids=["life-a-none", "life-a-string", "level-string"],
+)
+def test_a_field_that_is_not_a_number_raises_a_domain_error_naming_it(make, field):
+    """None or a string, where a number belongs, is refused as a
+    DomainError that names the field, not a bare TypeError from the range
+    checks."""
+    with pytest.raises(DomainError, match=rf"^{field} must be a real number, got "):
+        make()
+
+
 @pytest.mark.parametrize("a", [1500.0, 15000.0])
 def test_mass_closed_form(a):
     assert life_membership_mass(FuzzyLife(lambda_j=300.0, a=a)) == 1.0 / a
