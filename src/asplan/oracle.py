@@ -6,8 +6,11 @@ of the lifetime model (a random failure rate from the raised-cosine
 membership, drawn exactly by an inverse-sine transform with nothing
 rejected, then exponential lifetimes), with no shared code path through
 the closed forms it checks.  The censored family draws each group's
-failure count and then only its failed lifetimes, the structure of the
-censored MLE (Bartholomew 1963), not all n lifetimes.  The golden-table
+failure count, by inverting its Binomial CDF, and then only its failed
+lifetimes, the structure of the censored MLE (Bartholomew 1963), not all n
+lifetimes.  Its two hot kernels run in place: the cosine of the rate
+transform is a Taylor series over cache-sized slices, and the failed
+lifetimes are summed per group by `numpy.add.reduceat`.  The golden-table
 harness is not independent: it rechecks the published designs through each
 family's `plans.stage_law`.
 
@@ -41,6 +44,14 @@ from .plans import Family, expected_stage_duration, stage_law
 # Group lifetimes (groups times n) per block of the censored family, so that
 # its memory does not grow with draws or n.
 _TYPE_I_CHUNK = 500_000
+
+# Rates per slice of `sample_mixture_rates`: its arrays of 128 KB stay in
+# cache through the series and the transform.
+_SLICE = 1 << 14
+
+# The Taylor coefficients (-1)^k/(2k+1)! of sin, k = 10 down to 1: with the
+# leading y, 11 terms, the next of which is below 1.3e-18 for |y| <= pi/2.
+_SIN_SERIES = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,34 @@ class GoldenRow:
     etc: float
 
 
+def _cos_pi(u, z, s):
+    """cos(pi*u) for u in [0, 1], in place of ``u``; ``z`` and ``s`` are
+    scratch arrays of its size.
+
+    cos(pi*u) = sin(y) at y = pi*(1/2 - u), |y| <= pi/2, where 1/2 - u is
+    exact for the uniforms of `numpy.random.Generator.random`.  The odd
+    series sin(y) = y + y^3*Q(y^2) is summed by Horner's rule and y^3*Q
+    added to y last, so it stays within 2 ulps of the correctly rounded
+    cosine, and exact at u = 1/2, where cos of a rounded pi*u is not.
+    numpy's float64 cos is a per-element libm loop, many times slower than
+    the series.
+    """
+    import numpy as np
+
+    np.subtract(0.5, u, out=u)
+    u *= np.pi
+    np.multiply(u, u, out=z)
+    np.multiply(z, _SIN_SERIES[0], out=s)
+    for c in _SIN_SERIES[1:-1]:
+        s += c
+        s *= z
+    s += _SIN_SERIES[-1]
+    z *= u
+    s *= z
+    u += s
+    return u
+
+
 def sample_mixture_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` failure rates drawn from the normalized raised-cosine density,
     by an exact transform of two uniforms per rate.
@@ -98,21 +137,71 @@ def sample_mixture_rates(f: FuzzyLife, size: int, rng: np.random.Generator) -> n
     s = sqrt(U1)*cos(pi*U2).  Then r = 1/lambda_j + 2*arcsin(s)/(a*pi),
     clipped to ``f.support`` against rounding.  Nothing is rejected: each
     rate takes two uniforms.
+
+    U1 and U2 are drawn as whole arrays, all of U1 first; the transform,
+    with cos(pi*U2) by its series (`_cos_pi`), then runs in place over
+    slices of ``_SLICE`` rates, each rate as if the arrays were whole.
     """
     import numpy as np
 
     lo, hi = f.support
-    rates = np.sqrt(rng.random(size))
-    rates *= np.cos(np.pi * rng.random(size))
-    np.arcsin(rates, out=rates)
-    rates *= 2.0 / (f.a * np.pi)
-    rates += 1.0 / f.lambda_j
-    return np.clip(rates, lo, hi, out=rates)
+    scale, center = 2.0 / (f.a * np.pi), 1.0 / f.lambda_j
+    rates = rng.random(size)
+    angles = rng.random(size)
+    z, s = np.empty(min(size, _SLICE)), np.empty(min(size, _SLICE))
+    for start in range(0, size, _SLICE):
+        r = rates[start:start + _SLICE]
+        cos = _cos_pi(angles[start:start + _SLICE], z[:r.size], s[:r.size])
+        np.sqrt(r, out=r)
+        r *= cos
+        np.arcsin(r, out=r)
+        r *= scale
+        r += center
+        np.clip(r, lo, hi, out=r)
+    return rates
+
+
+def _binomial_inverse(n: int, p: float):
+    """Binomial(n, p) counts as a function of uniforms, one per count: the
+    least k whose CDF reaches its uniform.
+
+    Like numpy's `Generator.binomial`, it inverts the law of q = min(p, 1 - p)
+    and returns n - k when p > 1/2, over k up to n*q + 10*sqrt(n*q*(1 - q) + 1).
+    Where n*q <= 30 that is numpy's own algorithm, so the counts are its
+    counts from the same uniforms, up to the rounding of the CDF at a
+    uniform.  The pmf is taken in log space by `math.lgamma`, so no n
+    overflows a binomial coefficient or underflows (1 - q)^n; its table
+    starts that far below n*q, and the mass beyond either end, below 1e-13,
+    goes to that end, where numpy would draw again.
+    """
+    import numpy as np
+
+    q = min(p, 1.0 - p)
+    mean = n * q
+    spread = 10.0 * math.sqrt(mean * (1.0 - q) + 1.0)
+    lo, hi = max(0, math.ceil(mean - spread)), min(n, math.floor(mean + spread))
+    if q == 0.0:
+        cdf = np.ones(1)
+    else:
+        log_q, log_1q, log_n = math.log(q), math.log1p(-q), math.lgamma(n + 1)
+        cdf = np.cumsum([
+            math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                     + k * log_q + (n - k) * log_1q)
+            for k in range(lo, hi + 1)
+        ])
+
+    def counts(u):
+        k = np.searchsorted(cdf, u)
+        np.minimum(k, cdf.size - 1, out=k)
+        k += lo
+        return k if p <= 0.5 else n - k
+
+    return counts
 
 
 def _estimate(n_a: int, n_r: int, draws: int) -> McEstimate:
-    p_a = n_a / draws
-    p_r = n_r / draws
+    p_a = int(n_a) / draws
+    p_r = int(n_r) / draws
     p_c = 1.0 - p_a - p_r
 
     def se(p: float) -> float:
@@ -141,9 +230,12 @@ def mc_triprob(
     D ~ Binomial(n, 1 - e^(-tau/lambda)), then, given D, the D failed
     lifetimes as exponentials truncated to [0, tau).  A group with D = 0
     has theta = inf and accepts.  The counts come from a child stream of
-    ``seed`` (`numpy.random.SeedSequence.spawn`) and the lifetimes from
-    ``seed``'s own, both in blocks, so memory stays bounded and the blocks
-    do not change the estimate.
+    ``seed`` (`numpy.random.SeedSequence.spawn`), one uniform each through
+    the inverse Binomial CDF (`_binomial_inverse`: numpy's `binomial`,
+    count for count, where n*min(p, 1 - p) <= 30), and the lifetimes from
+    ``seed``'s own stream, both in blocks, so memory stays bounded and the
+    blocks do not change the estimate.  Each group's failed lifetimes are
+    one run of its block and are summed by `numpy.add.reduceat`.
     """
     import numpy as np
 
@@ -168,13 +260,15 @@ def mc_triprob(
         if family is Family.RGSP_MIN:
             rates *= n
         y = rng.standard_exponential(draws) / rates
-        return _estimate(int(np.sum(y >= th.t2)), int(np.sum(y < th.t1)), draws)
+        return _estimate(np.count_nonzero(y >= th.t2), np.count_nonzero(y < th.t1), draws)
     if family is Family.RGSP_MAX:
         y_max = np.zeros(draws)
         for _ in range(n):
             rates = rates_of()
             np.maximum(y_max, rng.standard_exponential(draws) / rates, out=y_max)
-        return _estimate(int(np.sum(y_max >= th.t2)), int(np.sum(y_max < th.t1)), draws)
+        return _estimate(
+            np.count_nonzero(y_max >= th.t2), np.count_nonzero(y_max < th.t1), draws
+        )
     if family is Family.TYPE_I:
         if tau is None:
             raise DomainError("censored-MLE simulation requires tau")
@@ -182,26 +276,27 @@ def mc_triprob(
             raise DomainError(f"tau must be positive and finite, got {tau}")
         lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
         p = -math.expm1(-tau / lambda_j)
+        failures = _binomial_inverse(n, p)
         # The counts and the failed lifetimes are two streams, each drawn in
         # order, so the blocks do not change the estimate.
         counts = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         rows = max(1, _TYPE_I_CHUNK // n)
         n_a = n_r = 0
         for start in range(0, draws, rows):
-            q = counts.binomial(n, p, size=min(rows, draws - start))
+            q = failures(counts.random(min(rows, draws - start)))
             # Inverse CDF of the exponential truncated to [0, tau).
             x = rng.random(int(q.sum()))
             x *= -p
             np.log1p(x, out=x)
             x *= -lambda_j
-            # The float term first: a bincount of no failures is int64.
-            total = (n - q) * tau + np.bincount(
-                np.repeat(np.arange(q.size), q), weights=x, minlength=q.size
-            )
-            with np.errstate(divide="ignore"):
-                lam_hat = total / q  # q = 0: every item outlived the test, inf accepts
-            n_a += int(np.count_nonzero(lam_hat >= th.t2))
-            n_r += int(np.count_nonzero(lam_hat < th.t1))
+            # A group with no failure outlived the test: theta = inf accepts.
+            failed = np.flatnonzero(q)
+            d = q[failed]
+            theta = np.add.reduceat(x, (np.cumsum(q) - q)[failed])
+            theta += (n - d) * tau
+            theta /= d
+            n_a += q.size - d.size + np.count_nonzero(theta >= th.t2)
+            n_r += np.count_nonzero(theta < th.t1)
         return _estimate(n_a, n_r, draws)
     raise DomainError(f"unknown family {family!r}")
 

@@ -154,7 +154,9 @@ class PlanProblem:
         holds it, the hull's included: in the ``"floor"`` case N = 1, which
         no point goes below, and in the ``"active"`` case every cheaper
         point breaks a risk.  So size n costs at least n_max/n times as
-        much, up to rounding far below that factor.
+        much, up to rounding far below that factor.  An ``"edge"`` optimum
+        takes a level that only the box's edge meets, such as alpha equal
+        to g at (lo, T(lo)) where h(lo, hi) <= beta.
         """
         return optimum[2] != "edge"
 

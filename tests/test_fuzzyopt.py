@@ -561,6 +561,37 @@ def test_standard_probe_that_fails_dominance_runs_the_loop(monkeypatch):
     assert _without_trace(design) == _without_trace(solve_plan(problem, membership_form="standard"))
 
 
+def test_rgsp_min_edge_optimum_at_n_max_runs_the_loop():
+    """An `rgsp_min` problem whose n_max optimum is ``"edge"``: at README
+    lives and n_max 10, h(lo, hi) <= beta, so the curve starts at t1 = lo,
+    and alpha is g at (lo, T(lo)), the one point of the curve that meets
+    it.  `dominates` fails there, and `_optima` takes every size in turn:
+    sizes 1 to 3 are infeasible, and the design is the loop's."""
+    base = replace(_readme_problem(Family.RGSP_MIN, n_max=10), beta=FuzzyLevel(0.05, 0.0))
+    _, g, h, ((lo, hi), _), _ = plan_functions(base, 10)
+    h_excess = fuzzyopt._log_odds_excess(h, 0.05)
+    assert h_excess(lo, hi) <= 0.0
+    alpha = g((lo, fuzzyopt._last_met(lambda t2: h_excess(lo, t2), hi, lo)))
+    problem = replace(base, alpha=FuzzyLevel(alpha, 0.0))
+    memo = fuzzyopt._Memo(problem)
+    optimum = memo.solve(10, 1.0)
+    assert optimum[0][0] == lo and optimum[2] == "edge"
+    assert not problem.dominates(optimum)
+    optima = fuzzyopt._optima(memo, 1.0)
+    assert sorted(n for n, _, _ in memo._solves) == list(range(1, 11))
+    assert list(optima) == list(range(4, 11)) and optima[10] == optimum
+    assert repr(solve_plan(problem)) == (
+        "PlanDesign(t1=1e-06, t2=91.96946677103855, n=10, phi=1.0, "
+        "objective_value=631.1984878025174, g_value=6.976379491277614e-07, "
+        "h_value=0.04999999999999957, g_margin=0.0, h_margin=4.3021142204224816e-16, "
+        "z_lower=631.1984878025174, z_upper=631.1984878025174, "
+        "trace=((4, 1.0, 1577.9962195062922, 'active'), (5, 1.0, 1262.3969756050337, 'active'), "
+        "(6, 1.0, 1051.9974796708614, 'active'), (7, 1.0, 901.7121254321669, 'active'), "
+        "(8, 1.0, 788.9981097531461, 'active'), (9, 1.0, 701.3316531139086, 'active'), "
+        "(10, 1.0, 631.1984878025174, 'edge')))"
+    )
+
+
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])
 def test_readme_rgsp_min_solves_one_group_size(form, monkeypatch):
     """README lives at the default n_max 200: n_max is solved at the tight

@@ -1,7 +1,23 @@
-import dataclasses
-import math
-import tracemalloc
+"""The Monte-Carlo oracle and the golden-table harness.
 
+The oracle's estimates are pinned draw for draw: tests/data/oracle_estimates.json
+holds `mc_triprob` at one case per family, with fuzzy and plain lives, and
+`run_regression_grid` at 10^5 draws.  A change that makes the simulation
+faster must leave every count as it was.  Run as a script (with
+``PYTHONPATH=src``), the module re-records that golden, for a change that
+moves the draws on purpose and says why:
+
+    python tests/test_oracle.py
+"""
+
+import dataclasses
+import json
+import math
+import sys
+import tracemalloc
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -157,6 +173,120 @@ def test_mc_type1_matches_a_full_lifetime_simulation(n, tau_over_lam):
         pooled = 0.5 * (est + ref)
         se = math.sqrt(2.0 * pooled * (1.0 - pooled) / draws)
         assert abs(est - ref) <= 5.0 * se + 3.0 / draws
+
+
+@pytest.mark.parametrize(
+    "n, tau, th",
+    [(200, 50.0, Thresholds(270.0, 330.0)), (5_000, 50.0, Thresholds(295.0, 305.0))],
+    ids=["readme-n200", "n5000"],
+)
+def test_mc_type1_counts_at_large_group_sizes(n, tau, th):
+    """The inverse CDF past numpy's inversion range: n*p = 30.7 at the
+    README's --n 200 --tau 50, and 767 at n = 5,000, where (1 - p)^n
+    underflows and a binomial coefficient overflows a float."""
+    lam = 300.0
+    mc = mc_triprob(Family.TYPE_I, lam, th, n=n, tau=tau, draws=10_000, seed=6)
+    ref_draws = 2_000
+    ref_a, ref_r = _brute_force_type1(lam, tau, n, th, ref_draws, seed=6)
+    for est, ref in ((mc.p_a, ref_a), (mc.p_r, ref_r)):
+        pooled = 0.5 * (est + ref)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / mc.draws + 1.0 / ref_draws))
+        assert abs(est - ref) <= 5.0 * se + 3.0 / ref_draws
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(n, p) for n in (1, 2, 7, 20, 200, 3_000) for p in (1e-6, 0.01, 0.1535, 0.5, 0.77, 1.0 - 1e-9)
+     if n * min(p, 1.0 - p) <= 30.0],
+)
+def test_binomial_inverse_is_numpys_binomial_up_to_30_expected(n, p):
+    """Where n*min(p, 1 - p) <= 30 (numpy draws by BTPE above) the inverse
+    CDF gives numpy's counts from the same uniforms, so the Type-I draws did
+    not change there."""
+    expected = np.random.default_rng(3).binomial(n, p, size=50_000)
+    uniforms = np.random.default_rng(3).random(50_000)
+    assert np.array_equal(oracle._binomial_inverse(n, p)(uniforms), expected)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_binomial_inverse_of_a_certain_outcome(p):
+    counts = oracle._binomial_inverse(9, p)(np.array([0.0, 0.5, 1.0 - 2.0**-53]))
+    assert counts.tolist() == [9 * p] * 3
+
+
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _cos_pi_rounded(u):
+    """cos(pi*u) as 50-digit mpmath gives it, rounded to the nearest double.
+    An 80-bit long-double sin(pi*(1/2 - u)), within 2^-9 ulp of a double
+    (`test_long_double_cosine_is_within_a_fraction_of_an_ulp`), settles
+    every value it keeps that far from a rounding midpoint and from a power
+    of two; mpmath takes the rest, and every value where long double is no
+    wider than double."""
+    ld = np.sin(PI_LD * (0.5 - u).astype(np.longdouble))
+    rounded = ld.astype(np.float64)
+    if np.finfo(np.longdouble).nmant >= 63:
+        spacing = np.spacing(np.abs(rounded)).astype(np.longdouble)
+        off = np.abs(ld - rounded) / np.where(spacing > 0, spacing, 1)
+        unsettled = np.flatnonzero((np.abs(off - 0.5) < 2.0**-9) | (np.frexp(rounded)[0] == 0.5))
+    else:
+        unsettled = np.arange(u.size)
+    with mpmath.workdps(50):
+        for i in unsettled:
+            rounded[i] = float(mpmath.cospi(mpmath.mpf(float(u[i]))))
+    return rounded
+
+
+def _edge_uniforms():
+    """0, 1/2, 1 - 2^-53 and their neighbours, and the uniforms at the slice
+    edges of a 10^6-rate draw."""
+    eps = 2.0**-53
+    special = [0.0, eps, 0.25, 1.0 / 3.0, 0.5 - eps, 0.5, 0.5 + 2 * eps, 0.75, 1.0 - 2 * eps, 1.0 - eps]
+    u = np.random.default_rng(17).random(10**6)
+    edges = np.arange(oracle._SLICE, u.size, oracle._SLICE)
+    return np.concatenate([special, u[edges - 1], u[edges]])
+
+
+def test_long_double_cosine_is_within_a_fraction_of_an_ulp():
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double is no wider than double here; mpmath settles every value")
+    u = np.concatenate([_edge_uniforms(), np.random.default_rng(18).random(10_000)])
+    ld = np.sin(PI_LD * (0.5 - u).astype(np.longdouble))
+    # Each long double, exactly, as the sum of two doubles.
+    hi = ld.astype(np.float64)
+    lo = (ld - hi).astype(np.float64)
+    with mpmath.workdps(50):
+        ulps = [
+            abs(mpmath.mpf(float(h)) + mpmath.mpf(float(l)) - mpmath.cospi(mpmath.mpf(float(v))))
+            / float(np.spacing(abs(h)) or 1.0)
+            for v, h, l in zip(u, hi, lo)
+        ]
+    assert max(ulps) < 2.0**-9
+
+
+def test_series_cosine_is_within_2_ulps():
+    """`_cos_pi` over 10^6 uniforms and the edge cases stays within 2 ulps
+    (doubles apart, `numpy.testing.assert_array_max_ulp`) of the correctly
+    rounded cos(pi*u)."""
+    u = np.concatenate([_edge_uniforms(), np.random.default_rng(19).random(10**6)])
+    series = oracle._cos_pi(u.copy(), np.empty(u.size), np.empty(u.size))
+    np.testing.assert_array_max_ulp(series, _cos_pi_rounded(u), maxulp=2)
+    assert series[5] == 0.0  # u = 1/2
+
+
+@pytest.mark.parametrize("size", [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+def test_sliced_rates_equal_the_transform_over_whole_arrays(size):
+    f = FuzzyLife(300.0, 1500.0)
+    rng = np.random.default_rng(23)
+    u1, u2 = rng.random(size), rng.random(size)
+    whole = np.sqrt(u1)
+    whole *= oracle._cos_pi(u2, np.empty(size), np.empty(size))
+    np.arcsin(whole, out=whole)
+    whole *= 2.0 / (f.a * np.pi)
+    whole += 1.0 / f.lambda_j
+    np.clip(whole, *f.support, out=whole)
+    assert np.array_equal(sample_mixture_rates(f, size, np.random.default_rng(23)), whole)
 
 
 def test_mc_type1_memory_does_not_grow_with_the_group_size():
@@ -319,3 +449,43 @@ def test_verify_tables_extends_the_inverted_table6_rows():
         (0.049970615841761074, 0.04995457886305182, True),
         (0.05000002721661464, 0.09999997210235875, True),
     ]
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_estimates.json"
+
+# (family, life, thresholds, n, tau) per pinned case, each at 10^5 draws and
+# seed 7.  Every Type-I case has n*min(p, 1 - p) <= 30, where the failure
+# counts are numpy's Binomial inversion; the last has p > 1/2.
+GOLDEN_CASES = {
+    "ssp-fuzzy": (Family.SSP, FuzzyLife(300.0, 1500.0), Thresholds(5.8231, 251.1178), 1, None),
+    "ssp-plain": (Family.SSP, 300.0, Thresholds(60.0, 250.0), 1, None),
+    "rgsp_min-fuzzy": (Family.RGSP_MIN, FuzzyLife(300.0, 15000.0), Thresholds(1.0, 60.0), 4, None),
+    "rgsp_min-plain": (Family.RGSP_MIN, 300.0, Thresholds(1.0, 60.0), 4, None),
+    "rgsp_max-fuzzy": (Family.RGSP_MAX, FuzzyLife(300.0, 1500.0), Thresholds(60.0, 250.0), 3, None),
+    "rgsp_max-plain": (Family.RGSP_MAX, 300.0, Thresholds(60.0, 250.0), 3, None),
+    "type1-plain": (Family.TYPE_I, 300.0, Thresholds(200.0, 260.0), 20, 50.0),
+    "type1-fuzzy": (Family.TYPE_I, FuzzyLife(300.0, 15000.0), Thresholds(180.0, 250.0), 28, 100.0),
+    "type1-most-fail": (Family.TYPE_I, 300.0, Thresholds(270.0, 330.0), 10, 3000.0),
+}
+
+
+def oracle_estimates() -> dict:
+    """The pinned estimates, as plain JSON values."""
+    cases = {
+        name: dataclasses.asdict(
+            mc_triprob(family, life, th, n=n, tau=tau, draws=10**5, seed=7)
+        )
+        for name, (family, life, th, n, tau) in GOLDEN_CASES.items()
+    }
+    grid = [dataclasses.asdict(report) for report in oracle.run_regression_grid(draws=10**5)]
+    return {"mc_triprob": cases, "regression_grid": grid}
+
+
+def test_oracle_estimates_match_their_golden():
+    assert oracle_estimates() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(oracle_estimates(), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"written to {GOLDEN}", file=sys.stderr)
