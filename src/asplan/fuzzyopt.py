@@ -288,6 +288,30 @@ def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, un
     return met if f(met) > 0.0 else last_met(f, met, unmet)
 
 
+def _guesses(box: tuple, alpha: float, beta: float) -> Optional[Box]:
+    """The box's guesses, which solve h = beta and g = alpha as odds: none
+    for a plain box or a level outside (0, 1)."""
+    return box if isinstance(box, Box) and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
+
+
+def _floor_test(g_excess, h_excess, box: tuple, guesses, beta: float) -> tuple[float, bool]:
+    """`solve_monotone`'s floor test, which solves no point of the curve:
+    t_h, the least t with h(t, t) <= beta, from its guess (`_guessed`), and
+    whether g(t_h, t_h) <= alpha there as evaluated."""
+    (lo, hi), _ = box
+    t_h = _guessed(lambda t: h_excess(t, t), guesses and guesses.t_h(beta), hi, lo)
+    return t_h, g_excess(t_h, t_h) <= 0.0
+
+
+def reaches_floor(g: Callable, h: Callable, box: tuple, alpha: float, beta: float) -> bool:
+    """Whether `solve_monotone` takes its ``"floor"`` case at these levels:
+    its corner checks and its floor test pass, as evaluated."""
+    (lo, hi), _ = box
+    g_excess, h_excess = _log_odds_excess(g, alpha), _log_odds_excess(h, beta)
+    return (g_excess(lo, lo) <= 0.0 and h_excess(hi, hi) <= 0.0
+            and _floor_test(g_excess, h_excess, box, _guesses(box, alpha, beta), beta)[1])
+
+
 def solve_monotone(
     objective: Callable, g: Callable, h: Callable, box: tuple, alpha: float, beta: float
 ) -> tuple[tuple, float, str]:
@@ -353,9 +377,7 @@ def solve_monotone(
     """
     (lo, hi), _ = box
     along_t1 = _last_met_on_log if isinstance(box[0], LogAxis) else _last_met
-    # The guesses solve h = beta and g = alpha as odds, which a level
-    # outside (0, 1) does not have.
-    guesses = box if isinstance(box, Box) and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
+    guesses = _guesses(box, alpha, beta)
     g_excess = _log_odds_excess(g, alpha)
     h_excess = _log_odds_excess(h, beta)
     for excess, bound, point in ((g_excess, alpha, (lo, lo)), (h_excess, beta, (hi, hi))):
@@ -367,8 +389,8 @@ def solve_monotone(
                 best_point=point,
                 best_violation=violation,
             )
-    t_h = _guessed(lambda t: h_excess(t, t), guesses and guesses.t_h(beta), hi, lo)
-    if g_excess(t_h, t_h) <= 0.0:
+    t_h, floor = _floor_test(g_excess, h_excess, box, guesses, beta)
+    if floor:
         t_g = _guessed(lambda t: g_excess(t, t), guesses and guesses.t_g(alpha), t_h, hi)
         g_value, h_value = g_excess.value, h_excess.value
 
@@ -415,13 +437,13 @@ def solve_monotone(
 
 
 class _Memo:
-    """A plan problem's per-size functions and `least_floor_after`, and per
-    size and cut s the `solve_monotone` optimum or the InfeasibleError it
-    raised, without its traceback: each made once, keyed by the risk cuts,
-    so zero-slack levels share one solve at every s."""
+    """A plan problem's `dominant_size`, its per-size functions and
+    `least_floor_after`, and per size and cut s the `solve_monotone` optimum
+    or the InfeasibleError it raised, without its traceback: each made once,
+    keyed by the risk cuts, so zero-slack levels share one solve at every s."""
 
     def __init__(self, problem):
-        self.problem = problem
+        self.problem, self.dominant_size = problem, problem.dominant_size
         self._functions, self._floors, self._solves = {}, {}, {}
 
     def functions(self, n) -> tuple:
@@ -456,9 +478,11 @@ def _optima(memo: _Memo, s: float) -> dict:
     after n goes below, and ``dominant_size`` with ``dominates(optimum)``.
 
     A dominant size feasible at the tight levels is solved first.  If its
-    optimum at the cut passes ``dominates``, it costs less than every other
-    size there, so it is returned alone; as the loop below would solve it
-    by the same closures, C is the loop's, bit for bit.
+    optimum at the cut passes ``dominates``, no other size costs less
+    there, and at the levels every smaller one costs more, so it is returned
+    alone; as the loop below would solve it by the same closures, C is the
+    loop's, bit for bit, or at a looser cut where a smaller Type-I size
+    reaches the floor too, c*tau at another floor point, up to an ulp.
 
     Otherwise the loop takes the sizes in ascending order.  A size whose
     tight problem is infeasible is skipped at every cut, with its best
@@ -478,7 +502,7 @@ def _optima(memo: _Memo, s: float) -> dict:
             raise optimum
         return optimum
 
-    n = problem.dominant_size
+    n = memo.dominant_size
     if n is not None and not isinstance(memo.solve(n, 1.0), InfeasibleError):
         optimum = at_cut(n)
         if problem.dominates(optimum):

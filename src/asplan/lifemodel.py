@@ -370,6 +370,20 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
     return _with_tails(law, tail(-1.0), tail(1.0), quantile(-1.0), quantile(1.0))
 
 
+def typeI_floor_size(lambda0: float, lambda1: float, tau: float, alpha: float, beta: float,
+                     sd_form: str = "n") -> float:
+    """The least real n with Q_A(lambda1, beta) <= Q_R(lambda0, alpha) under
+    `typeI_law`, for lambda1 < lambda0 and levels below 1/2: with m = k
+    sqrt(p), k = n under "n" and sqrt(n) under "sqrt_n", k >= r = (z_{1-alpha}
+    lambda0/sqrt(p0) + z_{1-beta} lambda1/sqrt(p1))/(lambda0 - lambda1)."""
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf
+    r = sum(-z(q) * lam / math.sqrt(-math.expm1(-tau / lam))
+            for lam, q in ((lambda0, alpha), (lambda1, beta))) / (lambda0 - lambda1)
+    return r if sd_form == "n" else r * r
+
+
 def ssp_triprob(f: Life, th: Thresholds) -> TriProb:
     """Accept/reject/continue probabilities for one inter-failure time."""
     return TriProb(*ssp_law(f, th.t1, th.t2))

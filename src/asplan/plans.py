@@ -26,6 +26,7 @@ from .fuzzyopt import (
     LogAxis,
     PlanDesign,
     SolverSettings,
+    reaches_floor,
     solve_plan,
 )
 from .lifemodel import (
@@ -39,6 +40,7 @@ from .lifemodel import (
     rgsp_max_law,
     rgsp_min_law,
     ssp_law,
+    typeI_floor_size,
     typeI_law,
 )
 from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these plans names
@@ -137,13 +139,31 @@ class PlanProblem:
     @property
     def dominant_size(self) -> Optional[int]:
         """A group size that is the cheapest at any cut where its crisp
-        optimum passes `dominates`: n_max for rgsp_min, else None."""
-        return self.n_max if self.family is Family.RGSP_MIN else None
+        optimum passes `dominates`: n_max for rgsp_min, and for Type-I plans
+        n_f, the least size whose floor c*tau is reachable at the levels,
+        t_h(n) = Q_A(lambda1, beta) <= t_g(n) = Q_R(lambda0, alpha).  m(n)
+        rises with n, so below 1/2 t_h falls and t_g rises with n: the sizes
+        that reach the floor are those from n_f = ceil(`typeI_floor_size`)
+        on.  None where n_f > n_max, where a cut is 1/2 or above, or where
+        rounding lets n_f - 1 reach the floor as evaluated (`reaches_floor`)."""
+        if self.family is Family.RGSP_MIN:
+            return self.n_max
+        if self.family is not Family.TYPE_I or max(self.alpha.relaxed, self.beta.relaxed) >= 0.5:
+            return None
+        alpha, beta = self.alpha.level, self.beta.level
+        size = typeI_floor_size(_mean(self.lambda0), _mean(self.lambda1), self.tau, alpha, beta,
+                                self.sd_form)
+        if not size <= self.n_max:
+            return None
+        n = math.ceil(size)
+        return None if n > 1 and reaches_floor(*self.functions(n - 1)[1:4], alpha, beta) else n
 
     def dominates(self, optimum: tuple) -> bool:
         """Whether a crisp optimum (x, cost, case) of `dominant_size`, at
-        some cut of the risk levels, costs less than every smaller size's
-        optimum at that cut: whenever its case is not ``"edge"``.
+        some cut of the risk levels, costs no more than every other size's
+        optimum at that cut, and less than every smaller size's at the
+        levels: for rgsp_min whenever its case is not ``"edge"``, and for
+        Type-I plans whenever it is ``"floor"``.
 
         The rgsp_min risks depend on u = n*t only, and its cost is
         c*E[Y]/n*N(u): on the box [n*lo, n*hi] in u, size n is the `ssp`
@@ -157,8 +177,13 @@ class PlanProblem:
         much, up to rounding far below that factor.  An ``"edge"`` optimum
         takes a level that only the box's edge meets, such as alpha equal
         to g at (lo, T(lo)) where h(lo, hi) <= beta.
+
+        A Type-I ``"floor"`` optimum costs c*tau, every size's least cost
+        at every cut, at N = 1 up to rounding: so C(s) = c*tau, the
+        bracket's span is 0 and s* = 1.  At the levels every smaller size
+        misses the floor (`dominant_size`), so its optimum has N > 1.
         """
-        return optimum[2] != "edge"
+        return optimum[2] == "floor" if self.family is Family.TYPE_I else optimum[2] != "edge"
 
     def functions(self, n: Optional[int]):
         """(objective, g, h, box, ordering) for group size n."""

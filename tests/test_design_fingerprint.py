@@ -10,7 +10,8 @@ root guesses that missed their bound and fell back to Brent's method
 (`fuzzyopt._guessed`), so that a change that adds crisp solves or root
 probes, or degrades a tail quantile, shows here too, where wall time would
 not.  The problems are the README problem of
-every family (`rgsp_min` and `rgsp_max` at `n_max` 200) and eight problems
+every family (`rgsp_min` and `rgsp_max` at `n_max` 200), the README `type1`
+problem under ``sd_form="sqrt_n"`` at `n_max` 1000, and eight problems
 shaped like the benchmark's, written out here.  Each golden design is also
 checked in 50-digit arithmetic, with S by quadrature over the rate density:
 its risks meet their cut levels.
@@ -74,6 +75,9 @@ PROBLEMS = {
     "readme-rgsp_min": _problem("rgsp_min", *README, n_max=200),
     "readme-rgsp_max": _problem("rgsp_max", *README, n_max=200),
     "readme-type1": _problem("type1", *TYPE1_README, tau=50.0, **UPPER),
+    # The floor size 768 solved alone, where the loop traces 698 sizes.
+    "readme-type1-sqrt_n": _problem(
+        "type1", *TYPE1_README, tau=50.0, n_max=1000, sd_form="sqrt_n", **UPPER),
     "bench-ssp-1": _problem("ssp", 301.2, 50.024, 6340.8, 0.050047, 0.049351, 0.050946, 0.050595),
     "bench-ssp-2": _problem("ssp", 298.53, 49.688, 2290.6, 0.050117, 0.04938, 0.049922, 0.049566),
     "bench-ssp-3": _problem("ssp", 302.12, 50.356, 2766.7, 0.04936, 0.049036, 0.050499, 0.050755),

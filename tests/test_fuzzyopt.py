@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asplan import fuzzyopt
@@ -19,6 +19,7 @@ from asplan.fuzzyopt import (
     solve_plan,
     zimmermann_bounds,
 )
+from asplan.lifemodel import SD_FORMS
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, PlanProblem, crisp_limit, plan_functions
 
@@ -335,20 +336,24 @@ def test_cost_floor_stop_changes_no_design(family, crisp, form, monkeypatch):
     """The loop stops only where no later group size can win: the design is
     the full loop's, and its trace a prefix of the full loop's.  Under
     standard the trace is the search at the cut of phi*, where the fuzzy
-    rgsp_max optima cost less than at the levels, so it stops sooner."""
+    rgsp_max optima cost less than at the levels, so it stops sooner.  A
+    Type-I design solves its floor size n_f alone (`dominant_size`), so its
+    loop is run with no dominant size; the design is the loop's."""
     problem = _stop_problem(family, crisp)
     design = solve_plan(problem, FAST, form)
+    loop = _loop_design(problem, form)
     if family is Family.TYPE_I:
         tried = [5, 6, 7]  # n < 5 is infeasible, n = 7 reaches cost * tau
+        assert design.trace == loop.trace[-1:]
     elif form == "standard" and not crisp:
         tried = [1, 2]
     else:
         tried = [1, 2, 3]
-    assert [n for n, *_ in design.trace] == tried
+    assert [n for n, *_ in loop.trace] == tried
     monkeypatch.setattr(PlanProblem, "cost_floor", lambda self, n: 0.0)
-    full = solve_plan(problem, FAST, form)
-    assert _without_trace(design) == _without_trace(full)
-    assert design.trace == full.trace[: len(design.trace)]
+    full = _loop_design(problem, form)
+    assert _without_trace(design) == _without_trace(loop) == _without_trace(full)
+    assert loop.trace == full.trace[: len(loop.trace)]
     assert full.trace[-1][0] == problem.n_max
 
 
@@ -623,6 +628,131 @@ def test_readme_rgsp_min_solves_one_group_size(form, monkeypatch):
         assert len(cuts) == 400
 
 
+def _readme_type1(**kwargs) -> PlanProblem:
+    return PlanProblem(
+        family=Family.TYPE_I,
+        lambda0=FuzzyLife(300.0, 15000.0),
+        lambda1=FuzzyLife(200.0, 15000.0),
+        alpha=FuzzyLevel(0.01, 0.01),
+        beta=FuzzyLevel(0.01, 0.01),
+        tau=50.0,
+        objective_variant="etc_upper_bound",
+        **kwargs,
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    crisp=st.booleans(),
+    form=st.sampled_from(fuzzyopt.MEMBERSHIP_FORMS),
+    sd_form=st.sampled_from(SD_FORMS),
+    n_max=st.integers(1, 60),
+    lambda0=st.floats(200.0, 600.0),
+    ratio=st.floats(0.1, 0.7),
+    tau_ratio=st.floats(0.3, 2.0),
+    alpha=st.floats(0.01, 0.45),
+    beta=st.floats(0.01, 0.45),
+    slack=st.floats(0.0, 0.5),
+)
+@example(crisp=False, form="cost_ascending", sd_form="n", n_max=60, lambda0=300.0,
+         ratio=2.0 / 3.0, tau_ratio=0.25, alpha=0.01, beta=0.01, slack=0.01)
+@example(crisp=False, form="standard", sd_form="sqrt_n", n_max=60, lambda0=500.0, ratio=0.3,
+         tau_ratio=1.0, alpha=0.05, beta=0.3, slack=0.25)
+def test_type1_floor_size_is_the_loop_design(
+    crisp, form, sd_form, n_max, lambda0, ratio, tau_ratio, alpha, beta, slack
+):
+    """Solving the Type-I floor size n_f alone gives the loop's design, up
+    to the trace, or the loop's error (but see the next test for z_lower).
+    Where a cut of the levels is 1/2 or above there is no dominant size,
+    and the loop runs."""
+    problem = PlanProblem(
+        family=Family.TYPE_I,
+        lambda0=FuzzyLife(lambda0, 50.0 * lambda0),
+        lambda1=FuzzyLife(ratio * lambda0, 50.0 * lambda0),
+        alpha=FuzzyLevel(alpha, slack),
+        beta=FuzzyLevel(beta, slack),
+        tau=tau_ratio * ratio * lambda0,
+        objective_variant="etc_upper_bound",
+        n_max=n_max,
+        sd_form=sd_form,
+    )
+    if crisp:
+        problem = crisp_limit(problem)
+    if max(problem.alpha.relaxed, problem.beta.relaxed) >= 0.5:
+        assert problem.dominant_size is None
+    try:
+        loop = _loop_design(problem, form)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as excinfo:
+            solve_plan(problem, membership_form=form)
+        assert (str(excinfo.value), excinfo.value.per_n) == (str(exc), exc.per_n)
+        return
+    design = solve_plan(problem, membership_form=form)
+    assert _without_trace(design) == _without_trace(loop)
+    if problem.dominant_size is None:
+        assert design.trace == loop.trace
+    else:
+        assert design.trace in (loop.trace, loop.trace[-1:])
+
+
+def test_type1_floor_size_can_lower_z_lower_by_an_ulp():
+    """Where a size below n_f reaches the floor at the relaxed levels, the
+    loop's C(0) is c*tau at that size's floor point, and n_f's can round
+    one ulp apart: here n_f's is c*tau itself, and the loop's one ulp above,
+    both within the loop's own stop factor of 1 + 1e-9.  Every other field
+    of the design is the loop's.  2 of 4,000 random problems like those of
+    the property test above did this."""
+    problem = PlanProblem(
+        family=Family.TYPE_I,
+        lambda0=FuzzyLife(226.12389721735386, 11306.194860867692),
+        lambda1=FuzzyLife(128.04953223796946, 11306.194860867692),
+        alpha=FuzzyLevel(0.05556972235188898, 0.05018441642375371),
+        beta=FuzzyLevel(0.301613307223237, 0.10708950351147517),
+        tau=68.26970389341486,
+        objective_variant="etc_upper_bound",
+        n_max=40,
+        allow_t2_above_lambda0=True,
+    )
+    design, loop = solve_plan(problem), _loop_design(problem, "cost_ascending")
+    assert design.n == loop.n == problem.dominant_size == 9
+    assert design.z_lower == problem.tau and loop.z_lower == math.nextafter(problem.tau, math.inf)
+    assert _without_trace(replace(design, z_lower=loop.z_lower)) == _without_trace(loop)
+
+
+@pytest.mark.parametrize("form", ["cost_ascending", "standard"])
+@pytest.mark.parametrize("sd_form,n_f", [("n", 28), ("sqrt_n", 768)])
+def test_readme_type1_solves_one_group_size(form, sd_form, n_f, monkeypatch):
+    """The README Type-I problem reaches its floor c*tau first at n_f, 28
+    under "n" and 768 under "sqrt_n": at n_max 10**5 n_f is solved alone,
+    at the tight and relaxed levels, and functions are built for n_f and
+    n_f - 1 only, whose floor test solves no point.  The README design's
+    loop makes 45 crisp solves."""
+    problem = _readme_type1(n_max=10**5, sd_form=sd_form)
+    assert problem.dominant_size == n_f
+    sizes, cuts = collections.Counter(), []
+    functions, monotone = PlanProblem.functions, fuzzyopt.solve_monotone
+
+    def counted_functions(self, n):
+        sizes[n] += 1
+        return functions(self, n)
+
+    def counted(objective, g, h, box, alpha, beta):
+        cuts.append((alpha, beta))
+        return monotone(objective, g, h, box, alpha, beta)
+
+    monkeypatch.setattr(PlanProblem, "functions", counted_functions)
+    monkeypatch.setattr(fuzzyopt, "solve_monotone", counted)
+    design = solve_plan(problem, membership_form=form)
+    assert [n for n, *_ in design.trace] == [n_f] and design.n == n_f
+    assert design.trace[0][3] == "floor" and design.objective_value == 50.0
+    assert cuts == [(0.01, 0.01), (0.02, 0.02)]
+    assert set(sizes) == {n_f - 1, n_f}
+    if sd_form == "n" and form == "cost_ascending":
+        cuts.clear()
+        assert _without_trace(_loop_design(_readme_type1(), form)) == _without_trace(design)
+        assert len(cuts) == 45
+
+
 @pytest.mark.parametrize(
     "family,tried",
     [
@@ -634,7 +764,9 @@ def test_readme_rgsp_min_solves_one_group_size(form, monkeypatch):
 )
 def test_cost_floors_are_computed_as_the_loop_needs_them(family, tried, monkeypatch):
     """At n_max 10**5 the loop computes no floor of a size it never
-    reaches: at most one `cost_floor` call per size tried, and one more."""
+    reaches: at most one `cost_floor` call per size tried, and one more.
+    A Type-I design solves its floor size alone, so its loop is run with no
+    dominant size (`_loop_design`)."""
     if family is Family.TYPE_I:
         problem = PlanProblem(
             family=family,
@@ -656,7 +788,10 @@ def test_cost_floors_are_computed_as_the_loop_needs_them(family, tried, monkeypa
         return cost_floor(self, n)
 
     monkeypatch.setattr(PlanProblem, "cost_floor", counted)
-    design = solve_plan(problem)
+    if family is Family.TYPE_I:
+        design = _loop_design(problem, "cost_ascending")
+    else:
+        design = solve_plan(problem)
     assert [n for n, *_ in design.trace] == tried
     assert len(floors) <= len(tried) + 1
 
