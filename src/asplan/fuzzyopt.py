@@ -31,7 +31,8 @@ from typing import Callable, Optional
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
 from .membership import FuzzyLevel
 
-# A narrower bracket z_upper - z_lower gives the objective no membership.
+# A bracket z_upper - z_lower narrower than this times max(1, |z_upper|),
+# a few ulps of the cost, gives the objective no membership.
 _MIN_SPAN = 1e-9
 # Largest constraint violation that still counts as feasible; `zimmermann_bounds`
 # lets a relaxed optimum exceed its tight one by this much, relative.
@@ -256,7 +257,7 @@ class Box(tuple):
     answers: ``t_h(beta)``, the least t with h(t, t) <= beta; ``t_g(alpha)``,
     the largest t with g(t, t) <= alpha; and ``t1_min(beta)``, the least t1
     with h(t1, hi) <= beta.  Each guess is within 1e-12 relative of its
-    tail's crossing where rounding resolves it (`lifemodel._with_tails`),
+    tail's crossing where rounding resolves it (`lifemodel._stage_law`),
     and may lie outside the box or miss its bound by rounding, as the solver
     checks every one.  A plain tuple box has none, and every root is Brent's."""
 
@@ -581,7 +582,8 @@ def solve_max_phi(bracket: ZBounds, membership_form: str = "cost_ascending") -> 
     - Under ``cost_ascending`` s* = 1: the argmin of C(1) meets the levels
       and costs z_upper, so every membership is 1 there; any point with
       phi = 1 meets the levels, so it costs at least C(1).  s* = 1 too
-      where the bracket is narrower than _MIN_SPAN; nothing is solved.  The
+      where the bracket is narrower than _MIN_SPAN times max(1, |z_upper|),
+      as a bracket of an ulp or two of the cost is; nothing is solved.  The
       objective takes no membership: every tight cost is at least z_upper,
       so (cost - z_lower)/span would be at least 1.
     - Under ``standard`` the objective's membership (z_upper - cost)/span is
@@ -606,7 +608,7 @@ def solve_max_phi(bracket: ZBounds, membership_form: str = "cost_ascending") -> 
     memo, z_lower, z_upper = bracket.memo, bracket.z_lower, bracket.z_upper
     alpha, beta = memo.problem.alpha, memo.problem.beta
     span = z_upper - z_lower
-    cost_membership = membership_form == "standard" and span >= _MIN_SPAN
+    cost_membership = membership_form == "standard" and span >= _MIN_SPAN * max(1.0, abs(z_upper))
     s = 1.0
     if cost_membership:
         ends = {0.0: -span, 1.0: span}

@@ -11,15 +11,16 @@ Every function that takes a life accepts a FuzzyLife or a plain positive
 mean life; a plain number is the crisp exponential, the a -> inf limit.
 Every formula takes and returns plain floats, one threshold pair at a time.
 
-Each family's stage law is one function of floats that returns
-(p_a, p_r, p_c): `ssp_law(f, t1, t2)`, and the laws that `rgsp_min_law(n)`,
-`rgsp_max_law(n)` and `typeI_law(n, tau, sd_form)` build once per group
-size, after checking what depends on it alone.  Each evaluation makes the
-checks of the value types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up
-to rounding, and a sum within 1e-10 of 1.  p_a is a tail at t2 alone and
-p_r at t1 alone; each law carries the two tails and their quantiles in
-closed form (`_with_tails`).  `long_run_rates` takes (p_a, p_r) to (P_A,
-P_R, N).  The value types `Thresholds` and `TriProb`, with `ssp_triprob`,
+A plan family is its two tails: p_a, a tail at t2 alone, and p_r, a tail
+at t1 alone, each written once, with their quantiles in closed form.  One
+constructor, `_stage_law`, builds every family's stage law from them, a
+function of floats that returns (p_a, p_r, 1 - p_a - p_r): `ssp_law(f, t1,
+t2)`, and the laws that `rgsp_min_law(n)`, `rgsp_max_law(n)` and
+`typeI_law(n, tau, sd_form)` build once per group size, after checking
+what depends on it alone.  Each evaluation makes the checks of the value
+types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up to rounding, and a
+sum within 1e-10 of 1.  `long_run_rates` takes (p_a, p_r) to (P_A, P_R,
+N).  The value types `Thresholds` and `TriProb`, with `ssp_triprob`,
 `rgsp_min_triprob`, `rgsp_max_triprob` and `typeI_triprob`, wrap these for
 callers that want named fields; the plan closures evaluate the laws and
 build none of them.
@@ -48,6 +49,8 @@ Life = FuzzyLife | float
 
 # Probabilities may stray outside [0,1] by at most this before we refuse to clamp.
 _CLAMP_TOL = 1e-12
+# p_a + p_r + p_c may stray from 1 by at most this.
+_SUM_TOL = 1e-10
 
 # The two published scalings of the Type-I estimator's standard deviation.
 SD_FORMS = ("n", "sqrt_n")
@@ -92,17 +95,9 @@ def _check_thresholds(t1: float, t2: float) -> None:
 def _summed_to_one(p_a: float, p_r: float, p_c: float) -> tuple[float, float, float]:
     """(p_a, p_r, p_c), once their sum is within 1e-10 of 1."""
     total = p_a + p_r + p_c
-    if not abs(total - 1.0) <= 1e-10:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ConsistencyError(f"probabilities sum to {total}, not 1")
     return p_a, p_r, p_c
-
-
-def _clamp_prob(x: float, what: str) -> float:
-    if 0.0 <= x <= 1.0:
-        return x
-    if x < -_CLAMP_TOL or x > 1.0 + _CLAMP_TOL:
-        raise ConsistencyError(f"{what} = {x} is outside [0,1] beyond tolerance")
-    return min(1.0, max(0.0, x))
 
 
 def check_group_size(n, name: str = "n") -> None:
@@ -137,7 +132,8 @@ def log_survival(f: Life, t: float) -> float:
     From there it is -(t/lambda_j)(a - lambda_j)/a + log((1 - e^{-2x})/(2x))
     - log1p((x/pi)^2), every term at most 0, so it neither overflows nor
     cancels at any a > lambda_j or t > 0; its absolute error of a few ulps
-    is small against t/lambda_j > 1/2.
+    is small against t/lambda_j > 1/2.  Where 2x overflows, S is 0 to every
+    digit and log S is -inf.
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
@@ -154,6 +150,8 @@ def log_survival(f: Life, t: float) -> float:
             0.005781020661483047 - y * (0.001019339049486085 - y * (
                 0.00019891502556361706 - y * (4.101442555134138e-05 - y * (
                     8.749733579814976e-06 - y * 1.910282426081484e-06)))))))
+    if 2.0 * x == math.inf:
+        return -math.inf
     return (-(t / lam) * ((a - lam) / a) + math.log(-math.expm1(-2.0 * x) / (2.0 * x))
             - math.log1p(x * x / _PI_SQUARED))
 
@@ -166,19 +164,36 @@ def weighted_survival(f: Life, t: float) -> float:
     return math.exp(log_survival(f, t))
 
 
-def _with_tails(law, accept, reject, accept_guess, reject_guess):
-    """Give a stage law its two tails and their quantiles, as attributes.
+def _stage_law(accept, reject, accept_guess, reject_guess):
+    """The stage law (life, t1, t2) -> (p_a, p_r, p_c) of a family given by
+    its two tails, with the tails and their quantiles as attributes.
 
-    ``accept(life, t)`` is the law's p_a at t2 = t and ``reject(life, t)``
-    its p_r at t1 = t, by the law's own expressions; p_a falls and p_r rises
-    in t.  ``accept_quantile(life, q)`` and ``reject_quantile(life, q)``
-    solve accept = q and reject = q in closed form: q lies between the
-    tail's values at (1 -/+ 1e-12) Q, up to the n/2 ulps of rounding of the
-    rgsp_max p_r (tests/test_lifemodel.py).  Where a tail rounds flat, as
-    1 - S does near q = 1, the least point that meets q as evaluated lies
-    far below Q.  Outside 0 < q < 1 they are 0.0 where every t meets q and
-    inf where none does.
+    ``accept(life, t)`` is p_a at t2 = t and ``reject(life, t)`` p_r at t1 =
+    t, the family's only expressions; p_a falls and p_r rises in t.  p_c
+    is 1 - p_a - p_r, exactly 0 where t1 = t2.  Each evaluation makes the
+    checks of the value types: `_check_thresholds`, p_c within [0, 1] up
+    to rounding, and the sum.  ``accept_quantile(life, q)`` and
+    ``reject_quantile(life, q)`` solve accept = q and reject = q in closed
+    form: q lies between the tail's values at (1 -/+ 1e-12) Q, up to the
+    n/2 ulps of rounding of the rgsp_max p_r (tests/test_lifemodel.py).
+    Where a tail rounds flat, as 1 - S does near q = 1, the least point
+    that meets q as evaluated lies far below Q.  Outside 0 < q < 1 they
+    are 0.0 where every t meets q and inf where none does.
     """
+
+    def law(life: Life, t1: float, t2: float) -> tuple[float, float, float]:
+        if not 0.0 < t1 <= t2:
+            _check_thresholds(t1, t2)
+        p_a = accept(life, t2)
+        p_r = reject(life, t1)
+        p_c = 0.0 if t1 == t2 else 1.0 - p_a - p_r
+        if not 0.0 <= p_c <= 1.0:  # a NaN clamps to 0 and fails the sum
+            if p_c < -_CLAMP_TOL or p_c > 1.0 + _CLAMP_TOL:
+                raise ConsistencyError(f"p_c = {p_c} is outside [0,1] beyond tolerance")
+            p_c = min(1.0, max(0.0, p_c))
+        if abs(p_a + p_r + p_c - 1.0) <= _SUM_TOL:
+            return p_a, p_r, p_c
+        return _summed_to_one(p_a, p_r, p_c)
 
     def accept_quantile(life, q: float) -> float:
         return accept_guess(life, q) if 0.0 < q < 1.0 else 0.0 if q >= 1.0 else math.inf
@@ -233,24 +248,16 @@ def _survival_quantile(f: Life, log_level: float) -> float:
     return t
 
 
-def ssp_law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
-    """(p_a, p_r, p_c) of one inter-failure time at the thresholds (t1, t2).
-    p_r is -expm1(log S(t1)), which keeps its digits where 1 - S(t1) would
-    cancel, at t1 far below the mean life, and rises with t1 as evaluated."""
-    _check_thresholds(t1, t2)
-    log_s1 = log_survival(f, t1)
-    s2 = weighted_survival(f, t2)
-    p_c = math.exp(log_s1) - s2
-    return _summed_to_one(s2, -math.expm1(log_s1),
-                          p_c if 0.0 <= p_c <= 1.0 else _clamp_prob(p_c, "p_c"))
-
-
 def _ssp_reject(f: Life, t: float) -> float:
     return -math.expm1(log_survival(f, t))
 
 
-_with_tails(
-    ssp_law, weighted_survival, _ssp_reject,
+# The law of one inter-failure time: p_a = S(t2), read through a lambda so
+# that a rebound `weighted_survival` reaches it, and p_r = -expm1(log
+# S(t1)), which keeps its digits where 1 - S(t1) would cancel, at t1 far
+# below the mean life, and rises with t1 as evaluated.
+ssp_law = _stage_law(
+    lambda f, t: weighted_survival(f, t), _ssp_reject,
     lambda f, q: _survival_quantile(f, math.log(q)),
     lambda f, q: _survival_quantile(f, math.log1p(-q)),
 )
@@ -259,16 +266,10 @@ _with_tails(
 def rgsp_min_law(n: int):
     """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group minimum of size n:
     the minimum of n shared-rate exponentials is exponential with n times
-    the rate, so this is `ssp_law` at (n*t1, n*t2), and so are its tails;
-    its quantiles start from the `ssp_law` ones divided by n."""
+    the rate, so its tails are the `ssp_law` ones at n*t, and its
+    quantiles the `ssp_law` ones divided by n."""
     check_group_size(n)
-
-    def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
-        _check_thresholds(t1, t2)
-        return ssp_law(f, n * t1, n * t2)
-
-    return _with_tails(
-        law,
+    return _stage_law(
         lambda f, t: weighted_survival(f, n * t),
         lambda f, t: _ssp_reject(f, n * t),
         lambda f, q: _survival_quantile(f, math.log(q)) / n,
@@ -276,30 +277,38 @@ def rgsp_min_law(n: int):
     )
 
 
+# Up to this n the rgsp_max p_r is the n-th power of the ssp p_r, whose
+# rounding, up to n ulps (2.1e-13 at n = 4096), stays within _CLAMP_TOL.
+_POWER_SIZES = 4096
+
+
 def rgsp_max_law(n: int):
     """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group maximum of size n,
     the weighted CDF raised to the n-th power (an independent fuzzy rate
     per item).  p_a = 1 - (1 - S(t2))^n is -expm1(n log1p(-S(t2))), which
     keeps its digits where the power would lose eps/S(t2) relative, at
-    small S(t2); 0.0 - keeps it +0 where S(t2) underflows.  p_r is
-    (-expm1(log S(t1)))^n, the `ssp_law` p_r to the n-th power.  p_a <= q
+    small S(t2); 0.0 - keeps it +0 where S(t2) underflows, and it is its
+    limit 1 where S(t2) rounds to 1.  p_r is (-expm1(log S(t1)))^n, the
+    `ssp_law` p_r to the n-th power, up to n = `_POWER_SIZES`; above it,
+    e^{n log(1 - S(t1))}, whose rounding does not grow with n.  p_a <= q
     where S <= 1 - (1 - q)^(1/n), and p_r >= q where S <= 1 - q^(1/n): its
     quantiles start from the survival quantile there."""
     check_group_size(n)
 
     def accept(f: Life, t: float) -> float:
-        return 0.0 - math.expm1(n * math.log1p(-weighted_survival(f, t)))
+        s = weighted_survival(f, t)
+        return 1.0 if s == 1.0 else 0.0 - math.expm1(n * math.log1p(-s))
 
-    def law(f: Life, t1: float, t2: float) -> tuple[float, float, float]:
-        _check_thresholds(t1, t2)
-        s2 = weighted_survival(f, t2)
-        below_t1 = (-math.expm1(log_survival(f, t1))) ** n
-        p_a = 0.0 - math.expm1(n * math.log1p(-s2))
-        return _summed_to_one(
-            p_a, below_t1, _clamp_prob((1.0 - s2) ** n - below_t1, "p_c"))
+    def reject(f: Life, t: float) -> float:
+        return _ssp_reject(f, t) ** n
 
-    return _with_tails(
-        law, accept, lambda f, t: _ssp_reject(f, t) ** n,
+    if n > _POWER_SIZES:
+        def reject(f: Life, t: float) -> float:
+            log_s = log_survival(f, t)
+            return math.exp(n * _log1mexp(log_s)) if log_s < 0.0 else 0.0
+
+    return _stage_law(
+        accept, reject,
         lambda f, q: _survival_quantile(f, _log1mexp(math.log1p(-q) / n)),
         lambda f, q: _survival_quantile(f, _log1mexp(math.log(q) / n)),
     )
@@ -335,39 +344,31 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
     scales = {}  # lambda_j -> m, made once per mean life
     normal_quantile = NormalDist().inv_cdf
 
-    def mean_and_scale(life: Life) -> tuple[float, float]:
-        lambda_j = life.lambda_j if isinstance(life, FuzzyLife) else life
-        m = scales.get(lambda_j)
-        if m is None:
-            if not lambda_j > 0:
-                raise DomainError(f"lambda_j must be positive, got {lambda_j}")
-            frac = -math.expm1(-tau / lambda_j)
-            m = scales[lambda_j] = n * math.sqrt(frac) if per_n else math.sqrt(n * frac)
-        return lambda_j, m
+    def scale(lambda_j: float) -> float:
+        if not lambda_j > 0:
+            raise DomainError(f"lambda_j must be positive, got {lambda_j}")
+        frac = -math.expm1(-tau / lambda_j)
+        if not frac > 0:
+            raise DomainError(f"no item fails by tau={tau} at lambda_j={lambda_j}: "
+                              "1 - e^(-tau/lambda_j) rounds to 0")
+        return scales.setdefault(lambda_j, n * math.sqrt(frac) if per_n else math.sqrt(n * frac))
 
-    def law(life: Life, t1: float, t2: float) -> tuple[float, float, float]:
-        _check_thresholds(t1, t2)
-        lambda_j, m = mean_and_scale(life)
-        z1 = (t1 - lambda_j) / lambda_j * m
-        z2 = (t2 - lambda_j) / lambda_j * m
-        phi1 = std_normal_cdf(z1)
-        # Phi(-z2), not 1 - Phi(z2): the upper tail keeps its digits past z2 = 8.3.
-        return _summed_to_one(
-            std_normal_cdf(-z2), phi1, _clamp_prob(std_normal_cdf(z2) - phi1, "p_c"))
-
+    # p_a is Phi(-z), not 1 - Phi(z): the upper tail keeps its digits past z = 8.3.
     def tail(sign: float):
         def at(life: Life, t: float) -> float:
-            lambda_j, m = mean_and_scale(life)
+            lambda_j = life.lambda_j if isinstance(life, FuzzyLife) else life
+            m = scales.get(lambda_j) or scale(lambda_j)
             return std_normal_cdf(sign * ((t - lambda_j) / lambda_j * m))
         return at
 
     def quantile(sign: float):
         def at(life: Life, q: float) -> float:
-            lambda_j, m = mean_and_scale(life)
+            lambda_j = life.lambda_j if isinstance(life, FuzzyLife) else life
+            m = scales.get(lambda_j) or scale(lambda_j)
             return max(lambda_j * (1.0 + sign * normal_quantile(q) / m), 0.0)
         return at
 
-    return _with_tails(law, tail(-1.0), tail(1.0), quantile(-1.0), quantile(1.0))
+    return _stage_law(tail(-1.0), tail(1.0), quantile(-1.0), quantile(1.0))
 
 
 def typeI_floor_size(lambda0: float, lambda1: float, tau: float, alpha: float, beta: float,

@@ -11,8 +11,8 @@ lifetimes, the structure of the censored MLE (Bartholomew 1963), not all n
 lifetimes.  Its two hot kernels run in place: the cosine of the rate
 transform is a Taylor series over cache-sized slices, and the failed
 lifetimes are summed per group by `numpy.add.reduceat`.  The golden-table
-harness is not independent: it rechecks the published designs through each
-family's `plans.stage_law`.
+harness is not independent: it rechecks the published designs through the
+two tails of each family's `plans.stage_law`, p_a at t2 and p_r at t1.
 
 Only the simulation uses numpy, so `sample_mixture_rates` and `mc_triprob`
 import it when they run: `import asplan` and every command but `oracle`
@@ -421,14 +421,10 @@ def _row_life(row: GoldenRow, lam: float):
 
 
 def _row_run(law, life, row: GoldenRow) -> tuple[float, float, float]:
-    """The long run (P_A, P_R, N) of the row's design under ``life``.
-
-    p_a is read at the thresholds (t2, t2) and p_r at (t1, t1): each depends
-    on its own threshold alone, so rows whose printed thresholds are
-    inverted (t1 > t2) still get the algebraic extension the reference
-    solver would have used.
-    """
-    return long_run_rates(law(life, row.t2, row.t2)[0], law(life, row.t1, row.t1)[1])
+    """The long run (P_A, P_R, N) of the row's design under ``life``, from
+    the law's tails, p_a at t2 and p_r at t1: rows printed with t1 > t2
+    get the algebraic extension the reference solver would have used."""
+    return long_run_rates(law.accept(life, row.t2), law.reject(life, row.t1))
 
 
 def verify_tables(
@@ -436,11 +432,12 @@ def verify_tables(
 ) -> list[dict]:
     """Recompute the risks and cost at every embedded design.
 
-    g, h and the cost are read from the long run of the family's
-    `plans.stage_law`, the law of the solver's plan closures: the cost is
-    the expected stage duration times the stage count at the acceptable
-    life.  A row is feasible when the long-run producer risk stays within
-    alpha + b1 and the consumer risk within beta + b2, both padded by the
+    g, h and the cost are read from the long run of the tails of the
+    family's `plans.stage_law`, the law of the solver's plan closures: p_a
+    at t2 and p_r at t1 (`_row_run`).  The cost is the expected stage
+    duration times the stage count at the acceptable life.  A row is
+    feasible when the long-run producer risk stays within alpha + b1 and
+    the consumer risk within beta + b2, both padded by the
     printed-precision tolerance.  Comparison-only rows carry no design and
     are reported without a feasibility verdict.
     """
@@ -458,6 +455,8 @@ def verify_tables(
             continue
         family, n = Family(row.family), 1 if row.n is None else row.n
         check_group_size(n, "row group size")
+        if not (row.t1 > 0 and row.t2 > 0):  # the tails check no threshold
+            raise DomainError(f"row thresholds must be positive, got t1={row.t1}, t2={row.t2}")
         law = stage_law(family, n, row.tau)
         life0 = _row_life(row, row.lambda0)
         _, g, stages = _row_run(law, life0, row)

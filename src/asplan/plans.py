@@ -235,11 +235,11 @@ def stage_law(family: Family, n: Optional[int] = None, tau: Optional[float] = No
     normal approximation sees the nominal mean life alone.
 
     In every family p_a depends on t2 alone and p_r on t1 alone: the law
-    carries the two as its tails ``accept(life, t)`` and ``reject(life,
-    t)``, with their closed-form quantiles ``accept_quantile(life, q)`` and
-    ``reject_quantile(life, q)``, the t with p_a = q and with p_r = q.  The
-    laws are read from this module's globals, so rebinding them here
-    reaches every law built afterwards.
+    is built from the two as its tails ``accept(life, t)`` and
+    ``reject(life, t)``, which it carries with their closed-form quantiles
+    ``accept_quantile(life, q)`` and ``reject_quantile(life, q)``, the t
+    with p_a = q and with p_r = q.  The laws are read from this module's
+    globals, so rebinding them here reaches every law built afterwards.
     """
     family = Family(family)
     if family is Family.SSP:

@@ -187,6 +187,16 @@ def test_design_rejects_a_group_size_bound_below_one(capsys):
     assert captured.err == "error: n_max must be >= 1, got 0\n"
 
 
+def test_design_where_survival_rounds_to_1_at_the_box_corner(capsys):
+    """At lambda0 = 1e11 the survival rounds to 1 at t = 1e-6, where the
+    rgsp_max p_a once took log1p(-1.0): `design` printed a traceback."""
+    argv = ["design", "--family", "rgsp_max", "--lambda0", "1e11", "--lambda1", "2e10",
+            "--a", "1e12", "--alpha", "0.05", "--beta", "0.05", "--n-max", "5"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["n"] == 3
+
+
 def test_design_leaves_a_fractional_group_size_bound_to_argparse(capsys):
     """A non-integer --n-max never reaches the problem: argparse rejects
     it, with exit 2."""

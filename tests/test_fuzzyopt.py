@@ -695,14 +695,25 @@ def test_type1_floor_size_is_the_loop_design(
         assert design.trace in (loop.trace, loop.trace[-1:])
 
 
-def test_type1_floor_size_can_lower_z_lower_by_an_ulp():
-    """Where a size below n_f reaches the floor at the relaxed levels, the
-    loop's C(0) is c*tau at that size's floor point, and n_f's can round
-    one ulp apart: here n_f's is c*tau itself, and the loop's one ulp above,
-    both within the loop's own stop factor of 1 + 1e-9.  Every other field
-    of the design is the loop's.  2 of 4,000 random problems like those of
-    the property test above did this."""
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+def test_rgsp_max_solves_where_survival_rounds_to_1(crisp):
+    """At lambda0 = 1e11 the survival rounds to 1 at the box corner 1e-6,
+    where the rgsp_max p_a once took log1p(-1.0) and raised a bare
+    ValueError; it is 1 there, and the design meets both levels."""
     problem = PlanProblem(
+        family=Family.RGSP_MAX,
+        lambda0=FuzzyLife(1e11, 1e12),
+        lambda1=FuzzyLife(2e10, 1e12),
+        alpha=FuzzyLevel(0.05, 0.05),
+        beta=FuzzyLevel(0.05, 0.05),
+        n_max=5,
+    )
+    design = solve_plan(crisp_limit(problem) if crisp else problem)
+    assert design.n == 3 and min(design.g_margin, design.h_margin) >= 0.0
+
+
+def _ulp_bracket_problem(**kwargs) -> PlanProblem:
+    return PlanProblem(
         family=Family.TYPE_I,
         lambda0=FuzzyLife(226.12389721735386, 11306.194860867692),
         lambda1=FuzzyLife(128.04953223796946, 11306.194860867692),
@@ -712,11 +723,39 @@ def test_type1_floor_size_can_lower_z_lower_by_an_ulp():
         objective_variant="etc_upper_bound",
         n_max=40,
         allow_t2_above_lambda0=True,
+        **kwargs,
     )
+
+
+def test_type1_floor_size_can_lower_z_lower_by_an_ulp():
+    """Where a size below n_f reaches the floor at the relaxed levels, the
+    loop's C(0) is c*tau at that size's floor point, and n_f's can round
+    one ulp apart: here n_f's is c*tau itself, and the loop's one ulp above,
+    both within the loop's own stop factor of 1 + 1e-9.  Every other field
+    of the design is the loop's.  2 of 4,000 random problems like those of
+    the property test above did this."""
+    problem = _ulp_bracket_problem()
     design, loop = solve_plan(problem), _loop_design(problem, "cost_ascending")
     assert design.n == loop.n == problem.dominant_size == 9
     assert design.z_lower == problem.tau and loop.z_lower == math.nextafter(problem.tau, math.inf)
     assert _without_trace(replace(design, z_lower=loop.z_lower)) == _without_trace(loop)
+
+
+@pytest.mark.parametrize("cost", [1e5, 1e6, 1e7, 1e8, 3e8])
+def test_a_bracket_of_rounding_width_gives_the_cost_no_membership(cost):
+    """At the problem above, scaled to a cost rate c, the floor size's
+    bracket is one or two ulps of c*tau wide.  From c*tau of about 7e6 on,
+    that span passed the absolute _MIN_SPAN of 1e-9, and `standard` solved
+    a phi root over a span of rounding: its design took g margins of
+    0.0165 to 0.0307 where the loop and `cost_ascending` take 0.0098.  The
+    span is now read relative to z_upper, and the design is theirs."""
+    problem = _ulp_bracket_problem(cost=cost)
+    design = solve_plan(problem, membership_form="standard")
+    assert 0.0 < design.z_upper - design.z_lower <= 2.0 * math.ulp(design.z_lower)
+    loop = _loop_design(problem, "standard")
+    assert _without_trace(replace(design, z_lower=loop.z_lower)) == _without_trace(loop)
+    tight = solve_plan(problem)
+    assert (design.t1, design.t2, design.g_margin) == (tight.t1, tight.t2, tight.g_margin)
 
 
 @pytest.mark.parametrize("form", ["cost_ascending", "standard"])

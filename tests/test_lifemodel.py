@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asplan import lifemodel
@@ -325,6 +325,95 @@ def test_rgsp_max_p_a_matches_mpmath(s2, n):
         want = float(1 - (1 - mpmath.mpf(survival)) ** n)
     assert rgsp_max_triprob(lam, Thresholds(t2 / 2, t2), n).p_a == pytest.approx(
         want, rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("life", [1e11, FuzzyLife(1e11, 1e12)], ids=["crisp", "fuzzy"])
+def test_rgsp_max_p_a_is_1_where_survival_rounds_to_1(life):
+    """At t far below the mean life S(t) rounds to 1, where log1p(-S) has
+    no value: p_a is its limit 1 there (it once raised a bare ValueError)."""
+    law = rgsp_max_law(5)
+    assert weighted_survival(life, 1e-6) == 1.0
+    assert law.accept(life, 1e-6) == 1.0
+    assert law(life, 1e-6, 1e-6) == (1.0, law.reject(life, 1e-6), 0.0)
+    assert law(life, 1e-6, 1e10)[0] < 1.0
+
+
+@pytest.mark.parametrize("n", [5_000, 10**6, 10**9])
+def test_rgsp_max_p_r_keeps_its_digits_at_a_large_group_size(n):
+    """Above n = 4096 the rgsp_max p_r is e^{n log(1 - S)}, within a few
+    ulps of 50-digit mpmath where (1 - S)^n would lose n ulps, so a law
+    at thresholds one ulp apart still sums to 1 (at n = 10**6 it raised
+    a ConsistencyError, p_c = -5.6e-11)."""
+    mpmath = pytest.importorskip("mpmath")
+    t = -math.log(math.log(2.0) / n)  # (1 - S(t))^n near 1/2 for a unit mean life
+    with mpmath.workdps(50):
+        want = float((1 - mpmath.exp(-mpmath.mpf(t))) ** n)
+    law = rgsp_max_law(n)
+    assert law.reject(1.0, t) == pytest.approx(want, rel=1e-15)
+    p_a, p_r, p_c = law(1.0, t, math.nextafter(t, math.inf))
+    assert 0.0 <= p_c <= 1e-14 and p_a + p_r == pytest.approx(1.0, abs=1e-14)
+
+
+def test_fuzzy_survival_is_0_where_2x_overflows():
+    """Where 2t/a overflows, log S is -inf, S is 0 and 1 - S is 1; the
+    fuzzy log S once raised a bare ValueError there."""
+    f = FuzzyLife(300.0, 1500.0)
+    assert log_survival(f, math.inf) == -math.inf
+    assert log_survival(f, 1e308) < -1e305
+    p_r = ssp_law.reject(f, 10.0)
+    assert ssp_law(f, 10.0, math.inf) == (0.0, p_r, 1.0 - p_r)
+    assert rgsp_min_law(10**6)(f, 10.0, 1e305)[0] == 0.0
+    assert rgsp_max_law(3)(f, math.inf, math.inf) == (0.0, 1.0, 0.0)
+
+
+def test_type1_law_where_no_item_fails_by_tau():
+    """Where tau/lambda_j underflows, no item fails by tau and the scale m
+    is 0: a DomainError says so, where a NaN failed the sum check."""
+    law = typeI_law(3, 1e-300)
+    with pytest.raises(DomainError, match="no item fails by tau=1e-300 at lambda_j=1e"):
+        law(1e300, 1.0, math.inf)
+    assert 0.0 < law(300.0, 1.0, 2.0)[0] < 1.0
+
+
+_EXTREME_T = st.one_of(
+    st.sampled_from([math.ulp(0.0), 1e-300, 1e-12, 1.0, 1e12, 1e300, 1.7e308, math.inf]),
+    st.floats(math.ulp(0.0), math.inf))
+
+
+@st.composite
+def _extreme_lives(draw):
+    lam = draw(st.one_of(st.sampled_from([1e-300, 1e-6, 300.0, 1e11, 1e300]),
+                         st.floats(1e-300, 1e300)))
+    ratio = draw(st.one_of(st.none(), st.sampled_from([1.0 + 1e-12, 2.0, 1e8]),
+                           st.floats(1.0 + 1e-12, 1e300)))
+    return lam if ratio is None or not lam * ratio < math.inf else FuzzyLife(lam, lam * ratio)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(
+    family=st.sampled_from(["ssp", "rgsp_min", "rgsp_max", "type1"]),
+    n=st.one_of(st.sampled_from([1, 2, 4096, 4097, 10**6, 10**9]), st.integers(1, 10**9)),
+    life=_extreme_lives(),
+    ts=st.lists(_EXTREME_T, min_size=2, max_size=2).map(sorted),
+    tau=st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), st.floats(1e-300, 1e300)),
+)
+@example(family="rgsp_max", n=10**6, life=FuzzyLife(1e300, 1.000000000001e300),
+         ts=[4.463029668881718e305, 4.4630296688817185e305], tau=1.0)
+def test_every_law_gives_probabilities_or_a_clear_error_at_extreme_t_and_n(
+        family, n, life, ts, tau):
+    """At every t from the least double to inf, n up to 10**9, mean lives
+    from 1e-300 to 1e300, crisp or fuzzy, and tau from 1e-300 to 1e300, a
+    law gives (p_a, p_r, p_c) in [0, 1] and long-run rates P_A and P_R in
+    [0, 1] with N >= 1 up to rounding, or raises DomainError or
+    DegeneratePlanError: never a bare ValueError or a ConsistencyError."""
+    try:
+        law = _law(family, n, 1.0, 1.0) if family != "type1" else typeI_law(n, tau)
+        probabilities = law(life, *ts)
+        assert all(0.0 <= p <= 1.0 for p in probabilities), probabilities
+        p_accept, p_reject, stages = long_run_rates(*probabilities[:2])
+    except (DomainError, DegeneratePlanError):
+        return
+    assert 0.0 <= p_accept <= 1.0 and 0.0 <= p_reject <= 1.0 and stages >= 1.0 - 1e-12
 
 
 def test_typeI_empty_band():

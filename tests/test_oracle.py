@@ -424,6 +424,16 @@ def test_verify_tables_checks_a_row_group_size(n):
         verify_tables([dataclasses.replace(row, n=n)])
 
 
+@pytest.mark.parametrize("family", ["ssp", "type1"])
+@pytest.mark.parametrize("t1,t2", [(0.0, 200.0), (-1.0, 200.0), (math.nan, 200.0), (5.0, 0.0)])
+def test_verify_tables_checks_a_row_s_thresholds(family, t1, t2):
+    """The tails read no threshold check, so the recheck makes its own: a
+    Type-I tail would read a p_r at t1 <= 0 or a NaN."""
+    row = next(r for r in load_golden_rows() if r.family == family and r.t1 is not None)
+    with pytest.raises(DomainError, match="row thresholds must be positive"):
+        verify_tables([dataclasses.replace(row, t1=t1, t2=t2)])
+
+
 def test_verify_tables_report_files(tmp_path):
     reports = verify_tables(load_golden_rows()[:6])
     csv_path = tmp_path / "report.csv"
@@ -436,9 +446,10 @@ def test_verify_tables_report_files(tmp_path):
 
 def test_verify_tables_extends_the_inverted_table6_rows():
     """Two published crisp rgsp_max designs print t1 > t2, which `Thresholds`
-    rejects.  Their p_a is read at (t2, t2) and p_r at (t1, t1), and their
-    risks stay the values of the survival algebra written out by hand, with
-    p_r = (-expm1(-t1/lambda))^n: the first g is 50-digit mpmath's, rounded."""
+    rejects.  Their p_a is read from the law's accept tail at t2 and p_r
+    from its reject tail at t1, and their risks stay the values of the
+    survival algebra written out by hand, with p_r = (-expm1(-t1/lambda))^n:
+    the first g is 50-digit mpmath's, rounded."""
     rows = [r for r in load_golden_rows() if r.t1 is not None and r.t1 > r.t2]
     reports = verify_tables(rows)
     assert [(r["table"], r["family"], r["variant"], r["t1"], r["t2"], r["n"]) for r in reports] == [

@@ -312,13 +312,14 @@ def _lives(draw):
 )
 def test_each_tail_reads_its_own_threshold(family, sd_form, n, tau, life, ts):
     """p_a depends on t2 alone and p_r on t1 alone, bit for bit, in every
-    family: the premise on which `oracle.verify_tables` reads the tails of
-    designs with inverted thresholds at (t2, t2) and (t1, t1)."""
+    family: the law's p_a is its accept tail at t2 and its p_r its reject
+    tail at t1, the tails that `oracle.verify_tables` reads for designs
+    with inverted thresholds."""
     t1, t2 = ts
     law = stage_law(family, None if family is Family.SSP else n, tau, sd_form)
     p_a, p_r, _ = law(life, t1, t2)
-    assert p_a == law(life, t2, t2)[0]
-    assert p_r == law(life, t1, t1)[1]
+    assert p_a == law.accept(life, t2) == law(life, t2, t2)[0]
+    assert p_r == law.reject(life, t1) == law(life, t1, t1)[1]
 
 
 FAMILY_SIZES = [(Family.SSP, None), (Family.RGSP_MIN, 3), (Family.RGSP_MAX, 3), (Family.TYPE_I, 5)]
