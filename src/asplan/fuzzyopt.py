@@ -7,8 +7,9 @@ others, where its family has one.
 
 Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
-nested 1-D roots (Brent's method), from the plans' monotone structure; it
-scans nothing and draws no random numbers, and it is the only solver here.
+nested 1-D roots, from the plans' monotone structure; it scans nothing and
+draws no random numbers, and it is the only solver here.  Every root,
+`solve_max_phi`'s too, is found by `_last_met`, the one Brent's method.
 The max-min satisfaction method is made of crisp solves at the s-cuts of
 the fuzzy risk levels, all from one search over s, `_optima`: C(s), the
 least crisp optimum over the group sizes at the cut s, with each (size,
@@ -89,24 +90,44 @@ class PlanDesign:
 _ROOT_XTOL = 1e-15
 _ROOT_RTOL = 4.0 * math.ulp(1.0)
 _ROOT_ITER = 100
+_NAN_MESSAGE = "The function value at x={} is NaN; solver cannot continue."
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
-    """A root of f in [a, b] by Brent's method (R. P. Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4), line for line as scipy's
-    `brentq.c`: the same probes, and the last one when `_ROOT_ITER`
-    iterations end, as `scipy.optimize.brentq(disp=False)` returns it.
-    Raises ValueError when f(a) and f(b) share a sign or f returns NaN."""
+def _last_met(f: Callable[[float], float], met: float, unmet: float,
+              on_log: bool = False) -> float:
+    """The point nearest ``unmet`` where f <= 0, for f monotone from
+    f(met) <= 0: ``unmet`` itself if f(unmet) <= 0.
 
-    xpre, xcur = a, b
-    fpre = f(xpre)
+    Otherwise Brent's method (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4), line for line as scipy's `brentq.c`,
+    makes the probes of `scipy.optimize.brentq` on [min(met, unmet),
+    max(met, unmet)]: on log t with ``on_log`` where the two logs differ,
+    each end mapped back to itself bit for bit.  It returns met or the probe
+    nearest ``unmet`` that meets f <= 0 as evaluated, which lies in the
+    final bracket.  The probes end within 4 ulps relative (or `_ROOT_XTOL`)
+    of the crossing in their coordinate, or after `_ROOT_ITER` iterations,
+    which only an f whose rounding noise spans the tolerance nears: over the
+    250 audit problems and the fingerprint problems of
+    tests/test_design_fingerprint.py, the longest root took 44 of the 100, a
+    Type-I root over its linear t1 axis from 1e-6, and every other root at
+    most 15.  A capped root is no less feasible.  Raises ValueError, as
+    scipy does, when f(met) > 0 or f returns NaN.
+    """
+    if f(unmet) <= 0.0:
+        return unmet
+    found, ends = met, {}
+    if on_log and math.log(met) != math.log(unmet):
+        ends = {math.log(met): met, math.log(unmet): unmet}
+        met, unmet = math.log(met), math.log(unmet)
+    best, xpre, xcur = met, min(met, unmet), max(met, unmet)
+    fpre = f(ends.get(xpre, xpre))
     if fpre != fpre:  # NaN, tested without a call per probe
-        raise ValueError(_nan_message(xpre))
-    fcur = f(xcur)
+        raise ValueError(_NAN_MESSAGE.format(xpre))
+    fcur = f(ends.get(xcur, xcur))
     if fcur != fcur:
-        raise ValueError(_nan_message(xcur))
+        raise ValueError(_NAN_MESSAGE.format(xcur))
     if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
+        return found
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -117,10 +138,10 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: 
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            break
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -136,43 +157,13 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: 
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
+        t = ends[xcur] if xcur in ends else math.exp(xcur) if ends else xcur
+        fcur = f(t)
         if fcur != fcur:
-            raise ValueError(_nan_message(xcur))
-    return xcur
-
-
-def _nan_message(x: float) -> str:
-    return f"The function value at x={x} is NaN; solver cannot continue."
-
-
-def _last_met(f: Callable[[float], float], met: float, unmet: float) -> float:
-    """The point nearest ``unmet`` where f <= 0, for f monotone from
-    f(met) <= 0: ``unmet`` itself if f(unmet) <= 0.
-
-    Otherwise Brent's method (`_brentq`) brackets the crossing; every probe
-    is recorded, so the point returned meets f <= 0 as evaluated and lies in
-    the final bracket.  The probes end at the root tolerance or after
-    `_ROOT_ITER` iterations, which only an f whose rounding noise spans the
-    tolerance nears: over the 250 audit problems and the fingerprint
-    problems of tests/test_design_fingerprint.py, the longest root took 44
-    of the 100, a Type-I root over its linear t1 axis from 1e-6, and every
-    other root at most 15.  A capped root is no less feasible.
-    """
-    if f(unmet) <= 0.0:
-        return unmet
-    best = met
-
-    def probe(x: float) -> float:
-        nonlocal best
-        value = f(x)
-        if value <= 0.0 and abs(x - unmet) < abs(best - unmet):
-            best = x
-        return value
-
-    lower, upper = min(met, unmet), max(met, unmet)
-    _brentq(probe, lower, upper, _ROOT_XTOL, _ROOT_RTOL)
-    return best
+            raise ValueError(_NAN_MESSAGE.format(xcur))
+        if fcur <= 0.0 and abs(xcur - unmet) < abs(best - unmet):
+            best, found = xcur, t
+    return found
 
 
 class LogAxis(tuple):
@@ -180,21 +171,6 @@ class LogAxis(tuple):
     over t1 are found on log t1; a plain (lo, hi) keeps t1 linear."""
 
     __slots__ = ()
-
-
-def _last_met_on_log(f: Callable[[float], float], met: float, unmet: float) -> float:
-    """`_last_met` of f with the probes spaced on log t, for met and
-    unmet > 0.  Each end maps back to itself bit for bit, so the point
-    returned is one that f was evaluated at; where the two logs round to
-    one double, the probes stay on t."""
-    ends = {math.log(met): met, math.log(unmet): unmet}
-    if len(ends) == 1:
-        return _last_met(f, met, unmet)
-
-    def point(u: float) -> float:
-        return ends[u] if u in ends else math.exp(u)
-
-    return point(_last_met(lambda u: f(point(u)), math.log(met), math.log(unmet)))
 
 
 # The log-odds read for a risk at or below 0 and at or above 1: beyond
@@ -268,15 +244,15 @@ class Box(tuple):
 
 
 def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, unmet: float,
-             last_met: Callable = _last_met) -> float:
-    """``last_met(f, met, unmet)``, or a closed-form guess of it taken in its
-    stead.  The guess, clamped between met and unmet, is taken where f <= 0
-    there as evaluated, or else the point 4 ulps nearer met where f <= 0
-    there.  Otherwise, and with no guess, it is ``last_met`` from met to
-    that point, which f does not meet (to unmet with no guess), or met
-    itself where rounding breaks f(met) <= 0.  So the point returned meets
-    f <= 0 as evaluated, as ``last_met``'s does, unless met itself does
-    not."""
+             on_log: bool = False) -> float:
+    """``_last_met(f, met, unmet, on_log)``, or a closed-form guess of it
+    taken in its stead.  The guess, clamped between met and unmet, is taken
+    where f <= 0 there as evaluated, or else the point 4 ulps nearer met
+    where f <= 0 there.  Otherwise, and with no guess, it is `_last_met`
+    from met to that point, which f does not meet (to unmet with no guess),
+    or met itself where rounding breaks f(met) <= 0.  So the point returned
+    meets f <= 0 as evaluated, as `_last_met`'s does, unless met itself
+    does not."""
     if guess is not None:
         lower, upper = min(met, unmet), max(met, unmet)
         t = min(max(guess, lower), upper)
@@ -286,7 +262,7 @@ def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, un
         unmet = min(t + nudge, upper) if met > unmet else max(t - nudge, lower)
         if f(unmet) <= 0.0:
             return unmet
-    return met if f(met) > 0.0 else last_met(f, met, unmet)
+    return met if f(met) > 0.0 else _last_met(f, met, unmet, on_log)
 
 
 def _guesses(box: tuple, alpha: float, beta: float) -> Optional[Box]:
@@ -359,7 +335,7 @@ def solve_monotone(
     in log t1, where the risk itself is logistic, and Brent's method takes
     about half the probes on it.  When the t1 axis of ``box`` is a
     `LogAxis`, the two roots over t1 (the least t1 on the curve and the
-    design's) run on log t1 (`_last_met_on_log`); a plain (lo, hi) keeps t1
+    design's) run on log t1 (`_last_met` ``on_log``); a plain (lo, hi) keeps t1
     linear, as the Type-I plans do, whose p_r does not vanish at t1 = 0.
     The balance root reads g and h from the same evaluations, by their
     ``value``, and the corner checks and the curve's report their excess
@@ -377,7 +353,7 @@ def solve_monotone(
     the least t1 on the curve: then no point is feasible.
     """
     (lo, hi), _ = box
-    along_t1 = _last_met_on_log if isinstance(box[0], LogAxis) else _last_met
+    on_log = isinstance(box[0], LogAxis)
     guesses = _guesses(box, alpha, beta)
     g_excess = _log_odds_excess(g, alpha)
     h_excess = _log_odds_excess(h, beta)
@@ -420,8 +396,7 @@ def solve_monotone(
     def g_on_curve(t1: float) -> float:
         return g_excess(t1, t2_of(t1))
 
-    t1_min = _guessed(lambda t: h_excess(t, hi), guesses and guesses.t1_min(beta), t_h, lo,
-                      along_t1)
+    t1_min = _guessed(lambda t: h_excess(t, hi), guesses and guesses.t1_min(beta), t_h, lo, on_log)
     if g_on_curve(t1_min) > 0.0:
         point = (t1_min, t2_of(t1_min))
         violation = _violation(g_excess, alpha, point)
@@ -431,7 +406,7 @@ def solve_monotone(
             best_point=point,
             best_violation=violation,
         )
-    t1 = along_t1(g_on_curve, t1_min, t_h)
+    t1 = _last_met(g_on_curve, t1_min, t_h, on_log)
     x = (t1, t2_of(t1))
     case = "edge" if t1 == lo or x[1] == hi else "active"
     return x, float(objective(x)), case

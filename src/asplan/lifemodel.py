@@ -208,7 +208,9 @@ def _stage_law(accept, reject, accept_guess, reject_guess):
 
 def _log1mexp(v: float) -> float:
     """log(1 - e^v) for v <= 0, by log(-expm1(v)) near 0 and log1p(-e^v)
-    beyond -log 2, where each keeps its digits."""
+    beyond -log 2, where each keeps its digits; -inf at v = 0."""
+    if v == 0.0:
+        return -math.inf
     return math.log(-math.expm1(v)) if v > -_LOG_2 else math.log1p(-math.exp(v))
 
 
@@ -227,13 +229,15 @@ def _survival_quantile(f: Life, log_level: float) -> float:
     series below x = 1/2 starts 2x/pi^2 (zeta(2) - 1 - (zeta(4) - 1) y).
     log S is convex in t, as L is, so each step stays below the root and
     rises to it; it stops once a step is within 2 ulps.  0.0 where
-    log_level rounds to 0."""
+    log_level rounds to 0, and inf where the crisp start overflows."""
     if not log_level < 0.0:
         return 0.0
     if not isinstance(f, FuzzyLife):
         return -f * log_level
     a, lam = f.a, f.lambda_j
     t = -lam * log_level
+    if t == math.inf:
+        return t
     for _ in range(_NEWTON_STEPS):
         x = t / a
         if x < _L_SERIES_BELOW:

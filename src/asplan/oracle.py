@@ -269,36 +269,35 @@ def mc_triprob(
         return _estimate(
             np.count_nonzero(y_max >= th.t2), np.count_nonzero(y_max < th.t1), draws
         )
-    if family is Family.TYPE_I:
-        if tau is None:
-            raise DomainError("censored-MLE simulation requires tau")
-        if not 0 < tau < math.inf:
-            raise DomainError(f"tau must be positive and finite, got {tau}")
-        lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
-        p = -math.expm1(-tau / lambda_j)
-        failures = _binomial_inverse(n, p)
-        # The counts and the failed lifetimes are two streams, each drawn in
-        # order, so the blocks do not change the estimate.
-        counts = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        rows = max(1, _TYPE_I_CHUNK // n)
-        n_a = n_r = 0
-        for start in range(0, draws, rows):
-            q = failures(counts.random(min(rows, draws - start)))
-            # Inverse CDF of the exponential truncated to [0, tau).
-            x = rng.random(int(q.sum()))
-            x *= -p
-            np.log1p(x, out=x)
-            x *= -lambda_j
-            # A group with no failure outlived the test: theta = inf accepts.
-            failed = np.flatnonzero(q)
-            d = q[failed]
-            theta = np.add.reduceat(x, (np.cumsum(q) - q)[failed])
-            theta += (n - d) * tau
-            theta /= d
-            n_a += q.size - d.size + np.count_nonzero(theta >= th.t2)
-            n_r += np.count_nonzero(theta < th.t1)
-        return _estimate(n_a, n_r, draws)
-    raise DomainError(f"unknown family {family!r}")
+    # Type I, the one family left: the censored MLE of each group of n.
+    if tau is None:
+        raise DomainError("censored-MLE simulation requires tau")
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
+    lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
+    p = -math.expm1(-tau / lambda_j)
+    failures = _binomial_inverse(n, p)
+    # The counts and the failed lifetimes are two streams, each drawn in
+    # order, so the blocks do not change the estimate.
+    counts = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rows = max(1, _TYPE_I_CHUNK // n)
+    n_a = n_r = 0
+    for start in range(0, draws, rows):
+        q = failures(counts.random(min(rows, draws - start)))
+        # Inverse CDF of the exponential truncated to [0, tau).
+        x = rng.random(int(q.sum()))
+        x *= -p
+        np.log1p(x, out=x)
+        x *= -lambda_j
+        # A group with no failure outlived the test: theta = inf accepts.
+        failed = np.flatnonzero(q)
+        d = q[failed]
+        theta = np.add.reduceat(x, (np.cumsum(q) - q)[failed])
+        theta += (n - d) * tau
+        theta /= d
+        n_a += q.size - d.size + np.count_nonzero(theta >= th.t2)
+        n_r += np.count_nonzero(theta < th.t1)
+    return _estimate(n_a, n_r, draws)
 
 
 # A fixed 20-case regression grid over the three mixture families, spanning

@@ -480,7 +480,7 @@ def test_scipy_loads_only_where_a_command_needs_it(argv, numpy):
     asplan` nor a README example, a fuzzy grouped design, `verify-tables`
     or the oracle loads any scipy module, since E[Y] of a fuzzy life is a
     Gauss-Legendre rule in pure Python and the roots are
-    `fuzzyopt._brentq`.  numpy is loaded by the Monte-Carlo oracle alone,
+    `fuzzyopt._last_met`.  numpy is loaded by the Monte-Carlo oracle alone,
     so every other command starts without it.  `import asplan` loads no
     `statistics` either: only a Type-I law, for its normal quantile."""
     code = (

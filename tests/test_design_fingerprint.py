@@ -5,12 +5,12 @@ Each case is one problem solved by `solve_plan` and by `crisp_baseline`
 under both membership forms; the golden in
 tests/data/design_fingerprint.json holds ``repr(design)``,
 ``repr(design.trace)``, the number of `solve_monotone` calls of each, the
-number of probes its roots made in `_brentq` and the number of closed-form
-root guesses that missed their bound and fell back to Brent's method
-(`fuzzyopt._guessed`), so that a change that adds crisp solves or root
-probes, or degrades a tail quantile, shows here too, where wall time would
-not.  The problems are the README problem of
-every family (`rgsp_min` and `rgsp_max` at `n_max` 200), the README `type1`
+number of Brent probes its roots made in `_last_met` (its check of the
+unmet end not counted) and the number of closed-form root guesses that
+missed their bound and fell back to Brent's method (`fuzzyopt._guessed`),
+so that a change that adds crisp solves or root probes, or degrades a tail
+quantile, shows here too, where wall time would not.  The problems are the
+README problem of every family (`rgsp_min` and `rgsp_max` at `n_max` 200), the README `type1`
 problem under ``sd_form="sqrt_n"`` at `n_max` 1000, and eight problems
 shaped like the benchmark's, written out here.  Each golden design is also
 checked in 50-digit arithmetic, with S by quadrature over the rate density:
@@ -36,6 +36,7 @@ to one of the change's.
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -139,28 +140,34 @@ def measured(problem: PlanProblem, solver: str, form: str) -> dict:
     solves = [0]
     probes = [0]
     fallbacks = [0]
-    monotone, brentq, guessed = fuzzyopt.solve_monotone, fuzzyopt._brentq, fuzzyopt._guessed
+    monotone, last_met, guessed = fuzzyopt.solve_monotone, fuzzyopt._last_met, fuzzyopt._guessed
+    guessing = [False]
 
     def counted(*args):
         solves[0] += 1
         return monotone(*args)
 
-    def counted_brentq(f, *args):
+    def counted_last_met(f, *args):
+        fallbacks[0] += guessing[0]
+        calls = [0]
+
         def probe(x):
-            probes[0] += 1
+            calls[0] += 1
             return f(x)
 
-        return brentq(probe, *args)
+        x = last_met(probe, *args)
+        probes[0] += calls[0] - 1  # the f(unmet) check is not a Brent probe
+        return x
 
-    def counted_guessed(f, guess, met, unmet, last_met=fuzzyopt._last_met):
-        def fallback(*args):
-            fallbacks[0] += guess is not None
-            return last_met(*args)
-
-        return guessed(f, guess, met, unmet, fallback)
+    def counted_guessed(f, guess, *args):
+        guessing[0] = guess is not None
+        try:
+            return guessed(f, guess, *args)
+        finally:
+            guessing[0] = False
 
     with mock.patch.object(fuzzyopt, "solve_monotone", counted), \
-            mock.patch.object(fuzzyopt, "_brentq", counted_brentq), \
+            mock.patch.object(fuzzyopt, "_last_met", counted_last_met), \
             mock.patch.object(fuzzyopt, "_guessed", counted_guessed):
         try:
             design = SOLVERS[solver](problem, membership_form=form)
@@ -286,10 +293,16 @@ def test_golden_design_meets_its_cuts_in_50_digit_arithmetic(case, golden):
     its margin.  The worst excess was 2.5e-16 when this test was written.
     The golden holds the designs bit for bit, as the test above checks, so
     this checks the solver's designs without a solve."""
-    mpmath = pytest.importorskip("mpmath")
     name, solver, _ = case.split("/")
     problem = PROBLEMS[name] if solver == "solve_plan" else crisp_limit(PROBLEMS[name])
-    fields = _fields(golden[case]["design"])
+    _assert_meets_its_cuts_exactly(problem, _fields(golden[case]["design"]))
+
+
+def _assert_meets_its_cuts_exactly(problem: PlanProblem, fields: dict) -> None:
+    """g and h at the design of ``fields`` (`_fields`), at 50 digits, are
+    within 1e-12 relative of its cuts, the risks as evaluated plus their
+    margins."""
+    mpmath = pytest.importorskip("mpmath")
     t1, t2 = float(fields["t1"]), float(fields["t2"])
     n = None if fields["n"] == "None" else int(fields["n"])
     with mpmath.workdps(50):
@@ -298,6 +311,26 @@ def test_golden_design_meets_its_cuts_in_50_digit_arithmetic(case, golden):
             value = (p_a if accepts else p_r) / (p_a + p_r)
             cut = mpmath.mpf(fields[f"{risk}_value"]) + mpmath.mpf(fields[f"{risk}_margin"])
             assert value / cut - 1 <= 1e-12, risk
+
+
+@pytest.mark.parametrize("form", MEMBERSHIP_FORMS)
+@pytest.mark.parametrize("name", ["readme-ssp", "readme-rgsp_min", "readme-rgsp_max",
+                                  "readme-type1"])
+def test_designs_at_a_just_above_lambda0_meet_their_cuts(name, form):
+    """a -> lambda0+: each README problem with a = nextafter(lambda0, inf),
+    the fuzziest rate density that lambda0 admits, still gives a design,
+    with margins >= 0 and risks within 1e-12 relative of its cuts at 50
+    digits.  The Type-I law reads the nominal mean, so its design does not
+    depend on a at all."""
+    readme = PROBLEMS[name]
+    a = math.nextafter(readme.lambda0.lambda_j, math.inf)
+    problem = replace(readme, lambda0=FuzzyLife(readme.lambda0.lambda_j, a),
+                      lambda1=FuzzyLife(readme.lambda1.lambda_j, a))
+    design = solve_plan(problem, membership_form=form)
+    assert design.g_margin >= 0.0 and design.h_margin >= 0.0
+    _assert_meets_its_cuts_exactly(problem, _fields(repr(design)))
+    if problem.family is Family.TYPE_I:
+        assert design == solve_plan(readme, membership_form=form)
 
 
 def test_drift_names_each_moved_case_and_the_totals():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -111,9 +112,16 @@ def test_grouped_band_continues_to_next_block():
     assert result.decided_at == 2
 
 
-def test_grouped_requires_full_block():
-    with pytest.raises(DomainError):
-        dispose_rgsp_min(FailureData((1.0, 2.0)), 0.5, 10.0, n=3)
+@pytest.mark.parametrize(
+    "group,message",
+    [(lambda values: dispose_rgsp_min(FailureData(values), 0.5, 10.0, n=3),
+      "need at least 3 values for one group, have 2"),
+     (lambda values: censored_mle(values, 3, 10.0), "need 1 <= n <= 2, got n=3")],
+    ids=["rgsp_min", "censored_mle"],
+)
+def test_grouped_requires_full_block(group, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        group((1.0, 2.0))
 
 
 def test_censored_mle_case_study():

@@ -1274,3 +1274,25 @@ def test_solve_monotone_is_no_worse_than_the_grid(family, crisp, n, lambda0, rat
     x, cost, _ = fuzzyopt.solve_monotone(objective, g, h, box, met_alpha, met_beta)
     assert cost <= grid_cost * (1.0 + 1e-9)
     assert g(x) <= met_alpha and h(x) <= met_beta
+
+
+def test_both_roots_over_t1_run_on_log_t1_in_a_log_axis_box(monkeypatch):
+    """In a box whose t1 axis is a `LogAxis` and that carries no guesses,
+    the least t1 on the curve, which `_guessed` hands on, and the design's
+    t1 are both roots on log t1; the roots over t2 stay on t."""
+    problem = PlanProblem(
+        family=Family.SSP, lambda0=300.0, lambda1=50.0,
+        alpha=FuzzyLevel(0.05, 0.0), beta=FuzzyLevel(0.05, 0.0),
+    )
+    objective, g, h, box, _ = plan_functions(problem, None)
+    assert isinstance(box[0], fuzzyopt.LogAxis)
+    calls, last_met = [], fuzzyopt._last_met
+
+    def record(f, met, unmet, on_log=False):
+        calls.append(on_log)
+        return last_met(f, met, unmet, on_log)
+
+    monkeypatch.setattr(fuzzyopt, "_last_met", record)
+    _, _, case = fuzzyopt.solve_monotone(objective, g, h, (box[0], box[1]), 0.05, 0.05)
+    assert case == "active"
+    assert calls.count(True) == 2 and len(calls) > 2

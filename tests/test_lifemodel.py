@@ -389,6 +389,11 @@ def _extreme_lives(draw):
     return lam if ratio is None or not lam * ratio < math.inf else FuzzyLife(lam, lam * ratio)
 
 
+_EXTREME_Q = st.one_of(
+    st.sampled_from([0.0, math.ulp(0.0), 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 1.0 - 2.0**-53, 1.0]),
+    st.floats(0.0, 1.0))
+
+
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(
     family=st.sampled_from(["ssp", "rgsp_min", "rgsp_max", "type1"]),
@@ -396,18 +401,38 @@ def _extreme_lives(draw):
     life=_extreme_lives(),
     ts=st.lists(_EXTREME_T, min_size=2, max_size=2).map(sorted),
     tau=st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), st.floats(1e-300, 1e300)),
+    q=_EXTREME_Q,
 )
 @example(family="rgsp_max", n=10**6, life=FuzzyLife(1e300, 1.000000000001e300),
-         ts=[4.463029668881718e305, 4.4630296688817185e305], tau=1.0)
+         ts=[4.463029668881718e305, 4.4630296688817185e305], tau=1.0, q=0.5)
+@example(family="rgsp_max", n=2, life=300.0, ts=[1.0, 2.0], tau=1.0, q=math.ulp(0.0))
+@example(family="rgsp_max", n=10**6, life=FuzzyLife(300.0, 600.0), ts=[1.0, 2.0], tau=1.0,
+         q=math.ulp(0.0))
+@example(family="ssp", n=1, life=FuzzyLife(1e307, 1e308), ts=[1.0, 2.0], tau=1.0, q=1e-300)
+@example(family="rgsp_min", n=3, life=FuzzyLife(1e307, 1e308), ts=[1.0, 2.0], tau=1.0,
+         q=1e-300)
+@example(family="rgsp_max", n=3, life=FuzzyLife(1e307, 1e308), ts=[1.0, 2.0], tau=1.0,
+         q=1e-300)
 def test_every_law_gives_probabilities_or_a_clear_error_at_extreme_t_and_n(
-        family, n, life, ts, tau):
+        family, n, life, ts, tau, q):
     """At every t from the least double to inf, n up to 10**9, mean lives
     from 1e-300 to 1e300, crisp or fuzzy, and tau from 1e-300 to 1e300, a
     law gives (p_a, p_r, p_c) in [0, 1] and long-run rates P_A and P_R in
     [0, 1] with N >= 1 up to rounding, or raises DomainError or
-    DegeneratePlanError: never a bare ValueError or a ConsistencyError."""
+    DegeneratePlanError: never a bare ValueError or a ConsistencyError.
+    At every q in [0, 1], the least double included, each of its two
+    quantiles is a float in [0, inf] or raises DomainError: never a NaN or
+    a bare ValueError.  The examples are a q whose rgsp_max level
+    log(1 - q)/n rounds to 0, and a fuzzy life whose crisp start of the
+    survival quantile overflows."""
+    law = _law(family, n, 1.0, 1.0) if family != "type1" else typeI_law(n, tau)
+    for quantile in (law.accept_quantile, law.reject_quantile):
+        try:
+            t = quantile(life, q)
+        except DomainError:
+            continue
+        assert type(t) is float and 0.0 <= t <= math.inf, t
     try:
-        law = _law(family, n, 1.0, 1.0) if family != "type1" else typeI_law(n, tau)
         probabilities = law(life, *ts)
         assert all(0.0 <= p <= 1.0 for p in probabilities), probabilities
         p_accept, p_reject, stages = long_run_rates(*probabilities[:2])
