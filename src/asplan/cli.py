@@ -115,12 +115,10 @@ def _build_problem(args: argparse.Namespace) -> PlanProblem:
     )
 
 
-def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+def _emit(payload, out_path) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        oracle.write_reports_json(out_path, payload)
 
 
 def _fmt(x):
@@ -133,7 +131,10 @@ def _cmd_design(args: argparse.Namespace, crisp: bool = False) -> int:
     try:
         design = solve(problem, membership_form=args.membership_form)
     except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        # One line per size tried, with its best violation, where the error has them.
+        lines = [f"{'sequential plan' if n is None else f'group size {n}'}: {why}"
+                 for n, why in exc.per_n or ()]
+        print("\n".join(lines or [f"infeasible: {exc}"]), file=sys.stderr)
         return 2
     payload = {
         "family": problem.family.value,

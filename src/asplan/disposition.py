@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .lifemodel import check_group_size
+from .lifemodel import check_group_size, check_tau
 
 
 class Decision(str, Enum):
@@ -95,11 +95,6 @@ def dispose_rgsp_max(data: FailureData, t1: float, t2: float, n: int) -> Disposi
     return _dispose_grouped(data, t1, t2, n, max)
 
 
-def _check_tau(tau: float) -> None:
-    if not 0 < tau < math.inf:
-        raise DomainError(f"tau must be positive and finite, got {tau}")
-
-
 def _censored_estimate(block: Sequence[float], tau: float) -> float:
     failed = [v for v in block if v < tau]
     if not failed:
@@ -114,7 +109,7 @@ def censored_mle(values: Sequence[float], n: int, tau: float) -> float:
     by the failure count.  With no failure before tau the likelihood
     exp(-n*tau/lambda) rises in lambda, so the estimate is +inf.  The n
     items must be positive and finite, as in `FailureData`."""
-    _check_tau(tau)
+    check_tau(tau)
     check_group_size(n, "group size")
     if n > len(values):
         raise DomainError(f"need 1 <= n <= {len(values)}, got n={n}")
@@ -126,9 +121,7 @@ def dispose_type1(
 ) -> Disposition:
     """Decide per consecutive block of n on the censored mean-life estimate
     (`censored_mle`); a block with no failure before tau accepts."""
-    if tau is None:
-        raise DomainError("tau is required for the censored family")
-    _check_tau(tau)
+    check_tau(tau)
     return _dispose_grouped(data, t1, t2, n, lambda block: _censored_estimate(block, tau))
 
 

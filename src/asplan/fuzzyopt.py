@@ -1,9 +1,9 @@
 """Constrained optimization over the threshold box and the fuzzy-to-crisp
 pipeline.  Nothing here knows the plan families: a plan problem hands
-`_optima` its group sizes, per group size its functions and box (whose t1
-axis, a `LogAxis` or not, says whether roots over t1 run on log t1) and the
-least cost floor of the sizes after it, and the size that dominates the
-others, where its family has one.
+`_optima` its group sizes, per group size its functions and `Box` (whose
+``log_t1`` says whether roots over t1 run on log t1) and the least cost
+floor of the sizes after it, and the size that dominates the others, where
+its family has one.
 
 Every design is made of crisp solves of a plan problem: least cost subject
 to g <= alpha and h <= beta over t1 <= t2.  `solve_monotone` solves it by
@@ -166,13 +166,6 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float,
     return found
 
 
-class LogAxis(tuple):
-    """An axis (lo, hi), 0 < lo, of a `solve_monotone` box whose roots
-    over t1 are found on log t1; a plain (lo, hi) keeps t1 linear."""
-
-    __slots__ = ()
-
-
 # The log-odds read for a risk at or below 0 and at or above 1: beyond
 # those of the doubles in (0, 1), which lie within about -745 and 37.
 _LOGIT_EDGE = 800.0
@@ -220,27 +213,36 @@ def _log_odds_excess(fn: Callable, bound: float) -> Callable[[float, float], flo
     return excess
 
 
-def _violation(excess: Callable, bound: float, point: tuple) -> float:
-    """How far the risk of a `_log_odds_excess` is above its bound at a
-    point: 1 where it counts as infeasible, above any probability's."""
+def _infeasible(excess: Callable, bound: float, point: tuple, where: str) -> InfeasibleError:
+    """The InfeasibleError of a point where the risk of a `_log_odds_excess`
+    is above its bound, with its best violation: the risk less the bound,
+    or 1 where it counts as infeasible, above any probability's.  ``where``
+    is the message's middle, with a ``{}`` for the violation."""
     value = excess.value(*point)
-    return value - bound if value < math.inf else 1.0
+    violation = value - bound if value < math.inf else 1.0
+    return InfeasibleError(f"no feasible thresholds: {where.format(violation)}, at {point}",
+                           best_point=point, best_violation=violation)
 
 
-class Box(tuple):
-    """A `solve_monotone` box ((lo, hi), (lo, hi)) that also carries
+@dataclass(frozen=True)
+class Box:
+    """The `solve_monotone` box: t1 and t2 both span [lo, hi].  With
+    ``log_t1`` (0 < lo) its roots over t1 run on log t1.  It may also carry
     closed-form guesses of the three roots that one tail of a stage law
     answers: ``t_h(beta)``, the least t with h(t, t) <= beta; ``t_g(alpha)``,
     the largest t with g(t, t) <= alpha; and ``t1_min(beta)``, the least t1
     with h(t1, hi) <= beta.  Each guess is within 1e-12 relative of its
     tail's crossing where rounding resolves it (`lifemodel._stage_law`),
     and may lie outside the box or miss its bound by rounding, as the solver
-    checks every one.  A plain tuple box has none, and every root is Brent's."""
+    checks every one.  A box without them, ``Box(lo, hi)``, has every root
+    Brent's.  Two boxes are equal where their interval and ``log_t1`` are."""
 
-    def __new__(cls, axes, t_h, t_g, t1_min):
-        box = super().__new__(cls, axes)
-        box.t_h, box.t_g, box.t1_min = t_h, t_g, t1_min
-        return box
+    lo: float
+    hi: float
+    log_t1: bool = False
+    t_h: Optional[Callable] = field(default=None, compare=False)
+    t_g: Optional[Callable] = field(default=None, compare=False)
+    t1_min: Optional[Callable] = field(default=None, compare=False)
 
 
 def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, unmet: float,
@@ -265,41 +267,40 @@ def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, un
     return met if f(met) > 0.0 else _last_met(f, met, unmet, on_log)
 
 
-def _guesses(box: tuple, alpha: float, beta: float) -> Optional[Box]:
-    """The box's guesses, which solve h = beta and g = alpha as odds: none
-    for a plain box or a level outside (0, 1)."""
-    return box if isinstance(box, Box) and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
+def _guesses(box: Box, alpha: float, beta: float) -> Optional[Box]:
+    """The box, whose guesses solve h = beta and g = alpha as odds: None
+    for a box without guesses or a level outside (0, 1)."""
+    return box if box.t_h is not None and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
 
 
-def _floor_test(g_excess, h_excess, box: tuple, guesses, beta: float) -> tuple[float, bool]:
+def _floor_test(g_excess, h_excess, box: Box, guesses, beta: float) -> tuple[float, bool]:
     """`solve_monotone`'s floor test, which solves no point of the curve:
     t_h, the least t with h(t, t) <= beta, from its guess (`_guessed`), and
     whether g(t_h, t_h) <= alpha there as evaluated."""
-    (lo, hi), _ = box
-    t_h = _guessed(lambda t: h_excess(t, t), guesses and guesses.t_h(beta), hi, lo)
+    t_h = _guessed(lambda t: h_excess(t, t), guesses and guesses.t_h(beta), box.hi, box.lo)
     return t_h, g_excess(t_h, t_h) <= 0.0
 
 
-def reaches_floor(g: Callable, h: Callable, box: tuple, alpha: float, beta: float) -> bool:
+def reaches_floor(g: Callable, h: Callable, box: Box, alpha: float, beta: float) -> bool:
     """Whether `solve_monotone` takes its ``"floor"`` case at these levels:
     its corner checks and its floor test pass, as evaluated."""
-    (lo, hi), _ = box
+    lo, hi = box.lo, box.hi
     g_excess, h_excess = _log_odds_excess(g, alpha), _log_odds_excess(h, beta)
     return (g_excess(lo, lo) <= 0.0 and h_excess(hi, hi) <= 0.0
             and _floor_test(g_excess, h_excess, box, _guesses(box, alpha, beta), beta)[1])
 
 
 def solve_monotone(
-    objective: Callable, g: Callable, h: Callable, box: tuple, alpha: float, beta: float
+    objective: Callable, g: Callable, h: Callable, box: Box, alpha: float, beta: float
 ) -> tuple[tuple, float, str]:
     """The least-cost thresholds t1 <= t2 in ``box`` with g <= alpha and
     h <= beta, by nested 1-D roots; returns (x, objective(x), case).
 
     It needs the plans' monotone structure (`tests/test_monotonicity.py`):
     g rises and h falls in t1 and in t2, and the cost falls in t1 and rises
-    in t2, with its floor, one stage, on the diagonal t1 = t2.  Both axes of
-    ``box`` span the same [lo, hi].  g and h are probed one point at a time;
-    the objective is evaluated at the answer only.
+    in t2, with its floor, one stage, on the diagonal t1 = t2, over the
+    `Box` [lo, hi]^2.  g and h are probed one point at a time; the
+    objective is evaluated at the answer only.
 
     - ``"floor"``: let t_h be the least t with h(t, t) <= beta.  If
       g(t_h, t_h) <= alpha, the diagonal points from t_h to t_g, the largest
@@ -312,13 +313,13 @@ def solve_monotone(
       with h(t1, hi) <= beta up to t_h: ``"active"`` with both risks at
       their bounds, or ``"edge"`` when t1 = lo or t2 = hi.
 
-    When ``box`` is a `Box`, t_h, t_g and the least t1 on the curve start
-    from their closed-form guesses (`_guessed`): a guess clamped to its
-    bracket is taken where its risk meets the bound there as evaluated,
-    after at most one nudge of 4 ulps toward the met end, which rounding
-    between the family's tail and the risk can call for.  Otherwise, and
-    in a plain box such as a test's, the root is Brent's, bracketed from
-    the met end to the nudged guess or to the unmet end.
+    Where ``box`` carries guesses, t_h, t_g and the least t1 on the curve
+    start from them (`_guessed`): a guess clamped to its bracket is taken
+    where its risk meets the bound there as evaluated, after at most one
+    nudge of 4 ulps toward the met end, which rounding between the family's
+    tail and the risk can call for.  Otherwise, and in a box without
+    guesses such as a test's, the root is Brent's, bracketed from the met
+    end to the nudged guess or to the unmet end.
 
     The points of the curve, the outer root over t1 and the floor's balance
     root are Brent's.  As T does not rise in t1, each root T(t1) is
@@ -333,13 +334,13 @@ def solve_monotone(
     (`_log_odds_excess`), whose sign is that of the risk's excess as
     evaluated; for the plans' exponential lives it is near linear in t2 and
     in log t1, where the risk itself is logistic, and Brent's method takes
-    about half the probes on it.  When the t1 axis of ``box`` is a
-    `LogAxis`, the two roots over t1 (the least t1 on the curve and the
-    design's) run on log t1 (`_last_met` ``on_log``); a plain (lo, hi) keeps t1
-    linear, as the Type-I plans do, whose p_r does not vanish at t1 = 0.
-    The balance root reads g and h from the same evaluations, by their
-    ``value``, and the corner checks and the curve's report their excess
-    over the bound (`_violation`).
+    about half the probes on it.  With ``box.log_t1``, the two roots over
+    t1 (the least t1 on the curve and the design's) run on log t1
+    (`_last_met` ``on_log``); without it t1 stays linear, as for the Type-I
+    plans, whose p_r does not vanish at t1 = 0.  The balance root reads g
+    and h from the same evaluations, by their ``value``, and the corner
+    checks and the curve's report their excess over the bound
+    (`_infeasible`).
 
     Each Brent root is the last probe that meets its bound, within 4 ulps
     relative (or `_ROOT_XTOL`) of the crossing in its coordinate: t, or
@@ -352,20 +353,14 @@ def solve_monotone(
     > alpha, when h(hi, hi) > beta, or when g(t1, T(t1)) > alpha already at
     the least t1 on the curve: then no point is feasible.
     """
-    (lo, hi), _ = box
-    on_log = isinstance(box[0], LogAxis)
+    lo, hi, on_log = box.lo, box.hi, box.log_t1
     guesses = _guesses(box, alpha, beta)
     g_excess = _log_odds_excess(g, alpha)
     h_excess = _log_odds_excess(h, beta)
     for excess, bound, point in ((g_excess, alpha, (lo, lo)), (h_excess, beta, (hi, hi))):
         if excess(*point) > 0.0:
-            violation = _violation(excess, bound, point)
-            raise InfeasibleError(
-                f"no feasible thresholds: a risk exceeds its level by {violation:.3e} "
-                f"where it is least, at {point}",
-                best_point=point,
-                best_violation=violation,
-            )
+            raise _infeasible(excess, bound, point,
+                              "a risk exceeds its level by {:.3e} where it is least")
     t_h, floor = _floor_test(g_excess, h_excess, box, guesses, beta)
     if floor:
         t_g = _guessed(lambda t: g_excess(t, t), guesses and guesses.t_g(alpha), t_h, hi)
@@ -398,14 +393,8 @@ def solve_monotone(
 
     t1_min = _guessed(lambda t: h_excess(t, hi), guesses and guesses.t1_min(beta), t_h, lo, on_log)
     if g_on_curve(t1_min) > 0.0:
-        point = (t1_min, t2_of(t1_min))
-        violation = _violation(g_excess, alpha, point)
-        raise InfeasibleError(
-            f"no feasible thresholds: g exceeds its level by {violation:.3e} where h "
-            f"first meets its level, at {point}",
-            best_point=point,
-            best_violation=violation,
-        )
+        raise _infeasible(g_excess, alpha, (t1_min, t2_of(t1_min)),
+                          "g exceeds its level by {:.3e} where h first meets its level")
     t1 = _last_met(g_on_curve, t1_min, t_h, on_log)
     x = (t1, t2_of(t1))
     case = "edge" if t1 == lo or x[1] == hi else "active"

@@ -14,16 +14,16 @@ Every formula takes and returns plain floats, one threshold pair at a time.
 A plan family is its two tails: p_a, a tail at t2 alone, and p_r, a tail
 at t1 alone, each written once, with their quantiles in closed form.  One
 constructor, `_stage_law`, builds every family's stage law from them, a
-function of floats that returns (p_a, p_r, 1 - p_a - p_r): `ssp_law(f, t1,
-t2)`, and the laws that `rgsp_min_law(n)`, `rgsp_max_law(n)` and
-`typeI_law(n, tau, sd_form)` build once per group size, after checking
-what depends on it alone.  Each evaluation makes the checks of the value
-types: 0 < t1 <= t2 (NaN fails), p_c within [0, 1] up to rounding, and a
-sum within 1e-10 of 1.  `long_run_rates` takes (p_a, p_r) to (P_A, P_R,
-N).  The value types `Thresholds` and `TriProb`, with `ssp_triprob`,
-`rgsp_min_triprob`, `rgsp_max_triprob` and `typeI_triprob`, wrap these for
-callers that want named fields; the plan closures evaluate the laws and
-build none of them.
+function of floats that returns (p_a, p_r, 1 - p_a - p_r): the laws that
+`rgsp_min_law(n)`, `rgsp_max_law(n)` and `typeI_law(n, tau, sd_form)`
+build once per group size, after checking what depends on it alone, and
+`ssp_law(f, t1, t2)`, the group minimum of one item.  Each evaluation
+makes the checks of the value types: 0 < t1 <= t2 (NaN fails), p_c
+within [0, 1] up to rounding, and a sum within 1e-10 of 1.
+`long_run_rates` takes (p_a, p_r) to (P_A, P_R, N).  The value types
+`Thresholds` and `TriProb`, with `ssp_triprob`, `rgsp_min_triprob`,
+`rgsp_max_triprob` and `typeI_triprob`, wrap these for callers that want
+named fields; the plan closures evaluate the laws and build none of them.
 
 Two special functions live here too: the oscillatory integrals of
 (cos(u) - 1)/u and sin(u)/u in the expected inter-failure time, and the
@@ -111,6 +111,12 @@ def check_group_size(n, name: str = "n") -> None:
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if size < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
+
+
+def check_tau(tau) -> None:
+    """Raise DomainError unless tau is positive and finite; None fails."""
+    if tau is None or not 0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
 
 
 # Below x = 1/2, L(x) = log(sinh(x)/x) - log1p((x/pi)^2) is its series in
@@ -256,22 +262,13 @@ def _ssp_reject(f: Life, t: float) -> float:
     return -math.expm1(log_survival(f, t))
 
 
-# The law of one inter-failure time: p_a = S(t2), read through a lambda so
-# that a rebound `weighted_survival` reaches it, and p_r = -expm1(log
-# S(t1)), which keeps its digits where 1 - S(t1) would cancel, at t1 far
-# below the mean life, and rises with t1 as evaluated.
-ssp_law = _stage_law(
-    lambda f, t: weighted_survival(f, t), _ssp_reject,
-    lambda f, q: _survival_quantile(f, math.log(q)),
-    lambda f, q: _survival_quantile(f, math.log1p(-q)),
-)
-
-
 def rgsp_min_law(n: int):
     """The law (f, t1, t2) -> (p_a, p_r, p_c) of a group minimum of size n:
     the minimum of n shared-rate exponentials is exponential with n times
-    the rate, so its tails are the `ssp_law` ones at n*t, and its
-    quantiles the `ssp_law` ones divided by n."""
+    the rate: p_a = S(n t2) and p_r = -expm1(log S(n t1)), with S's
+    quantiles over n.  p_a reads `weighted_survival` through a lambda, which
+    a rebound one reaches; p_r keeps its digits where 1 - S would cancel, at
+    t1 far below the mean life, and rises with t1 as evaluated."""
     check_group_size(n)
     return _stage_law(
         lambda f, t: weighted_survival(f, n * t),
@@ -279,6 +276,10 @@ def rgsp_min_law(n: int):
         lambda f, q: _survival_quantile(f, math.log(q)) / n,
         lambda f, q: _survival_quantile(f, math.log1p(-q)) / n,
     )
+
+
+# One inter-failure time: a group minimum of one item, as 1*t = t and Q/1 = Q.
+ssp_law = rgsp_min_law(1)
 
 
 # Up to this n the rgsp_max p_r is the n-th power of the ssp p_r, whose
@@ -340,8 +341,7 @@ def typeI_law(n: int, tau: float, sd_form: str = "n"):
     from statistics import NormalDist
 
     check_group_size(n)
-    if tau is None or not 0 < tau < math.inf:
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     if sd_form not in SD_FORMS:
         raise DomainError(f"unknown sd_form {sd_form!r}")
     per_n = sd_form == "n"

@@ -37,7 +37,7 @@ from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these orac
     typeI_triprob,
     weighted_survival,
 )
-from .lifemodel import Thresholds, check_group_size, long_run_rates
+from .lifemodel import Thresholds, check_group_size, check_tau, long_run_rates
 from .membership import FuzzyLife
 from .plans import Family, expected_stage_duration, stage_law
 
@@ -270,10 +270,7 @@ def mc_triprob(
             np.count_nonzero(y_max >= th.t2), np.count_nonzero(y_max < th.t1), draws
         )
     # Type I, the one family left: the censored MLE of each group of n.
-    if tau is None:
-        raise DomainError("censored-MLE simulation requires tau")
-    if not 0 < tau < math.inf:
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     lambda_j = float(life.lambda_j) if isinstance(life, FuzzyLife) else float(life)
     p = -math.expm1(-tau / lambda_j)
     failures = _binomial_inverse(n, p)
@@ -485,7 +482,8 @@ def write_reports_csv(path, reports: Sequence[dict]) -> None:
         writer.writerows(reports)
 
 
-def write_reports_json(path, reports: Sequence[dict]) -> None:
+def write_reports_json(path, reports) -> None:
+    """Write any JSON value, indented, keys sorted, with a final newline."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(reports, handle, indent=2, sort_keys=True)
         handle.write("\n")

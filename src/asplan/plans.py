@@ -23,7 +23,6 @@ from .errors import DomainError
 from .fuzzyopt import (
     DEFAULT_SOLVER,
     Box,
-    LogAxis,
     PlanDesign,
     SolverSettings,
     reaches_floor,
@@ -33,6 +32,7 @@ from .lifemodel import (
     SD_FORMS,
     Life,
     check_group_size,
+    check_tau,
     expected_y,
     expected_y_upper_bound,
     harmonic_number,
@@ -101,10 +101,8 @@ class PlanProblem:
             )
         if not 0 < self.cost < math.inf:
             raise DomainError(f"cost rate must be positive and finite, got {self.cost}")
-        if self.family is Family.TYPE_I and self.tau is None:
-            raise DomainError("Type-I plans require a censoring time tau")
-        if self.family is Family.TYPE_I and not 0 < self.tau < math.inf:
-            raise DomainError(f"censoring time tau must be positive and finite, got {self.tau}")
+        if self.family is Family.TYPE_I:
+            check_tau(self.tau)
         if self.objective_variant not in OBJECTIVE_VARIANTS:
             raise DomainError(f"unknown objective_variant {self.objective_variant!r}")
         if self.sd_form not in SD_FORMS:
@@ -118,9 +116,11 @@ class PlanProblem:
 
     def cost_floor(self, n: Optional[int]) -> float:
         """A cost no design of group size n goes below: the objective at
-        N = 1, as no plan runs fewer than one stage.  It is cost * tau for
-        Type-I plans, and rises with n for rgsp_max and falls for rgsp_min.
-        It calls no `plan_functions`, so that only solved sizes build them."""
+        N = 1, as no plan runs fewer than one stage, and the scale of the
+        objective that `plan_functions` builds, which is this floor times N.
+        It is cost * tau for Type-I plans, and rises with n for rgsp_max and
+        falls for rgsp_min.  It calls no `plan_functions`, so that only
+        solved sizes build them."""
         upper = self.objective_variant == "etc_upper_bound"
         return self.cost * expected_stage_duration(self.family, self.lambda0, n, upper, self.tau)
 
@@ -257,17 +257,18 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
 
     Each closure returns a float for one pair such as (t1, t2): the
     family's `stage_law` and `long_run_rates` over plain floats, with no
-    value object built per evaluation.  The Type-I objective floor is
-    cost * tau.
+    value object built per evaluation.  The objective is the problem's
+    `cost_floor` times the expected stage count N, so the floor that stops
+    the group-size loop is the objective at N = 1 by construction.
 
-    The box's t1 axis is a `LogAxis` for the lifetime families: their p_r
-    vanishes as a power of t1 at 0, so the log-odds of g and h is near
-    linear in log t1, and `solve_monotone` finds its roots over t1 there.
-    The Type-I normal approximation has p_r(0+) = Phi(-m) > 0, and its t1
-    axis stays linear.
+    The `Box` has ``log_t1`` for the lifetime families: their p_r vanishes
+    as a power of t1 at 0, so the log-odds of g and h is near linear in
+    log t1, and `solve_monotone` finds its roots over t1 there.  The Type-I
+    normal approximation has p_r(0+) = Phi(-m) > 0, and its t1 axis stays
+    linear.
 
-    The box is a `Box` with guesses of three of `solve_monotone`'s roots,
-    from the law's tail quantiles.  h <= beta is p_a <= k p_r at lambda1, k =
+    The box carries guesses of three of `solve_monotone`'s roots, from the
+    law's tail quantiles.  h <= beta is p_a <= k p_r at lambda1, k =
     beta/(1 - beta), so the least t1 with h(t1, hi) <= beta is
     Q_R(p_a(hi)/k).  On the diagonal p_c = 0 and p_a + p_r = 1 up to
     rounding, so h(t, t) = p_a(t) at lambda1, g(t, t) = p_r(t) at lambda0,
@@ -276,20 +277,17 @@ def plan_functions(p: PlanProblem, n: Optional[int], crisp: bool = False):
     if crisp:
         p = crisp_limit(p)
     hi = _upper_edge(p)
-    t1_axis = (_T_LO, hi) if p.family is Family.TYPE_I else LogAxis((_T_LO, hi))
     ordering = ((0, 1),)
     life0, life1 = p.lambda0, p.lambda1
     law = stage_law(p.family, n, p.tau, p.sd_form)
     box = Box(
-        (t1_axis, (_T_LO, hi)),
+        _T_LO, hi, log_t1=p.family is not Family.TYPE_I,
         t_h=lambda beta: law.accept_quantile(life1, beta),
         t_g=lambda alpha: law.reject_quantile(life0, alpha),
         t1_min=lambda beta: law.reject_quantile(
             life1, law.accept(life1, hi) * (1.0 - beta) / beta),
     )
-    scale = p.cost * expected_stage_duration(
-        p.family, life0, n, p.objective_variant == "etc_upper_bound", p.tau
-    )
+    scale = p.cost_floor(n)
 
     def objective(x) -> float:
         p_a, p_r, _ = law(life0, float(x[0]), float(x[1]))

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from scipy.special import erfc
 
 from asplan.errors import DegeneratePlanError, DomainError, InfeasibleError
-from asplan.fuzzyopt import _FEASIBILITY_TOL, DEFAULT_SOLVER, SolverSettings
+from asplan.fuzzyopt import _FEASIBILITY_TOL, DEFAULT_SOLVER, Box, SolverSettings
 from asplan.membership import FuzzyLevel, FuzzyLife
 from asplan.plans import Family, crisp_limit, expected_stage_duration, plan_functions
 
@@ -244,7 +244,7 @@ class CrispNlp:
 
     objective: Callable[[np.ndarray], float]
     constraints: tuple  # of (callable, upper bound)
-    box: tuple  # of (lo, hi)
+    box: tuple  # of (lo, hi), or a plan's `Box`, both of whose axes span [lo, hi]
     ordering: tuple = ()  # of (i, j) meaning x[i] <= x[j]
 
 
@@ -260,8 +260,10 @@ class _Coords:
     """
 
     def __init__(self, nlp: CrispNlp) -> None:
-        self.lo = np.array([b[0] for b in nlp.box], dtype=float)
-        self.hi = np.array([b[1] for b in nlp.box], dtype=float)
+        box = nlp.box
+        axes = ((box.lo, box.hi),) * 2 if isinstance(box, Box) else box
+        self.lo = np.array([b[0] for b in axes], dtype=float)
+        self.hi = np.array([b[1] for b in axes], dtype=float)
         self.log = bool(np.all(self.lo > 0.0))
         self.ordering = nlp.ordering
         self._lo_u = self._u(self.lo)

@@ -131,7 +131,7 @@ def test_brentq_probes_as_scipy_does(shape, a, width, where, decreasing):
     decreasing=st.booleans(),
 )
 def test_brentq_probes_as_scipy_does_on_log_t(shape, log_lo, log_width, where, decreasing):
-    """On log t, as `solve_monotone` finds its roots over a `LogAxis`:
+    """On log t, as `solve_monotone` finds its roots over t1 in a `log_t1` box:
     brackets from 1e-12 to 20 wide in log t, from t = 1e-6 up."""
     lo, hi = math.exp(log_lo), math.exp(log_lo + log_width)
     f = SHAPES[shape](math.exp(log_lo + where * log_width), hi - lo)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from asplan import disposition
 from asplan.cli import main
 from test_readme_examples import EXAMPLES
 
@@ -124,6 +126,41 @@ def test_verify_tables_subset_and_exit_codes(tmp_path):
     empty = run_cli(["verify-tables", "--rows", "0"])
     assert empty.returncode == 0
     assert "no design rows selected" in empty.stdout
+
+
+def test_verify_tables_in_process_selects_nothing_or_writes_csv(tmp_path, capsys):
+    """``--rows 0`` selects no row and says so, with exit 0; ``--csv``
+    writes a header and one row per report."""
+    assert main(["verify-tables", "--rows", "0"]) == 0
+    assert capsys.readouterr().out == "no design rows selected\n"
+    path = tmp_path / "r.csv"
+    assert main(["verify-tables", "--table", "7", "--csv", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(printed) - 1 == 4  # the last line is the summary
+    assert {"table", "family", "feasible", "g", "h"} <= set(rows[0])
+    assert {row["table"] for row in rows} == {"7"}
+
+
+@pytest.mark.parametrize(
+    "family,extra,stderr",
+    [
+        ("ssp", [], "sequential plan: infeasible: best violation 0.34634011855721736\n"),
+        ("rgsp_max", ["--n-max", "2"],
+         "group size 1: infeasible: best violation 0.34634011855721736\n"
+         "group size 2: infeasible: best violation 0.575701957021063\n"),
+    ],
+    ids=["ssp", "rgsp_max"],
+)
+def test_design_on_an_infeasible_problem_exits_2_with_empty_stdout(capsys, family, extra, stderr):
+    """lambda1 = 290 is too close to lambda0 = 300 for 1 % risks with no
+    slack: stderr names each size tried, or the sequential plan, with its
+    best violation (`InfeasibleError.per_n`), and stdout stays empty."""
+    argv = ["design", "--family", family, "--lambda0", "300", "--lambda1", "290",
+            "--a", "1500", "--alpha", "0.01", "--beta", "0.01", "--b1", "0", "--b2", "0", *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", stderr)
 
 
 @pytest.mark.parametrize(
@@ -404,6 +441,18 @@ def test_dispose_without_data_or_family_is_a_usage_error(tmp_path, capsys):
         assert excinfo.value.code == 2
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert message.endswith("required: " + ", ".join(flags))
+
+
+def test_dispose_rgsp_max_gives_the_decision_of_dispose_rgsp_max(capsys):
+    """`dispose --family rgsp_max` on the case study prints what
+    `disposition.dispose_rgsp_max` decides in process."""
+    argv = ["dispose", "--data", "case-study", "--family", "rgsp_max", "--t1", "100",
+            "--t2", "5000", "--n", "3"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = disposition.dispose_rgsp_max(disposition.case_study_data(), 100.0, 5000.0, 3)
+    assert (payload["decision"], payload["decided_at"], payload["evidence"]) == (
+        expected.decision.value, expected.decided_at, list(expected.evidence))
 
 
 def test_dispose_group_size_flag_then_design_json_then_one(tmp_path, capsys):

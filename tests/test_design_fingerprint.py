@@ -31,7 +31,8 @@ InfeasibleError message and ``per_n`` in place of a design, for the 250
 generated problems of `audit_problems` (seed 11, all four families, fuzzy
 and crisp, both forms: 1,000 entries).  ``--drift`` prints the drift from
 one such file to another, as from an audit of the parent commit's source
-to one of the change's.
+to one of the change's, and exits 1 where any case differs or is missing
+from NEW.
 """
 
 import argparse
@@ -201,17 +202,17 @@ def drift(old: dict, new: dict) -> list[str]:
     """One line per case whose golden moved: the relative change of t1, t2
     and the cost, the new margins, and any change of n, case or counts;
     where only the trace moved, its sizes, and where either side is an
-    error, both outcomes as recorded.
+    error, both outcomes as recorded; and one per case missing from new.
     Then the totals of the counts, and a summary: the largest relative move
     of t1, t2 and the cost over all cases, and how many costs rose."""
     lines = []
     largest, rose = {"t1": 0.0, "t2": 0.0, "cost": 0.0}, 0
-    for case in sorted(new):
-        before, after = old.get(case), new[case]
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case), new.get(case)
         if before == after:
             continue
-        if before is None:
-            lines.append(f"{case}: new case")
+        if before is None or after is None:
+            lines.append(f"{case}: {'new case' if before is None else 'missing'}")
             continue
         parts = []
         if before["design"] != after["design"]:
@@ -387,6 +388,22 @@ def test_drift_names_errors_and_moved_trace_sizes():
     ]
 
 
+def test_drift_exits_1_where_a_case_differs_or_is_missing(tmp_path, capsys):
+    """``--drift`` is a gate: it exits 0 only where the two records are
+    equal, and names a case that NEW lacks."""
+    entry = {"design": "InfeasibleError: x", "trace": "()", "solves": 1, "probes": 2,
+             "fallbacks": 0}
+    records = {"old": {"a": entry, "b": entry}, "same": {"a": entry, "b": entry},
+               "lost": {"a": entry}, "moved": {"a": entry, "b": {**entry, "probes": 3}}}
+    for name, record in records.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(record), encoding="utf-8")
+    codes = {name: _main(["--drift", str(tmp_path / "old.json"), str(tmp_path / f"{name}.json")])
+             for name in ("same", "lost", "moved")}
+    assert codes == {"same": 0, "lost": 1, "moved": 1}
+    printed = capsys.readouterr().out.splitlines()
+    assert "b: missing" in printed and "b: probes 2 -> 3" in printed
+
+
 def _main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--audit", metavar="OUT", help="write the audit record to OUT")
@@ -396,7 +413,7 @@ def _main(argv: list[str]) -> int:
     if args.drift:
         old, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.drift)
         print("\n".join(drift(old, new)))
-        return 0
+        return 1 if old != new else 0
     if args.audit:
         path, old, new = Path(args.audit), {}, audit()
     else:

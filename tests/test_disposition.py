@@ -190,7 +190,7 @@ def test_type1_group_with_no_failure_accepts():
 
 
 def test_type1_requires_tau():
-    with pytest.raises(DomainError, match="tau is required"):
+    with pytest.raises(DomainError, match="tau must be positive and finite, got None"):
         dispose_type1(case_study_data(), 1219.0, 1990.0, n=13, tau=None)
 
 
@@ -236,6 +236,19 @@ def test_load_failure_data_csv(tmp_path):
     path.write_text("lifetime\n10\n20\n30\n")
     data = load_failure_data(path)
     assert data.values == (10.0, 20.0, 30.0)
+
+
+def test_load_failure_data_skips_blank_csv_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("10\n\n20\n \n30")
+    assert load_failure_data(path).values == (10.0, 20.0, 30.0)
+
+
+def test_load_failure_data_rejects_a_non_numeric_cell_after_values(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("10\n20\nabc\n30\n")
+    with pytest.raises(DomainError, match="non-numeric value 'abc' in data file"):
+        load_failure_data(path)
 
 
 def test_load_failure_data_json(tmp_path):

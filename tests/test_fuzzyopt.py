@@ -350,7 +350,7 @@ def test_cost_floor_stop_changes_no_design(family, crisp, form, monkeypatch):
     else:
         tried = [1, 2, 3]
     assert [n for n, *_ in loop.trace] == tried
-    monkeypatch.setattr(PlanProblem, "cost_floor", lambda self, n: 0.0)
+    monkeypatch.setattr(PlanProblem, "least_floor_after", lambda self, n: 0.0)
     full = _loop_design(problem, form)
     assert _without_trace(design) == _without_trace(loop) == _without_trace(full)
     assert loop.trace == full.trace[: len(loop.trace)]
@@ -573,7 +573,8 @@ def test_rgsp_min_edge_optimum_at_n_max_runs_the_loop():
     it.  `dominates` fails there, and `_optima` takes every size in turn:
     sizes 1 to 3 are infeasible, and the design is the loop's."""
     base = replace(_readme_problem(Family.RGSP_MIN, n_max=10), beta=FuzzyLevel(0.05, 0.0))
-    _, g, h, ((lo, hi), _), _ = plan_functions(base, 10)
+    _, g, h, box, _ = plan_functions(base, 10)
+    lo, hi = box.lo, box.hi
     h_excess = fuzzyopt._log_odds_excess(h, 0.05)
     assert h_excess(lo, hi) <= 0.0
     alpha = g((lo, fuzzyopt._last_met(lambda t2: h_excess(lo, t2), hi, lo)))
@@ -793,19 +794,22 @@ def test_readme_type1_solves_one_group_size(form, sd_form, n_f, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family,tried",
+    "family,tried,floored",
     [
-        (Family.RGSP_MIN, [10**5]),
-        (Family.RGSP_MAX, [1, 2, 3]),
-        (Family.TYPE_I, list(range(9, 29))),  # n < 9 is infeasible, n = 28 reaches cost * tau
+        (Family.RGSP_MIN, [10**5], {10**5}),
+        (Family.RGSP_MAX, [1, 2, 3], {1, 2, 3, 4}),
+        # n < 9 is infeasible, n = 28 reaches cost * tau
+        (Family.TYPE_I, list(range(9, 29)), set(range(1, 30))),
     ],
     ids=["rgsp_min", "rgsp_max", "type1"],
 )
-def test_cost_floors_are_computed_as_the_loop_needs_them(family, tried, monkeypatch):
+def test_cost_floors_are_computed_as_the_loop_needs_them(family, tried, floored, monkeypatch):
     """At n_max 10**5 the loop computes no floor of a size it never
-    reaches: at most one `cost_floor` call per size tried, and one more.
-    A Type-I design solves its floor size alone, so its loop is run with no
-    dominant size (`_loop_design`)."""
+    reaches: `cost_floor` runs for each size solved, as the scale of its
+    objective (`plan_functions`), and for the size after each one tried, as
+    `least_floor_after`; so for no size past the last tried and the next,
+    and for none more than twice.  A Type-I design solves its floor size
+    alone, so its loop is run with no dominant size (`_loop_design`)."""
     if family is Family.TYPE_I:
         problem = PlanProblem(
             family=family,
@@ -832,7 +836,8 @@ def test_cost_floors_are_computed_as_the_loop_needs_them(family, tried, monkeypa
     else:
         design = solve_plan(problem)
     assert [n for n, *_ in design.trace] == tried
-    assert len(floors) <= len(tried) + 1
+    assert set(floors) == floored
+    assert max(collections.Counter(floors).values()) <= 2
 
 
 @pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
@@ -959,7 +964,7 @@ def test_design_margins_are_never_negative():
 # A linear stand-in for a plan on the box [1, 10]^2 with the plans' monotone
 # structure: g rises and h falls in both thresholds, and the cost, 1 on the
 # diagonal, falls in t1 and rises in t2.
-LINEAR_BOX = ((1.0, 10.0), (1.0, 10.0))
+LINEAR_BOX = fuzzyopt.Box(1.0, 10.0)
 
 
 def _linear_cost(x):
@@ -1075,8 +1080,8 @@ def test_log_t1_roots_return_the_box_edge_bit_for_bit():
         alpha=FuzzyLevel(0.05, 0.0), beta=FuzzyLevel(0.05, 0.0),
     )
     _, g, h, box, _ = plan_functions(problem, None)
-    (lo, hi), _ = box
-    assert isinstance(box[0], fuzzyopt.LogAxis) and math.exp(math.log(lo)) != lo
+    lo, hi = box.lo, box.hi
+    assert box.log_t1 and math.exp(math.log(lo)) != lo
     h_excess = fuzzyopt._log_odds_excess(h, problem.beta.level)
     first_t2 = fuzzyopt._last_met(lambda t2: h_excess(lo, t2), hi, lo)
     design = solve_plan(replace(problem, alpha=FuzzyLevel(g((lo, first_t2)), 0.0)))
@@ -1098,7 +1103,7 @@ def test_solve_monotone_falls_back_to_the_box_edge_where_a_bracket_is_unmet():
     that check fails at some neighbour as the outer root closes in; the
     solve then brackets from the box edge hi, and still returns the
     active-set point (2, 6) with both bounds met as evaluated."""
-    hi = LINEAR_BOX[0][1]
+    hi = LINEAR_BOX.hi
     calls = []
 
     def h(x):
@@ -1121,7 +1126,7 @@ def _linear_box(shift: float = 0.0) -> fuzzyopt.Box:
     """`LINEAR_BOX` with the roots that one risk answers in closed form,
     each moved by ``shift`` toward its unmet end: t_h = 10 (1 - beta),
     t_g = 20 alpha, and t1_min, where h(t1, 10) = beta, below the box."""
-    return fuzzyopt.Box(
+    return replace(
         LINEAR_BOX,
         t_h=lambda beta: 10.0 * (1.0 - beta) - shift,
         t_g=lambda alpha: 20.0 * alpha + shift,
@@ -1277,7 +1282,7 @@ def test_solve_monotone_is_no_worse_than_the_grid(family, crisp, n, lambda0, rat
 
 
 def test_both_roots_over_t1_run_on_log_t1_in_a_log_axis_box(monkeypatch):
-    """In a box whose t1 axis is a `LogAxis` and that carries no guesses,
+    """In a box with ``log_t1`` that carries no guesses,
     the least t1 on the curve, which `_guessed` hands on, and the design's
     t1 are both roots on log t1; the roots over t2 stay on t."""
     problem = PlanProblem(
@@ -1285,7 +1290,7 @@ def test_both_roots_over_t1_run_on_log_t1_in_a_log_axis_box(monkeypatch):
         alpha=FuzzyLevel(0.05, 0.0), beta=FuzzyLevel(0.05, 0.0),
     )
     objective, g, h, box, _ = plan_functions(problem, None)
-    assert isinstance(box[0], fuzzyopt.LogAxis)
+    assert box.log_t1
     calls, last_met = [], fuzzyopt._last_met
 
     def record(f, met, unmet, on_log=False):
@@ -1293,6 +1298,7 @@ def test_both_roots_over_t1_run_on_log_t1_in_a_log_axis_box(monkeypatch):
         return last_met(f, met, unmet, on_log)
 
     monkeypatch.setattr(fuzzyopt, "_last_met", record)
-    _, _, case = fuzzyopt.solve_monotone(objective, g, h, (box[0], box[1]), 0.05, 0.05)
+    bare = fuzzyopt.Box(box.lo, box.hi, log_t1=True)
+    _, _, case = fuzzyopt.solve_monotone(objective, g, h, bare, 0.05, 0.05)
     assert case == "active"
     assert calls.count(True) == 2 and len(calls) > 2

@@ -603,6 +603,12 @@ def test_type1_law_needs_a_positive_finite_tau(tau):
         typeI_law(3, tau)
 
 
+@pytest.mark.parametrize("lambda_j", [-1.0, 0.0, math.nan], ids=["negative", "zero", "nan"])
+def test_type1_law_needs_a_positive_mean_life(lambda_j):
+    with pytest.raises(DomainError, match=f"lambda_j must be positive, got {lambda_j}"):
+        typeI_law(3, 50.0)(lambda_j, 100.0, 200.0)
+
+
 def test_crisp_life_must_be_positive():
     with pytest.raises(DomainError):
         weighted_survival(0.0, 1.0)

@@ -76,7 +76,7 @@ def _assert_directions(values: dict, tol: dict) -> None:
 def test_plan_functions_are_monotone(family, crisp, n, u1, u2, s1, s2):
     problem = _problem(family, crisp)
     objective, g, h, box, _ = problem.functions(None if family is Family.SSP else n)
-    (lo, hi), _ = box
+    lo, hi = box.lo, box.hi
     # Log-spaced draws: the thresholds span many decades of the box.
     t1, t2 = sorted(lo * (hi / lo) ** u for u in (u1, u2))
     # Steps from 1e-12 of the room up to all of it, tiny ones as often as large.
@@ -131,7 +131,7 @@ def test_g_does_not_fall_along_the_h_curve(family, crisp, level, n, u1, u2):
     h(t, t) <= beta; problems where h(hi, hi) > beta have none."""
     problem = _problem(family, crisp)
     objective, g, h, box, _ = problem.functions(None if family is Family.SSP else n)
-    (lo, hi), _ = box
+    lo, hi = box.lo, box.hi
     beta = problem.beta.level if level == "tight" else problem.beta.relaxed
 
     def least(fn):

@@ -358,6 +358,7 @@ def test_mc_triprob_draws_must_be_an_integer(draws):
         (Family.TYPE_I, 1, 0.0, "tau must be positive"),
         (Family.TYPE_I, 1, math.nan, "tau must be positive"),
         (Family.TYPE_I, 3, math.inf, "tau must be positive and finite"),
+        (Family.TYPE_I, 3, None, "tau must be positive and finite, got None"),
         (Family.RGSP_MIN, 0, None, "n must be >= 1"),
         (Family.RGSP_MAX, -1, None, "n must be >= 1"),
     ],

@@ -127,7 +127,7 @@ def test_problem_rejects_unknown_sd_form():
 
 def test_problem_takes_plain_mean_lives():
     p = make_problem(lambda0=300.0, lambda1=50.0)
-    assert plan_functions(p, None)[3][1][1] == 300.0
+    assert plan_functions(p, None)[3].hi == 300.0
     for lives in ((300.0, FuzzyLife(50.0, 1500.0)), (300.0, 0.0), (50.0, 300.0)):
         with pytest.raises(DomainError):
             make_problem(lambda0=lives[0], lambda1=lives[1])
@@ -236,9 +236,9 @@ def test_constraints_match_direct_recomputation():
 def test_box_respects_nominal_life_by_default():
     p = make_problem()
     box = plan_functions(p, None)[3]
-    assert box[1][1] == 300.0
+    assert box.hi == 300.0
     widened = make_problem(allow_t2_above_lambda0=True)
-    assert plan_functions(widened, None)[3][1][1] > 300.0
+    assert plan_functions(widened, None)[3].hi > 300.0
 
 
 @pytest.mark.parametrize("crisp", [False, True])
@@ -276,7 +276,7 @@ def test_type1_risks_stay_finite_where_both_tails_are_tiny():
     )
     objective, g, h, box, _ = plan_functions(p, 28)
     _, g_array, h_array, _, _ = plan_arrays(p, 28)
-    x = (box[0][0], box[1][1])
+    x = (box.lo, box.hi)
     stacked = np.array([[x[0]], [x[1]]])
 
     def exact(life, risk):
@@ -414,7 +414,7 @@ def test_a_plan_that_never_ends_raises_and_reads_as_infeasible():
         excess = fuzzyopt._log_odds_excess(fn, 0.05)
         assert excess(*x) > 0.0
         assert excess.value(*x) == math.inf
-        assert fuzzyopt._violation(excess, 0.05, x) == 1.0
+        assert fuzzyopt._infeasible(excess, 0.05, x, "{}").best_violation == 1.0
 
 
 @pytest.mark.parametrize("family,n", FAMILY_SIZES, ids=FAMILY_IDS)
