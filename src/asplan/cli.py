@@ -248,8 +248,9 @@ def _cmd_dispose(args: argparse.Namespace) -> int:
         "family": family.value,
         "t1": t1,
         "t2": t2,
-        "n": n,
-        "tau": tau,
+        # What the disposition read: ssp scans single values, and only type1 has a tau.
+        "n": 1 if family is Family.SSP else n,
+        "tau": tau if family is Family.TYPE_I else None,
     }
     _emit(payload, args.out)
     if result.decision is disposition.Decision.ACCEPT:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -61,8 +60,9 @@ def _classify(value: float, t1: float, t2: float) -> Optional[Decision]:
 
 
 def dispose_ssp(data: FailureData, t1: float, t2: float) -> Disposition:
-    """Scan observations in recorded order; first value outside [t1, t2) decides."""
-    return _dispose_grouped(data, t1, t2, 1, operator.itemgetter(0))
+    """Scan observations in recorded order; first value outside [t1, t2)
+    decides: groups of one, as `ssp_law` is `rgsp_min_law(1)`."""
+    return _dispose_grouped(data, t1, t2, 1, min)
 
 
 def _dispose_grouped(data: FailureData, t1: float, t2: float, n: int, statistic) -> Disposition:

@@ -25,12 +25,12 @@ oracle in `tests/reference.py`.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ConsistencyError, DegeneratePlanError, DomainError, InfeasibleError
-from .membership import FuzzyLevel
 
 # A bracket z_upper - z_lower narrower than this times max(1, |z_upper|),
 # a few ulps of the cost, gives the objective no membership.
@@ -99,15 +99,16 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float,
     f(met) <= 0: ``unmet`` itself if f(unmet) <= 0.
 
     Otherwise Brent's method (R. P. Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4), line for line as scipy's `brentq.c`,
-    makes the probes of `scipy.optimize.brentq` on [min(met, unmet),
-    max(met, unmet)]: on log t with ``on_log`` where the two logs differ,
-    each end mapped back to itself bit for bit.  It returns met or the probe
-    nearest ``unmet`` that meets f <= 0 as evaluated, which lies in the
-    final bracket.  The probes end within 4 ulps relative (or `_ROOT_XTOL`)
-    of the crossing in their coordinate, or after `_ROOT_ITER` iterations,
-    which only an f whose rounding noise spans the tolerance nears: over the
-    250 audit problems and the fingerprint problems of
+    without Derivatives*, 1973, ch. 4), line for line as scipy's `brentq.c`
+    with its IEEE division (a step over a zero denominator is not finite, so
+    it bisects), makes the probes of `scipy.optimize.brentq` on [min(met,
+    unmet), max(met, unmet)]: on log t with ``on_log`` where the two logs
+    differ, each end mapped back to itself bit for bit.  It returns met or
+    the probe nearest ``unmet`` that meets f <= 0 as evaluated, which lies
+    in the final bracket.  The probes end within 4 ulps relative (or
+    `_ROOT_XTOL`) of the crossing in their coordinate, or after `_ROOT_ITER`
+    iterations, which only an f whose rounding noise spans the tolerance
+    nears: over the 250 audit problems and the fingerprint problems of
     tests/test_design_fingerprint.py, the longest root took 44 of the 100, a
     Type-I root over its linear t1 axis from 1e-6, and every other root at
     most 15.  A capped root is no less feasible.  Raises ValueError, as
@@ -148,7 +149,8 @@ def _last_met(f: Callable[[float], float], met: float, unmet: float,
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                d = dblk * dpre * (fblk - fpre)  # 0 by underflow: brentq.c's step is inf or NaN
+                stry = -fcur * (fblk * dblk - fpre * dpre) / d if d else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -267,27 +269,30 @@ def _guessed(f: Callable[[float], float], guess: Optional[float], met: float, un
     return met if f(met) > 0.0 else _last_met(f, met, unmet, on_log)
 
 
-def _guesses(box: Box, alpha: float, beta: float) -> Optional[Box]:
-    """The box, whose guesses solve h = beta and g = alpha as odds: None
-    for a box without guesses or a level outside (0, 1)."""
-    return box if box.t_h is not None and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
-
-
-def _floor_test(g_excess, h_excess, box: Box, guesses, beta: float) -> tuple[float, bool]:
-    """`solve_monotone`'s floor test, which solves no point of the curve:
-    t_h, the least t with h(t, t) <= beta, from its guess (`_guessed`), and
-    whether g(t_h, t_h) <= alpha there as evaluated."""
+def _opening(g: Callable, h: Callable, box: Box, alpha: float, beta: float) -> tuple:
+    """`solve_monotone`'s opening, which solves no point of the curve:
+    (g_excess, h_excess, guesses, t_h, floor).  ``guesses`` is the box, or
+    None without guesses or with a level outside (0, 1).  After the corner
+    checks, which raise `_infeasible`, the floor test finds t_h, the least t
+    with h(t, t) <= beta (`_guessed`), and ``floor``: g(t_h, t_h) <= alpha."""
+    g_excess, h_excess = _log_odds_excess(g, alpha), _log_odds_excess(h, beta)
+    guesses = box if box.t_h is not None and 0.0 < alpha < 1.0 and 0.0 < beta < 1.0 else None
+    for excess, bound, point in ((g_excess, alpha, (box.lo, box.lo)),
+                                 (h_excess, beta, (box.hi, box.hi))):
+        if excess(*point) > 0.0:
+            raise _infeasible(excess, bound, point,
+                              "a risk exceeds its level by {:.3e} where it is least")
     t_h = _guessed(lambda t: h_excess(t, t), guesses and guesses.t_h(beta), box.hi, box.lo)
-    return t_h, g_excess(t_h, t_h) <= 0.0
+    return g_excess, h_excess, guesses, t_h, g_excess(t_h, t_h) <= 0.0
 
 
 def reaches_floor(g: Callable, h: Callable, box: Box, alpha: float, beta: float) -> bool:
     """Whether `solve_monotone` takes its ``"floor"`` case at these levels:
-    its corner checks and its floor test pass, as evaluated."""
-    lo, hi = box.lo, box.hi
-    g_excess, h_excess = _log_odds_excess(g, alpha), _log_odds_excess(h, beta)
-    return (g_excess(lo, lo) <= 0.0 and h_excess(hi, hi) <= 0.0
-            and _floor_test(g_excess, h_excess, box, _guesses(box, alpha, beta), beta)[1])
+    its own opening (`_opening`) passes, as evaluated."""
+    try:
+        return _opening(g, h, box, alpha, beta)[4]
+    except InfeasibleError:
+        return False
 
 
 def solve_monotone(
@@ -354,14 +359,7 @@ def solve_monotone(
     the least t1 on the curve: then no point is feasible.
     """
     lo, hi, on_log = box.lo, box.hi, box.log_t1
-    guesses = _guesses(box, alpha, beta)
-    g_excess = _log_odds_excess(g, alpha)
-    h_excess = _log_odds_excess(h, beta)
-    for excess, bound, point in ((g_excess, alpha, (lo, lo)), (h_excess, beta, (hi, hi))):
-        if excess(*point) > 0.0:
-            raise _infeasible(excess, bound, point,
-                              "a risk exceeds its level by {:.3e} where it is least")
-    t_h, floor = _floor_test(g_excess, h_excess, box, guesses, beta)
+    g_excess, h_excess, guesses, t_h, floor = _opening(g, h, box, alpha, beta)
     if floor:
         t_g = _guessed(lambda t: g_excess(t, t), guesses and guesses.t_g(alpha), t_h, hi)
         g_value, h_value = g_excess.value, h_excess.value
@@ -403,23 +401,16 @@ def solve_monotone(
 
 class _Memo:
     """A plan problem's `dominant_size`, its per-size functions and
-    `least_floor_after`, and per size and cut s the `solve_monotone` optimum
-    or the InfeasibleError it raised, without its traceback: each made once,
-    keyed by the risk cuts, so zero-slack levels share one solve at every s."""
+    `least_floor_after` (`functools.cache`), and per size and cut s the
+    `solve_monotone` optimum or the InfeasibleError it raised, without its
+    traceback: each made once, keyed by the risk cuts, so zero-slack levels
+    share one solve at every s."""
 
     def __init__(self, problem):
         self.problem, self.dominant_size = problem, problem.dominant_size
-        self._functions, self._floors, self._solves = {}, {}, {}
-
-    def functions(self, n) -> tuple:
-        if n not in self._functions:
-            self._functions[n] = self.problem.functions(n)[:4]
-        return self._functions[n]
-
-    def floor_after(self, n) -> float:
-        if n not in self._floors:
-            self._floors[n] = self.problem.least_floor_after(n)
-        return self._floors[n]
+        self.functions = functools.cache(lambda n: problem.functions(n)[:4])
+        self.floor_after = functools.cache(problem.least_floor_after)
+        self._solves = {}
 
     def solve(self, n, s: float):
         key = (n, self.problem.alpha.cut(s), self.problem.beta.cut(s))
@@ -519,15 +510,6 @@ def zimmermann_bounds(problem) -> ZBounds:
     return ZBounds(min(_least_cost(relaxed), z_upper), z_upper, memo)
 
 
-def _level_membership(level: FuzzyLevel, value: float) -> float:
-    """Membership of a risk value, unclipped.  A zero-slack level is met
-    exactly, as every design point comes from `solve_monotone`, which meets
-    its levels as evaluated."""
-    if level.slack > 0.0:
-        return (level.relaxed - value) / level.slack
-    return 1.0 if value <= level.level else 0.0
-
-
 def solve_max_phi(bracket: ZBounds, membership_form: str = "cost_ascending") -> PlanDesign:
     """The max-min design (Zimmermann 1978) over the group sizes of
     ``bracket``, a plan problem's `zimmermann_bounds`, at the problem's
@@ -590,7 +572,7 @@ def solve_max_phi(bracket: ZBounds, membership_form: str = "cost_ascending") -> 
     def evaluated(n, x, cost: float) -> tuple:
         _, g, h, _ = memo.functions(n)
         g_value, h_value = float(g(x)), float(h(x))
-        memberships = [_level_membership(alpha, g_value), _level_membership(beta, h_value)]
+        memberships = [alpha.membership(g_value), beta.membership(h_value)]
         if cost_membership:
             memberships.append((z_upper - cost) / span)
         return min(1.0, max(0.0, min(memberships))), g_value, h_value

@@ -418,11 +418,12 @@ def long_run_rates(p_a: float, p_r: float) -> tuple[float, float, float]:
 
     The stage ends with probability p_a + p_r, summed rather than taken as
     1 - p_c, which rounds to 0 once p_c is within an ulp of 1.  A plan that
-    never ends (p_a + p_r = 0) raises DegeneratePlanError.
+    never ends as evaluated raises DegeneratePlanError: p_a + p_r = 0, or a
+    sum so small that N = 1/(p_a + p_r) overflows to inf.
     """
     ends = p_a + p_r
-    if ends == 0.0:
-        raise DegeneratePlanError("the plan never terminates: p_a + p_r = 0")
+    if ends < 5.56268464626801e-309:  # 0x0.4000000000001p-1022, the least with 1/ends finite
+        raise DegeneratePlanError(f"the plan never terminates: p_a + p_r = {ends:g}")
     return p_a / ends, p_r / ends, 1.0 / ends
 
 

@@ -57,7 +57,7 @@ class FuzzyLevel:
     """Fuzzy risk level (level, slack) with a left-shoulder linear membership.
 
     Membership is 1 below ``level``, falls linearly to 0 at ``level + slack``.
-    ``slack = 0`` degenerates to the crisp indicator x < level, which lets
+    ``slack = 0`` degenerates to the crisp indicator x <= level, which lets
     crisp baselines run through the same pipeline.
     """
 
@@ -82,3 +82,11 @@ class FuzzyLevel:
         level + (1 - s)·slack, so cut(1) is the level and cut(0) the
         relaxed level, both exactly."""
         return self.level + (1.0 - s) * self.slack
+
+    def membership(self, value: float) -> float:
+        """The membership of a risk value, unclipped: (relaxed - value)/slack,
+        the inverse of `cut`.  At zero slack it is 1 at or below the level,
+        which a design meets as evaluated, and 0 above it."""
+        if self.slack > 0.0:
+            return (self.relaxed - value) / self.slack
+        return 1.0 if value <= self.level else 0.0

@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
 from .errors import DomainError
 from .lifemodel import (  # unused here; perfbench/tracing.py rebinds these oracle names
@@ -199,15 +199,17 @@ def _binomial_inverse(n: int, p: float):
     return counts
 
 
+def _standard_error(p: float, draws: int) -> float:
+    """The binomial standard error of a frequency p over ``draws``."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / draws)
+
+
 def _estimate(n_a: int, n_r: int, draws: int) -> McEstimate:
     p_a = int(n_a) / draws
     p_r = int(n_r) / draws
     p_c = 1.0 - p_a - p_r
-
-    def se(p: float) -> float:
-        return math.sqrt(max(p * (1.0 - p), 0.0) / draws)
-
-    return McEstimate(p_a, p_r, p_c, se(p_a), se(p_r), se(p_c), draws)
+    se = [_standard_error(p, draws) for p in (p_a, p_r, p_c)]
+    return McEstimate(p_a, p_r, p_c, *se, draws)
 
 
 def mc_triprob(
@@ -341,9 +343,7 @@ def compare_triprob(
     mc = mc_triprob(family, f, th, n=n, draws=draws, seed=seed)
     reports = []
     for component, cf, est in (("p_a", p_a, mc.p_a), ("p_r", p_r, mc.p_r), ("p_c", p_c, mc.p_c)):
-        pooled = 0.5 * (cf + est)
-        se = math.sqrt(max(pooled * (1.0 - pooled), 0.0) / draws)
-        tol = 3.0 * se + 3.0 / draws
+        tol = 3.0 * _standard_error(0.5 * (cf + est), draws) + 3.0 / draws
         reports.append(
             OracleReport(
                 name=f"{name or family.value} {component}",
@@ -374,38 +374,18 @@ def run_regression_grid(draws: int = 10**6, seed: int = 42) -> list[OracleReport
     return reports
 
 
-def _parse_optional(text: str) -> Optional[float]:
-    text = text.strip()
-    return float(text) if text else None
-
-
 def load_golden_rows() -> list[GoldenRow]:
-    """The embedded reference designs, one row per (design, objective variant)."""
-    rows = []
+    """The embedded reference designs, one row per (design, objective
+    variant).  Each column is the `GoldenRow` field of its name: its cell
+    is stripped and read as the field's type, and a blank cell is None
+    where the field is Optional."""
+    kinds = {name: get_args(hint) or (hint,)  # Optional[type] gives (type, NoneType)
+             for name, hint in get_type_hints(GoldenRow).items()}
     source = resources.files("asplan").joinpath("data/golden_tables.csv")
     with source.open("r", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            n_text = record["n"].strip()
-            rows.append(
-                GoldenRow(
-                    table=int(record["table"]),
-                    family=record["family"],
-                    variant=record["variant"],
-                    lambda0=float(record["lambda0"]),
-                    lambda1=float(record["lambda1"]),
-                    alpha=float(record["alpha"]),
-                    beta=float(record["beta"]),
-                    a=_parse_optional(record["a"]),
-                    b1=float(record["b1"]),
-                    b2=float(record["b2"]),
-                    tau=_parse_optional(record["tau"]),
-                    t1=_parse_optional(record["t1"]),
-                    t2=_parse_optional(record["t2"]),
-                    n=int(n_text) if n_text else None,
-                    etc=float(record["etc"]),
-                )
-            )
-    return rows
+        rows = [{name: row[name].strip() for name in kinds} for row in csv.DictReader(handle)]
+    return [GoldenRow(**{name: kind[0](row[name]) if row[name] or type(None) not in kind else None
+                         for name, kind in kinds.items()}) for row in rows]
 
 
 def _row_life(row: GoldenRow, lam: float):

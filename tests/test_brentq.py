@@ -138,6 +138,24 @@ def test_brentq_probes_as_scipy_does_on_log_t(shape, log_lo, log_width, where, d
     _same_as_scipy(*_oriented(f, lo, hi, decreasing), on_log=True)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    log_scale=st.floats(150.0, 307.0),
+    where=st.floats(0.0, 1.0),
+    decreasing=st.booleans(),
+)
+def test_brentq_probes_as_scipy_does_at_large_scale(shape, log_scale, where, decreasing):
+    """Each shape over [0, 1] stretched to [0, s], s from 1e150 to 1e307,
+    as a root over t at large lives is.  There the slopes of an
+    extrapolation step are about 1/s, so their product underflows to 0 from
+    s near 1e160: brentq.c divides by it, gets an inf or a NaN, and bisects,
+    and `_last_met` must too, not raise ZeroDivisionError."""
+    s = 10.0 ** log_scale
+    f = SHAPES[shape](where, 1.0)
+    _same_as_scipy(*_oriented(lambda x: f(x / s), 0.0, s, decreasing))
+
+
 @pytest.mark.parametrize("width", [0.0, 2e-14], ids=["adjacent", "wider"])
 def test_brentq_stays_on_t_where_the_logs_are_one_double(width):
     """Two ends whose logs round to one double: adjacent ones, where the

@@ -455,6 +455,21 @@ def test_dispose_rgsp_max_gives_the_decision_of_dispose_rgsp_max(capsys):
         expected.decision.value, expected.decided_at, list(expected.evidence))
 
 
+@pytest.mark.parametrize(
+    "family,decided_at,n,tau",
+    [("ssp", 8, 1, None), ("rgsp_min", 8, 3, None), ("type1", 1, 3, 7.0)],
+)
+def test_dispose_echoes_the_group_size_and_tau_that_it_read(family, decided_at, n, tau, capsys):
+    """The decision JSON echoes the n and tau of the disposition it made: a
+    sequential plan scans single values whatever ``--n`` says, and only a
+    Type-I plan reads ``--tau``."""
+    argv = ["dispose", "--data", "case-study", "--family", family, "--t1", "100",
+            "--t2", "5000", "--n", "3", "--tau", "7"]
+    assert main(argv) in (0, 3)  # accept or reject
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["decided_at"], payload["n"], payload["tau"]) == (decided_at, n, tau)
+
+
 def test_dispose_group_size_flag_then_design_json_then_one(tmp_path, capsys):
     design = tmp_path / "design.json"
     design.write_text(json.dumps({"t1": 10, "t2": 3000, "n": 4}))

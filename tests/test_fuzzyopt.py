@@ -961,6 +961,31 @@ def test_design_margins_are_never_negative():
     assert negative == []
 
 
+@pytest.mark.parametrize("form", fuzzyopt.MEMBERSHIP_FORMS)
+@pytest.mark.parametrize("crisp", [False, True], ids=["fuzzy", "crisp"])
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+@pytest.mark.parametrize("k", [1, 100, 170, 300])
+def test_designs_at_every_scale_of_life(k, family, crisp, form):
+    """lambda0 = 3e{k}, lambda1 = lambda0/6, a = 5*lambda0, tau = lambda0/3 and
+    n_max 10: every family, fuzzy and crisp, gives a design with margins
+    >= 0 and a finite cost.  From about 1e160 the slopes of a Brent
+    extrapolation step multiply to 0 by underflow, where the solver must
+    bisect, as scipy's brentq does, not divide."""
+    lambda0 = 3.0 * 10.0 ** k
+    problem = PlanProblem(
+        family=family,
+        lambda0=FuzzyLife(lambda0, 5.0 * lambda0),
+        lambda1=FuzzyLife(lambda0 / 6.0, 5.0 * lambda0),
+        alpha=FuzzyLevel(0.05, 0.05),
+        beta=FuzzyLevel(0.05, 0.05),
+        tau=lambda0 / 3.0 if family is Family.TYPE_I else None,
+        n_max=10,
+    )
+    design = solve_plan(crisp_limit(problem) if crisp else problem, membership_form=form)
+    assert design.g_margin >= 0.0 and design.h_margin >= 0.0
+    assert math.isfinite(design.objective_value)
+
+
 # A linear stand-in for a plan on the box [1, 10]^2 with the plans' monotone
 # structure: g rises and h falls in both thresholds, and the cost, 1 on the
 # diagonal, falls in t1 and rises in t2.

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -509,6 +510,31 @@ def test_long_run_identities():
 def test_long_run_degenerate():
     with pytest.raises(DegeneratePlanError):
         long_run_rates(0.0, 0.0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(p_a=st.floats(0.0, 2.0 ** -1022), p_r=st.floats(0.0, 2.0 ** -1022))
+@example(p_a=5e-324, p_r=5e-324)
+@example(p_a=0.0, p_r=2.0 ** -1022)
+@example(p_a=float.fromhex("0x0.4000000000001p-1022"), p_r=0.0)
+@example(p_a=float.fromhex("0x0.4p-1022"), p_r=0.0)
+def test_long_run_rates_of_a_stage_that_almost_never_ends(p_a, p_r):
+    """p_a and p_r tiny or subnormal, up to the least normal double, so that
+    their sum is exact: P_A and P_R are the exact ratios within half an
+    ulp, and so is N where it is finite.  It raises exactly where
+    1/(p_a + p_r) rounds to inf, at or above DBL_MAX plus half its ulp, or
+    the sum is 0: the plan never ends as evaluated."""
+    ends = Fraction(p_a) + Fraction(p_r)
+    overflows = ends == 0 or 1 / ends >= 2 ** 1024 - 2 ** 970
+    try:
+        rates = long_run_rates(p_a, p_r)
+    except DegeneratePlanError:
+        assert overflows
+        return
+    assert not overflows
+    assert math.isfinite(rates[2])
+    for value, exact in zip(rates, (Fraction(p_a) / ends, Fraction(p_r) / ends, 1 / ends)):
+        assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2
 
 
 def mixture_mean(f: FuzzyLife) -> float:

@@ -122,6 +122,20 @@ def test_level_membership_zero_slack_is_indicator():
     assert level_membership(level, 0.06) == 0.0
 
 
+def test_fuzzy_level_membership_is_the_unclipped_inverse_of_its_cut():
+    """`FuzzyLevel.membership` agrees with the reference's shoulder inside
+    the slack, inverts `cut`, and is not clipped outside [0, 1].  A
+    zero-slack level includes the level itself, which a design meets as
+    evaluated; the reference's indicator does not."""
+    level = FuzzyLevel(0.05, 0.05)
+    for s in (0.0, 0.25, 0.5, 1.0):
+        assert level.membership(level.cut(s)) == pytest.approx(s, abs=1e-14)
+    assert level.membership(0.075) == pytest.approx(level_membership(level, 0.075), abs=1e-14)
+    assert level.membership(0.0) == pytest.approx(2.0) and level.membership(0.2) < 0.0
+    crisp = FuzzyLevel(0.05, 0.0)
+    assert [crisp.membership(v) for v in (0.0, 0.05, math.nextafter(0.05, 1.0))] == [1.0, 1.0, 0.0]
+
+
 def test_fuzzy_level_validation():
     with pytest.raises(DomainError):
         FuzzyLevel(0.0, 0.05)
